@@ -74,8 +74,24 @@ def _load_spec(args, n: int):
         with open(args.spec, "r", encoding="utf-8") as fh:
             return spec_from_dict(json.load(fh))
     if args.preset:
-        return expand_preset(args.preset, n, _parse_params(args.params))
+        try:
+            return expand_preset(args.preset, n, _parse_params(args.params))
+        except ZeroDivisionError:
+            raise UsageError(f"zero denominator in --params {args.params!r}") from None
     raise UsageError("need --preset NAME or --spec FILE.json")
+
+
+def _rat_flag(args, name: str) -> Fraction:
+    value = getattr(args, name)
+    try:
+        return rat(value)
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in --{name} {value!r}") from None
+
+
+def _check_horizon(args) -> None:
+    if args.t < 0:
+        raise UsageError(f"--t must be >= 0, got {args.t}")
 
 
 def _setup_space(args):
@@ -203,7 +219,7 @@ def cmd_eigvecs(args) -> int:
     else:
         raise UsageError("need --distinct N or --deck WORD")
     alg = FreeAssociativeAlgebra(alphabet)
-    q = rat(args.q)
+    q = _rat_flag(args, "q")
     vectors = []
     for j in list(range(n - 1)) + [n]:
         vectors.extend(build_E_j(alg, n, j, q))
@@ -222,7 +238,7 @@ def cmd_eigvecs(args) -> int:
 
 def _resolve_statistic(args, alg, n):
     name = args.stat
-    q = rat(args.q)
+    q = _rat_flag(args, "q")
     if name == "weighted-descents":
         return lambda w: weighted_descent_stat(w, q, alg.alphabet)
     if name == "weighted-peaks":
@@ -233,13 +249,14 @@ def _resolve_statistic(args, alg, n):
         return lambda w: Fraction(len(descent_peak_sets(w, alg.alphabet).peaks))
     if name == "f_j":
         j = args.j
-        q1 = rat(args.q1) if args.q1 else Fraction(1, 4)
-        q3 = rat(args.q3) if args.q3 else Fraction(1, 4)
+        q1 = _rat_flag(args, "q1") if args.q1 else Fraction(1, 4)
+        q3 = _rat_flag(args, "q3") if args.q3 else Fraction(1, 4)
         return lambda f: f_j_statistic(f, j, q1, q3)
     raise UsageError(f"unknown statistic {name!r}")
 
 
 def cmd_evolve(args) -> int:
+    _check_horizon(args)
     alg, n, states, start = _setup_space(args)
     if start is None:
         raise UsageError("evolve needs a start state (--deck/--distinct/--forest)")
@@ -258,7 +275,7 @@ def cmd_evolve(args) -> int:
         "spec": spec_to_dict(spec),
         "start": _state_str(start),
         "statistic": args.stat,
-        "q": str(rat(args.q)),
+        "q": str(_rat_flag(args, "q")),
         "values": rows,
     }
     _emit(args, payload)
@@ -266,6 +283,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_horizon(args)
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     alg, n, states, start = _setup_space(args)
     if start is None:
         raise UsageError("simulate needs a start state (--deck/--distinct/--forest)")
@@ -303,7 +323,13 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     numbers = None
     if args.criteria:
-        numbers = sorted(int(x) for x in args.criteria.split(","))
+        bits = [x.strip() for x in args.criteria.split(",")]
+        if not all(x.isdigit() and int(x) in acceptance.CRITERIA for x in bits):
+            valid = sorted(acceptance.CRITERIA)
+            raise UsageError(
+                f"unknown criteria {args.criteria!r}; valid criteria are {valid[0]}-{valid[-1]}"
+            )
+        numbers = sorted(int(x) for x in bits)
     results = acceptance.run_all(numbers=numbers, seed=args.seed)
     all_ok = True
     for r in results:

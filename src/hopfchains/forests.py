@@ -9,6 +9,8 @@ forest the per-tree coproducts multiply in the tensor square.
 Canonical form: a tree is a tuple of child trees sorted by their
 parenthesised encoding, a forest is a tuple of trees sorted the same way.
 "(()())" is a root with two leaf children, "()()" two isolated roots.
+The encoding of a canonical forest determines it, so forests hash and
+compare by encoding.  Structure constants are plain ints.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from math import comb
 from .hopf import AlgebraHandle, LinComb, TensorComb, _add_term, tensor_square_product
 from .linalg import rat
 
-_ONE = Fraction(1)
-
 
 def _canon_tree(children) -> tuple:
     kids = tuple(_canon_tree(c) for c in children)
     return tuple(sorted(kids, key=_enc_tree))
 
 
+@lru_cache(maxsize=None)
 def _enc_tree(tree) -> str:
     return "(" + "".join(_enc_tree(c) for c in tree) + ")"
 
@@ -45,19 +46,22 @@ class Forest:
 
     def __init__(self, trees):
         canon = tuple(sorted((_canon_tree(t) for t in trees), key=_enc_tree))
+        self._set(canon, sum(_tree_size(t) for t in canon))
+
+    def _set(self, canon: tuple, size: int) -> None:
         self.trees = canon
-        self.encoding = "".join(_enc_tree(t) for t in canon)
-        self._size = sum(_tree_size(t) for t in canon)
+        self.encoding = "".join(map(_enc_tree, canon))
+        self._size = size
 
     @property
     def degree(self) -> int:
         return self._size
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Forest) and self.trees == other.trees
+        return isinstance(other, Forest) and self.encoding == other.encoding
 
     def __hash__(self):
-        return hash(self.trees)
+        return hash(self.encoding)
 
     def __str__(self) -> str:
         return self.encoding
@@ -134,8 +138,19 @@ def enumerate_forests(n: int) -> tuple[Forest, ...]:
 
 
 def forest_product(f: Forest, g: Forest) -> LinComb:
-    """Disjoint union, as a single canonical forest."""
-    return LinComb.single(Forest(f.trees + g.trees))
+    """Disjoint union, as a single canonical forest with coefficient 1.
+
+    Both tree tuples are already canonical, so the union only merges them
+    by encoding; nothing is re-canonicalised.
+    """
+    if not g.trees:
+        union = f
+    elif not f.trees:
+        union = g
+    else:
+        union = Forest.__new__(Forest)
+        union._set(tuple(sorted(f.trees + g.trees, key=_enc_tree)), f._size + g._size)
+    return LinComb._wrap({union: 1})
 
 
 def _tree_cuts(tree) -> list:
@@ -166,9 +181,9 @@ def _tree_cuts(tree) -> list:
 def _tree_coproduct(tree) -> TensorComb:
     out: dict = {}
     whole = Forest((tree,))
-    _add_term(out, (whole, EMPTY_FOREST), _ONE)  # S empty
+    _add_term(out, (whole, EMPTY_FOREST), 1)  # S empty
     for left, kept in _tree_cuts(tree):
-        _add_term(out, (Forest(left), Forest((kept,))), _ONE)
+        _add_term(out, (Forest(left), Forest((kept,))), 1)
     return TensorComb._wrap(2, out)
 
 
@@ -186,8 +201,11 @@ class ForestAlgebra(AlgebraHandle):
         return forest_product(x, y)
 
     def coproduct_basis(self, x: Forest) -> TensorComb:
-        result = TensorComb.single((EMPTY_FOREST, EMPTY_FOREST))
-        for tree in x.trees:
+        if not x.trees:
+            return TensorComb._wrap(2, {(EMPTY_FOREST, EMPTY_FOREST): 1})
+        first, *rest = x.trees
+        result = _tree_coproduct(first)
+        for tree in rest:
             result = tensor_square_product(self, result, _tree_coproduct(tree))
         return result
 

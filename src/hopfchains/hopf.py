@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .linalg import rat
 
@@ -294,7 +294,7 @@ def iterated_coproduct(alg: AlgebraHandle, x: LinComb, a: int) -> TensorComb:
 
 def _product_of_keys(alg: AlgebraHandle, keys) -> dict:
     """Left-to-right product of a sequence of basis keys, as a terms dict."""
-    acc = {keys[0]: _ONE}
+    acc = {keys[0]: 1}
     for key in keys[1:]:
         new: dict = {}
         for x, cx in acc.items():
@@ -454,18 +454,25 @@ def apply_cpp(alg: AlgebraHandle, x: LinComb, spec: CppSpec) -> LinComb:
     by_arity: dict = {}
     for comp, w in spec.terms:
         by_arity.setdefault(len(comp), []).append((comp, w))
+    # Clear x's denominators so that the structure maps run on ints; the
+    # rational factor w / den is applied once per (composition, output key).
+    den = lcm(*(c.denominator for _, c in x.items()))
+    x_int = LinComb._wrap({k: int(c * den) for k, c in x.items()})
     out: dict = {}
     for arity in sorted(by_arity):
-        delta = iterated_coproduct(alg, x, arity)
+        delta = iterated_coproduct(alg, x_int, arity)
         buckets: dict = {}
         for keys, c in delta.items():
             profile = tuple(k.degree for k in keys)
             buckets.setdefault(profile, []).append((keys, c))
         for comp, w in by_arity[arity]:
+            image: dict = {}
             for keys, c in buckets.get(comp, ()):
-                wc = w * c
                 for k, ck in _product_of_keys(alg, keys).items():
-                    _add_term(out, k, wc * ck)
+                    _add_term(image, k, c * ck)
+            scale = Fraction(w, den)
+            for k, c in image.items():
+                _add_term(out, k, scale * c)
     return LinComb._wrap(out)
 
 
@@ -489,16 +496,16 @@ def eta(alg: AlgebraHandle, key) -> Fraction:
             f"rescaling constant of {key!r} is {value}; "
             "basis cannot carry a Markov chain"
         )
-    return value
+    return Fraction(value)
 
 
-def _eta(alg: AlgebraHandle, key) -> Fraction:
+def _eta(alg: AlgebraHandle, key) -> int:
     if key.degree == 0:
-        return _ONE
+        return 1
     cached = alg._eta_cache.get(key)
     if cached is not None:
         return cached
-    total = _ZERO
+    total = 0
     for (w, c), coeff in alg.coproduct_basis(key).items():
         if c.degree == 1:
             total += coeff * _eta(alg, w)
@@ -599,6 +606,6 @@ def spec_from_dict(data: dict) -> CppSpec:
     try:
         n = int(data["n"])
         terms = [(t["composition"], rat(t["weight"])) for t in data["terms"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise SpecError(f"malformed spec JSON: {exc}") from exc
     return normalize_spec(n, terms)

@@ -25,8 +25,6 @@ from math import comb
 from .hopf import AlgebraHandle, LinComb, TensorComb, _add_term
 from .linalg import rat
 
-_ONE = Fraction(1)
-
 
 class Word:
     """An immutable sequence of card labels; degree = number of cards."""
@@ -68,7 +66,7 @@ def shuffle_product(w: Word, z: Word) -> LinComb:
         for i in range(total):
             if merged[i] is None:
                 merged[i] = next(it)
-        _add_term(out, Word(merged), _ONE)
+        _add_term(out, Word(merged), 1)
     return LinComb._wrap(out)
 
 
@@ -77,13 +75,13 @@ def deconcat_coproduct(w: Word) -> TensorComb:
     out = {}
     for i in range(len(w.letters) + 1):
         pair = (Word(w.letters[:i]), Word(w.letters[i:]))
-        _add_term(out, pair, _ONE)
+        _add_term(out, pair, 1)
     return TensorComb._wrap(2, out)
 
 
 def concat_product(w: Word, z: Word) -> LinComb:
     """Concatenation; a single word with coefficient 1."""
-    return LinComb.single(Word(w.letters + z.letters))
+    return LinComb._wrap({Word(w.letters + z.letters): 1})
 
 
 def deshuffle_coproduct(w: Word) -> TensorComb:
@@ -95,7 +93,7 @@ def deshuffle_coproduct(w: Word) -> TensorComb:
             chosen_set = set(chosen)
             left = Word(w.letters[i] for i in chosen)
             right = Word(w.letters[i] for i in range(n) if i not in chosen_set)
-            _add_term(out, (left, right), _ONE)
+            _add_term(out, (left, right), 1)
     return TensorComb._wrap(2, out)
 
 

@@ -8,10 +8,12 @@ from hopfchains.forests import (
     Forest,
     SINGLE_VERTEX,
     VertexStats,
+    _tree_coproduct,
     enumerate_forests,
     enumerate_trees,
     f_j_statistic,
     forest_algebra,
+    forest_product,
     parse_forest,
     vertex_stats,
 )
@@ -20,6 +22,7 @@ from hopfchains.hopf import (
     TensorComb,
     check_bialgebra_compatibility,
     check_coassociativity,
+    tensor_square_product,
 )
 
 
@@ -116,6 +119,30 @@ def test_coproduct_star_counts_subtrees_with_multiplicity():
     got = falg.coproduct_basis(star)
     # removing root plus one leaf: the kept subtree is a 2-path, twice
     assert got.coefficient((SINGLE_VERTEX, parse_forest("(())"))) == 2
+
+
+def test_canonical_union_matches_recanonicalised_union():
+    for i in range(7):
+        for j in range(7 - i):
+            for f in enumerate_forests(i):
+                for g in enumerate_forests(j):
+                    [(union, c)] = forest_product(f, g).items()
+                    reference = Forest(f.trees + g.trees)
+                    assert type(c) is int and c == 1
+                    assert union.trees == reference.trees
+                    assert union.encoding == reference.encoding
+                    assert hash(union) == hash(reference)
+                    assert union == reference and union.degree == i + j
+
+
+def test_coproduct_matches_unit_seeded_product_of_tree_coproducts():
+    falg = forest_algebra()
+    for n in range(6):
+        for f in enumerate_forests(n):
+            reference = TensorComb.single((EMPTY_FOREST, EMPTY_FOREST))
+            for tree in f.trees:
+                reference = tensor_square_product(falg, reference, _tree_coproduct(tree))
+            assert falg.coproduct_basis(f) == reference
 
 
 def test_coassociativity_and_compatibility():

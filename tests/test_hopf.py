@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hopfchains.chain import build_transition_matrix
 from hopfchains.forests import forest_algebra, parse_forest
 from hopfchains.hopf import (
     AlgebraHandle,
@@ -31,8 +32,9 @@ from hopfchains.presets import (
     riffle_spec,
     top_or_bottom_spec,
     top_to_random_spec,
+    trinomial_spec,
 )
-from hopfchains.shuffle import ShuffleAlgebra, Word
+from hopfchains.shuffle import FreeAssociativeAlgebra, ShuffleAlgebra, Word
 
 
 def w(s):
@@ -258,6 +260,9 @@ def test_composition_law_examples():
 def test_spec_json_round_trip():
     spec = top_or_bottom_spec(4, F(1, 3))
     assert spec_from_dict(spec_to_dict(spec)) == spec
+    bad = {"n": 2, "terms": [{"composition": [1, 1], "weight": "1/0"}]}
+    with pytest.raises(SpecError):
+        spec_from_dict(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +358,28 @@ def test_eta_zero_is_reported():
     bad = _PrimitiveDegreeTwo()
     with pytest.raises(ValueError):
         eta(bad, bad.y)
+
+
+@pytest.mark.parametrize(
+    "alg", [ShuffleAlgebra("ab"), FreeAssociativeAlgebra("ab"), forest_algebra()], ids=str
+)
+def test_structure_constants_are_ints(alg):
+    for d in range(5):
+        for x in alg.basis(d):
+            assert all(type(c) is int for _, c in alg.coproduct_basis(x).items())
+            for e in range(5 - d):
+                for y in alg.basis(e):
+                    assert all(type(c) is int for _, c in alg.product_basis(x, y).items())
+
+
+def test_built_matrix_stays_rational():
+    cases = [
+        (ShuffleAlgebra("123"), riffle_spec(3, 2)),
+        (ShuffleAlgebra("ab"), trinomial_spec(3, F(1, 2), F(1, 3), F(1, 6))),
+        (forest_algebra(), top_to_random_spec(4)),
+    ]
+    for alg, spec in cases:
+        K = build_transition_matrix(alg, spec)
+        assert type(K.beta) is F
+        assert all(type(e) is F for e in K.etas)
+        assert all(type(e) is F for row in K.kernel.entries for e in row)

@@ -267,6 +267,34 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def _usage_error(capsys, argv) -> str:
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "verification failure" not in err
+    return err
+
+
+def test_cli_zero_denominator_param_is_usage_error(capsys):
+    argv = ["matrix", "--distinct", "3", "--preset", "top-or-bottom", "--params", "q=1/0"]
+    assert "zero denominator" in _usage_error(capsys, argv)
+    argv = ["evolve", "--distinct", "3", "--preset", "riffle", "--q", "1/0"]
+    assert "zero denominator" in _usage_error(capsys, argv)
+
+
+def test_cli_simulate_zero_trials_is_usage_error(capsys):
+    argv = ["simulate", "--distinct", "3", "--preset", "riffle", "--trials", "0"]
+    assert "--trials" in _usage_error(capsys, argv)
+
+
+def test_cli_verify_unknown_criterion_is_usage_error(capsys):
+    assert "1-10" in _usage_error(capsys, ["verify", "--criteria", "11"])
+
+
+def test_cli_evolve_negative_time_is_usage_error(capsys):
+    argv = ["evolve", "--distinct", "3", "--preset", "riffle", "--t", "-1"]
+    assert "--t" in _usage_error(capsys, argv)
+
+
 def test_cli_spec_file(tmp_path, capsys):
     spec = top_or_bottom_spec(3, F(1, 2))
     path = tmp_path / "spec.json"
