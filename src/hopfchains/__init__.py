@@ -22,18 +22,16 @@ from .hopf import (
     SpecError,
     TensorComb,
     apply_cpp,
-    apply_proj_convolution,
     beta_n,
     check_state_space_basis,
     composition_law,
     coproduct,
     eta,
     iterated_coproduct,
-    iterated_product,
     normalize_spec,
     product,
 )
-from .linalg import RatMatrix, Rational, annihilation_check, mat_mul, mat_pow, nullspace, rank, rat
+from .linalg import RatMatrix, annihilation_check, nullspace, rank, rat
 from .presets import expand_preset, preset_names
 from .shuffle import (
     FreeAssociativeAlgebra,

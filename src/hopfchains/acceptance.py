@@ -55,6 +55,7 @@ from .shuffle import (
     Word,
     deck_from_string,
     descent_peak_sets,
+    distinct_alphabet,
     distinct_deck,
     rearrangement_class,
     weighted_descent_stat,
@@ -333,8 +334,7 @@ def criterion_7() -> CriterionResult:
     literal_fail_witness = None
     corrected_ok = True
     for n in (2, 3, 4):
-        alphabet = "123456789"[:n]
-        alg = FreeAssociativeAlgebra(alphabet)
+        alg = FreeAssociativeAlgebra(distinct_alphabet(n))
         ones = tuple([1] * n)
         for q in (F(0), F(1, 3), F(1)):
             vectors = []

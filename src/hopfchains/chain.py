@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional
 
-from .hopf import AlgebraHandle, CppSpec, LinComb, apply_cpp, beta_n, eta
+from .hopf import AlgebraHandle, CppSpec, LinComb, _add_term, _product_of_keys, apply_cpp, beta_n, eta
 from .linalg import RatMatrix, rat
 
 _ZERO = Fraction(0)
@@ -44,9 +44,6 @@ class TransitionMatrix:
     @property
     def size(self) -> int:
         return len(self.states)
-
-    def probability(self, x, y) -> Fraction:
-        return self.kernel.at(self.index[x], self.index[y])
 
     def row_of(self, x) -> dict:
         i = self.index[x]
@@ -130,15 +127,6 @@ class Distribution:
         if sum(self.weights, _ZERO) != 1:
             raise ValueError("distribution weights must sum to exactly 1")
 
-    def weight_of(self, state) -> Fraction:
-        try:
-            return self.weights[self.states.index(state)]
-        except ValueError:
-            return _ZERO
-
-    def as_dict(self) -> dict:
-        return {s: w for s, w in zip(self.states, self.weights) if w}
-
 
 def point_mass(matrix: TransitionMatrix, state) -> Distribution:
     if state not in matrix.index:
@@ -146,11 +134,6 @@ def point_mass(matrix: TransitionMatrix, state) -> Distribution:
     weights = [_ZERO] * matrix.size
     weights[matrix.index[state]] = _ONE
     return Distribution(states=matrix.states, weights=weights)
-
-
-def uniform_distribution(matrix: TransitionMatrix) -> Distribution:
-    w = Fraction(1, matrix.size)
-    return Distribution(states=matrix.states, weights=[w] * matrix.size)
 
 
 def evolve(matrix: TransitionMatrix, start: Distribution, t: int) -> Distribution:
@@ -242,26 +225,12 @@ def stationary_distributions(
 def _symmetrized_product(alg: AlgebraHandle, multiset) -> dict:
     """Coefficients of the sum over all orderings of the multiset product."""
     if alg.commutative:
-        acc = {multiset[0]: _ONE}
-        for key in multiset[1:]:
-            new: dict = {}
-            for x, cx in acc.items():
-                for k, ck in alg.product_basis(x, key).items():
-                    new[k] = new.get(k, _ZERO) + cx * ck
-            acc = new
         nfact = factorial(len(multiset))
-        return {k: nfact * v for k, v in acc.items()}
+        return {k: nfact * v for k, v in _product_of_keys(alg, multiset).items()}
     out: dict = {}
     for order in itertools.permutations(multiset):
-        acc = {order[0]: _ONE}
-        for key in order[1:]:
-            new = {}
-            for x, cx in acc.items():
-                for k, ck in alg.product_basis(x, key).items():
-                    new[k] = new.get(k, _ZERO) + cx * ck
-            acc = new
-        for k, v in acc.items():
-            out[k] = out.get(k, _ZERO) + v
+        for k, v in _product_of_keys(alg, order).items():
+            _add_term(out, k, v)
     return out
 
 

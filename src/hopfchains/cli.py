@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import acceptance
 from .chain import (
-    Distribution,
     build_transition_matrix,
     distribution_to_dict,
     evolve,
@@ -26,19 +25,19 @@ from .chain import (
     point_mass,
     stationary_distributions,
 )
-from .forests import Forest, f_j_statistic, forest_algebra, parse_forest
+from .forests import f_j_statistic, forest_algebra, parse_forest
 from .hopf import SpecError, spec_from_dict, spec_to_dict
 from .linalg import rat
 from .presets import expand_preset, preset_names
 from .shuffle import (
     FreeAssociativeAlgebra,
-    Word,
     deck_from_string,
     descent_peak_sets,
     distinct_deck,
     rearrangement_class,
     weighted_descent_stat,
     weighted_peak_stat,
+    word_content,
 )
 from .simulate import gsr_stepper, matrix_stepper, run_trajectories
 from .spectral import (
@@ -94,16 +93,19 @@ def _check_horizon(args) -> None:
         raise UsageError(f"--t must be >= 0, got {args.t}")
 
 
+def _shuffle_deck(args, missing: str):
+    """(shuffle algebra, deck) from --distinct or --deck; `missing` is the usage error."""
+    if args.distinct:
+        return distinct_deck(args.distinct)
+    if args.deck:
+        return deck_from_string(args.deck)
+    raise UsageError(missing)
+
+
 def _setup_space(args):
-    """Resolve (algebra, degree, states, start, content) from the flags."""
-    chosen = [x for x in (args.distinct, args.deck, args.forest, args.n) if x]
+    """Resolve (algebra, degree, states, start) from the flags."""
     if args.algebra == "shuffle":
-        if args.distinct:
-            alg, deck = distinct_deck(args.distinct)
-        elif args.deck:
-            alg, deck = deck_from_string(args.deck)
-        else:
-            raise UsageError("shuffle runs need --distinct N or --deck WORD")
+        alg, deck = _shuffle_deck(args, "shuffle runs need --distinct N or --deck WORD")
         states = rearrangement_class(alg, deck)
         return alg, deck.degree, states, deck
     if args.algebra == "forests":
@@ -135,10 +137,6 @@ def _emit(args, payload: dict, csv_text: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _state_str(state) -> str:
-    return str(state)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -162,8 +160,6 @@ def cmd_spectrum(args) -> int:
     alg, n, states, _start = _setup_space(args)
     spec = _load_spec(args, n)
     if args.algebra == "shuffle":
-        from .shuffle import word_content
-
         content = word_content(alg, states[0])
         spectrum = word_class_spectrum(spec, alg, content)
     else:
@@ -197,7 +193,7 @@ def cmd_stationary(args) -> int:
         "n": n,
         "distributions": [
             {
-                "multiset": [_state_str(c) for c in (pi.provenance or ())],
+                "multiset": [str(c) for c in (pi.provenance or ())],
                 "weights": distribution_to_dict(pi),
             }
             for pi in pis
@@ -210,15 +206,15 @@ def cmd_stationary(args) -> int:
 def cmd_eigvecs(args) -> int:
     if args.algebra != "shuffle":
         raise UsageError("eigenvector construction runs on the word dual; use --algebra shuffle")
-    if args.distinct:
-        n = args.distinct
-        alphabet = "123456789"[:n]
-    elif args.deck:
-        alphabet = "".join(sorted(set(args.deck)))
-        n = len(args.deck)
-    else:
-        raise UsageError("need --distinct N or --deck WORD")
-    alg = FreeAssociativeAlgebra(alphabet)
+    words, deck = _shuffle_deck(args, "need --distinct N or --deck WORD")
+    n = deck.degree
+    count = len(words.alphabet) ** n
+    if count > args.max_states:
+        raise UsageError(
+            f"eigvecs emits {len(words.alphabet)}^{n} = {count} vectors, above the cap "
+            f"{args.max_states}; raise --max-states to proceed"
+        )
+    alg = FreeAssociativeAlgebra(words.alphabet)
     q = _rat_flag(args, "q")
     vectors = []
     for j in list(range(n - 1)) + [n]:
@@ -236,7 +232,7 @@ def cmd_eigvecs(args) -> int:
     return 0
 
 
-def _resolve_statistic(args, alg, n):
+def _resolve_statistic(args, alg):
     name = args.stat
     q = _rat_flag(args, "q")
     if name == "weighted-descents":
@@ -262,7 +258,7 @@ def cmd_evolve(args) -> int:
         raise UsageError("evolve needs a start state (--deck/--distinct/--forest)")
     spec = _load_spec(args, n)
     K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
-    stat = _resolve_statistic(args, alg, n)
+    stat = _resolve_statistic(args, alg)
     dist = point_mass(K, start)
     rows = []
     for t in range(args.t + 1):
@@ -273,7 +269,7 @@ def cmd_evolve(args) -> int:
         "algebra": alg.name,
         "n": n,
         "spec": spec_to_dict(spec),
-        "start": _state_str(start),
+        "start": str(start),
         "statistic": args.stat,
         "q": str(_rat_flag(args, "q")),
         "values": rows,
@@ -290,7 +286,7 @@ def cmd_simulate(args) -> int:
     if start is None:
         raise UsageError("simulate needs a start state (--deck/--distinct/--forest)")
     spec = _load_spec(args, n)
-    stat = _resolve_statistic(args, alg, n)
+    stat = _resolve_statistic(args, alg)
     stats = {args.stat: stat}
     exact_targets = None
     if args.algebra == "shuffle":
@@ -313,7 +309,7 @@ def cmd_simulate(args) -> int:
         "algebra": alg.name,
         "n": n,
         "spec": spec_to_dict(spec),
-        "start": _state_str(start),
+        "start": str(start),
         **report.to_dict(exact_targets=exact_targets),
     }
     _emit(args, payload)
@@ -385,6 +381,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
+def _add_statistic_flags(p: argparse.ArgumentParser, t_default: int) -> None:
+    """Horizon and statistic flags shared by evolve and simulate."""
+    p.add_argument("--t", type=int, default=t_default)
+    p.add_argument(
+        "--stat",
+        default="weighted-descents",
+        choices=["weighted-descents", "weighted-peaks", "descents", "peaks", "f_j"],
+    )
+    p.add_argument("--q", default="1/2", help="weight parameter for weighted statistics")
+    p.add_argument("--j", type=int, default=2, help="threshold for the forest statistic")
+    p.add_argument("--q1", help="forest statistic down-weight")
+    p.add_argument("--q3", help="forest statistic up-weight")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfchains",
@@ -412,36 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="exact expectations of a statistic over time")
     _add_common(p)
-    p.add_argument("--t", type=int, default=5)
-    p.add_argument(
-        "--stat",
-        default="weighted-descents",
-        choices=["weighted-descents", "weighted-peaks", "descents", "peaks", "f_j"],
-    )
-    p.add_argument("--q", default="1/2", help="weight parameter for weighted statistics")
-    p.add_argument("--j", type=int, default=2, help="threshold for the forest statistic")
-    p.add_argument("--q1", help="forest statistic down-weight")
-    p.add_argument("--q3", help="forest statistic up-weight")
+    _add_statistic_flags(p, t_default=5)
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo with exact targets where available")
     _add_common(p)
-    p.add_argument("--t", type=int, default=3)
+    _add_statistic_flags(p, t_default=3)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--stat",
-        default="weighted-descents",
-        choices=["weighted-descents", "weighted-peaks", "descents", "peaks", "f_j"],
-    )
-    p.add_argument("--q", default="1/2")
-    p.add_argument("--j", type=int, default=2)
-    p.add_argument("--q1")
-    p.add_argument("--q3")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the acceptance criteria and print a table")
-    p.add_argument("--grid", choices=["desk"], default="desk", help="verification grid size")
     p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,3")
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     p.add_argument("--show-flagged", action="store_true")

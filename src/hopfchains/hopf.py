@@ -220,9 +220,6 @@ class AlgebraHandle:
     def unit_key(self):
         return self.basis(0)[0]
 
-    def degree_one(self) -> list:
-        return list(self.basis(1))
-
     def product_basis(self, x, y) -> LinComb:
         raise NotImplementedError
 
@@ -304,18 +301,6 @@ def _product_of_keys(alg: AlgebraHandle, keys) -> dict:
     return acc
 
 
-def iterated_product(alg: AlgebraHandle, t: TensorComb) -> LinComb:
-    """Multiply the tensor legs together, left to right."""
-    out: dict = {}
-    for keys, c in t.items():
-        if len(keys) == 0:
-            _add_term(out, alg.unit_key(), c)
-            continue
-        for k, ck in _product_of_keys(alg, keys).items():
-            _add_term(out, k, c * ck)
-    return LinComb._wrap(out)
-
-
 def homogeneous_degree(x: LinComb):
     """Common degree of all terms, or None for the zero combination."""
     degrees = {k.degree for k in x.terms}
@@ -324,33 +309,6 @@ def homogeneous_degree(x: LinComb):
     if len(degrees) > 1:
         raise ValueError(f"not homogeneous: degrees {sorted(degrees)}")
     return degrees.pop()
-
-
-def apply_proj_convolution(alg: AlgebraHandle, x: LinComb, D) -> LinComb:
-    """Break x into pieces of sizes exactly (d_1, ..., d_a), then recombine.
-
-    Concretely: take the a-fold coproduct, keep only the tensors whose leg
-    degrees match D (a graded projection on each leg), and multiply the
-    legs back together.  Parts equal to 0 are allowed; the corresponding
-    leg just picks off the unit.
-    """
-    D = tuple(int(d) for d in D)
-    if any(d < 0 for d in D):
-        raise ValueError(f"negative part in composition {D}")
-    n = sum(D)
-    deg = homogeneous_degree(x)
-    if deg is None:
-        return LinComb.zero()
-    if deg != n:
-        raise ValueError(f"degree mismatch: element has degree {deg}, composition sums to {n}")
-    out: dict = {}
-    delta = iterated_coproduct(alg, x, len(D))
-    for keys, c in delta.items():
-        if tuple(k.degree for k in keys) != D:
-            continue
-        for k, ck in _product_of_keys(alg, keys).items():
-            _add_term(out, k, c * ck)
-    return LinComb._wrap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +331,6 @@ class CppSpec:
 
     n: int
     terms: tuple  # tuple of (composition tuple, Fraction weight)
-
-    def max_arity(self) -> int:
-        return max(len(comp) for comp, _ in self.terms)
 
     def __str__(self) -> str:
         bits = [f"{w}*Proj{comp}" for comp, w in self.terms]

@@ -14,8 +14,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -61,16 +59,6 @@ class RatMatrix:
             raise ValueError("ragged rows: matrix must be rectangular")
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls.from_rows(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        )
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls.from_rows([[_ZERO] * cols for _ in range(rows)])
-
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
@@ -83,9 +71,6 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix.from_rows(list(zip(*self.entries)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMatrix) and self.entries == other.entries
 
@@ -94,41 +79,6 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
-
-
-def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Exact matrix product; raises on inner-dimension mismatch."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
-    brows = b.entries
-    out = []
-    for arow in a.entries:
-        acc = [_ZERO] * b.cols
-        for k, aik in enumerate(arow):
-            if not aik:
-                continue
-            brow = brows[k]
-            for j, bkj in enumerate(brow):
-                if bkj:
-                    acc[j] += aik * bkj
-        out.append(acc)
-    return RatMatrix.from_rows(out)
-
-
-def mat_pow(m: RatMatrix, t: int) -> RatMatrix:
-    """Exact t-th power by repeated squaring; t = 0 gives the identity."""
-    if not m.is_square():
-        raise ValueError("mat_pow needs a square matrix")
-    if t < 0:
-        raise ValueError("negative power")
-    result = RatMatrix.identity(m.rows)
-    base = m
-    while t:
-        if t & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if t > 1 else base
-        t >>= 1
-    return result
 
 
 def _integer_rows(m: RatMatrix) -> list[list[int]]:

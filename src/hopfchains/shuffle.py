@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product as cartesian
+from itertools import combinations, product as cartesian
 from math import comb
 
 from .hopf import AlgebraHandle, LinComb, TensorComb, _add_term
@@ -97,11 +97,14 @@ def deshuffle_coproduct(w: Word) -> TensorComb:
     return TensorComb._wrap(2, out)
 
 
-class ShuffleAlgebra(AlgebraHandle):
-    """Words with interleaving product and deconcatenation coproduct."""
+class WordAlgebra(AlgebraHandle):
+    """Words over a fixed ordered alphabet; subclasses pick the structure maps.
 
-    commutative = True
-    cocommutative = False
+    The structure maps are looked up as module functions on every call, so
+    wrapping them (for tracing, say) reaches every algebra instance.
+    """
+
+    kind = "words"
 
     def __init__(self, alphabet):
         super().__init__()
@@ -112,7 +115,7 @@ class ShuffleAlgebra(AlgebraHandle):
             raise ValueError("alphabet must be nonempty")
         self.alphabet = letters
         self.rank = {a: i for i, a in enumerate(letters)}
-        self.name = f"shuffle[{''.join(letters)}]"
+        self.name = f"{self.kind}[{''.join(letters)}]"
         self._basis_cache: dict = {}
 
     def basis(self, n: int) -> list:
@@ -121,6 +124,14 @@ class ShuffleAlgebra(AlgebraHandle):
             cached = [Word(t) for t in cartesian(self.alphabet, repeat=n)]
             self._basis_cache[n] = cached
         return cached
+
+
+class ShuffleAlgebra(WordAlgebra):
+    """Words with interleaving product and deconcatenation coproduct."""
+
+    kind = "shuffle"
+    commutative = True
+    cocommutative = False
 
     def product_basis(self, x: Word, y: Word) -> LinComb:
         return shuffle_product(x, y)
@@ -129,7 +140,7 @@ class ShuffleAlgebra(AlgebraHandle):
         return deconcat_coproduct(x)
 
 
-class FreeAssociativeAlgebra(AlgebraHandle):
+class FreeAssociativeAlgebra(WordAlgebra):
     """Words with concatenation product and subset-split coproduct.
 
     This is the graded dual of the shuffle algebra on the same letters;
@@ -137,27 +148,9 @@ class FreeAssociativeAlgebra(AlgebraHandle):
     construction needs.
     """
 
+    kind = "free-assoc"
     commutative = False
     cocommutative = True
-
-    def __init__(self, alphabet):
-        super().__init__()
-        letters = tuple(alphabet)
-        if len(set(letters)) != len(letters):
-            raise ValueError(f"alphabet has repeated labels: {letters}")
-        if not letters:
-            raise ValueError("alphabet must be nonempty")
-        self.alphabet = letters
-        self.rank = {a: i for i, a in enumerate(letters)}
-        self.name = f"free-assoc[{''.join(letters)}]"
-        self._basis_cache: dict = {}
-
-    def basis(self, n: int) -> list:
-        cached = self._basis_cache.get(n)
-        if cached is None:
-            cached = [Word(t) for t in cartesian(self.alphabet, repeat=n)]
-            self._basis_cache[n] = cached
-        return cached
 
     def product_basis(self, x: Word, y: Word) -> LinComb:
         return concat_product(x, y)
@@ -169,14 +162,17 @@ class FreeAssociativeAlgebra(AlgebraHandle):
 # ---------------------------------------------------------------------------
 # deck construction helpers
 
-_DIGITS = "123456789"
+
+def distinct_alphabet(n: int) -> str:
+    """The card labels 1 < 2 < ... < n of a distinct deck."""
+    if not 1 <= n <= 9:
+        raise ValueError("distinct decks supported for 1 <= n <= 9")
+    return "123456789"[:n]
 
 
 def distinct_deck(n: int) -> tuple[ShuffleAlgebra, Word]:
     """Alphabet 1 < 2 < ... < n with the ascending deck as start state."""
-    if not 1 <= n <= 9:
-        raise ValueError("distinct decks supported for 1 <= n <= 9")
-    alg = ShuffleAlgebra(_DIGITS[:n])
+    alg = ShuffleAlgebra(distinct_alphabet(n))
     return alg, Word(alg.alphabet)
 
 
@@ -188,23 +184,34 @@ def deck_from_string(deck: str) -> tuple[ShuffleAlgebra, Word]:
     return alg, Word(deck)
 
 
-def ascending_word(alg: ShuffleAlgebra, word: Word) -> Word:
-    """The same multiset of cards arranged in increasing order."""
-    return Word(sorted(word.letters, key=alg.rank.__getitem__))
-
-
-def rearrangement_class(alg: ShuffleAlgebra, word: Word) -> list[Word]:
+def rearrangement_class(alg: WordAlgebra, word: Word) -> list[Word]:
     """All words with the same letter multiset, in canonical order.
 
     Shuffling never changes which cards are in the deck, so this class is
     closed under every breaking-size operator and is the natural state
-    space for a chain started at `word`.
+    space for a chain started at `word`.  The words are generated directly
+    in increasing order of their letter ranks (next permutation of a
+    multiset), so a class of size m costs O(m n) whatever the repeats.
     """
-    seen = {Word(p) for p in permutations(word.letters)}
-    return sorted(seen, key=lambda w: tuple(alg.rank[a] for a in w.letters))
+    letters = alg.alphabet
+    ranks = sorted(alg.rank[a] for a in word.letters)
+    n = len(ranks)
+    out = []
+    while True:
+        out.append(Word(letters[r] for r in ranks))
+        i = n - 2
+        while i >= 0 and ranks[i] >= ranks[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = n - 1
+        while ranks[j] <= ranks[i]:
+            j -= 1
+        ranks[i], ranks[j] = ranks[j], ranks[i]
+        ranks[i + 1 :] = reversed(ranks[i + 1 :])
 
 
-def word_content(alg: ShuffleAlgebra, word: Word) -> tuple[int, ...]:
+def word_content(alg: WordAlgebra, word: Word) -> tuple[int, ...]:
     """Letter multiplicities of a word, aligned with the alphabet order."""
     counts = [0] * len(alg.alphabet)
     for letter in word.letters:
@@ -216,19 +223,23 @@ def lyndon_words(alphabet, max_len: int) -> dict[int, list[tuple[str, ...]]]:
     """Lyndon words over an ordered alphabet, grouped by length.
 
     A word is Lyndon when it is strictly smaller than each of its proper
-    suffixes under the alphabet order.  Lengths run from 1 to max_len;
-    brute-force filtering is plenty at desk scale.
+    suffixes under the alphabet order.  Lengths run from 1 to max_len.
+    Duval's generator visits exactly the Lyndon words, in increasing
+    order: bump the last letter, emit, repeat the word periodically up to
+    max_len, then drop trailing maximal letters.
     """
     letters = tuple(alphabet)
-    rank = {a: i for i, a in enumerate(letters)}
-    result: dict[int, list[tuple[str, ...]]] = {}
-    for n in range(1, max_len + 1):
-        found = []
-        for t in cartesian(letters, repeat=n):
-            ranks = tuple(rank[a] for a in t)
-            if all(ranks < ranks[i:] for i in range(1, n)):
-                found.append(t)
-        result[n] = found
+    top = len(letters) - 1
+    result: dict[int, list[tuple[str, ...]]] = {n: [] for n in range(1, max_len + 1)}
+    w = [-1] if letters and max_len >= 1 else []
+    while w:
+        w[-1] += 1
+        m = len(w)
+        result[m].append(tuple(letters[i] for i in w))
+        while len(w) < max_len:
+            w.append(w[len(w) - m])
+        while w and w[-1] == top:
+            w.pop()
     return result
 
 
@@ -254,14 +265,6 @@ def descent_peak_sets(word: Word, alphabet) -> DeckStatistics:
         i for i in range(1, n - 1) if vals[i - 1] < vals[i] and vals[i] > vals[i + 1]
     )
     return DeckStatistics(descents=descents, peaks=peaks)
-
-
-def descent_count(word: Word, alphabet) -> int:
-    return len(descent_peak_sets(word, alphabet).descents)
-
-
-def peak_count(word: Word, alphabet) -> int:
-    return len(descent_peak_sets(word, alphabet).peaks)
 
 
 def weighted_descent_stat(word: Word, q, alphabet) -> Fraction:

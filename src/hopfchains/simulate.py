@@ -144,14 +144,6 @@ def matrix_stepper(matrix: TransitionMatrix) -> Callable:
     return step
 
 
-def sample_trajectory(start, steps: int, stepper: Callable, rng: RngStream) -> list:
-    """States X_0, X_1, ..., X_steps of one simulated run."""
-    states = [start]
-    for _ in range(steps):
-        states.append(stepper(states[-1], rng))
-    return states
-
-
 @dataclass
 class StatSeries:
     """Exact running sums for one statistic at each time step."""

@@ -36,15 +36,14 @@ from .hopf import (
     LinComb,
     apply_cpp,
     beta_n,
-    coproduct,
+    homogeneous_degree,
     product,
 )
 from .linalg import RatMatrix, annihilation_check, nullspace, rank, rat
 from .presets import top_m_unordered_spec, top_or_bottom_spec, trinomial_spec
-from .shuffle import lyndon_words
+from .shuffle import Word, lyndon_words, word_content
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +227,24 @@ class Spectrum:
 
 def spectrum_from_profile(spec: CppSpec, profile: HilbertProfile) -> Spectrum:
     """Formula spectrum on the full degree-n component of the algebra."""
-    beta = beta_n(spec)
-    rows = []
-    for lam in partitions(spec.n):
-        value = beta_lambda(spec, lam) / beta
-        rows.append((lam, value, multiplicity(lam, profile)))
-    return Spectrum(table=tuple(rows))
+    rows = tuple(
+        (lam, value, multiplicity(lam, profile)) for lam, value in eigenvalues(spec).items()
+    )
+    return Spectrum(table=rows)
 
 
-def class_multiplicity(alg, content, lam) -> int:
+def lyndon_contents(alg, n: int) -> dict[int, list[tuple[int, ...]]]:
+    """Letter contents of the Lyndon words over alg's alphabet, by length 1..n."""
+    return {
+        s: [word_content(alg, Word(w)) for w in words]
+        for s, words in lyndon_words(alg.alphabet, n).items()
+    }
+
+
+def class_multiplicity(lyndon: dict, content, lam) -> int:
     """Multisets of Lyndon words with size profile lam and total content.
 
+    `lyndon` is the `lyndon_contents` table up to the class size;
     `content` is a tuple of letter multiplicities aligned with the
     alphabet.  For distinct cards (all-ones content) this is the number of
     permutations of cycle type lam.
@@ -247,18 +253,6 @@ def class_multiplicity(alg, content, lam) -> int:
     n = sum(content)
     if sum(lam) != n:
         raise ValueError(f"partition {lam} does not match content of size {n}")
-    lyndon = lyndon_words(alg.alphabet, n)
-    rank_of = alg.rank
-
-    def content_of(word) -> tuple:
-        counts = [0] * len(content)
-        for letter in word:
-            counts[rank_of[letter]] += 1
-        return tuple(counts)
-
-    by_size = {
-        s: [(w, content_of(w)) for w in words] for s, words in lyndon.items()
-    }
     sizes = sorted(set(lam))
     counts = {s: lam.count(s) for s in sizes}
 
@@ -267,7 +261,7 @@ def class_multiplicity(alg, content, lam) -> int:
             return 1 if not any(remaining) else 0
         s = sizes[size_idx]
         usable = [
-            c for _, c in by_size[s] if all(ci <= ri for ci, ri in zip(c, remaining))
+            c for c in lyndon[s] if all(ci <= ri for ci, ri in zip(c, remaining))
         ]
         total = 0
         for combo in itertools.combinations_with_replacement(range(len(usable)), counts[s]):
@@ -289,12 +283,12 @@ def class_multiplicity(alg, content, lam) -> int:
 
 def word_class_spectrum(spec: CppSpec, alg, content) -> Spectrum:
     """Formula spectrum restricted to one deck's rearrangement class."""
-    beta = beta_n(spec)
-    rows = []
-    for lam in partitions(spec.n):
-        value = beta_lambda(spec, lam) / beta
-        rows.append((lam, value, class_multiplicity(alg, content, lam)))
-    return Spectrum(table=tuple(rows))
+    lyndon = lyndon_contents(alg, spec.n)
+    rows = tuple(
+        (lam, value, class_multiplicity(lyndon, content, lam))
+        for lam, value in eigenvalues(spec).items()
+    )
+    return Spectrum(table=rows)
 
 
 @dataclass
@@ -420,18 +414,6 @@ def _partitions_min_2(total: int) -> list[tuple[int, ...]]:
     return [lam for lam in partitions(total) if not lam or min(lam) >= 2]
 
 
-def _lincomb_content(alg, v: LinComb) -> tuple:
-    contents = set()
-    for word in v.support():
-        counts = [0] * len(alg.alphabet)
-        for letter in word.letters:
-            counts[alg.rank[letter]] += 1
-        contents.add(tuple(counts))
-    if len(contents) != 1:
-        raise ValueError("combination mixes letter contents")
-    return contents.pop()
-
-
 def _higher_primitive_multisets(alg, n: int, total: int):
     """Multisets of higher-degree primitive basis vectors of total degree."""
     prims = {d: primitive_basis(alg, d) for d in range(2, total + 1)}
@@ -507,7 +489,7 @@ def build_E_j(
             if content is not None:
                 combined = list(c_content)
                 for p in p_multiset:
-                    for pos, cnt in enumerate(_lincomb_content(alg, p)):
+                    for pos, cnt in enumerate(word_content(alg, next(iter(p.terms)))):
                         combined[pos] += cnt
                 if tuple(combined) != tuple(content):
                     continue
@@ -534,7 +516,7 @@ def build_E_j(
                 raise ArithmeticError(
                     f"eigen-equation failed for singles {c_multiset!r}, "
                     f"higher multiset of degrees "
-                    f"{[sum(_lincomb_content(alg, p)) for p in p_multiset]}"
+                    f"{[homogeneous_degree(p) for p in p_multiset]}"
                 )
             results.append(
                 Eigenvector(

@@ -16,7 +16,6 @@ from hopfchains.chain import (
     matrix_to_dict,
     point_mass,
     stationary_distributions,
-    uniform_distribution,
 )
 from hopfchains.forests import forest_algebra, parse_forest
 from hopfchains.hopf import LinComb, apply_cpp, beta_n, eta
@@ -212,5 +211,5 @@ def test_exports():
     assert json.dumps(data)  # serialisable
     assert data["rows"][0][0] == "1/3"
 
-    dist = uniform_distribution(K)
+    dist = Distribution(states=K.states, weights=[F(1, 6)] * 6)
     assert distribution_to_dict(dist)["123"] == "1/6"

@@ -11,7 +11,6 @@ from hopfchains.hopf import (
     SpecError,
     TensorComb,
     apply_cpp,
-    apply_proj_convolution,
     beta_n,
     check_bialgebra_compatibility,
     check_coassociativity,
@@ -20,7 +19,6 @@ from hopfchains.hopf import (
     coproduct,
     eta,
     iterated_coproduct,
-    iterated_product,
     multinomial,
     normalize_spec,
     product,
@@ -136,54 +134,52 @@ def test_coassociativity_small_degrees():
 
 
 def test_iterated_product_three_letters():
-    t = TensorComb.single((w("a"), w("b"), w("c")))
-    got = iterated_product(ALG3, t)
+    got = product(ALG3, product(ALG3, lc("a"), lc("b")), lc("c"))
     perms = ["abc", "acb", "bac", "bca", "cab", "cba"]
     assert got == LinComb({w(p): F(1) for p in perms})
 
 
 def test_iterated_product_associativity():
     # m(m (x) id) and m(id (x) m) agree on tensor inputs
-    t = TensorComb.single((w("ab"), w("a"), w("b")))
-    via_left = iterated_product(
-        ALG2, TensorComb.single((w("ab"), w("a")))
-    )
-    lhs = LinComb.zero()
-    for key, c in via_left.items():
-        lhs = lhs + product(ALG2, LinComb.single(key), lc("b")).scale(c)
-    assert iterated_product(ALG2, t) == lhs
+    lhs = product(ALG2, product(ALG2, lc("ab"), lc("a")), lc("b"))
+    rhs = product(ALG2, lc("ab"), product(ALG2, lc("a"), lc("b")))
+    assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
 # projection convolutions
 
 
+def _proj(alg, word, comp):
+    """One projection convolution, applied through the general operator."""
+    return apply_cpp(alg, lc(word), normalize_spec(sum(comp), [(comp, 1)]))
+
+
 def test_proj_convolution_break_one_then_rest():
-    got = apply_proj_convolution(ALG3, lc("abc"), (1, 2))
+    got = _proj(ALG3, "abc", (1, 2))
     assert got == LinComb({w("abc"): F(1), w("bac"): F(1), w("bca"): F(1)})
 
 
 def test_proj_convolution_whole_block_is_identity():
-    assert apply_proj_convolution(ALG3, lc("abc"), (3,)) == lc("abc")
+    # (3,) alone is not a valid spec, so it rides along with a breaking term
+    spec = normalize_spec(3, [((3,), 1), ((1, 2), 1)])
+    assert apply_cpp(ALG3, lc("abc"), spec) == lc("abc") + _proj(ALG3, "abc", (1, 2))
 
 
 def test_proj_convolution_two_singles():
     # deconcatenation has a single (1,1) split of ab, which then shuffles
-    got = apply_proj_convolution(ALG2, lc("ab"), (1, 1))
+    got = _proj(ALG2, "ab", (1, 1))
     assert got == LinComb({w("ab"): F(1), w("ba"): F(1)})
 
 
 def test_proj_convolution_degree_mismatch():
     with pytest.raises(ValueError):
-        apply_proj_convolution(ALG3, lc("abc"), (1, 1))
+        _proj(ALG3, "abc", (1, 1))
 
 
 def test_zero_stripping_invariance():
-    for word in ["ab", "ba", "aa"]:
-        a = apply_proj_convolution(ALG2, lc(word), (1, 1))
-        b = apply_proj_convolution(ALG2, lc(word), (1, 0, 1))
-        c = apply_proj_convolution(ALG2, lc(word), (0, 1, 1, 0))
-        assert a == b == c
+    specs = [normalize_spec(2, [(comp, 1)]) for comp in [(1, 1), (1, 0, 1), (0, 1, 1, 0)]]
+    assert specs[0] == specs[1] == specs[2]
 
 
 def test_apply_cpp_riffle_on_two_cards():

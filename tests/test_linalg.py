@@ -2,12 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from hopfchains.chain import build_transition_matrix
+from hopfchains.chain import build_transition_matrix, evolve, point_mass
 from hopfchains.linalg import (
     RatMatrix,
     annihilation_check,
-    mat_mul,
-    mat_pow,
     nullspace,
     rank,
     rat,
@@ -29,22 +27,6 @@ def test_ragged_rows_rejected():
         RatMatrix([[1, 2], [3]])
 
 
-def test_mat_mul_identity():
-    m = RatMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert mat_mul(RatMatrix.identity(3), m) == m
-    assert mat_mul(m, RatMatrix.identity(3)) == m
-
-
-def test_mat_mul_hand_example():
-    m = RatMatrix([["1/2", "1/2"], [0, 1]])
-    assert mat_mul(m, m) == RatMatrix([["1/4", "3/4"], [0, 1]])
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(RatMatrix([[1, 2]]), RatMatrix([[1, 2]]))
-
-
 def _top_to_random_3():
     alg, deck = distinct_deck(3)
     states = rearrangement_class(alg, deck)
@@ -54,8 +36,8 @@ def _top_to_random_3():
 def test_square_matches_two_step_path_enumeration():
     # independent oracle: accumulate probability over all length-2 paths
     K = _top_to_random_3()
-    two_step = [[F(0)] * K.size for _ in range(K.size)]
-    for i in range(K.size):
+    for i, x in enumerate(K.states):
+        two_step = [F(0)] * K.size
         for mid in range(K.size):
             p1 = K.kernel.at(i, mid)
             if not p1:
@@ -63,28 +45,30 @@ def test_square_matches_two_step_path_enumeration():
             for j in range(K.size):
                 p2 = K.kernel.at(mid, j)
                 if p2:
-                    two_step[i][j] += p1 * p2
-    assert mat_mul(K.kernel, K.kernel) == RatMatrix.from_rows(two_step)
+                    two_step[j] += p1 * p2
+        assert evolve(K, point_mass(K, x), 2).weights == two_step
 
 
-def test_mat_pow_basics():
-    m = RatMatrix([[1, 1], [0, 1]])
-    assert mat_pow(m, 0) == RatMatrix.identity(2)
-    assert mat_pow(m, 1) == m
-    assert mat_pow(m, 3) == mat_mul(mat_mul(m, m), m)
+def test_evolve_additivity():
+    K = _top_to_random_3()
+    for x in K.states:
+        d = point_mass(K, x)
+        assert evolve(K, d, 0) == d
+        for s, t in [(1, 2), (2, 3), (0, 4)]:
+            assert evolve(K, evolve(K, d, s), t) == evolve(K, d, s + t)
+
+
+def test_evolve_rejects_other_state_list():
+    K = _top_to_random_3()
+    alg, deck = distinct_deck(4)
+    other = build_transition_matrix(alg, top_to_random_spec(4), states=rearrangement_class(alg, deck))
     with pytest.raises(ValueError):
-        mat_pow(RatMatrix([[1, 2, 3]]), 2)
-
-
-def test_mat_pow_additivity():
-    K = _top_to_random_3().kernel
-    for s, t in [(1, 2), (2, 3), (0, 4)]:
-        assert mat_pow(K, s + t) == mat_mul(mat_pow(K, s), mat_pow(K, t))
+        evolve(K, point_mass(other, deck), 1)
 
 
 def test_nullspace_zero_and_identity():
-    assert len(nullspace(RatMatrix.zero(2, 2))) == 2
-    assert nullspace(RatMatrix.identity(3)) == []
+    assert len(nullspace(RatMatrix([[0, 0], [0, 0]]))) == 2
+    assert nullspace(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
 
 
 def test_nullspace_single_row():
@@ -95,8 +79,8 @@ def test_nullspace_single_row():
 
 
 def test_rank_basics():
-    assert rank(RatMatrix.identity(4)) == 4
-    assert rank(RatMatrix.zero(3, 5)) == 0
+    assert rank(RatMatrix([[int(i == j) for j in range(4)] for i in range(4)])) == 4
+    assert rank(RatMatrix([[0] * 5] * 3)) == 0
     assert rank(RatMatrix([[1, 2], [2, 4], [3, 6]])) == 1
 
 
@@ -159,7 +143,7 @@ def test_rank_matches_rref_on_random_degenerate_matrices():
 
 
 def test_annihilation_identity_and_jordan_block():
-    assert annihilation_check(RatMatrix.identity(3), [F(1)])
+    assert annihilation_check(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [F(1)])
     assert not annihilation_check(RatMatrix([[0, 1], [0, 0]]), [F(0)])
 
 

@@ -290,6 +290,19 @@ def test_cli_verify_unknown_criterion_is_usage_error(capsys):
     assert "1-10" in _usage_error(capsys, ["verify", "--criteria", "11"])
 
 
+def test_cli_matrix_constant_deck_has_one_state(capsys):
+    argv = ["matrix", "--deck", "aaaaaaaaaaaa", "--preset", "riffle"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["matrix"]["states"] == ["aaaaaaaaaaaa"]
+    assert data["matrix"]["rows"] == [["1"]]
+
+
+def test_cli_eigvecs_over_cap_is_usage_error(capsys):
+    # 5^5 = 3125 vectors would be emitted; the default cap is 1000
+    assert "3125" in _usage_error(capsys, ["eigvecs", "--distinct", "5"])
+
+
 def test_cli_evolve_negative_time_is_usage_error(capsys):
     argv = ["evolve", "--distinct", "3", "--preset", "riffle", "--t", "-1"]
     assert "--t" in _usage_error(capsys, argv)

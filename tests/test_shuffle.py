@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -168,6 +168,23 @@ def test_distinct_deck_and_classes():
     states2 = rearrangement_class(alg2, deck2)
     assert [str(s) for s in states2] == ["aab", "aba", "baa"]
     assert word_content(alg2, deck2) == (2, 1)
+
+
+def test_rearrangement_class_matches_set_and_sort():
+    # independent oracle: every permutation into a set, sorted by letter ranks
+    def oracle(alg, deck):
+        seen = {Word(p) for p in permutations(deck.letters)}
+        return sorted(seen, key=lambda v: tuple(alg.rank[a] for a in v.letters))
+
+    for alg in (ShuffleAlgebra("abc"), ShuffleAlgebra("cab")):
+        expected = {}
+        for n in range(1, 7):
+            for letters in product("abc", repeat=n):
+                deck = Word(letters)
+                key = tuple(sorted(letters))
+                if key not in expected:
+                    expected[key] = oracle(alg, deck)
+                assert rearrangement_class(alg, deck) == expected[key]
 
 
 def test_lyndon_word_counts_match_necklace_formula():

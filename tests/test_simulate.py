@@ -25,7 +25,6 @@ from hopfchains.simulate import (
     gsr_stepper,
     run_trajectories,
     sample_composition,
-    sample_trajectory,
 )
 
 SEED = 1234
@@ -154,11 +153,13 @@ def test_matrix_stepper_matches_row():
 
 def test_trajectory_determinism():
     spec = riffle_spec(4)
-    deck = Word("1234")
-    t1 = sample_trajectory(deck, 10, gsr_stepper(spec), RngStream(SEED, 5))
-    t2 = sample_trajectory(deck, 10, gsr_stepper(spec), RngStream(SEED, 5))
-    assert t1 == t2
-    assert len(t1) == 11
+    alg, deck = distinct_deck(4)
+    index = {s: F(i) for i, s in enumerate(rearrangement_class(alg, deck))}
+    stat = {"state": index.__getitem__}
+    r1 = run_trajectories(deck, 10, 50, gsr_stepper(spec), SEED, stat)
+    r2 = run_trajectories(deck, 10, 50, gsr_stepper(spec), SEED, stat)
+    assert r1.to_dict() == r2.to_dict()
+    assert len(r1.to_dict()["statistics"]["state"]) == 11
 
 
 def test_run_trajectories_time_zero():
