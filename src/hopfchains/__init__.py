@@ -47,17 +47,13 @@ from .shuffle import (
 from .simulate import RngStream, gsr_step, run_trajectories, sample_composition
 from .spectral import (
     Eigenvector,
-    HilbertProfile,
     Spectrum,
     build_E_j,
+    class_spectrum,
     eigenvalues,
-    hilbert_invert,
-    multiplicity,
     pairing_count,
     primitive_basis,
-    spectrum_from_profile,
     verify_spectrum,
-    word_class_spectrum,
 )
 
 __version__ = "0.1.0"

@@ -60,19 +60,15 @@ from .shuffle import (
     rearrangement_class,
     weighted_descent_stat,
     weighted_peak_stat,
-    word_content,
 )
 from .simulate import empirical_row_check, gsr_stepper, run_trajectories
 from .spectral import (
-    algebra_dims,
     build_E_j,
-    hilbert_invert,
+    class_spectrum,
     lincomb_rank,
     polynomial_eigenvalue_check,
-    spectrum_from_profile,
     trinomial_eigenvalue_check,
     verify_spectrum,
-    word_class_spectrum,
 )
 
 F = Fraction
@@ -121,18 +117,16 @@ def grid_presets(n: int) -> list:
 
 
 def grid_spaces() -> list:
-    """(label, kind, algebra, n, states, content) for every grid state space."""
+    """(label, algebra, n, states) for every grid state space."""
     spaces = []
     for n in (3, 4, 5):
         alg, deck = distinct_deck(n)
-        states = rearrangement_class(alg, deck)
-        spaces.append((f"distinct n={n}", "word-class", alg, n, states, word_content(alg, deck)))
+        spaces.append((f"distinct n={n}", alg, n, rearrangement_class(alg, deck)))
     alg, deck = deck_from_string("aabb")
-    states = rearrangement_class(alg, deck)
-    spaces.append(("deck aabb", "word-class", alg, 4, states, word_content(alg, deck)))
+    spaces.append(("deck aabb", alg, 4, rearrangement_class(alg, deck)))
     falg = forest_algebra()
     for n in (3, 4):
-        spaces.append((f"forests n={n}", "forest", falg, n, list(falg.basis(n)), None))
+        spaces.append((f"forests n={n}", falg, n, list(falg.basis(n))))
     return spaces
 
 
@@ -175,10 +169,10 @@ def _grid_matrices():
     """Build (and cache) every preset x space transition matrix in the grid."""
     if _grid_cache:
         return _grid_cache
-    for space_label, kind, alg, n, states, content in grid_spaces():
+    for space_label, alg, n, states in grid_spaces():
         for preset_label, spec in grid_presets(n):
             K = build_transition_matrix(alg, spec, states=states)
-            _grid_cache.append((space_label, preset_label, kind, alg, n, states, content, K))
+            _grid_cache.append((space_label, preset_label, alg, n, states, K))
     return _grid_cache
 
 
@@ -203,13 +197,8 @@ def criterion_3() -> CriterionResult:
     t0 = time.time()
     lines = []
     passed = True
-    falg = forest_algebra()
-    forest_profiles = {n: hilbert_invert(algebra_dims(falg, n)) for n in (3, 4)}
-    for space_label, preset_label, kind, alg, n, states, content, K in _grid_matrices():
-        if kind == "word-class":
-            spectrum = word_class_spectrum(K.spec, alg, content)
-        else:
-            spectrum = spectrum_from_profile(K.spec, forest_profiles[n])
+    for space_label, preset_label, alg, n, states, K in _grid_matrices():
+        spectrum = class_spectrum(K.spec, alg, alg.content(states[0]))
         report = verify_spectrum(K, spectrum)
         if not report.ok:
             passed = _fail(lines, f"{space_label} / {preset_label}: " + "; ".join(report.lines()))
@@ -219,7 +208,7 @@ def criterion_3() -> CriterionResult:
     states4 = rearrangement_class(alg4, deck4)
     spec_t2r = top_to_random_spec(4)
     K4 = build_transition_matrix(alg4, spec_t2r, states=states4)
-    s4 = word_class_spectrum(spec_t2r, alg4, word_content(alg4, deck4))
+    s4 = class_spectrum(spec_t2r, alg4, alg4.content(deck4))
     expected4 = {F(1): 1, F(1, 2): 6, F(1, 4): 8, F(0): 9}
     got4 = {v: m for v, m in s4.by_eigenvalue().items() if m}
     if got4 != expected4 or not verify_spectrum(K4, s4).ok:
@@ -231,7 +220,7 @@ def criterion_3() -> CriterionResult:
     states3 = rearrangement_class(alg3, deck3)
     spec_r = riffle_spec(3)
     K3 = build_transition_matrix(alg3, spec_r, states=states3)
-    s3 = word_class_spectrum(spec_r, alg3, word_content(alg3, deck3))
+    s3 = class_spectrum(spec_r, alg3, alg3.content(deck3))
     expected3 = {F(1): 1, F(1, 2): 3, F(1, 4): 2}
     got3 = {v: m for v, m in s3.by_eigenvalue().items() if m}
     if got3 != expected3 or not verify_spectrum(K3, s3).ok:
@@ -247,7 +236,7 @@ def criterion_4() -> CriterionResult:
     lines = []
     passed = True
     pis_by_space: dict = {}
-    for space_label, preset_label, kind, alg, n, states, content, K in _grid_matrices():
+    for space_label, preset_label, alg, n, states, K in _grid_matrices():
         key = space_label
         if key not in pis_by_space:
             pis_by_space[key] = stationary_distributions(alg, n, states=states)
@@ -416,12 +405,11 @@ def criterion_9() -> CriterionResult:
     vacuous = 0
     checked = 0
     for n in range(2, 6):
-        profile = hilbert_invert(algebra_dims(falg, n))
         for q1, q2, q3 in TRINOMIAL_PARAMS:
             spec = trinomial_spec(n, q1, q2, q3)
             K = build_transition_matrix(falg, spec)
             values = sorted(
-                v for v, m in spectrum_from_profile(spec, profile).by_eigenvalue().items() if m
+                v for v, m in class_spectrum(spec, falg, (n,)).by_eigenvalue().items() if m
             )
             # diagonalisability certificate, so expectations decompose as
             # sum of c_v * v^t over the eigenvalues v

@@ -187,8 +187,10 @@ def stationary_distributions(
     all orderings of the multiset) to build x as a product of the chosen
     degree-1 pieces.  These vectors are fixed by every breaking-size
     operator's chain at degree n; they depend on the algebra only.
-    Multisets whose distribution vanishes on the given state list (it
-    lives on a different invariant class) are skipped.
+    A multiset's product only reaches keys of its own content, so only
+    the contents of the given states are tried, in the order of
+    `combinations_with_replacement` over `basis(1)`; a multiset whose
+    distribution still vanishes on the state list is skipped.
     """
     if states is None:
         states = alg.basis(n)
@@ -202,7 +204,8 @@ def stationary_distributions(
         raise ValueError("degree-1 basis is empty; no stationary construction")
     results = []
     nfact = factorial(n)
-    for multiset in itertools.combinations_with_replacement(singles, n):
+    for content in sorted({alg.content(x) for x in states}, reverse=True):
+        multiset = tuple(key for key, m in zip(singles, content) for _ in range(m))
         coeffs = _symmetrized_product(alg, multiset)
         weights = []
         for x in states:

@@ -37,17 +37,9 @@ from .shuffle import (
     rearrangement_class,
     weighted_descent_stat,
     weighted_peak_stat,
-    word_content,
 )
 from .simulate import gsr_stepper, matrix_stepper, run_trajectories
-from .spectral import (
-    algebra_dims,
-    build_E_j,
-    hilbert_invert,
-    spectrum_from_profile,
-    verify_spectrum,
-    word_class_spectrum,
-)
+from .spectral import build_E_j, class_spectrum, verify_spectrum
 
 FORMAT_VERSION = 1
 
@@ -159,11 +151,7 @@ def cmd_matrix(args) -> int:
 def cmd_spectrum(args) -> int:
     alg, n, states, _start = _setup_space(args)
     spec = _load_spec(args, n)
-    if args.algebra == "shuffle":
-        content = word_content(alg, states[0])
-        spectrum = word_class_spectrum(spec, alg, content)
-    else:
-        spectrum = spectrum_from_profile(spec, hilbert_invert(algebra_dims(alg, n)))
+    spectrum = class_spectrum(spec, alg, alg.content(states[0]))
     payload = {
         "command": "spectrum",
         "algebra": alg.name,

@@ -209,6 +209,15 @@ class ForestAlgebra(AlgebraHandle):
             result = tensor_square_product(self, result, _tree_coproduct(tree))
         return result
 
+    def content(self, key: Forest) -> tuple[int]:
+        """The one degree-1 key is the single vertex, so content is (degree,)."""
+        return (key.degree,)
+
+    def generator_counts(self, content) -> dict:
+        """Rooted trees of each size up to the vertex count."""
+        (n,) = content
+        return {s: {(s,): len(enumerate_trees(s))} for s in range(1, n + 1)}
+
 
 _FOREST_ALGEBRA = ForestAlgebra()
 

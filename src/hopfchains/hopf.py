@@ -201,8 +201,9 @@ class TensorComb:
 class AlgebraHandle:
     """Interface for a graded connected algebra/coalgebra on a combinatorial basis.
 
-    Subclasses provide `basis`, `product_basis` and `coproduct_basis`, and
-    set the `commutative` / `cocommutative` flags.  Handles are immutable
+    Subclasses provide `basis`, `product_basis` and `coproduct_basis`, the
+    `content` and `generator_counts` that the spectra and stationary laws
+    read, and set the `commutative` / `cocommutative` flags.  Handles are immutable
     after construction; the internal caches only memoise pure functions.
     """
 
@@ -224,6 +225,26 @@ class AlgebraHandle:
         raise NotImplementedError
 
     def coproduct_basis(self, x) -> TensorComb:
+        raise NotImplementedError
+
+    def content(self, key) -> tuple:
+        """How many of each `basis(1)` key a basis key is made of.
+
+        A product of degree-1 keys reaches only keys of its own content,
+        and every breaking-size operator preserves content, so each
+        content class is an invariant state space of the chains.
+        """
+        raise NotImplementedError
+
+    def generator_counts(self, content) -> dict:
+        """Free generators that fit inside `content`: {size: {content: count}}.
+
+        The algebra, or its graded dual where that is the commutative one,
+        is free commutative on these generators, so the eigenvalue of a
+        partition lam on a content class has as multiplicity the number of
+        multisets of generators with size profile lam and total content
+        `content`.  Only contents with a nonzero count are listed.
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as cartesian
-from math import comb
+from math import comb, gcd
 
-from .hopf import AlgebraHandle, LinComb, TensorComb, _add_term
+from .hopf import AlgebraHandle, LinComb, TensorComb, _add_term, multinomial
 from .linalg import rat
 
 
@@ -97,6 +97,19 @@ def deshuffle_coproduct(w: Word) -> TensorComb:
     return TensorComb._wrap(2, out)
 
 
+def _mobius(n: int) -> int:
+    """The Moebius function: 0 unless n is squarefree, else (-1)^(prime factors)."""
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
 class WordAlgebra(AlgebraHandle):
     """Words over a fixed ordered alphabet; subclasses pick the structure maps.
 
@@ -124,6 +137,39 @@ class WordAlgebra(AlgebraHandle):
             cached = [Word(t) for t in cartesian(self.alphabet, repeat=n)]
             self._basis_cache[n] = cached
         return cached
+
+    def content(self, key: Word) -> tuple[int, ...]:
+        """Letter multiplicities of a word, aligned with the alphabet order."""
+        counts = [0] * len(self.alphabet)
+        for letter in key.letters:
+            counts[self.rank[letter]] += 1
+        return tuple(counts)
+
+    def generator_counts(self, content) -> dict:
+        """Lyndon words of each content v <= `content`, by length.
+
+        The Lyndon words of content v number
+
+            (1/|v|) sum_{d | gcd(v)} mu(d) multinomial(|v|/d; v/d),
+
+        the fixed-content necklace formula, so the work is bounded by the
+        prod (c_i + 1) sub-contents, not by the k^n/n Lyndon words of the
+        whole alphabet.
+        """
+        table: dict = {}
+        for v in cartesian(*(range(c + 1) for c in content)):
+            size = sum(v)
+            if not size:
+                continue
+            g = gcd(*v)
+            count = sum(
+                _mobius(d) * multinomial(size // d, [c // d for c in v])
+                for d in range(1, g + 1)
+                if g % d == 0
+            ) // size
+            if count:
+                table.setdefault(size, {})[v] = count
+        return table
 
 
 class ShuffleAlgebra(WordAlgebra):
@@ -209,14 +255,6 @@ def rearrangement_class(alg: WordAlgebra, word: Word) -> list[Word]:
             j -= 1
         ranks[i], ranks[j] = ranks[j], ranks[i]
         ranks[i + 1 :] = reversed(ranks[i + 1 :])
-
-
-def word_content(alg: WordAlgebra, word: Word) -> tuple[int, ...]:
-    """Letter multiplicities of a word, aligned with the alphabet order."""
-    counts = [0] * len(alg.alphabet)
-    for letter in word.letters:
-        counts[alg.rank[letter]] += 1
-    return tuple(counts)
 
 
 def lyndon_words(alphabet, max_len: int) -> dict[int, list[tuple[str, ...]]]:

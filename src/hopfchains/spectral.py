@@ -6,14 +6,15 @@ contributes the eigenvalue
     beta_lam / beta_n,  with  beta_lam = sum_D alpha_D <lam, D>,
 
 where <lam, D> counts ordered assignments of lam's parts to blocks with
-prescribed block sums.  Multiplicities come from the algebra's Hilbert
-series written as prod_i (1 - t^i)^(-b_i): the eigenvalue of lam has
-multiplicity prod_i multichoose(b_i, m_i(lam)) where m_i counts parts of
-size i.  For a single deck's rearrangement class the same generating
-function refines by letter content: the multiplicity of lam is the number
-of multisets of Lyndon words with size profile lam and total content equal
-to the deck's.  For a deck of distinct cards that count is the number of
-permutations of cycle type lam.
+prescribed block sums.  Multiplicities have one path, `class_spectrum`.
+Both algebras are free commutative (the shuffle algebra on Lyndon words,
+the forest algebra on rooted trees), so on the basis keys of one content
+the multiplicity of lam is the number of multisets of free generators
+with size profile lam and that total content.  The algebra handle's
+`generator_counts` supplies the generators by size and content.  For a
+deck of distinct cards the count is the number of permutations of cycle
+type lam; for forests, whose content is the vertex count, it is
+prod_i multichoose(t_i, m_i(lam)) with t_i the rooted trees on i vertices.
 
 Verification against a built transition matrix is rank-based: the
 eigenspace dimension of lam-hat is states - rank(K - lam-hat I), and the
@@ -41,7 +42,6 @@ from .hopf import (
 )
 from .linalg import RatMatrix, annihilation_check, nullspace, rank, rat
 from .presets import top_m_unordered_spec, top_or_bottom_spec, trinomial_spec
-from .shuffle import Word, lyndon_words, word_content
 
 _ZERO = Fraction(0)
 
@@ -103,103 +103,6 @@ def eigenvalues(spec: CppSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert series inversion and multiplicities
-
-
-@dataclass(frozen=True)
-class HilbertProfile:
-    """Graded dimensions together with the exponents of their product form.
-
-    dims[d] = dim H_d for d = 0..cap, and
-    sum_d dims[d] t^d = prod_i (1 - t^i)^(-b[i]) truncated at the cap.
-    b[0] is a placeholder 0.
-    """
-
-    dims: tuple
-    b: tuple
-
-    @property
-    def cap(self) -> int:
-        return len(self.dims) - 1
-
-
-def _poly_mul_trunc(p: list, q: list, cap: int) -> list:
-    out = [0] * (cap + 1)
-    for i, pi in enumerate(p[: cap + 1]):
-        if not pi:
-            continue
-        for j, qj in enumerate(q[: cap + 1 - i]):
-            if qj:
-                out[i + j] += pi * qj
-    return out
-
-
-def _one_minus_power(i: int, exponent: int, cap: int) -> list:
-    """(1 - t^i)^exponent truncated at degree cap; exponent may be negative."""
-    out = [0] * (cap + 1)
-    if exponent >= 0:
-        for k in range(min(exponent, cap // i) + 1):
-            out[i * k] = (-1) ** k * comb(exponent, k)
-    else:
-        e = -exponent
-        for k in range(cap // i + 1):
-            out[i * k] = comb(e + k - 1, k)
-    out[0] = 1
-    return out
-
-
-def hilbert_invert(dims) -> HilbertProfile:
-    """Recover the exponents b_i from graded dimensions.
-
-    Iteratively: after clearing degrees below i, the current series is
-    1 + b_i t^i + O(t^(i+1)), so b_i is read off and the factor
-    (1 - t^i)^(b_i) is multiplied in.  The reconstruction is re-expanded
-    as a closing check.
-    """
-    dims = tuple(int(d) for d in dims)
-    if not dims or dims[0] != 1:
-        raise ValueError("graded dimensions must start with dim H_0 = 1")
-    cap = len(dims) - 1
-    series = list(dims)
-    b = [0] * (cap + 1)
-    for i in range(1, cap + 1):
-        bi = series[i]
-        b[i] = bi
-        if bi:
-            series = _poly_mul_trunc(series, _one_minus_power(i, bi, cap), cap)
-    recon = [1] + [0] * cap
-    for i in range(1, cap + 1):
-        if b[i]:
-            recon = _poly_mul_trunc(recon, _one_minus_power(i, -b[i], cap), cap)
-    if tuple(recon) != dims:  # pragma: no cover - internal consistency
-        raise ArithmeticError("Hilbert inversion failed to reconstruct the dimensions")
-    return HilbertProfile(dims=dims, b=tuple(b))
-
-
-def algebra_dims(alg: AlgebraHandle, cap: int) -> list[int]:
-    return [len(alg.basis(d)) for d in range(cap + 1)]
-
-
-def _multichoose(b: int, m: int) -> int:
-    if m == 0:
-        return 1
-    if b <= 0:
-        return 0
-    return comb(b + m - 1, m)
-
-
-def multiplicity(lam, profile: HilbertProfile) -> int:
-    """Multiplicity of lam's eigenvalue on the full degree-n component."""
-    lam = tuple(lam)
-    if lam and max(lam) > profile.cap:
-        raise ValueError(f"profile only covers degrees up to {profile.cap}")
-    result = 1
-    for i in set(lam):
-        result *= _multichoose(profile.b[i], lam.count(i))
-    return result
-
-
-# ---------------------------------------------------------------------------
 # spectra
 
 
@@ -225,67 +128,63 @@ class Spectrum:
         ]
 
 
-def spectrum_from_profile(spec: CppSpec, profile: HilbertProfile) -> Spectrum:
-    """Formula spectrum on the full degree-n component of the algebra."""
-    rows = tuple(
-        (lam, value, multiplicity(lam, profile)) for lam, value in eigenvalues(spec).items()
-    )
-    return Spectrum(table=rows)
+def class_multiplicity(generators: dict, content, lam) -> int:
+    """Multisets of free generators with size profile lam and total content.
 
-
-def lyndon_contents(alg, n: int) -> dict[int, list[tuple[int, ...]]]:
-    """Letter contents of the Lyndon words over alg's alphabet, by length 1..n."""
-    return {
-        s: [word_content(alg, Word(w)) for w in words]
-        for s, words in lyndon_words(alg.alphabet, n).items()
-    }
-
-
-def class_multiplicity(lyndon: dict, content, lam) -> int:
-    """Multisets of Lyndon words with size profile lam and total content.
-
-    `lyndon` is the `lyndon_contents` table up to the class size;
-    `content` is a tuple of letter multiplicities aligned with the
-    alphabet.  For distinct cards (all-ones content) this is the number of
-    permutations of cycle type lam.
+    `generators` is the algebra's `generator_counts(content)` table
+    {size: {content: count}}; taking k generators of one content out of
+    `count` is a single multichoose(count, k) factor.  `content` is the
+    class's tuple from `AlgebraHandle.content`.  For distinct cards
+    (all-ones content) this is the number of permutations of cycle type lam.
     """
     lam = tuple(lam)
-    n = sum(content)
-    if sum(lam) != n:
-        raise ValueError(f"partition {lam} does not match content of size {n}")
+    content = tuple(content)
+    if sum(lam) != sum(content):
+        raise ValueError(f"partition {lam} does not match content of size {sum(content)}")
     sizes = sorted(set(lam))
-    counts = {s: lam.count(s) for s in sizes}
+    memo: dict = {}
 
-    def rec(size_idx: int, remaining: tuple) -> int:
-        if size_idx == len(sizes):
-            return 1 if not any(remaining) else 0
-        s = sizes[size_idx]
-        usable = [
-            c for c in lyndon[s] if all(ci <= ri for ci, ri in zip(c, remaining))
-        ]
-        total = 0
-        for combo in itertools.combinations_with_replacement(range(len(usable)), counts[s]):
-            rem = list(remaining)
-            ok = True
-            for idx in combo:
-                for pos, ci in enumerate(usable[idx]):
-                    rem[pos] -= ci
-                    if rem[pos] < 0:
-                        ok = False
-                if not ok:
-                    break
-            if ok:
-                total += rec(size_idx + 1, tuple(rem))
+    def choose(idx: int, options: tuple, left: int, remaining: tuple) -> int:
+        # `left` generators of size sizes[idx] still to pick from options
+        if not left:
+            return by_size(idx + 1, remaining)
+        if not options:
+            return 0
+        (gen, count), rest = options[0], options[1:]
+        total = choose(idx, rest, left, remaining)
+        for k in range(1, left + 1):
+            remaining = tuple(r - g for r, g in zip(remaining, gen))
+            if min(remaining) < 0:
+                break
+            total += comb(count + k - 1, k) * choose(idx, rest, left - k, remaining)
         return total
 
-    return rec(0, tuple(content))
+    def by_size(idx: int, remaining: tuple) -> int:
+        if idx == len(sizes):
+            return 0 if any(remaining) else 1
+        key = (idx, remaining)
+        if key not in memo:
+            s = sizes[idx]
+            options = tuple(
+                (gen, count)
+                for gen, count in generators.get(s, {}).items()
+                if all(g <= r for g, r in zip(gen, remaining))
+            )
+            memo[key] = choose(idx, options, lam.count(s), remaining)
+        return memo[key]
+
+    return by_size(0, content)
 
 
-def word_class_spectrum(spec: CppSpec, alg, content) -> Spectrum:
-    """Formula spectrum restricted to one deck's rearrangement class."""
-    lyndon = lyndon_contents(alg, spec.n)
+def class_spectrum(spec: CppSpec, alg: AlgebraHandle, content) -> Spectrum:
+    """Formula spectrum on the basis keys of one content class.
+
+    For a deck this is its rearrangement class; for forests, whose content
+    is the vertex count, the whole degree-n basis.
+    """
+    generators = alg.generator_counts(content)
     rows = tuple(
-        (lam, value, class_multiplicity(lyndon, content, lam))
+        (lam, value, class_multiplicity(generators, content, lam))
         for lam, value in eigenvalues(spec).items()
     )
     return Spectrum(table=rows)
@@ -489,7 +388,7 @@ def build_E_j(
             if content is not None:
                 combined = list(c_content)
                 for p in p_multiset:
-                    for pos, cnt in enumerate(word_content(alg, next(iter(p.terms)))):
+                    for pos, cnt in enumerate(alg.content(next(iter(p.terms)))):
                         combined[pos] += cnt
                 if tuple(combined) != tuple(content):
                     continue

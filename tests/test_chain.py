@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -18,7 +19,7 @@ from hopfchains.chain import (
     stationary_distributions,
 )
 from hopfchains.forests import forest_algebra, parse_forest
-from hopfchains.hopf import LinComb, apply_cpp, beta_n, eta
+from hopfchains.hopf import LinComb, apply_cpp, beta_n, eta, product
 from hopfchains.presets import (
     riffle_spec,
     top_or_bottom_spec,
@@ -26,6 +27,7 @@ from hopfchains.presets import (
     trinomial_spec,
 )
 from hopfchains.shuffle import (
+    ShuffleAlgebra,
     Word,
     deck_from_string,
     descent_peak_sets,
@@ -157,6 +159,31 @@ def test_stationary_full_word_space_splits_by_content():
     K = build_transition_matrix(alg, riffle_spec(3))
     for pi in pis:
         assert is_stationary(K, pi)
+
+
+def test_stationary_laws_match_exhaustive_multiset_loop():
+    # every multiset of degree-1 keys, every ordering of its product
+    def exhaustive(alg, n):
+        states = alg.basis(n)
+        laws = []
+        for multiset in combinations_with_replacement(alg.basis(1), n):
+            coeffs = LinComb.zero()
+            for order in permutations(multiset):
+                term = LinComb.single(alg.unit_key())
+                for key in order:
+                    term = product(alg, term, LinComb.single(key))
+                coeffs = coeffs + term
+            weights = [coeffs.coefficient(x) * eta(alg, x) / factorial(n) ** 2 for x in states]
+            if any(weights):
+                laws.append((multiset, weights))
+        return laws
+
+    cases = [(ShuffleAlgebra("ab"), n) for n in range(1, 5)]
+    cases += [(ShuffleAlgebra("abc"), n) for n in range(1, 4)]
+    cases += [(forest_algebra(), n) for n in range(1, 5)]
+    for alg, n in cases:
+        got = [(pi.provenance, pi.weights) for pi in stationary_distributions(alg, n)]
+        assert got == exhaustive(alg, n)
 
 
 def test_stationary_forest_point_mass():

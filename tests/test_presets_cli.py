@@ -154,6 +154,14 @@ def test_cli_spectrum_verified(capsys):
     assert data["matrix_verification"]["ok"]
 
 
+def test_cli_spectrum_distinct_8_counts_every_permutation(capsys):
+    code = main(["spectrum", "--distinct", "8", "--preset", "riffle"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert sum(row["multiplicity"] for row in data["rows"]) == 40320
+    assert sum(data["by_eigenvalue"].values()) == 40320
+
+
 def test_cli_spectrum_forests(capsys):
     code = main(
         ["spectrum", "--algebra", "forests", "--n", "3", "--preset", "riffle", "--verify-matrix"]

@@ -1,0 +1,73 @@
+"""Property tests over random non-negatively weighted operator specs.
+
+For every drawn spec on a small state space, the formula spectrum must
+match the built matrix's rank-derived eigenspace dimensions (with a
+vanishing annihilation product), and every stationary law must be fixed
+by the kernel.  The examples are derandomised so the suite is repeatable.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfchains.chain import build_transition_matrix, is_stationary, stationary_distributions
+from hopfchains.forests import forest_algebra
+from hopfchains.hopf import normalize_spec
+from hopfchains.shuffle import deck_from_string, rearrangement_class
+from hopfchains.spectral import class_spectrum, verify_spectrum
+
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def _compositions(n):
+    """Compositions of n into positive parts."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1) for rest in _compositions(n - first)]
+
+
+def _draw_spec(data, n):
+    comps = _compositions(n)
+    weight = st.fractions(min_value=0, max_value=2, max_denominator=4)
+    weights = data.draw(st.lists(weight, min_size=len(comps), max_size=len(comps)))
+    # at least one term must break the deck into two or more pieces
+    breaking = data.draw(st.sampled_from([i for i, c in enumerate(comps) if len(c) >= 2]))
+    weights[breaking] += data.draw(st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4))
+    return normalize_spec(n, zip(comps, weights))
+
+
+def _word_class(deck):
+    alg, word = deck_from_string(deck)
+    return alg, word.degree, rearrangement_class(alg, word)
+
+
+def _forests(n):
+    alg = forest_algebra()
+    return alg, n, list(alg.basis(n))
+
+
+# forests start at n=2: at n=1 no composition breaks the single vertex
+SPACES = {
+    "abc": lambda: _word_class("abc"),
+    "aab": lambda: _word_class("aab"),
+    "aabb": lambda: _word_class("aabb"),
+    "forests n=2": lambda: _forests(2),
+    "forests n=3": lambda: _forests(3),
+    "forests n=4": lambda: _forests(4),
+}
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_formula_spectrum_and_stationary_laws_on_random_specs(space, data):
+    alg, n, states = SPACES[space]()
+    spec = _draw_spec(data, n)
+    K = build_transition_matrix(alg, spec, states=states)
+    report = verify_spectrum(K, class_spectrum(spec, alg, alg.content(states[0])))
+    assert report.ok, report.lines()
+    pis = stationary_distributions(alg, n, states=states)
+    assert pis
+    for pi in pis:
+        assert is_stationary(K, pi)

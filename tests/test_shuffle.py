@@ -20,7 +20,6 @@ from hopfchains.shuffle import (
     shuffle_product,
     weighted_descent_stat,
     weighted_peak_stat,
-    word_content,
 )
 
 
@@ -167,7 +166,7 @@ def test_distinct_deck_and_classes():
     alg2, deck2 = deck_from_string("aab")
     states2 = rearrangement_class(alg2, deck2)
     assert [str(s) for s in states2] == ["aab", "aba", "baa"]
-    assert word_content(alg2, deck2) == (2, 1)
+    assert alg2.content(deck2) == (2, 1)
 
 
 def test_rearrangement_class_matches_set_and_sort():
@@ -215,3 +214,22 @@ def test_lyndon_words_are_smallest_rotations():
             rotations = {word[i:] + word[:i] for i in range(n)}
             assert min(rotations) == word
             assert len(rotations) == n  # aperiodic
+
+
+def test_generator_counts_match_lyndon_words_on_every_content():
+    # the fixed-content necklace formula against Duval's enumeration
+    for alphabet in ("ab", "abc", "abcd"):
+        alg = ShuffleAlgebra(alphabet)
+        found = lyndon_words(alphabet, 6)
+        for n in range(1, 7):
+            for content in product(range(n + 1), repeat=len(alphabet)):
+                if sum(content) != n:
+                    continue
+                expected = {}
+                for size, words in found.items():
+                    for word in words:
+                        v = alg.content(Word(word))
+                        if all(a <= b for a, b in zip(v, content)):
+                            row = expected.setdefault(size, {})
+                            row[v] = row.get(v, 0) + 1
+                assert alg.generator_counts(content) == expected

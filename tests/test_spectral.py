@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 
 from hopfchains.chain import build_transition_matrix
-from hopfchains.forests import forest_algebra
+from hopfchains.forests import enumerate_trees, forest_algebra
 from hopfchains.hopf import LinComb, apply_cpp, beta_n, coproduct
 from hopfchains.presets import (
     biased_spec,
@@ -19,26 +19,22 @@ from hopfchains.shuffle import (
     Word,
     distinct_alphabet,
     distinct_deck,
+    lyndon_words,
     rearrangement_class,
-    word_content,
 )
 from hopfchains.spectral import (
-    algebra_dims,
+    Spectrum,
     build_E_j,
     class_multiplicity,
+    class_spectrum,
     eigenvalues,
-    hilbert_invert,
     lincomb_rank,
-    lyndon_contents,
-    multiplicity,
     pairing_count,
     partitions,
     polynomial_eigenvalue_check,
     primitive_basis,
-    spectrum_from_profile,
     trinomial_eigenvalue_check,
     verify_spectrum,
-    word_class_spectrum,
 )
 
 
@@ -87,50 +83,64 @@ def test_riffle_eigenvalues_depend_on_length():
             assert v == F(2 ** len(lam), 2**n)
 
 
-def test_hilbert_invert_one_letter():
-    profile = hilbert_invert([1, 1, 1, 1, 1])
-    assert profile.b == (0, 1, 0, 0, 0)
+def _generators_by_size(table):
+    return {size: sum(row.values()) for size, row in table.items()}
 
 
-def test_hilbert_invert_two_letters_matches_necklaces():
-    dims = [2**d for d in range(6)]
-    dims[0] = 1
-    profile = hilbert_invert(dims)
-    assert profile.b[1:] == (2, 1, 2, 3, 6)
+def test_generator_counts_one_letter():
+    # the one-letter word algebra is polynomial in its single letter
+    assert ShuffleAlgebra("a").generator_counts((4,)) == {1: {(1,): 1}}
 
 
-def test_hilbert_invert_forests_gives_tree_counts():
-    from hopfchains.forests import enumerate_trees
+def test_generator_counts_two_letters_match_necklaces():
+    # every content of length <= 5 fits inside (5, 5)
+    table = ShuffleAlgebra("ab").generator_counts((5, 5))
+    short = {size: count for size, count in _generators_by_size(table).items() if size <= 5}
+    assert short == {1: 2, 2: 1, 3: 2, 4: 3, 5: 6}
+    assert table[4] == {(1, 3): 1, (2, 2): 1, (3, 1): 1}
 
+
+def test_forest_generator_counts_are_tree_counts():
     falg = forest_algebra()
-    profile = hilbert_invert(algebra_dims(falg, 5))
-    assert profile.b[1:] == tuple(len(enumerate_trees(i)) for i in range(1, 6))
+    table = falg.generator_counts((8,))
+    assert table == {s: {(s,): len(enumerate_trees(s))} for s in range(1, 9)}
+    assert _generators_by_size(table) == dict(enumerate([1, 1, 2, 4, 9, 20, 48, 115], 1))
 
 
-def test_hilbert_invert_requires_connected():
+def test_class_multiplicity_rejects_size_mismatch():
+    table = ShuffleAlgebra("ab").generator_counts((2, 1))
     with pytest.raises(ValueError):
-        hilbert_invert([2, 1])
+        class_multiplicity(table, (2, 1), (2, 2))
+    with pytest.raises(ValueError):
+        class_spectrum(top_to_random_spec(4), forest_algebra(), (3,))
 
 
 def test_multiplicity_one_letter():
-    profile = hilbert_invert([1, 1, 1, 1])
-    assert multiplicity((1, 1, 1), profile) == 1
-    assert multiplicity((2, 1), profile) == 0
-    assert multiplicity((3,), profile) == 0
+    table = ShuffleAlgebra("a").generator_counts((3,))
+    assert class_multiplicity(table, (3,), (1, 1, 1)) == 1
+    assert class_multiplicity(table, (3,), (2, 1)) == 0
+    assert class_multiplicity(table, (3,), (3,)) == 0
 
 
 def test_multiplicity_totals_two_letters():
+    # each content class of ab words, and all of them together: 2^n
+    alg = ShuffleAlgebra("ab")
     for n in range(1, 6):
-        profile = hilbert_invert([2**d if d else 1 for d in range(n + 1)])
-        total = sum(multiplicity(lam, profile) for lam in partitions(n))
-        assert total == 2**n
+        grand_total = 0
+        for i in range(n + 1):
+            content = (i, n - i)
+            table = alg.generator_counts(content)
+            total = sum(class_multiplicity(table, content, lam) for lam in partitions(n))
+            assert total == comb(n, i)
+            grand_total += total
+        assert grand_total == 2**n
 
 
 def test_multiplicity_totals_forests():
     falg = forest_algebra()
-    for n in (3, 4):
-        profile = hilbert_invert(algebra_dims(falg, n))
-        total = sum(multiplicity(lam, profile) for lam in partitions(n))
+    for n in range(1, 7):
+        table = falg.generator_counts((n,))
+        total = sum(class_multiplicity(table, (n,), lam) for lam in partitions(n))
         assert total == len(falg.basis(n))
 
 
@@ -147,17 +157,17 @@ def test_class_multiplicity_distinct_is_cycle_type_count():
 
     for n in (3, 4, 5):
         alg, deck = distinct_deck(n)
-        content = word_content(alg, deck)
-        lyndon = lyndon_contents(alg, n)
+        content = alg.content(deck)
+        table = alg.generator_counts(content)
         for lam in partitions(n):
-            assert class_multiplicity(lyndon, content, lam) == cycle_type_count(lam)
+            assert class_multiplicity(table, content, lam) == cycle_type_count(lam)
 
 
 def test_class_multiplicity_repeated_content():
     alg = ShuffleAlgebra("ab")
     content = (2, 2)  # the aabb class
-    lyndon = lyndon_contents(alg, 4)
-    got = {lam: class_multiplicity(lyndon, content, lam) for lam in partitions(4)}
+    table = alg.generator_counts(content)
+    got = {lam: class_multiplicity(table, content, lam) for lam in partitions(4)}
     assert got == {(4,): 1, (3, 1): 2, (2, 2): 1, (2, 1, 1): 1, (1, 1, 1, 1): 1}
     assert sum(got.values()) == 6
 
@@ -167,7 +177,7 @@ def test_verify_spectrum_top_to_random_distinct_4():
     states = rearrangement_class(alg, deck)
     spec = top_to_random_spec(4)
     K = build_transition_matrix(alg, spec, states=states)
-    s = word_class_spectrum(spec, alg, word_content(alg, deck))
+    s = class_spectrum(spec, alg, alg.content(deck))
     assert {v: m for v, m in s.by_eigenvalue().items() if m} == {
         F(1): 1,
         F(1, 2): 6,
@@ -179,8 +189,6 @@ def test_verify_spectrum_top_to_random_distinct_4():
 
 
 def test_verify_spectrum_catches_wrong_multiplicity():
-    from hopfchains.spectral import Spectrum
-
     alg, deck = distinct_deck(3)
     states = rearrangement_class(alg, deck)
     spec = top_to_random_spec(3)
@@ -189,12 +197,24 @@ def test_verify_spectrum_catches_wrong_multiplicity():
     report = verify_spectrum(K, wrong)
     assert not report.ok
 
+    # one multiplicity of the forest formula spectrum moved by one
+    falg = forest_algebra()
+    spec = riffle_spec(3)
+    K = build_transition_matrix(falg, spec)
+    right = class_spectrum(spec, falg, (3,))
+    assert verify_spectrum(K, right).ok
+    (lam, value, mult), *rest = right.table
+    wrong = Spectrum(table=((lam, value, mult + 1), *rest))
+    report = verify_spectrum(K, wrong)
+    assert not report.ok
+    assert any(claimed != actual for _, claimed, actual in report.entries)
+
 
 def test_verify_spectrum_forest_grid_cell():
     falg = forest_algebra()
     spec = trinomial_spec(3, F(1, 4), F(1, 2), F(1, 4))
     K = build_transition_matrix(falg, spec)
-    s = spectrum_from_profile(spec, hilbert_invert(algebra_dims(falg, 3)))
+    s = class_spectrum(spec, falg, (3,))
     assert verify_spectrum(K, s).ok
 
 
@@ -215,9 +235,9 @@ def test_primitive_basis_degree_two_commutator():
 
 def test_primitive_dimensions_match_hilbert_exponents():
     alg = FreeAssociativeAlgebra("ab")
-    profile = hilbert_invert([2**d if d else 1 for d in range(5)])
+    lyndon = lyndon_words("ab", 4)
     for n in range(1, 5):
-        assert len(primitive_basis(alg, n)) == profile.b[n]
+        assert len(primitive_basis(alg, n)) == len(lyndon[n])
 
 
 def test_primitive_vectors_killed_by_reduced_coproduct():
@@ -340,6 +360,6 @@ def test_trinomial_check_rejects_mismatched_q():
 def test_spectrum_export():
     spec = top_to_random_spec(3)
     alg, deck = distinct_deck(3)
-    s = word_class_spectrum(spec, alg, word_content(alg, deck))
+    s = class_spectrum(spec, alg, alg.content(deck))
     rows = s.to_dicts()
     assert {"partition": [1, 1, 1], "eigenvalue": "1", "multiplicity": 1} in rows
