@@ -9,7 +9,7 @@ from .chain import (
     TransitionMatrix,
     build_transition_matrix,
     evolve,
-    expectation,
+    expectations,
     lumping_check,
     point_mass,
     stationary_distributions,
@@ -20,16 +20,15 @@ from .hopf import (
     CppSpec,
     LinComb,
     SpecError,
-    TensorComb,
     apply_cpp,
     beta_n,
     check_state_space_basis,
     composition_law,
-    coproduct,
     eta,
     iterated_coproduct,
     normalize_spec,
     product,
+    symmetrized_product,
 )
 from .linalg import RatMatrix, annihilation_check, nullspace, rank, rat
 from .presets import expand_preset, preset_names

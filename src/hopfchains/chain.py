@@ -12,13 +12,12 @@ and fails loudly otherwise rather than normalising anything away.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional
 
-from .hopf import AlgebraHandle, CppSpec, LinComb, _add_term, _product_of_keys, apply_cpp, beta_n, eta
+from .hopf import AlgebraHandle, CppSpec, LinComb, apply_cpp, beta_n, eta, symmetrized_product
 from .linalg import RatMatrix, rat
 
 _ZERO = Fraction(0)
@@ -85,19 +84,22 @@ def build_transition_matrix(
     for i, x in enumerate(states):
         image = apply_cpp(alg, LinComb.single(x), spec)
         row = [_ZERO] * len(states)
+        scale = beta * etas[i]
+        nonzero = []
         for y, c in image.items():
             j = index.get(y)
             if j is None:
                 raise ValueError(
                     f"state space not closed: {x!r} reaches {y!r} outside the given states"
                 )
-            row[j] = c * etas[j] / (beta * etas[i])
-        total = sum(row, _ZERO)
+            row[j] = p = c * etas[j] / scale
+            nonzero.append(p)
+        total = sum(nonzero, _ZERO)
         if total != 1:
             raise ArithmeticError(
                 f"row for {x!r} sums to {total}, not 1: rescaling identity violated"
             )
-        if any(p < 0 for p in row):
+        if any(p < 0 for p in nonzero):
             raise ArithmeticError(f"negative transition probability in row for {x!r}")
         rows.append(row)
     return TransitionMatrix(
@@ -156,19 +158,29 @@ def evolve(matrix: TransitionMatrix, start: Distribution, t: int) -> Distributio
     return Distribution(states=matrix.states, weights=weights)
 
 
-def expectation(
+def expectations(
     matrix: TransitionMatrix,
     start: Distribution,
     t: int,
     stat: Callable,
-) -> Fraction:
-    """Exact expectation of a rational statistic after t steps."""
-    dist = evolve(matrix, start, t)
-    total = _ZERO
-    for state, w in zip(dist.states, dist.weights):
-        if w:
-            total += w * rat(stat(state))
-    return total
+) -> list[Fraction]:
+    """Exact expectations E[stat(X_s)] of a rational statistic for s = 0..t.
+
+    One pass: the distribution advances one step at a time.
+    """
+    if t < 0:
+        raise ValueError("negative time")
+    if start.states != matrix.states:
+        raise ValueError("distribution is over a different state list")
+    dist = start
+    values = []
+    for s in range(t + 1):
+        if s:
+            dist = evolve(matrix, dist, 1)
+        values.append(
+            sum((w * rat(stat(x)) for x, w in zip(dist.states, dist.weights) if w), _ZERO)
+        )
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +218,10 @@ def stationary_distributions(
     nfact = factorial(n)
     for content in sorted({alg.content(x) for x in states}, reverse=True):
         multiset = tuple(key for key, m in zip(singles, content) for _ in range(m))
-        coeffs = _symmetrized_product(alg, multiset)
+        coeffs = symmetrized_product(alg, [LinComb.single(key) for key in multiset])
         weights = []
         for x in states:
-            c = coeffs.get(x, _ZERO)
+            c = coeffs.coefficient(x)
             weights.append(c * eta(alg, x) / Fraction(nfact**2))
         total = sum(weights, _ZERO)
         if total == 0:
@@ -223,18 +235,6 @@ def stationary_distributions(
             Distribution(states=states, weights=weights, provenance=multiset)
         )
     return results
-
-
-def _symmetrized_product(alg: AlgebraHandle, multiset) -> dict:
-    """Coefficients of the sum over all orderings of the multiset product."""
-    if alg.commutative:
-        nfact = factorial(len(multiset))
-        return {k: nfact * v for k, v in _product_of_keys(alg, multiset).items()}
-    out: dict = {}
-    for order in itertools.permutations(multiset):
-        for k, v in _product_of_keys(alg, order).items():
-            _add_term(out, k, v)
-    return out
 
 
 def is_stationary(matrix: TransitionMatrix, dist: Distribution) -> bool:

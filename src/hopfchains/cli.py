@@ -18,8 +18,7 @@ from . import acceptance
 from .chain import (
     build_transition_matrix,
     distribution_to_dict,
-    evolve,
-    expectation,
+    expectations,
     matrix_to_csv,
     matrix_to_dict,
     point_mass,
@@ -144,7 +143,7 @@ def cmd_matrix(args) -> int:
         "spec": spec_to_dict(spec),
         "matrix": matrix_to_dict(K),
     }
-    _emit(args, payload, csv_text=matrix_to_csv(K))
+    _emit(args, payload, csv_text=matrix_to_csv(K) if args.format == "csv" else None)
     return 0
 
 
@@ -248,10 +247,10 @@ def cmd_evolve(args) -> int:
     K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
     stat = _resolve_statistic(args, alg)
     dist = point_mass(K, start)
-    rows = []
-    for t in range(args.t + 1):
-        value = expectation(K, dist, t, stat)
-        rows.append({"t": t, "expectation": str(value), "float": float(value)})
+    rows = [
+        {"t": t, "expectation": str(value), "float": float(value)}
+        for t, value in enumerate(expectations(K, dist, args.t, stat))
+    ]
     payload = {
         "command": "evolve",
         "algebra": alg.name,
@@ -286,9 +285,7 @@ def cmd_simulate(args) -> int:
         if stepper is None:
             stepper = matrix_stepper(K)
         dist = point_mass(K, start)
-        exact_targets = {
-            args.stat: [expectation(K, dist, t, stat) for t in range(args.t + 1)]
-        }
+        exact_targets = {args.stat: expectations(K, dist, args.t, stat)}
     if stepper is None:
         raise UsageError("state space above the cap and no direct sampler available")
     report = run_trajectories(start, args.t, args.trials, stepper, args.seed, stats)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product as cartesian
 from math import comb
 
-from .hopf import AlgebraHandle, LinComb, TensorComb, _add_term, tensor_square_product
+from .hopf import AlgebraHandle, LinComb, _add_term, tensor_square_product
 from .linalg import rat
 
 
@@ -178,13 +178,13 @@ def _tree_cuts(tree) -> list:
 
 
 @lru_cache(maxsize=None)
-def _tree_coproduct(tree) -> TensorComb:
+def _tree_coproduct(tree) -> LinComb:
     out: dict = {}
     whole = Forest((tree,))
     _add_term(out, (whole, EMPTY_FOREST), 1)  # S empty
     for left, kept in _tree_cuts(tree):
         _add_term(out, (Forest(left), Forest((kept,))), 1)
-    return TensorComb._wrap(2, out)
+    return LinComb._wrap(out)
 
 
 class ForestAlgebra(AlgebraHandle):
@@ -200,9 +200,9 @@ class ForestAlgebra(AlgebraHandle):
     def product_basis(self, x: Forest, y: Forest) -> LinComb:
         return forest_product(x, y)
 
-    def coproduct_basis(self, x: Forest) -> TensorComb:
+    def coproduct_basis(self, x: Forest) -> LinComb:
         if not x.trees:
-            return TensorComb._wrap(2, {(EMPTY_FOREST, EMPTY_FOREST): 1})
+            return LinComb._wrap({(EMPTY_FOREST, EMPTY_FOREST): 1})
         first, *rest = x.trees
         result = _tree_coproduct(first)
         for tree in rest:

@@ -3,7 +3,9 @@
 An `AlgebraHandle` supplies three things: a deterministic basis enumeration
 per degree, the product of two basis elements, and the coproduct of one.
 Everything else here is generic over the handle: rational linear
-combinations, iterated (co)products, convolutions of graded projections
+combinations (one type, `LinComb`, whose keys are basis keys or, for
+tensors, tuples of them), the product, the iterated coproduct, the
+symmetrised product over all orderings, convolutions of graded projections
 (the "break into pieces of prescribed sizes, then recombine" operators),
 the normalisation constant of such an operator, the basis rescaling that
 makes its matrix row-stochastic, and the structural checks a basis must
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import permutations
 from math import factorial, lcm
 
 from .linalg import rat
@@ -47,8 +51,9 @@ def _key_str(key) -> str:
 class LinComb:
     """A finite rational linear combination of basis keys.
 
-    Zero coefficients are never stored, so equality of combinations is
-    plain dict equality.
+    A tensor is a LinComb whose keys are tuples of basis keys, one per
+    leg.  Zero coefficients are never stored, so equality of combinations
+    is plain dict equality.
     """
 
     __slots__ = ("terms",)
@@ -126,78 +131,6 @@ class LinComb:
         return " + ".join(bits)
 
 
-class TensorComb:
-    """A linear combination of arity-a tensors of basis keys."""
-
-    __slots__ = ("arity", "terms")
-
-    def __init__(self, arity: int, terms=None):
-        self.arity = arity
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {tuple(k): rat(v) for k, v in dict(terms).items() if v}
-        for k in self.terms:
-            if len(k) != arity:
-                raise ValueError(f"tensor key {k} has arity {len(k)}, expected {arity}")
-
-    @classmethod
-    def _wrap(cls, arity: int, terms: dict) -> "TensorComb":
-        t = cls.__new__(cls)
-        t.arity = arity
-        t.terms = terms
-        return t
-
-    @classmethod
-    def single(cls, keys, coeff=_ONE) -> "TensorComb":
-        keys = tuple(keys)
-        coeff = rat(coeff)
-        return cls._wrap(len(keys), {keys: coeff} if coeff else {})
-
-    def coefficient(self, keys) -> Fraction:
-        return self.terms.get(tuple(keys), _ZERO)
-
-    def items(self):
-        return self.terms.items()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scale(self, c) -> "TensorComb":
-        c = rat(c)
-        if not c:
-            return TensorComb._wrap(self.arity, {})
-        return TensorComb._wrap(self.arity, {k: c * v for k, v in self.terms.items()})
-
-    def __add__(self, other: "TensorComb") -> "TensorComb":
-        if self.arity != other.arity:
-            raise ValueError("tensor arity mismatch")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _add_term(out, k, v)
-        return TensorComb._wrap(self.arity, out)
-
-    def __sub__(self, other: "TensorComb") -> "TensorComb":
-        return self + other.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorComb)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for keys in sorted(self.terms, key=lambda ks: tuple(_key_str(k) for k in ks)):
-            c = self.terms[keys]
-            tens = " (x) ".join(_key_str(k) for k in keys)
-            bits.append(f"{c}*[{tens}]" if c != 1 else f"[{tens}]")
-        return " + ".join(bits)
-
-
 class AlgebraHandle:
     """Interface for a graded connected algebra/coalgebra on a combinatorial basis.
 
@@ -224,7 +157,8 @@ class AlgebraHandle:
     def product_basis(self, x, y) -> LinComb:
         raise NotImplementedError
 
-    def coproduct_basis(self, x) -> TensorComb:
+    def coproduct_basis(self, x) -> LinComb:
+        """The coproduct of x, as a LinComb keyed by (left, right) pairs."""
         raise NotImplementedError
 
     def content(self, key) -> tuple:
@@ -266,19 +200,11 @@ def product(alg: AlgebraHandle, w: LinComb, z: LinComb) -> LinComb:
     return LinComb._wrap(out)
 
 
-def coproduct(alg: AlgebraHandle, x: LinComb) -> TensorComb:
-    """Linear extension of the basis coproduct (arity 2)."""
-    out: dict = {}
-    for key, c in x.items():
-        for pair, ck in alg.coproduct_basis(key).items():
-            _add_term(out, pair, c * ck)
-    return TensorComb._wrap(2, out)
+def tensor_square_product(alg: AlgebraHandle, s: LinComb, t: LinComb) -> LinComb:
+    """Componentwise product on H (x) H: (a(x)b)·(c(x)d) = (a·c)(x)(b·d).
 
-
-def tensor_square_product(alg: AlgebraHandle, s: TensorComb, t: TensorComb) -> TensorComb:
-    """Componentwise product on H (x) H: (a(x)b)·(c(x)d) = (a·c)(x)(b·d)."""
-    if s.arity != 2 or t.arity != 2:
-        raise ValueError("tensor_square_product expects arity-2 tensors")
+    Both factors and the result are keyed by (left, right) pairs.
+    """
     out: dict = {}
     for (a, b), cs in s.items():
         for (c, d), ct in t.items():
@@ -288,11 +214,12 @@ def tensor_square_product(alg: AlgebraHandle, s: TensorComb, t: TensorComb) -> T
             for kl, cl in left.items():
                 for kr, cr in right.items():
                     _add_term(out, (kl, kr), coeff * cl * cr)
-    return TensorComb._wrap(2, out)
+    return LinComb._wrap(out)
 
 
-def iterated_coproduct(alg: AlgebraHandle, x: LinComb, a: int) -> TensorComb:
-    """a-fold coproduct; a=1 is the identity, a=2 the plain coproduct.
+def iterated_coproduct(alg: AlgebraHandle, x: LinComb, a: int) -> LinComb:
+    """a-fold coproduct, keyed by a-tuples of basis keys; a=1 wraps each
+    key in a 1-tuple, a=2 is the plain coproduct.
 
     Built by expanding the last tensor leg at each step.  Coassociativity
     makes the result independent of which leg is expanded.
@@ -307,7 +234,7 @@ def iterated_coproduct(alg: AlgebraHandle, x: LinComb, a: int) -> TensorComb:
             for (u, v), ck in alg.coproduct_basis(keys[-1]).items():
                 _add_term(new, head + (u, v), c * ck)
         terms = new
-    return TensorComb._wrap(a, terms)
+    return LinComb._wrap(terms)
 
 
 def _product_of_keys(alg: AlgebraHandle, keys) -> dict:
@@ -320,6 +247,23 @@ def _product_of_keys(alg: AlgebraHandle, keys) -> dict:
                 _add_term(new, k, cx * ck)
         acc = new
     return acc
+
+
+def symmetrized_product(alg: AlgebraHandle, factors) -> LinComb:
+    """Sum over all n! orderings of the product of n factors; the unit if n = 0.
+
+    Orderings of equal factors count separately, so on a commutative
+    algebra the sum is n! times one product.
+    """
+    if not factors:
+        return LinComb.single(alg.unit_key())
+
+    def ordered(order) -> LinComb:
+        return reduce(lambda acc, f: product(alg, acc, f), order)
+
+    if alg.commutative:
+        return ordered(factors).scale(factorial(len(factors)))
+    return sum((ordered(order) for order in permutations(factors)), LinComb.zero())
 
 
 def homogeneous_degree(x: LinComb):
@@ -556,7 +500,7 @@ def check_bialgebra_compatibility(alg: AlgebraHandle, n_max: int) -> list[str]:
         for j in range(n_max + 1 - i):
             for x in alg.basis(i):
                 for y in alg.basis(j):
-                    lhs = coproduct(alg, alg.product_basis(x, y))
+                    lhs = iterated_coproduct(alg, alg.product_basis(x, y), 2)
                     rhs = tensor_square_product(
                         alg, alg.coproduct_basis(x), alg.coproduct_basis(y)
                     )

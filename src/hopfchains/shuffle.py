@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product as cartesian
 from math import comb, gcd
 
-from .hopf import AlgebraHandle, LinComb, TensorComb, _add_term, multinomial
+from .hopf import AlgebraHandle, LinComb, _add_term, multinomial
 from .linalg import rat
 
 
@@ -70,13 +70,13 @@ def shuffle_product(w: Word, z: Word) -> LinComb:
     return LinComb._wrap(out)
 
 
-def deconcat_coproduct(w: Word) -> TensorComb:
+def deconcat_coproduct(w: Word) -> LinComb:
     """Sum of all prefix (x) suffix splits, each with coefficient 1."""
     out = {}
     for i in range(len(w.letters) + 1):
         pair = (Word(w.letters[:i]), Word(w.letters[i:]))
         _add_term(out, pair, 1)
-    return TensorComb._wrap(2, out)
+    return LinComb._wrap(out)
 
 
 def concat_product(w: Word, z: Word) -> LinComb:
@@ -84,7 +84,7 @@ def concat_product(w: Word, z: Word) -> LinComb:
     return LinComb._wrap({Word(w.letters + z.letters): 1})
 
 
-def deshuffle_coproduct(w: Word) -> TensorComb:
+def deshuffle_coproduct(w: Word) -> LinComb:
     """Sum over position subsets S of (w restricted to S) (x) (rest)."""
     n = len(w.letters)
     out: dict = {}
@@ -94,7 +94,7 @@ def deshuffle_coproduct(w: Word) -> TensorComb:
             left = Word(w.letters[i] for i in chosen)
             right = Word(w.letters[i] for i in range(n) if i not in chosen_set)
             _add_term(out, (left, right), 1)
-    return TensorComb._wrap(2, out)
+    return LinComb._wrap(out)
 
 
 def _mobius(n: int) -> int:
@@ -182,7 +182,7 @@ class ShuffleAlgebra(WordAlgebra):
     def product_basis(self, x: Word, y: Word) -> LinComb:
         return shuffle_product(x, y)
 
-    def coproduct_basis(self, x: Word) -> TensorComb:
+    def coproduct_basis(self, x: Word) -> LinComb:
         return deconcat_coproduct(x)
 
 
@@ -201,7 +201,7 @@ class FreeAssociativeAlgebra(WordAlgebra):
     def product_basis(self, x: Word, y: Word) -> LinComb:
         return concat_product(x, y)
 
-    def coproduct_basis(self, x: Word) -> TensorComb:
+    def coproduct_basis(self, x: Word) -> LinComb:
         return deshuffle_coproduct(x)
 
 

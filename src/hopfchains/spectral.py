@@ -39,6 +39,7 @@ from .hopf import (
     beta_n,
     homogeneous_degree,
     product,
+    symmetrized_product,
 )
 from .linalg import RatMatrix, annihilation_check, nullspace, rank, rat
 from .presets import top_m_unordered_spec, top_or_bottom_spec, trinomial_spec
@@ -335,18 +336,6 @@ def _higher_primitive_multisets(alg, n: int, total: int):
             yield tuple(multiset)
 
 
-def _symmetrized_concat(alg, vectors) -> LinComb:
-    if not vectors:
-        return LinComb.single(alg.unit_key())
-    total = LinComb.zero()
-    for order in itertools.permutations(range(len(vectors))):
-        acc = vectors[order[0]]
-        for idx in order[1:]:
-            acc = product(alg, acc, vectors[idx])
-        total = total + acc
-    return total
-
-
 def build_E_j(
     alg: AlgebraHandle,
     n: int,
@@ -392,7 +381,7 @@ def build_E_j(
                         combined[pos] += cnt
                 if tuple(combined) != tuple(content):
                     continue
-            middle = _symmetrized_concat(alg, p_multiset)
+            middle = symmetrized_product(alg, p_multiset)
             vector = LinComb.zero()
             for i in range(j + 1):
                 coeff = comb(j, i) * q**i * (1 - q) ** (j - i)
@@ -450,7 +439,7 @@ def polynomial_eigenvalue_check(
     for vec in vectors:
         if vec.q != 1:
             raise ValueError("this check applies to vectors built with q = 1")
-        n = _vector_degree(vec)
+        n = homogeneous_degree(vec.vector)
         spec = top_m_unordered_spec(n, m)
         expected_scale = Fraction(factorial(m) * comb(vec.j, m))
         image = apply_cpp(alg, vec.vector, spec)
@@ -488,7 +477,7 @@ def trinomial_eigenvalue_check(
             raise ValueError(
                 f"vector built with q={vec.q}, parameters give q={expected_q}"
             )
-        n = _vector_degree(vec)
+        n = homogeneous_degree(vec.vector)
         spec = trinomial_spec(n, q1, q2, q3)
         beta = beta_n(spec)
         image = apply_cpp(alg, vec.vector, spec)
@@ -497,11 +486,6 @@ def trinomial_eigenvalue_check(
         lines.append(f"j={vec.j}: eigenvalue {expected_value} [{'ok' if good else 'FAILED'}]")
         ok = ok and good
     return EigencheckReport(ok=ok, checked=len(vectors), lines=lines)
-
-
-def _vector_degree(vec: Eigenvector) -> int:
-    degrees = {k.degree for k in vec.vector.support()}
-    return degrees.pop()
 
 
 def lincomb_rank(vectors: list[LinComb]) -> int:

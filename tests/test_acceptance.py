@@ -94,7 +94,7 @@ def test_criterion_09_forest_bound_with_documented_defect():
 def test_criterion_09_literal_bound_as_stated():
     from math import comb
 
-    from hopfchains.chain import build_transition_matrix, expectation, point_mass
+    from hopfchains.chain import build_transition_matrix, expectations, point_mass
     from hopfchains.forests import forest_algebra, f_j_statistic, parse_forest, vertex_stats
     from hopfchains.presets import trinomial_spec
 
@@ -105,7 +105,7 @@ def test_criterion_09_literal_bound_as_stated():
     j = 2
     f0 = f_j_statistic(star, j, q1, q3)
     factor = max(comb(s.component, s.anc - 1) for s in vertex_stats(star) if s.desc >= j)
-    lhs = expectation(K, point_mass(K, star), 1, lambda f: f_j_statistic(f, j, q1, q3))
+    lhs = expectations(K, point_mass(K, star), 1, lambda f: f_j_statistic(f, j, q1, q3))[1]
     assert lhs <= q2**j * f0 * factor
 
 

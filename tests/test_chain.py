@@ -10,7 +10,7 @@ from hopfchains.chain import (
     build_transition_matrix,
     distribution_to_dict,
     evolve,
-    expectation,
+    expectations,
     is_stationary,
     lumping_check,
     matrix_to_csv,
@@ -114,14 +114,36 @@ def test_distribution_validation():
 def test_expectation_constant_and_linearity():
     _, deck, K = _class_chain(3, top_to_random_spec)
     start = point_mass(K, deck)
-    for t in range(4):
-        assert expectation(K, start, t, lambda s: F(1)) == 1
+    assert expectations(K, start, 3, lambda s: F(1)) == [1] * 4
     stat_a = lambda s: F(len(descent_peak_sets(s, "123").descents))
     stat_b = lambda s: F(1, 2)
     combo = lambda s: 3 * stat_a(s) + stat_b(s)
-    got = expectation(K, start, 2, combo)
-    want = 3 * expectation(K, start, 2, stat_a) + expectation(K, start, 2, stat_b)
-    assert got == want
+    got = expectations(K, start, 2, combo)
+    series_a = expectations(K, start, 2, stat_a)
+    series_b = expectations(K, start, 2, stat_b)
+    assert got == [3 * a + b for a, b in zip(series_a, series_b)]
+
+
+def test_expectations_match_evolve_at_every_step():
+    falg = forest_algebra()
+    word_chain = _class_chain(4, lambda n: riffle_spec(n, 2))
+    forest_chain = build_transition_matrix(falg, trinomial_spec(4, F(1, 4), F(1, 2), F(1, 4)))
+    cases = [
+        (word_chain[2], word_chain[1], lambda s: F(len(descent_peak_sets(s, "1234").peaks))),
+        (forest_chain, parse_forest("(((())))"), lambda f: F(len(f.trees), f.degree)),
+    ]
+    for K, start_state, stat in cases:
+        start = point_mass(K, start_state)
+        series = expectations(K, start, 5, stat)
+        assert len(series) == 6
+        for s, value in enumerate(series):
+            dist = evolve(K, start, s)
+            assert value == sum(w * stat(x) for x, w in zip(dist.states, dist.weights))
+    with pytest.raises(ValueError):
+        expectations(K, start, -1, stat)
+    other = Distribution(states=K.states[::-1], weights=start.weights[::-1])
+    with pytest.raises(ValueError):
+        expectations(K, other, 0, stat)
 
 
 def test_stationary_uniform_on_distinct_decks():

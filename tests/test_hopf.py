@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from functools import reduce
+from itertools import permutations
 
 import pytest
 
@@ -9,14 +11,12 @@ from hopfchains.hopf import (
     CppSpec,
     LinComb,
     SpecError,
-    TensorComb,
     apply_cpp,
     beta_n,
     check_bialgebra_compatibility,
     check_coassociativity,
     check_state_space_basis,
     composition_law,
-    coproduct,
     eta,
     iterated_coproduct,
     multinomial,
@@ -24,6 +24,7 @@ from hopfchains.hopf import (
     product,
     spec_from_dict,
     spec_to_dict,
+    symmetrized_product,
 )
 from hopfchains.presets import (
     biased_spec,
@@ -64,14 +65,6 @@ def test_lincomb_arithmetic():
     assert (F(1, 2) * v).coefficient(w("ab")) == 1
 
 
-def test_tensorcomb_arity_guard():
-    with pytest.raises(ValueError):
-        TensorComb(2, {(w("a"),): F(1)})
-    t = TensorComb.single((w("a"), w("b")))
-    with pytest.raises(ValueError):
-        t + TensorComb.single((w("a"),))
-
-
 # ---------------------------------------------------------------------------
 # structure maps
 
@@ -95,9 +88,8 @@ def test_forest_product_of_vertices():
 
 
 def test_coproduct_of_word():
-    got = coproduct(ALG3, lc("accb"))
-    expect = TensorComb(
-        2,
+    got = iterated_coproduct(ALG3, lc("accb"), 2)
+    expect = LinComb(
         {
             (w(""), w("accb")): F(1),
             (w("a"), w("ccb")): F(1),
@@ -110,12 +102,12 @@ def test_coproduct_of_word():
 
 
 def test_degree_one_primitive():
-    got = coproduct(ALG3, lc("c"))
-    assert got == TensorComb(2, {(w(""), w("c")): F(1), (w("c"), w("")): F(1)})
+    got = iterated_coproduct(ALG3, lc("c"), 2)
+    assert got == LinComb({(w(""), w("c")): F(1), (w("c"), w("")): F(1)})
 
 
 def test_iterated_coproduct_arity_one_and_three():
-    assert iterated_coproduct(ALG2, lc("ab"), 1) == TensorComb(1, {(w("ab"),): F(1)})
+    assert iterated_coproduct(ALG2, lc("ab"), 1) == LinComb({(w("ab"),): F(1)})
 
     # independent oracle: brute-force double deconcatenations
     expected = {}
@@ -125,7 +117,7 @@ def test_iterated_coproduct_arity_one_and_three():
             key = (w(word[:i]), w(word[i:j]), w(word[j:]))
             expected[key] = expected.get(key, 0) + 1
     got = iterated_coproduct(ALG2, lc("ab"), 3)
-    assert got == TensorComb(3, {k: F(v) for k, v in expected.items()})
+    assert got == LinComb({k: F(v) for k, v in expected.items()})
 
 
 def test_coassociativity_small_degrees():
@@ -301,6 +293,34 @@ def test_state_space_checks_pass():
     assert check_bialgebra_compatibility(forest_algebra(), 4) == []
 
 
+def _factor_pool(alg):
+    """Mixed-degree combinations, with a repeat, to multiply in every order."""
+    b1, b2 = alg.basis(1), alg.basis(2)
+    first = LinComb.single(b1[0])
+    return [
+        first,
+        LinComb({b2[0]: F(2), b1[-1]: F(-1)}),
+        first,
+        LinComb({b2[-1]: F(1, 3), b2[0]: F(1)}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "alg, n_max",
+    [(ShuffleAlgebra("ab"), 4), (FreeAssociativeAlgebra("ab"), 3), (forest_algebra(), 4)],
+    ids=["shuffle", "free-associative", "forests"],
+)
+def test_symmetrized_product_is_sum_over_orderings(alg, n_max):
+    pool = _factor_pool(alg)
+    for n in range(n_max + 1):
+        factors = pool[:n]
+        explicit = LinComb.zero()
+        for order in permutations(factors):
+            unit = LinComb.single(alg.unit_key())
+            explicit = explicit + reduce(lambda acc, f: product(alg, acc, f), order, unit)
+        assert symmetrized_product(alg, factors) == explicit
+
+
 class _BadKey:
     def __init__(self, name, degree):
         self.name = name
@@ -339,10 +359,31 @@ class _PrimitiveDegreeTwo(AlgebraHandle):
 
     def coproduct_basis(self, a):
         if a.degree == 0:
-            return TensorComb.single((self.unit, self.unit))
-        return TensorComb(
-            2, {(self.unit, a): F(1), (a, self.unit): F(1)}
-        )
+            return LinComb.single((self.unit, self.unit))
+        return LinComb({(self.unit, a): F(1), (a, self.unit): F(1)})
+
+
+class _UnbalancedDegreeTwo(_PrimitiveDegreeTwo):
+    """x*x = y, but the coproduct of y carries x(x)x once instead of twice."""
+
+    name = "unbalanced"
+
+    def product_basis(self, a, b):
+        if a == b == self.x:
+            return LinComb.single(self.y)
+        return super().product_basis(a, b)
+
+    def coproduct_basis(self, a):
+        if a == self.y:
+            return LinComb({(self.unit, a): F(1), (self.x, self.x): F(1), (a, self.unit): F(1)})
+        return super().coproduct_basis(a)
+
+
+def test_builder_rejects_row_that_does_not_sum_to_one():
+    bad = _UnbalancedDegreeTwo()
+    assert check_bialgebra_compatibility(bad, 2) != []
+    with pytest.raises(ArithmeticError, match="sums to 1/2, not 1"):
+        build_transition_matrix(bad, normalize_spec(2, [((1, 1), 1)]))
 
 
 def test_artificial_primitive_is_reported():

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from hopfchains.hopf import LinComb, TensorComb
+from hopfchains.hopf import LinComb
 from hopfchains.shuffle import (
     FreeAssociativeAlgebra,
     ShuffleAlgebra,
@@ -58,9 +58,9 @@ def test_deconcat_examples():
     got = deconcat_coproduct(w("accb"))
     assert got.coefficient((w("ac"), w("cb"))) == 1
     assert len(got.terms) == 5
-    assert deconcat_coproduct(w("")) == TensorComb.single((w(""), w("")))
+    assert deconcat_coproduct(w("")) == LinComb.single((w(""), w("")))
     got1 = deconcat_coproduct(w("a"))
-    assert got1 == TensorComb(2, {(w(""), w("a")): F(1), (w("a"), w("")): F(1)})
+    assert got1 == LinComb({(w(""), w("a")): F(1), (w("a"), w("")): F(1)})
 
 
 def test_concat_product():
@@ -71,8 +71,7 @@ def test_concat_product():
 
 def test_deshuffle_examples():
     got = deshuffle_coproduct(w("ab"))
-    expect = TensorComb(
-        2,
+    expect = LinComb(
         {
             (w(""), w("ab")): F(1),
             (w("a"), w("b")): F(1),
@@ -90,7 +89,7 @@ def test_deshuffle_examples():
 def test_deshuffle_cocommutative():
     for word in ["ab", "aab", "abc"]:
         got = deshuffle_coproduct(w(word))
-        flipped = TensorComb(2, {(b, a): c for (a, b), c in got.items()})
+        flipped = LinComb({(b, a): c for (a, b), c in got.items()})
         assert got == flipped
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hopfchains.chain import build_transition_matrix, expectation, point_mass
+from hopfchains.chain import build_transition_matrix, expectations, point_mass
 from hopfchains.presets import (
     biased_spec,
     riffle_spec,
@@ -179,7 +179,7 @@ def test_run_trajectories_mean_matches_exact():
     K = build_transition_matrix(alg, spec, states=states)
     stat_fn = lambda w_: weighted_descent_stat(w_, q, alg.alphabet)
     report = run_trajectories(deck, 1, 50_000, gsr_stepper(spec), SEED, {"wd": stat_fn})
-    target = expectation(K, point_mass(K, deck), 1, stat_fn)
+    target = expectations(K, point_mass(K, deck), 1, stat_fn)[1]
     series = report.series["wd"]
     sem = (float(series.variance(1)) / report.trials) ** 0.5
     assert abs(float(series.mean(1)) - float(target)) < 3 * sem
