@@ -43,7 +43,7 @@ from .shuffle import (
     weighted_descent_stat,
     weighted_peak_stat,
 )
-from .simulate import RngStream, gsr_step, run_trajectories, sample_composition
+from .simulate import RngStream, composition_sampler, gsr_step, run_trajectories
 from .spectral import (
     Eigenvector,
     Spectrum,

@@ -33,7 +33,6 @@ class TransitionMatrix:
     etas: Optional[list] = None
     beta: Optional[Fraction] = None
     spec: Optional[CppSpec] = None
-    algebra: Optional[AlgebraHandle] = None
     index: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -49,6 +48,15 @@ class TransitionMatrix:
         return {
             y: p for y, p in zip(self.states, self.kernel.row(i)) if p
         }
+
+
+def check_state_count(count: int, max_states: int) -> None:
+    """Refuse a state space of `count` elements above the cap."""
+    if count > max_states:
+        raise ValueError(
+            f"state space has {count} elements, above the cap {max_states}; "
+            "raise max_states to proceed"
+        )
 
 
 def build_transition_matrix(
@@ -69,11 +77,7 @@ def build_transition_matrix(
     states = list(states)
     if not states:
         raise ValueError(f"empty state space at degree {n}")
-    if len(states) > max_states:
-        raise ValueError(
-            f"state space has {len(states)} elements, above the cap {max_states}; "
-            "raise max_states to proceed"
-        )
+    check_state_count(len(states), max_states)
     for s in states:
         if s.degree != n:
             raise ValueError(f"state {s!r} has degree {s.degree}, spec degree is {n}")
@@ -108,7 +112,6 @@ def build_transition_matrix(
         etas=etas,
         beta=beta,
         spec=spec,
-        algebra=alg,
         index=index,
     )
 
@@ -207,10 +210,7 @@ def stationary_distributions(
     if states is None:
         states = alg.basis(n)
     states = list(states)
-    if len(states) > max_states:
-        raise ValueError(
-            f"state space has {len(states)} elements, above the cap {max_states}"
-        )
+    check_state_count(len(states), max_states)
     singles = alg.basis(1)
     if not singles:
         raise ValueError("degree-1 basis is empty; no stationary construction")

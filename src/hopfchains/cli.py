@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import acceptance
 from .chain import (
     build_transition_matrix,
+    check_state_count,
     distribution_to_dict,
     expectations,
     matrix_to_csv,
@@ -25,7 +26,7 @@ from .chain import (
     stationary_distributions,
 )
 from .forests import f_j_statistic, forest_algebra, parse_forest
-from .hopf import SpecError, spec_from_dict, spec_to_dict
+from .hopf import SpecError, multinomial, spec_from_dict, spec_to_dict
 from .linalg import rat
 from .presets import expand_preset, preset_names
 from .shuffle import (
@@ -94,33 +95,41 @@ def _shuffle_deck(args, missing: str):
 
 
 def _setup_space(args):
-    """Resolve (algebra, degree, states, start) from the flags."""
+    """Resolve (algebra, degree, start) from the flags; a full forest basis has no start."""
     if args.algebra == "shuffle":
         alg, deck = _shuffle_deck(args, "shuffle runs need --distinct N or --deck WORD")
-        states = rearrangement_class(alg, deck)
-        return alg, deck.degree, states, deck
+        return alg, deck.degree, deck
     if args.algebra == "forests":
         alg = forest_algebra()
         if args.forest:
             start = parse_forest(args.forest)
-            n = start.degree
-        elif args.n:
-            n = args.n
-            start = None
-        else:
-            raise UsageError("forest runs need --forest ENCODING or --n N")
-        return alg, n, list(alg.basis(n)), start
+            return alg, start.degree, start
+        if args.n:
+            return alg, args.n, None
+        raise UsageError("forest runs need --forest ENCODING or --n N")
     raise UsageError(f"unknown algebra {args.algebra!r}")
 
 
+def _class_size(alg, deck) -> int:
+    """Size of a deck's rearrangement class: the multinomial of its letter counts."""
+    return multinomial(deck.degree, alg.content(deck))
+
+
+def _states(args, alg, n, start) -> list:
+    """The chain's states.  A deck's class is checked against --max-states
+    by its closed-form size before it is enumerated."""
+    if args.algebra == "shuffle":
+        check_state_count(_class_size(alg, start), args.max_states)
+        return rearrangement_class(alg, start)
+    return alg.basis(n)
+
+
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    if args.format == "csv":
-        if csv_text is None:
-            raise UsageError("csv output is only available for the matrix command")
-        text = csv_text
-    else:
+    if csv_text is None:
         payload = {"format_version": FORMAT_VERSION, **payload}
         text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = csv_text
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -133,8 +142,9 @@ def _emit(args, payload: dict, csv_text: str | None = None) -> None:
 
 
 def cmd_matrix(args) -> int:
-    alg, n, states, _start = _setup_space(args)
+    alg, n, start = _setup_space(args)
     spec = _load_spec(args, n)
+    states = _states(args, alg, n, start)
     K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
     payload = {
         "command": "matrix",
@@ -148,9 +158,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    alg, n, states, _start = _setup_space(args)
+    alg, n, start = _setup_space(args)
     spec = _load_spec(args, n)
-    spectrum = class_spectrum(spec, alg, alg.content(states[0]))
+    rep = alg.basis(n)[0] if start is None else start  # a full forest basis is one class
+    spectrum = class_spectrum(spec, alg, alg.content(rep))
     payload = {
         "command": "spectrum",
         "algebra": alg.name,
@@ -163,6 +174,7 @@ def cmd_spectrum(args) -> int:
     }
     ok = True
     if args.verify_matrix:
+        states = _states(args, alg, n, start)
         K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
         report = verify_spectrum(K, spectrum)
         payload["matrix_verification"] = {"ok": report.ok, "detail": report.lines()}
@@ -172,7 +184,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    alg, n, states, _start = _setup_space(args)
+    alg, n, start = _setup_space(args)
+    states = _states(args, alg, n, start)
     pis = stationary_distributions(alg, n, states=states, max_states=args.max_states)
     payload = {
         "command": "stationary",
@@ -240,10 +253,11 @@ def _resolve_statistic(args, alg):
 
 def cmd_evolve(args) -> int:
     _check_horizon(args)
-    alg, n, states, start = _setup_space(args)
+    alg, n, start = _setup_space(args)
     if start is None:
         raise UsageError("evolve needs a start state (--deck/--distinct/--forest)")
     spec = _load_spec(args, n)
+    states = _states(args, alg, n, start)
     K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
     stat = _resolve_statistic(args, alg)
     dist = point_mass(K, start)
@@ -269,25 +283,21 @@ def cmd_simulate(args) -> int:
     _check_horizon(args)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    alg, n, states, start = _setup_space(args)
+    alg, n, start = _setup_space(args)
     if start is None:
         raise UsageError("simulate needs a start state (--deck/--distinct/--forest)")
     spec = _load_spec(args, n)
     stat = _resolve_statistic(args, alg)
     stats = {args.stat: stat}
     exact_targets = None
-    if args.algebra == "shuffle":
-        stepper = gsr_stepper(spec)
+    if args.algebra == "shuffle" and _class_size(alg, start) > args.max_states:
+        stepper = gsr_stepper(spec)  # above the cap: cut-and-drop needs no kernel
     else:
-        stepper = None
-    if len(states) <= args.max_states:
+        states = _states(args, alg, n, start)
         K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
-        if stepper is None:
-            stepper = matrix_stepper(K)
+        stepper = gsr_stepper(spec) if args.algebra == "shuffle" else matrix_stepper(K)
         dist = point_mass(K, start)
         exact_targets = {args.stat: expectations(K, dist, args.t, stat)}
-    if stepper is None:
-        raise UsageError("state space above the cap and no direct sampler available")
     report = run_trajectories(start, args.t, args.trials, stepper, args.seed, stats)
     payload = {
         "command": "simulate",
@@ -363,7 +373,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="path to an operator spec JSON file")
     p.add_argument("--max-states", type=int, default=1000)
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _add_statistic_flags(p: argparse.ArgumentParser, t_default: int) -> None:
@@ -389,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="build and export the transition matrix")
     _add_common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=cmd_matrix)
 
     p = sub.add_parser("spectrum", help="closed-form spectrum, optionally matrix-verified")

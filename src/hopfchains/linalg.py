@@ -59,23 +59,14 @@ class RatMatrix:
             raise ValueError("ragged rows: matrix must be rectangular")
         return m
 
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"

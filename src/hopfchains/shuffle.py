@@ -51,9 +51,6 @@ class Word:
         return f"Word({''.join(self.letters)!r})"
 
 
-EMPTY_WORD = Word(())
-
-
 def shuffle_product(w: Word, z: Word) -> LinComb:
     """Sum of all interleavings of w and z, counted with multiplicity."""
     total = len(w.letters) + len(z.letters)

@@ -8,11 +8,13 @@ platform.  All probability weights are realised by exact integer
 inverse-CDF over a common denominator; floating point appears only in the
 reporting layer.
 
-Shuffles have a direct sampler (`gsr_step`): cut the deck into consecutive
-piles of the sampled sizes, top pile first, then build the new deck from
-the bottom by repeatedly dropping the bottommost card of a pile chosen
-with probability proportional to its current size.  Any built transition
-matrix can also be sampled row by row (`matrix_stepper`).
+Shuffles have a direct sampler, `gsr_stepper(spec)`: it resolves the
+spec's composition law once (`composition_sampler`), and each step draws
+piece sizes from it and runs `gsr_step`, which cuts the deck into
+consecutive piles of those sizes, top pile first, then builds the new deck
+from the bottom by repeatedly dropping the bottommost card of a pile
+chosen with probability proportional to its current size.  Any built
+transition matrix can also be sampled row by row (`matrix_stepper`).
 """
 
 from __future__ import annotations
@@ -73,20 +75,17 @@ def _integer_weights(pairs) -> tuple[list, list[int]]:
     return items, [int(p * denom) for p in probs]
 
 
-_law_cache: dict = {}
+def composition_sampler(spec: CppSpec) -> Callable:
+    """Draw closure `rng -> composition` for the spec's breaking law.
+
+    The law is resolved once into integer weights over the sorted
+    compositions; each draw is one `pick_weighted` call.
+    """
+    comps, weights = _integer_weights(sorted(composition_law(spec).items()))
+    return lambda rng: comps[rng.pick_weighted(weights)]
 
 
-def sample_composition(spec: CppSpec, rng: RngStream) -> tuple[int, ...]:
-    """Draw a piece-size composition from the spec's breaking law, exactly."""
-    cached = _law_cache.get(spec)
-    if cached is None:
-        cached = _integer_weights(sorted(composition_law(spec).items()))
-        _law_cache[spec] = cached
-    comps, weights = cached
-    return comps[rng.pick_weighted(weights)]
-
-
-def cut_and_drop(deck: Word, comp, rng: RngStream) -> Word:
+def gsr_step(deck: Word, comp, rng: RngStream) -> Word:
     """Cut into consecutive piles of the given sizes (top pile first), then
     rebuild the deck from the bottom by dropping the bottommost card of a
     pile chosen with probability proportional to its current size."""
@@ -98,29 +97,19 @@ def cut_and_drop(deck: Word, comp, rng: RngStream) -> Word:
     for size in comp:
         piles.append(list(letters[at : at + size]))
         at += size
+    sizes = list(comp)
     bottom_up = []
-    sizes = [len(p) for p in piles]
-    remaining = sum(sizes)
-    while remaining:
-        r = rng.randbelow(remaining)
-        acc = 0
-        for i, s in enumerate(sizes):
-            acc += s
-            if r < acc:
-                bottom_up.append(piles[i].pop())
-                sizes[i] -= 1
-                break
-        remaining -= 1
+    for _ in letters:
+        i = rng.pick_weighted(sizes)
+        bottom_up.append(piles[i].pop())
+        sizes[i] -= 1
     return Word(reversed(bottom_up))
 
 
-def gsr_step(deck: Word, spec: CppSpec, rng: RngStream) -> Word:
-    """One cut-and-drop shuffle step with the spec's piece-size law."""
-    return cut_and_drop(deck, sample_composition(spec, rng), rng)
-
-
 def gsr_stepper(spec: CppSpec) -> Callable:
-    return lambda state, rng: gsr_step(state, spec, rng)
+    """Cut-and-drop stepper: a composition from the spec's law, then `gsr_step`."""
+    draw = composition_sampler(spec)
+    return lambda state, rng: gsr_step(state, draw(rng), rng)
 
 
 def matrix_stepper(matrix: TransitionMatrix) -> Callable:
@@ -130,14 +119,7 @@ def matrix_stepper(matrix: TransitionMatrix) -> Callable:
     def step(state, rng: RngStream):
         cached = row_cache.get(state)
         if cached is None:
-            i = matrix.index[state]
-            pairs = [
-                (matrix.states[j], p)
-                for j, p in enumerate(matrix.kernel.row(i))
-                if p
-            ]
-            cached = _integer_weights(pairs)
-            row_cache[state] = cached
+            cached = row_cache[state] = _integer_weights(matrix.row_of(state).items())
         targets, weights = cached
         return targets[rng.pick_weighted(weights)]
 
@@ -254,7 +236,7 @@ def empirical_row_check(
     start,
     trials: int,
     seed: int,
-    stepper: Callable | None = None,
+    stepper: Callable,
 ) -> RowCheck:
     """Sample one-step transitions and compare against the exact row.
 
@@ -262,8 +244,6 @@ def empirical_row_check(
     they count as failures.  A chi-square statistic over the row support
     is reported against the approximate 0.999 quantile.
     """
-    if stepper is None:
-        stepper = matrix_stepper(matrix)
     rng = RngStream(seed, 0)
     counts: dict = {}
     for _ in range(trials):
@@ -289,7 +269,7 @@ def empirical_row_check(
             flag3.append(str(state))
         if expected:
             chi += (observed - expected) ** 2 / expected
-    limit = chi_square_quantile(len(row) - 1, 0.999)
+    limit = chi_square_quantile(len(row) - 1)
     return RowCheck(
         trials=trials,
         max_z=max_z,
@@ -300,12 +280,10 @@ def empirical_row_check(
     )
 
 
-def chi_square_quantile(df: int, p: float = 0.999) -> float:
-    """Wilson-Hilferty approximation to the chi-square quantile."""
+def chi_square_quantile(df: int) -> float:
+    """Wilson-Hilferty approximation to the chi-square 0.999 quantile."""
     if df < 1:
         return 0.0
-    z = {0.999: 3.090232306167813, 0.99: 2.3263478740408408}.get(p)
-    if z is None:
-        raise ValueError("supported tail levels: 0.99, 0.999")
+    z = 3.090232306167813  # standard normal 0.999 quantile
     a = 2.0 / (9.0 * df)
     return df * (1.0 - a + z * a**0.5) ** 3

@@ -39,11 +39,11 @@ def test_square_matches_two_step_path_enumeration():
     for i, x in enumerate(K.states):
         two_step = [F(0)] * K.size
         for mid in range(K.size):
-            p1 = K.kernel.at(i, mid)
+            p1 = K.kernel.row(i)[mid]
             if not p1:
                 continue
             for j in range(K.size):
-                p2 = K.kernel.at(mid, j)
+                p2 = K.kernel.row(mid)[j]
                 if p2:
                     two_step[j] += p1 * p2
         assert evolve(K, point_mass(K, x), 2).weights == two_step

@@ -311,6 +311,39 @@ def test_cli_eigvecs_over_cap_is_usage_error(capsys):
     assert "3125" in _usage_error(capsys, ["eigvecs", "--distinct", "5"])
 
 
+def test_cli_format_is_a_matrix_flag_only(capsys):
+    # argparse refuses it before any kernel is built or evolved
+    argv = ["evolve", "--distinct", "6", "--preset", "riffle", "--format", "csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_state_cap_is_checked_before_enumeration(capsys, monkeypatch):
+    def refuse(alg, word):
+        raise AssertionError(f"enumerated the class of {word}")
+
+    monkeypatch.setattr("hopfchains.cli.rearrangement_class", refuse)
+    err = _usage_error(capsys, ["matrix", "--distinct", "9", "--preset", "riffle"])
+    assert "state space has 362880 elements, above the cap 1000" in err
+    for argv in (
+        ["evolve", "--distinct", "9", "--preset", "riffle"],
+        ["stationary", "--distinct", "9"],
+        ["spectrum", "--distinct", "9", "--preset", "riffle", "--verify-matrix"],
+    ):
+        assert "362880" in _usage_error(capsys, argv)
+    # no enumeration is needed: the spectrum reads the deck's content, and
+    # above the cap the simulation runs cut-and-drop with no exact target
+    assert main(["spectrum", "--distinct", "7", "--preset", "riffle", "--max-states", "10"]) == 0
+    capsys.readouterr()
+    argv = ["simulate", "--distinct", "7", "--preset", "riffle", "--trials", "3", "--t", "1",
+            "--max-states", "10"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert all("target" not in row for row in data["statistics"]["weighted-descents"])
+
+
 def test_cli_evolve_negative_time_is_usage_error(capsys):
     argv = ["evolve", "--distinct", "3", "--preset", "riffle", "--t", "-1"]
     assert "--t" in _usage_error(capsys, argv)

@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from hopfchains.acceptance import grid_presets
 from hopfchains.chain import build_transition_matrix, expectations, point_mass
+from hopfchains.hopf import composition_law
 from hopfchains.presets import (
     biased_spec,
     riffle_spec,
@@ -14,17 +16,19 @@ from hopfchains.presets import (
 )
 from hopfchains.shuffle import (
     Word,
+    deck_from_string,
     distinct_deck,
     rearrangement_class,
     weighted_descent_stat,
 )
 from hopfchains.simulate import (
     RngStream,
-    cut_and_drop,
+    composition_sampler,
     empirical_row_check,
+    gsr_step,
     gsr_stepper,
+    matrix_stepper,
     run_trajectories,
-    sample_composition,
 )
 
 SEED = 1234
@@ -48,28 +52,28 @@ def test_rng_randbelow_bounds():
 
 
 def test_sample_composition_point_mass():
-    spec = top_to_random_spec(5)
+    draw = composition_sampler(top_to_random_spec(5))
     rng = RngStream(SEED, 0)
     for _ in range(50):
-        assert sample_composition(spec, rng) == (1, 4)
+        assert draw(rng) == (1, 4)
 
 
 def test_sample_composition_coin_flip_frequencies():
-    spec = top_or_bottom_spec(4, F(1, 2))
+    draw = composition_sampler(top_or_bottom_spec(4, F(1, 2)))
     rng = RngStream(SEED, 0)
     n_draws = 100_000
-    hits = sum(sample_composition(spec, rng) == (1, 3) for _ in range(n_draws))
+    hits = sum(draw(rng) == (1, 3) for _ in range(n_draws))
     sigma = (n_draws * 0.25) ** 0.5
     assert abs(hits - n_draws / 2) < 3 * sigma
 
 
 def test_sample_composition_riffle_law():
-    spec = riffle_spec(3)
+    draw = composition_sampler(riffle_spec(3))
     rng = RngStream(SEED, 0)
     n_draws = 60_000
     counts = {}
     for _ in range(n_draws):
-        comp = sample_composition(spec, rng)
+        comp = draw(rng)
         counts[comp] = counts.get(comp, 0) + 1
     expected = {(3,): F(2, 8), (1, 2): F(3, 8), (2, 1): F(3, 8)}
     for comp, p in expected.items():
@@ -80,7 +84,7 @@ def test_sample_composition_riffle_law():
 def test_cut_and_drop_single_pile_is_identity():
     deck = Word("1234")
     for trial in range(20):
-        assert cut_and_drop(deck, (4,), RngStream(SEED, trial)) == deck
+        assert gsr_step(deck, (4,), RngStream(SEED, trial)) == deck
 
 
 def test_cut_and_drop_top_to_random_insertion():
@@ -88,13 +92,87 @@ def test_cut_and_drop_top_to_random_insertion():
     # uniformly: over many trials all 4 insertion positions appear
     deck = Word("1234")
     rng = RngStream(SEED, 0)
-    seen = {str(cut_and_drop(deck, (1, 3), rng)) for _ in range(500)}
+    seen = {str(gsr_step(deck, (1, 3), rng)) for _ in range(500)}
     assert seen == {"1234", "2134", "2314", "2341"}
 
 
 def test_cut_and_drop_rejects_bad_composition():
     with pytest.raises(ValueError):
-        cut_and_drop(Word("123"), (1, 1), RngStream(0, 0))
+        gsr_step(Word("123"), (1, 1), RngStream(0, 0))
+
+
+class _ScriptedStream(RngStream):
+    """Answers `randbelow` from a fixed script, then with 0, recording every bound."""
+
+    def __init__(self, script):
+        self.script = script
+        self.bounds = []
+
+    def randbelow(self, n: int) -> int:
+        k = len(self.bounds)
+        self.bounds.append(n)
+        return self.script[k] if k < len(self.script) else 0
+
+
+def _outcome_law(run) -> dict:
+    """Exact law of `run(rng)` when each `randbelow(m)` is uniform on [0, m).
+
+    Walks the whole outcome tree: each run replays a prefix of draws and
+    takes branch 0 after it, and every other branch past the prefix is
+    queued as a new prefix, so each leaf is reached exactly once.
+    """
+    law: dict = {}
+    pending = [()]
+    while pending:
+        script = pending.pop()
+        rng = _ScriptedStream(script)
+        out = run(rng)
+        path = script + (0,) * (len(rng.bounds) - len(script))
+        for k in range(len(script), len(rng.bounds)):
+            pending.extend(path[:k] + (v,) for v in range(1, rng.bounds[k]))
+        p = F(1)
+        for m in rng.bounds:
+            p /= m
+        law[out] = law.get(out, 0) + p
+    return law
+
+
+_ORACLE_DECKS = [
+    ("distinct n=3", *distinct_deck(3)),
+    ("distinct n=4", *distinct_deck(4)),
+    ("distinct n=5", *distinct_deck(5)),
+    ("deck aabb", *deck_from_string("aabb")),
+]
+
+
+@pytest.mark.parametrize("label,alg,deck", _ORACLE_DECKS, ids=[d[0] for d in _ORACLE_DECKS])
+def test_gsr_step_outcome_law_is_the_exact_row(label, alg, deck):
+    # cut-and-drop given the cut sizes is a uniform interleaving of the
+    # piles (Bayer-Diaconis), so summing its exact outcome law over the
+    # composition law gives the kernel row with no sampling error
+    states = rearrangement_class(alg, deck)
+    for preset_label, spec in grid_presets(deck.degree):
+        K = build_transition_matrix(alg, spec, states=states)
+        row: dict = {}
+        for comp, p in composition_law(spec).items():
+            for y, q in _outcome_law(lambda rng: gsr_step(deck, comp, rng)).items():
+                row[y] = row.get(y, 0) + p * q
+        assert row == K.row_of(deck), (label, preset_label)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_composition_sampler_draws_each_composition_for_its_weight(n):
+    for preset_label, spec in grid_presets(n):
+        law = composition_law(spec)
+        draw = composition_sampler(spec)
+        first = _ScriptedStream(())
+        draw(first)
+        (total,) = first.bounds  # one randbelow(total) call per draw
+        counts: dict = {}
+        for r in range(total):
+            comp = draw(_ScriptedStream((r,)))
+            counts[comp] = counts.get(comp, 0) + 1
+        assert counts == {c: p * total for c, p in law.items()}, preset_label
 
 
 def test_gsr_top_to_random_marginal():
@@ -147,7 +225,7 @@ def test_matrix_stepper_matches_row():
     states = rearrangement_class(alg, deck)
     spec = top_to_random_spec(3)
     K = build_transition_matrix(alg, spec, states=states)
-    check = empirical_row_check(K, deck, trials=30_000, seed=SEED)
+    check = empirical_row_check(K, deck, trials=30_000, seed=SEED, stepper=matrix_stepper(K))
     assert not check.over_4_sigma
 
 
@@ -204,7 +282,8 @@ def test_matrix_stepper_on_forests():
 
     falg = forest_algebra()
     K = build_transition_matrix(falg, trinomial_spec(3, F(1, 4), F(1, 2), F(1, 4)))
-    check = empirical_row_check(K, parse_forest("(()())"), trials=30_000, seed=SEED)
+    start = parse_forest("(()())")
+    check = empirical_row_check(K, start, trials=30_000, seed=SEED, stepper=matrix_stepper(K))
     assert not check.over_4_sigma
     assert check.chi_square < check.chi_square_limit
 
