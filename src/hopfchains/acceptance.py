@@ -2,8 +2,8 @@
 
 Every criterion runs exact checks (rationals compared for equality) except
 the Monte Carlo one, which uses 3-sigma bands with a 3-to-4-sigma warning
-zone.  Each criterion returns a `CriterionResult`; `run_all` executes a
-selection and the CLI renders one pass/fail line per criterion.
+zone.  Each criterion takes the run's seed and returns a `CriterionResult`;
+`run_all` executes a selection and the CLI renders one line per criterion.
 
 Two checks are *documented defects*: the stated eigenvalue q2^j of the
 trinomial operator on the j-singleton eigenvector family, and the stated
@@ -139,7 +139,7 @@ TRINOMIAL_PARAMS = [
 # criteria
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Structure axioms, coassociativity and bialgebra compatibility."""
     t0 = time.time()
     lines = []
@@ -174,7 +174,7 @@ def _grid_matrices():
     return _grid_cache
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Every grid transition matrix is exactly row-stochastic."""
     t0 = time.time()
     lines = []
@@ -190,7 +190,7 @@ def criterion_2() -> CriterionResult:
     return CriterionResult(2, "row-stochasticity of the rescaled kernels", passed, lines, seconds=time.time() - t0)
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Formula spectra match rank-derived eigenspace dimensions exactly."""
     t0 = time.time()
     lines = []
@@ -228,7 +228,7 @@ def criterion_3() -> CriterionResult:
     return CriterionResult(3, "spectra vs matrices", passed, lines, seconds=time.time() - t0)
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Stationary distributions: fixed points, uniformity, independence."""
     t0 = time.time()
     lines = []
@@ -255,7 +255,7 @@ def criterion_4() -> CriterionResult:
     return CriterionResult(4, "stationary distributions", passed, lines, seconds=time.time() - t0)
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Weighted descent/peak expectations under top-or-bottom insertion."""
     t0 = time.time()
     lines = []
@@ -280,7 +280,7 @@ def criterion_5() -> CriterionResult:
     return CriterionResult(5, "weighted descent/peak identities", passed, lines, seconds=time.time() - t0)
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Expected descent and peak counts under a-handed riffles."""
     t0 = time.time()
     lines = []
@@ -307,7 +307,7 @@ def criterion_6() -> CriterionResult:
     return CriterionResult(6, "a-handed expected descent/peak counts", passed, lines, seconds=time.time() - t0)
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Eigenvector families: eigen-equations, completeness, operator extensions."""
     t0 = time.time()
     lines = []
@@ -368,7 +368,7 @@ def criterion_7() -> CriterionResult:
     )
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The descent set is a Markov statistic for every grid shuffle."""
     t0 = time.time()
     lines = []
@@ -390,7 +390,7 @@ def criterion_8() -> CriterionResult:
     return CriterionResult(8, "descent set is a Markov statistic", passed, lines, seconds=time.time() - t0)
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Forest expectation bound: literal form, plus exact decay-rate certificate."""
     t0 = time.time()
     lines = []
@@ -554,8 +554,4 @@ CRITERIA = {
 
 def run_all(numbers=None, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
     selected = sorted(numbers) if numbers else sorted(CRITERIA)
-    results = []
-    for num in selected:
-        fn = CRITERIA[num]
-        results.append(fn(seed) if num == 10 else fn())
-    return results
+    return [CRITERIA[num](seed) for num in selected]

@@ -8,13 +8,16 @@ the normalising constant:
 
 Row sums then equal 1 identically; the builder checks this for every row
 and fails loudly otherwise rather than normalising anything away.
+The kernel is stored as integer numerator rows over their least common
+denominator (`RatMatrix`); `evolve` and `lumping_check` work on those
+integers, and `row_of` and the exporters form `Fraction(c, den)` for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Optional
 
 from .hopf import AlgebraHandle, CppSpec, LinComb, apply_cpp, beta_n, eta, symmetrized_product
@@ -26,7 +29,8 @@ _ONE = Fraction(1)
 
 @dataclass
 class TransitionMatrix:
-    """Exact row-stochastic kernel over an ordered list of states."""
+    """Exact row-stochastic kernel over an ordered list of states: the step
+    from state i to state j has probability kernel.entries[i][j] / kernel.den."""
 
     states: list
     kernel: RatMatrix
@@ -44,10 +48,9 @@ class TransitionMatrix:
         return len(self.states)
 
     def row_of(self, x) -> dict:
-        i = self.index[x]
-        return {
-            y: p for y, p in zip(self.states, self.kernel.row(i)) if p
-        }
+        den = self.kernel.den
+        row = self.kernel.entries[self.index[x]]
+        return {y: Fraction(c, den) for y, c in zip(self.states, row) if c}
 
 
 def check_state_count(count: int, max_states: int) -> None:
@@ -84,31 +87,30 @@ def build_transition_matrix(
     index = {s: i for i, s in enumerate(states)}
     etas = [eta(alg, s) for s in states]
     beta = beta_n(spec)
-    rows = []
-    for i, x in enumerate(states):
-        image = apply_cpp(alg, LinComb.single(x), spec)
-        row = [_ZERO] * len(states)
-        scale = beta * etas[i]
-        nonzero = []
-        for y, c in image.items():
-            j = index.get(y)
-            if j is None:
-                raise ValueError(
-                    f"state space not closed: {x!r} reaches {y!r} outside the given states"
-                )
-            row[j] = p = c * etas[j] / scale
-            nonzero.append(p)
-        total = sum(nonzero, _ZERO)
+
+    def rows():  # one dense row at a time, from the sparse image of its state
+        for i, x in enumerate(states):
+            row = [0] * len(states)
+            scale = beta * etas[i]
+            for y, c in apply_cpp(alg, LinComb.single(x), spec).items():
+                j = index.get(y)
+                if j is None:
+                    raise ValueError(
+                        f"state space not closed: {x!r} reaches {y!r} outside the given states"
+                    )
+                row[j] = c * etas[j] / scale
+            yield row
+
+    kernel = RatMatrix(rows())
+    for x, row in zip(states, kernel.entries):
+        total = Fraction(sum(row), kernel.den)
         if total != 1:
-            raise ArithmeticError(
-                f"row for {x!r} sums to {total}, not 1: rescaling identity violated"
-            )
-        if any(p < 0 for p in nonzero):
+            raise ArithmeticError(f"row for {x!r} sums to {total}, not 1: rescaling identity violated")
+        if min(row) < 0:
             raise ArithmeticError(f"negative transition probability in row for {x!r}")
-        rows.append(row)
     return TransitionMatrix(
         states=states,
-        kernel=RatMatrix.from_rows(rows),
+        kernel=kernel,
         etas=etas,
         beta=beta,
         spec=spec,
@@ -142,23 +144,24 @@ def point_mass(matrix: TransitionMatrix, state) -> Distribution:
 
 
 def evolve(matrix: TransitionMatrix, start: Distribution, t: int) -> Distribution:
-    """Distribution after t steps: start x K^t, computed exactly."""
+    """Distribution after t steps: start x K^t, computed exactly on integer
+    numerators over the start's common denominator times den^t."""
     if t < 0:
         raise ValueError("negative time")
     if start.states != matrix.states:
         raise ValueError("distribution is over a different state list")
-    weights = list(start.weights)
-    kernel = matrix.kernel
+    den = lcm(*[w.denominator for w in start.weights])
+    weights = [w.numerator * (den // w.denominator) for w in start.weights]
     for _ in range(t):
-        new = [_ZERO] * matrix.size
-        for i, wi in enumerate(weights):
-            if not wi:
-                continue
-            for j, kij in enumerate(kernel.row(i)):
-                if kij:
-                    new[j] += wi * kij
+        new = [0] * matrix.size
+        for wi, row in zip(weights, matrix.kernel.entries):
+            if wi:
+                for j, a in enumerate(row):
+                    if a:
+                        new[j] += wi * a
         weights = new
-    return Distribution(states=matrix.states, weights=weights)
+    den *= matrix.kernel.den**t
+    return Distribution(states=matrix.states, weights=[Fraction(w, den) for w in weights])
 
 
 def expectations(
@@ -269,12 +272,11 @@ def lumping_check(matrix: TransitionMatrix, statistic: Callable) -> LumpingResul
     classes = sorted(set(labels), key=repr)
     class_index = {c: i for i, c in enumerate(classes)}
     lumped_rows: dict = {}
-    for i, x in enumerate(matrix.states):
-        sums = [_ZERO] * len(classes)
-        for j, p in enumerate(matrix.kernel.row(i)):
-            if p:
-                sums[class_index[labels[j]]] += p
-        label = labels[i]
+    for x, row, label in zip(matrix.states, matrix.kernel.entries, labels):
+        sums = [0] * len(classes)
+        for a, target in zip(row, labels):
+            if a:
+                sums[class_index[target]] += a
         if label in lumped_rows:
             prev_state, prev_sums = lumped_rows[label]
             if prev_sums != sums:
@@ -284,7 +286,8 @@ def lumping_check(matrix: TransitionMatrix, statistic: Callable) -> LumpingResul
                 return LumpingResult(ok=False, witness=(prev_state, x, bad))
         else:
             lumped_rows[label] = (x, sums)
-    kernel = RatMatrix.from_rows([lumped_rows[c][1] for c in classes])
+    den = matrix.kernel.den
+    kernel = RatMatrix([Fraction(a, den) for a in lumped_rows[c][1]] for c in classes)
     quotient = TransitionMatrix(states=classes, kernel=kernel)
     return LumpingResult(ok=True, quotient=quotient)
 
@@ -293,18 +296,25 @@ def lumping_check(matrix: TransitionMatrix, statistic: Callable) -> LumpingResul
 # export
 
 
+def _text_rows(matrix: TransitionMatrix) -> list[list[str]]:
+    """Kernel rows as "p/q" strings, one Fraction per distinct numerator."""
+    entries = matrix.kernel.entries
+    text = {c: str(Fraction(c, matrix.kernel.den)) for c in {c for row in entries for c in row}}
+    return [[text[c] for c in row] for row in entries]
+
+
 def matrix_to_csv(matrix: TransitionMatrix) -> str:
     """CSV with a header row of state encodings and rational-string entries."""
     lines = ["state," + ",".join(str(s) for s in matrix.states)]
-    for s, row in zip(matrix.states, matrix.kernel.entries):
-        lines.append(str(s) + "," + ",".join(str(e) for e in row))
+    for s, row in zip(matrix.states, _text_rows(matrix)):
+        lines.append(str(s) + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 
 def matrix_to_dict(matrix: TransitionMatrix) -> dict:
     data = {
         "states": [str(s) for s in matrix.states],
-        "rows": [[str(e) for e in row] for row in matrix.kernel.entries],
+        "rows": _text_rows(matrix),
     }
     if matrix.beta is not None:
         data["beta"] = str(matrix.beta)

@@ -233,8 +233,11 @@ def cmd_eigvecs(args) -> int:
 
 
 def _resolve_statistic(args, alg):
+    """The statistic as a callable, checked against the algebra before any kernel is built."""
     name = args.stat
     q = _rat_flag(args, "q")
+    if (name == "f_j") != (args.algebra == "forests"):
+        raise UsageError(f"statistic {name!r} does not apply to the {args.algebra} algebra")
     if name == "weighted-descents":
         return lambda w: weighted_descent_stat(w, q, alg.alphabet)
     if name == "weighted-peaks":
@@ -245,6 +248,8 @@ def _resolve_statistic(args, alg):
         return lambda w: Fraction(len(descent_peak_sets(w, alg.alphabet).peaks))
     if name == "f_j":
         j = args.j
+        if j < 2:
+            raise UsageError(f"--j must be >= 2 for f_j, got {j}")
         q1 = _rat_flag(args, "q1") if args.q1 else Fraction(1, 4)
         q3 = _rat_flag(args, "q3") if args.q3 else Fraction(1, 4)
         return lambda f: f_j_statistic(f, j, q1, q3)
@@ -257,9 +262,9 @@ def cmd_evolve(args) -> int:
     if start is None:
         raise UsageError("evolve needs a start state (--deck/--distinct/--forest)")
     spec = _load_spec(args, n)
+    stat = _resolve_statistic(args, alg)
     states = _states(args, alg, n, start)
     K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
-    stat = _resolve_statistic(args, alg)
     dist = point_mass(K, start)
     rows = [
         {"t": t, "expectation": str(value), "float": float(value)}

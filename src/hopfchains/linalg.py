@@ -1,17 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Scalars are `fractions.Fraction` throughout, so every result is exact and
-equality tests need no tolerance.  Elimination routines always pick the
-first nonzero pivot, which makes their output deterministic.  `rank` runs
-fraction-free (Bareiss) elimination on a denominator-cleared integer copy;
-intermediate entries are then minor determinants, which keeps coefficient
-growth under control.
+A `RatMatrix` is integer numerator rows over their least common
+denominator, so results are exact and equality needs no tolerance.  Row
+scaling changes neither rank nor null space, so the elimination routines
+take integer rows, picking the first nonzero pivot for determinism.
+`rank` runs fraction-free (Bareiss) elimination, whose intermediate
+entries are minor determinants; `rref` divides in `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
@@ -33,62 +33,60 @@ def rat(value) -> Fraction:
 
 
 class RatMatrix:
-    """A dense matrix of Fractions.  Treated as immutable after construction."""
+    """A rational matrix: integer numerator rows `entries` over their least
+    common denominator `den`, so entry (i, j) is entries[i][j] / den.
+    Treated as immutable after construction."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "den")
 
-    def __init__(self, entries: Iterable[Iterable]):
-        data = tuple(tuple(rat(e) for e in row) for row in entries)
-        if not data:
+    def __init__(self, entries: Iterable[Sequence]):
+        """Clear rows of ints, Fractions or "p/q" strings, one row at a time
+        (a generator of rows never exists as rationals all at once)."""
+        rows, dens = [], []
+        for row in entries:
+            nonzero = [(j, rat(e)) for j, e in enumerate(row) if e]
+            d = lcm(*[e.denominator for _, e in nonzero])
+            ints = [0] * len(row)
+            for j, e in nonzero:
+                ints[j] = e.numerator * (d // e.denominator)
+            rows.append(ints)
+            dens.append(d)
+        if not rows:
             raise ValueError("matrix needs at least one row")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
             raise ValueError("ragged rows: matrix must be rectangular")
-        self.entries = data
-        self.rows = len(data)
-        self.cols = width
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction]]) -> "RatMatrix":
-        """Wrap rows that are already Fractions (no per-entry coercion)."""
-        m = cls.__new__(cls)
-        m.entries = tuple(tuple(row) for row in rows)
-        m.rows = len(m.entries)
-        m.cols = len(m.entries[0]) if m.entries else 0
-        if any(len(row) != m.cols for row in m.entries):
-            raise ValueError("ragged rows: matrix must be rectangular")
-        return m
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+        den = lcm(*dens)
+        for i, d in enumerate(dens):
+            f = den // d
+            rows[i] = tuple([e * f for e in rows[i]] if f > 1 else rows[i])
+        self.entries, self.den, self.rows, self.cols = tuple(rows), den, len(rows), width
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.entries == other.entries
+        return isinstance(other, RatMatrix) and (self.den, self.entries) == (other.den, other.entries)
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(m: RatMatrix) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves rank and kernel)."""
-    out = []
-    for row in m.entries:
-        denom = lcm(*(e.denominator for e in row)) if row else 1
-        out.append([int(e * denom) for e in row])
-    return out
+def shifted(m: RatMatrix, lam: Fraction) -> list[list[int]]:
+    """Integer rows of m - lam*I scaled by q*den: q*A - p*den*I for lam = p/q."""
+    pd, q = lam.numerator * m.den, lam.denominator
+    return [
+        [q * e - pd if i == j else q * e for j, e in enumerate(row)] for i, row in enumerate(m.entries)
+    ]
 
 
-def rank(m: RatMatrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination.
+def rank(m: Sequence[Sequence[int]]) -> int:
+    """Exact rank of integer rows via fraction-free (Bareiss) elimination.
 
-    Pivots are the first nonzero entry down each column; the interior
-    update keeps all entries integral (divisions are exact).
+    Each row is first divided by the gcd of its entries (zero rows drop
+    out).  Pivots are the first nonzero entry down each column; the
+    interior update keeps all entries integral (divisions are exact).
     """
-    a = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
+    a = [[e // g for e in row] for row in m if (g := gcd(*row))]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
     r = 0
     prev = 1
     for col in range(ncols):
@@ -128,10 +126,10 @@ def rank(m: RatMatrix) -> int:
     return r
 
 
-def rref(m: RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
+def rref(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of integer or rational rows; returns (rows, pivot columns)."""
+    a = [list(row) for row in m]
+    nrows, ncols = len(a), len(a[0])
     pivots = []
     r = 0
     for col in range(ncols):
@@ -143,7 +141,7 @@ def rref(m: RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][col]
+        inv = Fraction(a[r][col])
         a[r] = [e / inv for e in a[r]]
         for i in range(nrows):
             if i != r and a[i][col]:
@@ -156,19 +154,20 @@ def rref(m: RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
     return a, pivots
 
 
-def nullspace(m: RatMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, from the reduced echelon form.
+def nullspace(m: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel of integer or rational rows, from the rref.
 
     Each basis vector has a 1 in one free column and the negated pivot-row
     entries elsewhere; the list is empty when the kernel is trivial.
     """
     a, pivots = rref(m)
+    cols = len(a[0])
     pivot_set = set(pivots)
     basis = []
-    for free in range(m.cols):
+    for free in range(cols):
         if free in pivot_set:
             continue
-        vec = [_ZERO] * m.cols
+        vec = [_ZERO] * cols
         vec[free] = _ONE
         for r, col in enumerate(pivots):
             vec[col] = -a[r][free]
@@ -180,21 +179,16 @@ def annihilation_check(m: RatMatrix, eigenvalues: Iterable[Fraction]) -> bool:
     """True iff the product of (m - lam*I) over the given set is zero.
 
     With the full eigenvalue set this certifies diagonalisability.  The
-    factors commute, so the product is evaluated in sorted order on a
-    denominator-cleared integer copy: m = A/L gives
-    m - (p/q) I = (qA - pL·I)/(qL), and the product vanishes iff the
-    product of the integer factors does.
+    factors commute, so the product is evaluated in sorted order on the
+    integer rows of `shifted`; each is a positive multiple of its factor,
+    so the product vanishes iff the rational one does.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise ValueError("annihilation_check needs a square matrix")
     n = m.rows
-    scale = lcm(*(e.denominator for row in m.entries for e in row))
-    a = [[int(e * scale) for e in row] for row in m.entries]
-    lams = sorted(set(rat(v) for v in eigenvalues))
     prod = None
-    for lam in lams:
-        p, q = lam.numerator, lam.denominator
-        factor = [[q * a[i][j] - (p * scale if i == j else 0) for j in range(n)] for i in range(n)]
+    for lam in sorted(set(rat(v) for v in eigenvalues)):
+        factor = shifted(m, lam)
         if prod is None:
             prod = factor
         else:
@@ -213,4 +207,4 @@ def annihilation_check(m: RatMatrix, eigenvalues: Iterable[Fraction]) -> bool:
             return True
     if prod is None:
         raise ValueError("need at least one eigenvalue")
-    return all(not e for row in prod for e in row)
+    return False

@@ -41,7 +41,7 @@ from .hopf import (
     product,
     symmetrized_product,
 )
-from .linalg import RatMatrix, annihilation_check, nullspace, rank, rat
+from .linalg import RatMatrix, annihilation_check, nullspace, rank, rat, shifted
 from .presets import top_m_unordered_spec, top_or_bottom_spec, trinomial_spec
 
 _ZERO = Fraction(0)
@@ -223,13 +223,7 @@ def verify_spectrum(matrix: TransitionMatrix, spectrum: Spectrum) -> SpectrumRep
     entries = []
     ok = True
     for value in sorted(agg):
-        shifted = RatMatrix.from_rows(
-            [
-                [e - value if i == j else e for j, e in enumerate(row)]
-                for i, row in enumerate(matrix.kernel.entries)
-            ]
-        )
-        actual = size - rank(shifted)
+        actual = size - rank(shifted(matrix.kernel, value))
         claimed = agg[value]
         entries.append((value, claimed, actual))
         if claimed != actual:
@@ -271,15 +265,15 @@ def primitive_basis(alg: AlgebraHandle, n: int) -> list[LinComb]:
                 key = (u, v)
                 if key not in pair_index:
                     pair_index[key] = len(pair_index)
-                col[pair_index[key]] = col.get(pair_index[key], _ZERO) + c
+                col[pair_index[key]] = col.get(pair_index[key], 0) + c
         columns.append(col)
     if not pair_index:
         return [LinComb.single(x) for x in basis]
-    rows = [[_ZERO] * len(basis) for _ in range(len(pair_index))]
+    rows = [[0] * len(basis) for _ in range(len(pair_index))]
     for j, col in enumerate(columns):
         for i, c in col.items():
             rows[i][j] = c
-    kernel = nullspace(RatMatrix.from_rows(rows))
+    kernel = nullspace(rows)
     return [
         LinComb({basis[j]: c for j, c in enumerate(vec) if c}) for vec in kernel
     ]
@@ -492,10 +486,10 @@ def lincomb_rank(vectors: list[LinComb]) -> int:
     """Rank of a family of combinations (columns) over their joint support."""
     keys = sorted({k for v in vectors for k in v.support()}, key=str)
     key_index = {k: i for i, k in enumerate(keys)}
-    rows = [[_ZERO] * len(vectors) for _ in keys]
+    rows = [[0] * len(vectors) for _ in keys]
     for col, v in enumerate(vectors):
         for k, c in v.items():
             rows[key_index[k]][col] = c
     if not rows:
         return 0
-    return rank(RatMatrix.from_rows(rows))
+    return rank(RatMatrix(rows).entries)

@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from hopfchains import acceptance
+from hopfchains.cli import main
 
 
 def _report(result):
@@ -119,3 +120,17 @@ def test_run_all_selection():
     results = acceptance.run_all(numbers=[1, 2])
     assert [r.number for r in results] == [1, 2]
     assert all(r.passed for r in results)
+
+
+def test_run_all_hands_every_criterion_the_seed(monkeypatch, capsys):
+    seen = {}
+
+    def recorder(num):
+        return lambda seed: seen.setdefault(num, seed)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {num: recorder(num) for num in acceptance.CRITERIA})
+    acceptance.run_all(seed=7)
+    assert seen == {num: 7 for num in range(1, 11)}
+    monkeypatch.undo()
+    assert main(["verify", "--criteria", "1", "--seed", "3"]) == 0
+    assert "1/1 criteria passed" in capsys.readouterr().out

@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, permutations
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
+from hopfchains import acceptance
 from hopfchains.chain import (
     Distribution,
     build_transition_matrix,
@@ -20,6 +21,7 @@ from hopfchains.chain import (
 )
 from hopfchains.forests import forest_algebra, parse_forest
 from hopfchains.hopf import LinComb, apply_cpp, beta_n, eta, product
+from hopfchains.linalg import RatMatrix
 from hopfchains.presets import (
     riffle_spec,
     top_or_bottom_spec,
@@ -59,9 +61,10 @@ def test_repeated_deck_row():
 def test_rows_sum_to_one_across_presets():
     for spec_fn in (top_to_random_spec, riffle_spec, lambda n: top_or_bottom_spec(n, F(1, 3))):
         _, _, K = _class_chain(4, spec_fn)
-        for row in K.kernel.entries:
-            assert sum(row) == 1
+        for x, row in zip(K.states, K.kernel.entries):
+            assert sum(row) == K.kernel.den
             assert all(p >= 0 for p in row)
+            assert sum(K.row_of(x).values()) == 1
 
 
 def test_doob_identity_directly():
@@ -226,7 +229,8 @@ def test_lumping_identity_and_constant():
     assert res.ok and res.quotient.size == K.size
     res = lumping_check(K, lambda s: "all")
     assert res.ok and res.quotient.size == 1
-    assert res.quotient.kernel.entries == ((F(1),),)
+    assert res.quotient.kernel.entries == ((1,),)
+    assert res.quotient.kernel.den == 1
 
 
 def test_lumping_descents_under_riffle():
@@ -237,7 +241,7 @@ def test_lumping_descents_under_riffle():
     assert res.ok
     assert res.quotient.size == 8
     for row in res.quotient.kernel.entries:
-        assert sum(row) == 1
+        assert sum(row) == res.quotient.kernel.den
 
 
 def test_lumping_failure_produces_witness():
@@ -262,3 +266,78 @@ def test_exports():
 
     dist = Distribution(states=K.states, weights=[F(1, 6)] * 6)
     assert distribution_to_dict(dist)["123"] == "1/6"
+
+
+# ---------------------------------------------------------------------------
+# oracles for the integer kernel
+
+
+def _fraction_rows(alg, spec, states):
+    """Reference kernel as dense Fraction rows, straight from the formula
+    K[x][y] = c_xy eta(y) / (beta_n eta(x))."""
+    index = {s: i for i, s in enumerate(states)}
+    beta = beta_n(spec)
+    rows = []
+    for x in states:
+        row = [F(0)] * len(states)
+        for y, c in apply_cpp(alg, LinComb.single(x), spec).items():
+            row[index[y]] = c * eta(alg, y) / (beta * eta(alg, x))
+        rows.append(row)
+    return rows
+
+
+def _fraction_evolve(rows, weights, t):
+    """Reference: the Fraction loop `evolve` ran before the kernel was stored
+    as integers."""
+    for _ in range(t):
+        new = [F(0)] * len(rows)
+        for i, wi in enumerate(weights):
+            if not wi:
+                continue
+            for j, kij in enumerate(rows[i]):
+                if kij:
+                    new[j] += wi * kij
+        weights = new
+    return weights
+
+
+def _grid(space):
+    return [m for m in acceptance._grid_matrices() if m[0] == space]
+
+
+GRID_SPACES = [label for label, *_ in acceptance.grid_spaces()]
+
+
+@pytest.mark.parametrize("space", GRID_SPACES)
+def test_integer_kernel_matches_fraction_reference(space):
+    for _, preset, alg, n, states, K in _grid(space):
+        rows = _fraction_rows(alg, K.spec, states)
+        assert [K.row_of(x) for x in states] == [
+            {y: p for y, p in zip(states, row) if p} for row in rows
+        ], preset
+        # a start law with a nontrivial common denominator, and a rational statistic
+        total = len(states) * (len(states) + 1) // 2
+        start = Distribution(states, [F(i + 1, total) for i in range(len(states))])
+        values = {x: F(i % 3, 2) for i, x in enumerate(states)}
+        reference = [_fraction_evolve(rows, start.weights, t) for t in range(4)]
+        for t in range(4):
+            assert evolve(K, start, t).weights == reference[t], (preset, t)
+        assert expectations(K, start, 3, values.__getitem__) == [
+            sum((w * values[x] for x, w in zip(states, ws)), F(0)) for ws in reference
+        ], preset
+
+
+@pytest.mark.parametrize("space", GRID_SPACES)
+def test_kernel_is_stored_over_its_least_common_denominator(space):
+    for _, preset, *_, K in _grid(space):
+        entries, den = K.kernel.entries, K.kernel.den
+        assert all(type(c) is int for row in entries for c in row), preset
+        assert den == lcm(*(F(c, den).denominator for row in entries for c in row)), preset
+
+
+def test_rational_rows_clear_to_their_least_common_denominator():
+    m = RatMatrix([["1/2", "1/3"]])
+    assert (m.entries, m.den) == (((3, 2),), 6)
+    assert RatMatrix([[2, -4]]).den == 1
+    # equal matrices compare equal however their entries were written
+    assert RatMatrix([[F(2, 4), 1], [0, "-3/6"]]) == RatMatrix([["1/2", "1"], ["0", "-1/2"]])

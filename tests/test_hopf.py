@@ -419,4 +419,6 @@ def test_built_matrix_stays_rational():
         K = build_transition_matrix(alg, spec)
         assert type(K.beta) is F
         assert all(type(e) is F for e in K.etas)
-        assert all(type(e) is F for row in K.kernel.entries for e in row)
+        assert type(K.kernel.den) is int and K.kernel.den > 0
+        assert all(type(e) is int for row in K.kernel.entries for e in row)
+        assert all(type(p) is F for x in K.states for p in K.row_of(x).values())

@@ -9,6 +9,7 @@ from hopfchains.linalg import (
     nullspace,
     rank,
     rat,
+    shifted,
 )
 from hopfchains.presets import riffle_spec, top_to_random_spec
 from hopfchains.shuffle import distinct_deck, rearrangement_class
@@ -39,11 +40,11 @@ def test_square_matches_two_step_path_enumeration():
     for i, x in enumerate(K.states):
         two_step = [F(0)] * K.size
         for mid in range(K.size):
-            p1 = K.kernel.row(i)[mid]
+            p1 = F(K.kernel.entries[i][mid], K.kernel.den)
             if not p1:
                 continue
             for j in range(K.size):
-                p2 = K.kernel.row(mid)[j]
+                p2 = F(K.kernel.entries[mid][j], K.kernel.den)
                 if p2:
                     two_step[j] += p1 * p2
         assert evolve(K, point_mass(K, x), 2).weights == two_step
@@ -67,33 +68,45 @@ def test_evolve_rejects_other_state_list():
 
 
 def test_nullspace_zero_and_identity():
-    assert len(nullspace(RatMatrix([[0, 0], [0, 0]]))) == 2
-    assert nullspace(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
+    assert len(nullspace([[0, 0], [0, 0]])) == 2
+    assert nullspace([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
 
 
 def test_nullspace_single_row():
-    (vec,) = nullspace(RatMatrix([[1, 1]]))
+    (vec,) = nullspace([[1, 1]])
     # one basis vector proportional to (1, -1)
     assert vec[0] * (-1) == vec[1]
     assert any(vec)
 
 
 def test_rank_basics():
-    assert rank(RatMatrix([[int(i == j) for j in range(4)] for i in range(4)])) == 4
-    assert rank(RatMatrix([[0] * 5] * 3)) == 0
-    assert rank(RatMatrix([[1, 2], [2, 4], [3, 6]])) == 1
+    assert rank([[int(i == j) for j in range(4)] for i in range(4)]) == 4
+    assert rank([[0] * 5] * 3) == 0
+    assert rank([[1, 2], [2, 4], [3, 6]]) == 1
+    assert rank([[4, 6], [-2, -3]]) == 1  # rows divided by their gcd keep their sign
 
 
 def test_rank_of_shifted_kernel():
     # the fixed-point space of the 6-state insertion chain is 1-dimensional
     K = _top_to_random_3()
-    shifted = RatMatrix(
-        [
-            [e - (1 if i == j else 0) for j, e in enumerate(row)]
-            for i, row in enumerate(K.kernel.entries)
-        ]
-    )
-    assert rank(shifted) == 5
+    den = K.kernel.den
+    minus_identity = [
+        [e - (den if i == j else 0) for j, e in enumerate(row)]
+        for i, row in enumerate(K.kernel.entries)
+    ]
+    assert rank(minus_identity) == 5
+    assert rank(shifted(K.kernel, 1)) == 5
+
+
+def test_shifted_is_a_positive_multiple_of_the_rational_shift():
+    m = RatMatrix([["1/2", "1/3"], ["1/4", 1]])
+    lam = F(2, 3)
+    rows = shifted(m, lam)
+    scale = lam.denominator * m.den
+    for i in range(2):
+        for j in range(2):
+            exact = F(m.entries[i][j], m.den) - (lam if i == j else 0)
+            assert F(rows[i][j], scale) == exact
 
 
 def test_rank_plus_nullity():
@@ -104,7 +117,7 @@ def test_rank_plus_nullity():
         RatMatrix([[0, 0, 1], [0, 0, 2]]),
     ]
     for m in mats:
-        assert rank(m) + len(nullspace(m)) == m.cols
+        assert rank(m.entries) + len(nullspace(m.entries)) == m.cols
 
 
 def test_rank_agrees_with_rref_pivots():
@@ -115,7 +128,7 @@ def test_rank_agrees_with_rref_pivots():
         RatMatrix([["1/7", 3], ["2/7", 6]]),
     ]
     for m in mats:
-        assert rank(m) == len(rref(m)[1])
+        assert rank(m.entries) == len(rref(m.entries)[1])
 
 
 def test_rank_matches_rref_on_random_degenerate_matrices():
@@ -138,8 +151,10 @@ def test_rank_matches_rref_on_random_degenerate_matrices():
         for row in base:
             row[kill] = F(0)
         m = RatMatrix(base)
-        assert rank(m) == len(rref(m)[1])
-        assert rank(m) + len(nullspace(m)) == m.cols
+        # rref and nullspace also accept the rational rows themselves
+        assert rank(m.entries) == len(rref(base)[1]) == len(rref(m.entries)[1])
+        assert rank(m.entries) + len(nullspace(base)) == m.cols
+        assert nullspace(base) == nullspace(m.entries)
 
 
 def test_annihilation_identity_and_jordan_block():

@@ -359,3 +359,32 @@ def test_cli_spec_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert spec_from_dict(data["spec"]) == spec
+
+
+STATISTIC_MISMATCHES = {
+    "word-statistic-on-forests": (
+        ["--algebra", "forests", "--forest", "(())", "--preset", "top-to-random",
+         "--stat", "descents"],
+        "does not apply to the forests algebra",
+    ),
+    "forest-statistic-on-words": (
+        ["--distinct", "3", "--preset", "riffle", "--stat", "f_j"],
+        "does not apply to the shuffle algebra",
+    ),
+    "forest-statistic-below-j-2": (
+        ["--algebra", "forests", "--forest", "(())", "--preset", "top-to-random",
+         "--stat", "f_j", "--j", "1"],
+        "--j must be >= 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["evolve", "simulate"])
+@pytest.mark.parametrize("case", sorted(STATISTIC_MISMATCHES))
+def test_cli_statistic_is_checked_before_the_kernel_is_built(capsys, monkeypatch, command, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a kernel for a statistic that cannot be evaluated")
+
+    monkeypatch.setattr("hopfchains.cli.build_transition_matrix", refuse)
+    flags, message = STATISTIC_MISMATCHES[case]
+    assert message in _usage_error(capsys, [command, *flags])

@@ -2,8 +2,9 @@
 
 For every drawn spec on a small state space, the formula spectrum must
 match the built matrix's rank-derived eigenspace dimensions (with a
-vanishing annihilation product), and every stationary law must be fixed
-by the kernel.  The examples are derandomised so the suite is repeatable.
+vanishing annihilation product), every stationary law must be fixed by
+the kernel, and on distinct decks the descent set must lump the chain.
+The examples are derandomised so the suite is repeatable.
 """
 
 from fractions import Fraction as F
@@ -11,10 +12,20 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfchains.chain import build_transition_matrix, is_stationary, stationary_distributions
+from hopfchains.chain import (
+    build_transition_matrix,
+    is_stationary,
+    lumping_check,
+    stationary_distributions,
+)
 from hopfchains.forests import forest_algebra
 from hopfchains.hopf import normalize_spec
-from hopfchains.shuffle import deck_from_string, rearrangement_class
+from hopfchains.shuffle import (
+    deck_from_string,
+    descent_peak_sets,
+    distinct_deck,
+    rearrangement_class,
+)
 from hopfchains.spectral import class_spectrum, verify_spectrum
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -71,3 +82,17 @@ def test_formula_spectrum_and_stationary_laws_on_random_specs(space, data):
     assert pis
     for pi in pis:
         assert is_stationary(K, pi)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_descent_set_lumps_on_random_specs(n, data):
+    # every single composition lumps by descent set, so every weighted sum does
+    alg, deck = distinct_deck(n)
+    K = build_transition_matrix(alg, _draw_spec(data, n), states=rearrangement_class(alg, deck))
+    res = lumping_check(K, lambda w: tuple(sorted(descent_peak_sets(w, alg.alphabet).descents)))
+    assert res.ok, res.witness
+    assert res.quotient.size <= 2 ** (n - 1)
+    for label in res.quotient.states:
+        assert sum(res.quotient.row_of(label).values()) == 1

@@ -292,7 +292,7 @@ def test_eigenvectors_give_right_eigenfunctions_of_the_chain():
         for vec in build_E_j(dual, n, j, q, content=(1, 1, 1)):
             f = [vec.vector.coefficient(s) for s in states]
             Kf = [
-                sum(K.kernel.row(i)[k] * f[k] for k in range(len(states)))
+                sum(F(K.kernel.entries[i][k], K.kernel.den) * f[k] for k in range(len(states)))
                 for i in range(len(states))
             ]
             assert Kf == [F(j, n) * v for v in f]
