@@ -172,21 +172,29 @@ def expectations(
 ) -> list[Fraction]:
     """Exact expectations E[stat(X_s)] of a rational statistic for s = 0..t.
 
-    One pass: the distribution advances one step at a time.
+    One pass: the distribution advances one step at a time.  The statistic
+    is evaluated at most once per state, the first time the state carries
+    weight.
     """
     if t < 0:
         raise ValueError("negative time")
     if start.states != matrix.states:
         raise ValueError("distribution is over a different state list")
     dist = start
-    values = []
+    values: list = [None] * matrix.size
+    out = []
     for s in range(t + 1):
         if s:
             dist = evolve(matrix, dist, 1)
-        values.append(
-            sum((w * rat(stat(x)) for x, w in zip(dist.states, dist.weights) if w), _ZERO)
-        )
-    return values
+        total = _ZERO
+        for i, w in enumerate(dist.weights):
+            if w:
+                v = values[i]
+                if v is None:
+                    v = values[i] = rat(stat(dist.states[i]))
+                total += w * v
+        out.append(total)
+    return out
 
 
 # ---------------------------------------------------------------------------

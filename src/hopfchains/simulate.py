@@ -15,6 +15,11 @@ consecutive piles of those sizes, top pile first, then builds the new deck
 from the bottom by repeatedly dropping the bottommost card of a pile
 chosen with probability proportional to its current size.  Any built
 transition matrix can also be sampled row by row (`matrix_stepper`).
+
+`run_trajectories` counts visits rather than samples: a statistic must be
+a pure function of the state, and it is evaluated once per distinct
+visited state, not once per sample.  The exact sample moments are
+count-weighted sums, so the report does not depend on trial order.
 """
 
 from __future__ import annotations
@@ -28,9 +33,8 @@ from typing import Callable
 
 from .chain import TransitionMatrix
 from .hopf import CppSpec, composition_law
+from .linalg import rat
 from .shuffle import Word
-
-_ZERO = Fraction(0)
 
 
 class RngStream:
@@ -128,7 +132,7 @@ def matrix_stepper(matrix: TransitionMatrix) -> Callable:
 
 @dataclass
 class StatSeries:
-    """Exact running sums for one statistic at each time step."""
+    """Exact sums of a statistic and of its square at each time step."""
 
     total: list  # Fraction sums per t
     total_sq: list
@@ -185,29 +189,41 @@ def run_trajectories(
 ) -> SimulationReport:
     """Run independent trajectories and accumulate exact sample moments.
 
-    Each trial uses its own stream (seed, trial+1), so the aggregate does
-    not depend on execution order and a parallel split would reproduce the
-    serial result bit for bit.
+    Each trial uses its own stream (seed, trial+1).  A sample only counts
+    a visit: one index gives each distinct state a slot, and one integer
+    row per time step counts the visits to each slot.  After the last
+    trial every statistic, a pure function of the state, is evaluated once
+    per distinct visited state, and the totals are the exact sums
+    sum(count * value) and sum(count * value^2) over each row.  Counts
+    commute, so the aggregate does not depend on trial order and a
+    parallel split would reproduce the serial result bit for bit.
     """
-    series = {
-        name: StatSeries(
-            total=[_ZERO] * (steps + 1),
-            total_sq=[_ZERO] * (steps + 1),
-            trials=trials,
-        )
-        for name in stats
-    }
+    index: dict = {}  # state -> slot
+    counts = [[] for _ in range(steps + 1)]  # counts[t][slot]
     for trial in range(trials):
         rng = RngStream(seed, trial + 1)
         state = start
-        for t in range(steps + 1):
+        for t, row in enumerate(counts):
             if t:
                 state = stepper(state, rng)
-            for name, fn in stats.items():
-                value = fn(state)
-                s = series[name]
-                s.total[t] += value
-                s.total_sq[t] += value * value
+            slot = index.get(state)
+            if slot is None:
+                slot = index[state] = len(index)
+                for r in counts:
+                    r.append(0)
+            row[slot] += 1
+    series = {}
+    for name, fn in stats.items():
+        values = [rat(fn(state)) for state in index]
+        den = lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        series[name] = StatSeries(
+            total=[Fraction(sum(c * x for c, x in zip(row, nums)), den) for row in counts],
+            total_sq=[
+                Fraction(sum(c * x * x for c, x in zip(row, nums)), den * den) for row in counts
+            ],
+            trials=trials,
+        )
     return SimulationReport(steps=steps, trials=trials, seed=seed, series=series)
 
 

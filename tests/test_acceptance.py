@@ -4,9 +4,9 @@ Criteria 7 and 9 contain a literally-stated check that is exactly false
 (each emits a defect line with a witness): the trinomial operator's
 eigenvalue on the j-singleton family is q2^(n-j), not q2^j, and the forest
 expectation bound's constant is too small although its decay rate is
-right.  Those two criteria are expected to report FAIL with a documented
-defect while every other sub-check inside them passes; the tests below
-assert exactly that state of affairs.
+right.  Those two criteria are expected to fail with a documented defect,
+under the status `[DEFECT]`, while every other sub-check inside them
+passes; the tests below assert exactly that state of affairs.
 """
 
 from fractions import Fraction as F
@@ -66,9 +66,19 @@ def test_criterion_07_eigenvectors_with_documented_defect():
     # ...but the criterion as stated is red: the literal trinomial
     # eigenvalue is unattainable, and the corrected exponent verifies.
     assert not r.passed
+    assert r.status_line().startswith("[DEFECT] criterion 7:")
     assert len(r.defects) == 1
     assert "q2^(n-j)" in r.defects[0]
     assert "confirmed for every vector" in r.defects[0]
+
+
+def test_status_line_tells_a_documented_defect_from_a_regression():
+    def status(lines, defects):
+        return acceptance.CriterionResult(7, "t", False, lines, defects=defects).status_line()
+
+    assert status(["ok"], ["documented"]).startswith("[DEFECT] criterion 7")
+    assert status(["FAIL: new regression"], ["documented"]).startswith("[FAIL] criterion 7")
+    assert status(["FAIL: new regression"], []).startswith("[FAIL] criterion 7")
 
 
 def test_criterion_08_descent_set_lumping():
@@ -80,6 +90,7 @@ def test_criterion_09_forest_bound_with_documented_defect():
     r = _report(acceptance.criterion_9())
     assert not any(line.startswith("FAIL") for line in r.lines)
     assert not r.passed
+    assert r.status_line().startswith("[DEFECT] criterion 9:")
     assert len(r.defects) == 1
     # the substance holds: exact decay-rate certificates all pass
     assert any("no spectral component above" in line for line in r.lines)

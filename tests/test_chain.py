@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, permutations
 from math import factorial, lcm
@@ -147,6 +148,21 @@ def test_expectations_match_evolve_at_every_step():
     other = Distribution(states=K.states[::-1], weights=start.weights[::-1])
     with pytest.raises(ValueError):
         expectations(K, other, 0, stat)
+
+
+def test_expectations_evaluate_the_statistic_once_per_state():
+    _, deck, K = _class_chain(4, lambda n: riffle_spec(n, 2))
+    start = point_mass(K, deck)
+    calls = Counter()
+
+    def stat(s):
+        calls[s] += 1
+        return F(len(descent_peak_sets(s, "1234").descents))
+
+    expectations(K, start, 5, stat)
+    reached = {x for t in range(6) for x, w in zip(K.states, evolve(K, start, t).weights) if w}
+    assert set(calls) == reached
+    assert set(calls.values()) == {1}
 
 
 def test_stationary_uniform_on_distinct_decks():

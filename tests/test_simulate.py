@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -17,9 +18,11 @@ from hopfchains.presets import (
 from hopfchains.shuffle import (
     Word,
     deck_from_string,
+    descent_peak_sets,
     distinct_deck,
     rearrangement_class,
     weighted_descent_stat,
+    weighted_peak_stat,
 )
 from hopfchains.simulate import (
     RngStream,
@@ -265,8 +268,6 @@ def test_run_trajectories_mean_matches_exact():
 
 def test_two_handed_descent_mean_at_t2():
     # ascending 5-card deck, two riffles: expected descent count (1-2^-2)*2
-    from hopfchains.shuffle import descent_peak_sets
-
     alg, deck = distinct_deck(5)
     spec = riffle_spec(5)
     stat_fn = lambda w_: F(len(descent_peak_sets(w_, alg.alphabet).descents))
@@ -286,6 +287,84 @@ def test_matrix_stepper_on_forests():
     check = empirical_row_check(K, start, trials=30_000, seed=SEED, stepper=matrix_stepper(K))
     assert not check.over_4_sigma
     assert check.chi_square < check.chi_square_limit
+
+
+def _reference_totals(start, steps, trials, stepper, seed, stats):
+    """Per-sample Fraction accumulation: the statistic at every sample."""
+    total = {name: [F(0)] * (steps + 1) for name in stats}
+    total_sq = {name: [F(0)] * (steps + 1) for name in stats}
+    for trial in range(trials):
+        rng = RngStream(seed, trial + 1)
+        state = start
+        for t in range(steps + 1):
+            if t:
+                state = stepper(state, rng)
+            for name, fn in stats.items():
+                value = fn(state)
+                total[name][t] += value
+                total_sq[name][t] += value * value
+    return total, total_sq
+
+
+def _trajectory_cases():
+    from hopfchains.forests import f_j_statistic, forest_algebra, parse_forest
+
+    alg, deck = distinct_deck(4)
+    riffle_stats = {
+        "wd": lambda w: weighted_descent_stat(w, F(1, 3), alg.alphabet),
+        "d": lambda w: F(len(descent_peak_sets(w, alg.alphabet).descents)),
+    }
+    yield pytest.param(deck, lambda: gsr_stepper(riffle_spec(4)), riffle_stats, id="riffle-distinct-4")
+    balg, bdeck = deck_from_string("aabb")
+    trinomial = trinomial_spec(4, F(1, 4), F(1, 4), F(1, 2))
+    deck_stats = {
+        "d": lambda w: F(len(descent_peak_sets(w, balg.alphabet).descents)),
+        "wp": lambda w: weighted_peak_stat(w, F(2, 5), balg.alphabet),
+    }
+    yield pytest.param(bdeck, lambda: gsr_stepper(trinomial), deck_stats, id="trinomial-aabb")
+    K = build_transition_matrix(forest_algebra(), trinomial_spec(4, F(1, 4), F(1, 2), F(1, 4)))
+    forest_stats = {
+        "f2": lambda f: f_j_statistic(f, 2, F(1, 2), F(1, 4)),
+        "f3": lambda f: f_j_statistic(f, 3, F(1, 3), F(1, 5)),
+    }
+    yield pytest.param(parse_forest("(()()())"), lambda: matrix_stepper(K), forest_stats, id="forests-4")
+
+
+@pytest.mark.parametrize("start, make_stepper, stats", list(_trajectory_cases()))
+def test_run_trajectories_totals_match_per_sample_reference(start, make_stepper, stats):
+    steps, trials = 3, 300
+    report = run_trajectories(start, steps, trials, make_stepper(), SEED, stats)
+    total, total_sq = _reference_totals(start, steps, trials, make_stepper(), SEED, stats)
+    for name in stats:
+        assert report.series[name].total == total[name], name
+        assert report.series[name].total_sq == total_sq[name], name
+
+
+def test_run_trajectories_evaluates_each_statistic_once_per_visited_state():
+    alg, deck = distinct_deck(4)
+    steps, trials = 3, 500
+    calls = {"a": Counter(), "b": Counter()}
+
+    def counted(name):
+        def stat(w):
+            calls[name][w] += 1
+            return F(len(descent_peak_sets(w, alg.alphabet).descents))
+
+        return stat
+
+    stepper = gsr_stepper(riffle_spec(4))
+    run_trajectories(deck, steps, trials, stepper, SEED, {n: counted(n) for n in calls})
+    visited = set()
+    for trial in range(trials):
+        rng, state = RngStream(SEED, trial + 1), deck
+        visited.add(state)
+        for _ in range(steps):
+            state = stepper(state, rng)
+            visited.add(state)
+    assert len(visited) <= len(rearrangement_class(alg, deck)) < trials * (steps + 1)
+    for counter in calls.values():
+        assert set(counter) == visited
+        assert set(counter.values()) == {1}
 
 
 def test_report_serialises_with_metadata():
