@@ -456,8 +456,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
                     # forces the large-eigenvalue coefficients to vanish.
                     small = [v for v in values if v <= q2**j]
                     if q2**j not in values:
-                        rate_ok = False
-                        lines.append(f"expected rate q2^{j} missing from the spectrum at n={n}")
+                        rate_ok = _fail(lines, f"expected rate q2^{j} missing from the spectrum at n={n}")
                         continue
                     poly = [F(1)]
                     for root in small:
@@ -468,8 +467,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
                     degree = len(poly) - 1
                     for t in range(horizon + 1 - degree):
                         if sum(poly[k] * seq[t + k] for k in range(degree + 1)) != 0:
-                            rate_ok = False
-                            lines.append(f"{start} j={j}: decay-rate certificate failed at t={t}")
+                            rate_ok = _fail(lines, f"{start} j={j}: decay-rate certificate failed at t={t}")
                             break
     if literal_violations:
         defects.append(

@@ -18,8 +18,10 @@ transition matrix can also be sampled row by row (`matrix_stepper`).
 
 `run_trajectories` counts visits rather than samples: a statistic must be
 a pure function of the state, and it is evaluated once per distinct
-visited state, not once per sample.  The exact sample moments are
-count-weighted sums, so the report does not depend on trial order.
+visited state, not once per sample (once per state of each batch of
+`_BATCH` distinct states when states rarely repeat, which keeps memory
+bounded).  The exact sample moments are count-weighted sums, so the
+report does not depend on trial order.
 """
 
 from __future__ import annotations
@@ -130,6 +132,12 @@ def matrix_stepper(matrix: TransitionMatrix) -> Callable:
     return step
 
 
+# distinct states run_trajectories holds before folding their counts into
+# the totals: it bounds memory when states rarely repeat, and exceeds the
+# 5,040 decks of a 7-card class, which is then evaluated once per state
+_BATCH = 1 << 13
+
+
 @dataclass
 class StatSeries:
     """Exact sums of a statistic and of its square at each time step."""
@@ -190,16 +198,35 @@ def run_trajectories(
     """Run independent trajectories and accumulate exact sample moments.
 
     Each trial uses its own stream (seed, trial+1).  A sample only counts
-    a visit: one index gives each distinct state a slot, and one integer
-    row per time step counts the visits to each slot.  After the last
-    trial every statistic, a pure function of the state, is evaluated once
-    per distinct visited state, and the totals are the exact sums
-    sum(count * value) and sum(count * value^2) over each row.  Counts
-    commute, so the aggregate does not depend on trial order and a
-    parallel split would reproduce the serial result bit for bit.
+    a visit: one index gives each distinct state a slot, and one sparse
+    slot -> count map per time step counts the visits to each slot.  Every
+    statistic, a pure function of the state, is then evaluated once per
+    distinct visited state, and the totals gain the exact sums
+    sum(count * value) and sum(count * value^2) over each time step.  The
+    index is folded into the totals and cleared whenever it holds `_BATCH`
+    states at the end of a trial, so memory stays bounded when states
+    rarely repeat; a class of at most `_BATCH` states is evaluated once per
+    state.  Counts commute, so the aggregate does not depend on trial
+    order and a parallel split would reproduce the serial result bit for
+    bit.
     """
+    totals = {name: ([Fraction(0)] * (steps + 1), [Fraction(0)] * (steps + 1)) for name in stats}
     index: dict = {}  # state -> slot
-    counts = [[] for _ in range(steps + 1)]  # counts[t][slot]
+    counts = [{} for _ in range(steps + 1)]  # counts[t][slot]
+
+    def fold() -> None:
+        for name, fn in stats.items():
+            values = [rat(fn(state)) for state in index]
+            den = lcm(*(v.denominator for v in values))
+            nums = [v.numerator * (den // v.denominator) for v in values]
+            total, total_sq = totals[name]
+            for t, row in enumerate(counts):
+                total[t] += Fraction(sum(c * nums[i] for i, c in row.items()), den)
+                total_sq[t] += Fraction(sum(c * nums[i] ** 2 for i, c in row.items()), den * den)
+        index.clear()
+        for row in counts:
+            row.clear()
+
     for trial in range(trials):
         rng = RngStream(seed, trial + 1)
         state = start
@@ -209,21 +236,14 @@ def run_trajectories(
             slot = index.get(state)
             if slot is None:
                 slot = index[state] = len(index)
-                for r in counts:
-                    r.append(0)
-            row[slot] += 1
-    series = {}
-    for name, fn in stats.items():
-        values = [rat(fn(state)) for state in index]
-        den = lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        series[name] = StatSeries(
-            total=[Fraction(sum(c * x for c, x in zip(row, nums)), den) for row in counts],
-            total_sq=[
-                Fraction(sum(c * x * x for c, x in zip(row, nums)), den * den) for row in counts
-            ],
-            trials=trials,
-        )
+            row[slot] = row.get(slot, 0) + 1
+        if len(index) >= _BATCH:
+            fold()
+    fold()
+    series = {
+        name: StatSeries(total=total, total_sq=total_sq, trials=trials)
+        for name, (total, total_sq) in totals.items()
+    }
     return SimulationReport(steps=steps, trials=trials, seed=seed, series=series)
 
 

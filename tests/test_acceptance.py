@@ -98,6 +98,23 @@ def test_criterion_09_forest_bound_with_documented_defect():
     assert any("vacuous" in line for line in r.flagged)
 
 
+def test_criterion_09_broken_rate_certificate_is_a_fail_not_a_defect(monkeypatch):
+    real = acceptance.expectations
+
+    def perturbed(*args, **kwargs):
+        seq = list(real(*args, **kwargs))
+        seq[-1] += 1
+        return seq
+
+    monkeypatch.setattr(acceptance, "expectations", perturbed)
+    r = acceptance.criterion_9()
+    assert r.defects
+    assert any(
+        line.startswith("FAIL") and "decay-rate certificate failed" in line for line in r.lines
+    )
+    assert r.status_line().startswith("[FAIL] criterion 9:")
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the stated forest bound is exactly false; witness: the 3-vertex "

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hopfchains import simulate
 from hopfchains.acceptance import grid_presets
 from hopfchains.chain import build_transition_matrix, expectations, point_mass
 from hopfchains.hopf import composition_law
@@ -338,6 +339,33 @@ def test_run_trajectories_totals_match_per_sample_reference(start, make_stepper,
     for name in stats:
         assert report.series[name].total == total[name], name
         assert report.series[name].total_sq == total_sq[name], name
+
+
+@pytest.mark.parametrize("start, make_stepper, stats", list(_trajectory_cases())[::2])
+def test_run_trajectories_folded_batches_match_per_sample_reference(
+    start, make_stepper, stats, monkeypatch
+):
+    # a batch of two distinct states forces a fold after nearly every trial
+    monkeypatch.setattr(simulate, "_BATCH", 2)
+    steps, trials = 3, 200
+    calls = Counter()
+
+    def counted(name, fn):
+        def stat(state):
+            calls[name] += 1
+            return fn(state)
+
+        return stat
+
+    counted_stats = {name: counted(name, fn) for name, fn in stats.items()}
+    report = run_trajectories(start, steps, trials, make_stepper(), SEED, counted_stats)
+    total, total_sq = _reference_totals(start, steps, trials, make_stepper(), SEED, stats)
+    for name in stats:
+        assert report.series[name].total == total[name], name
+        assert report.series[name].total_sq == total_sq[name], name
+        # each fold evaluates only the states seen since the last one, so
+        # the index is cleared and the calls stay within one per sample
+        assert calls[name] <= trials * (steps + 1), name
 
 
 def test_run_trajectories_evaluates_each_statistic_once_per_visited_state():
