@@ -25,7 +25,7 @@ from .chain import (
     point_mass,
     stationary_distributions,
 )
-from .forests import f_j_statistic, forest_algebra, parse_forest
+from .forests import f_j_statistic, forest_algebra, parse_forest, tree_count
 from .hopf import SpecError, multinomial, spec_from_dict, spec_to_dict
 from .linalg import rat
 from .presets import expand_preset, preset_names
@@ -116,11 +116,13 @@ def _class_size(alg, deck) -> int:
 
 
 def _states(args, alg, n, start) -> list:
-    """The chain's states.  A deck's class is checked against --max-states
-    by its closed-form size before it is enumerated."""
+    """The chain's states, checked against --max-states by their count
+    before they are enumerated: a deck's class by its multinomial size,
+    the forests on n vertices by the rooted trees on n + 1."""
     if args.algebra == "shuffle":
         check_state_count(_class_size(alg, start), args.max_states)
         return rearrangement_class(alg, start)
+    check_state_count(tree_count(n + 1), args.max_states)
     return alg.basis(n)
 
 
@@ -160,8 +162,8 @@ def cmd_matrix(args) -> int:
 def cmd_spectrum(args) -> int:
     alg, n, start = _setup_space(args)
     spec = _load_spec(args, n)
-    rep = alg.basis(n)[0] if start is None else start  # a full forest basis is one class
-    spectrum = class_spectrum(spec, alg, alg.content(rep))
+    content = (n,) if start is None else alg.content(start)  # all forests form one class
+    spectrum = class_spectrum(spec, alg, content)
     payload = {
         "command": "spectrum",
         "algebra": alg.name,

@@ -105,6 +105,21 @@ def enumerate_trees(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def tree_count(n: int) -> int:
+    """Number of rooted trees on n vertices (OEIS A000081), without
+    enumerating them; the forests on n vertices number tree_count(n + 1).
+
+    a(m+1) = (1/m) sum_{k=1..m} (sum_{d | k} d a(d)) a(m-k+1), a(1) = 1.
+    """
+    a = [0, 1]  # a[m]: rooted trees on m vertices
+    s = [0, 1]  # s[k]: sum of d a(d) over the divisors d of k
+    for m in range(1, n):
+        a.append(sum(s[k] * a[m - k + 1] for k in range(1, m + 1)) // m)
+        s.append(sum(d * a[d] for d in range(1, m + 2) if (m + 1) % d == 0))
+    return a[n] if n >= 1 else 0
+
+
+@lru_cache(maxsize=None)
 def enumerate_forests(n: int) -> tuple[Forest, ...]:
     """All rooted forests with n vertices, sorted by canonical encoding.
 
@@ -128,7 +143,7 @@ def enumerate_forests(n: int) -> tuple[Forest, ...]:
         for idx in range(start, len(pool)):
             size, tree = pool[idx]
             if size > remaining:
-                continue
+                break  # the pool is in increasing size order
             chosen.append(tree)
             extend(idx, remaining - size, chosen)
             chosen.pop()
@@ -216,7 +231,7 @@ class ForestAlgebra(AlgebraHandle):
     def generator_counts(self, content) -> dict:
         """Rooted trees of each size up to the vertex count."""
         (n,) = content
-        return {s: {(s,): len(enumerate_trees(s))} for s in range(1, n + 1)}
+        return {s: {(s,): tree_count(s)} for s in range(1, n + 1)}
 
 
 _FOREST_ALGEBRA = ForestAlgebra()

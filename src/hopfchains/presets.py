@@ -9,7 +9,7 @@ normalise so that the overall constant beta_n is 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .hopf import CppSpec, SpecError, normalize_spec
 from .linalg import rat
@@ -17,28 +17,33 @@ from .linalg import rat
 _ONE = Fraction(1)
 
 
-def weak_compositions(n: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to n."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in weak_compositions(n - first, parts - 1):
-            yield (first,) + rest
+def _compositions(n: int, most: int):
+    """All tuples of positive integers summing to n with at most `most` parts."""
+    if n == 0:
+        yield ()
+    elif most:
+        for first in range(1, n + 1):
+            for rest in _compositions(n - first, most - 1):
+                yield (first,) + rest
 
 
 def riffle_spec(n: int, a: int = 2) -> CppSpec:
-    """a-handed riffle: weight 1 on every cut into at most a piles."""
+    """a-handed riffle: weight 1 on every cut into at most a piles.
+
+    The cuts with empty piles strip to compositions of n; the k-part one
+    arises from C(a, k) cuts, so it is listed once with that weight.
+    """
     if a < 2:
         raise SpecError("riffle needs at least 2 hands")
-    return normalize_spec(n, [(comp, _ONE) for comp in weak_compositions(n, a)])
+    return normalize_spec(n, [(comp, comb(a, len(comp))) for comp in _compositions(n, a)])
 
 
 def biased_spec(n: int, qs) -> CppSpec:
     """Biased cuts: pile sizes (d_1..d_a) get weight prod q_i^(d_i).
 
     The q_i must be non-negative and sum to 1; with all q_i = 1/a this is
-    the a-handed riffle up to the overall constant.
+    the a-handed riffle up to the overall constant.  One pass over the
+    piles keeps the summed weight of each stripped composition so far.
     """
     qs = [rat(q) for q in qs]
     if len(qs) < 2:
@@ -47,13 +52,15 @@ def biased_spec(n: int, qs) -> CppSpec:
         raise SpecError("pile probabilities must be non-negative")
     if sum(qs) != 1:
         raise SpecError(f"pile probabilities must sum to 1, got {sum(qs)}")
-    terms = []
-    for comp in weak_compositions(n, len(qs)):
-        w = _ONE
-        for q, d in zip(qs, comp):
-            w *= q**d
-        terms.append((comp, w))
-    return normalize_spec(n, terms)
+    weights = {(): _ONE}  # stripped composition of the piles so far -> weight
+    for q in qs:
+        grown: dict = {}
+        for comp, w in weights.items():
+            for d in range(n + 1 - sum(comp)):
+                key = comp + (d,) if d else comp
+                grown[key] = grown.get(key, 0) + w * q**d
+        weights = grown
+    return normalize_spec(n, [(comp, w) for comp, w in weights.items() if sum(comp) == n])
 
 
 def top_m_ordered_spec(n: int, m: int) -> CppSpec:
@@ -108,15 +115,30 @@ def trinomial_spec(n: int, q1, q2, q3) -> CppSpec:
     return normalize_spec(n, terms)
 
 
+def _biased_preset(n: int, q=None, qs=None) -> CppSpec:
+    """biased from q (two hands) or qs=q1+q2+... (one pile each)."""
+    if qs is None and q is None:
+        raise SpecError("biased needs q (two hands) or qs=q1+q2+...")
+    if qs is None:
+        q = rat(q)
+        return biased_spec(n, [q, 1 - q])
+    if q is not None:
+        raise SpecError("unknown parameters for preset 'biased': ['q']")
+    return biased_spec(n, str(qs).split("+"))
+
+
+_REQUIRED = object()  # default of a parameter the preset cannot do without
+
+# name -> (builder called as builder(n, **params), {parameter: default})
 _PRESETS = {
-    "riffle": (riffle_spec, ("a",)),
-    "biased": (None, ("q", "qs")),  # expanded specially below
-    "top-m-ordered": (top_m_ordered_spec, ("m",)),
-    "top-m-unordered": (top_m_unordered_spec, ("m",)),
-    "top-or-bottom": (top_or_bottom_spec, ("q",)),
-    "top-to-random": (top_to_random_spec, ()),
-    "bottom-to-random": (bottom_to_random_spec, ()),
-    "trinomial": (trinomial_spec, ("q1", "q2", "q3")),
+    "riffle": (lambda n, a: riffle_spec(n, int(a)), {"a": 2}),
+    "biased": (_biased_preset, {"q": None, "qs": None}),
+    "top-m-ordered": (lambda n, m: top_m_ordered_spec(n, int(m)), {"m": _REQUIRED}),
+    "top-m-unordered": (lambda n, m: top_m_unordered_spec(n, int(m)), {"m": _REQUIRED}),
+    "top-or-bottom": (top_or_bottom_spec, {"q": _ONE / 2}),
+    "top-to-random": (top_to_random_spec, {}),
+    "bottom-to-random": (bottom_to_random_spec, {}),
+    "trinomial": (trinomial_spec, dict.fromkeys(("q1", "q2", "q3"), _REQUIRED)),
 }
 
 
@@ -128,54 +150,20 @@ def expand_preset(name: str, n: int, params: dict | None = None) -> CppSpec:
     """Expand a named preset at degree n; parameters as {"q": "1/3", ...}.
 
     Accepted names and parameters:
-      riffle [a=2]; biased (q | qs=q1,..,qa); top-m-ordered (m);
-      top-m-unordered (m); top-or-bottom (q); top-to-random;
+      riffle [a=2]; biased (q | qs=q1+..+qa); top-m-ordered (m);
+      top-m-unordered (m); top-or-bottom [q=1/2]; top-to-random;
       bottom-to-random; trinomial (q1, q2, q3).
     """
-    params = dict(params or {})
     if name not in _PRESETS:
         raise SpecError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
-    if name == "riffle":
-        a = int(params.pop("a", 2))
-        _reject_extras(name, params)
-        return riffle_spec(n, a)
-    if name == "biased":
-        if "qs" in params:
-            qs = [rat(q) for q in str(params.pop("qs")).split("+")]
-        elif "q" in params:
-            q = rat(params.pop("q"))
-            qs = [q, 1 - q]
-        else:
-            raise SpecError("biased needs q (two hands) or qs=q1+q2+...")
-        _reject_extras(name, params)
-        return biased_spec(n, qs)
-    if name in ("top-m-ordered", "top-m-unordered"):
-        if "m" not in params:
-            raise SpecError(f"{name} needs parameter m")
-        m = int(params.pop("m"))
-        _reject_extras(name, params)
-        fn = top_m_ordered_spec if name == "top-m-ordered" else top_m_unordered_spec
-        return fn(n, m)
-    if name == "top-or-bottom":
-        q = rat(params.pop("q", _ONE / 2))
-        _reject_extras(name, params)
-        return top_or_bottom_spec(n, q)
-    if name == "top-to-random":
-        _reject_extras(name, params)
-        return top_to_random_spec(n)
-    if name == "bottom-to-random":
-        _reject_extras(name, params)
-        return bottom_to_random_spec(n)
-    if name == "trinomial":
-        missing = [k for k in ("q1", "q2", "q3") if k not in params]
-        if missing:
-            raise SpecError(f"trinomial needs parameters {', '.join(missing)}")
-        q1, q2, q3 = params.pop("q1"), params.pop("q2"), params.pop("q3")
-        _reject_extras(name, params)
-        return trinomial_spec(n, q1, q2, q3)
-    raise SpecError(f"unhandled preset {name!r}")  # pragma: no cover
-
-
-def _reject_extras(name: str, params: dict) -> None:
-    if params:
-        raise SpecError(f"unknown parameters for preset {name!r}: {sorted(params)}")
+    build, defaults = _PRESETS[name]
+    params = dict(params or {})
+    required = [key for key, value in defaults.items() if value is _REQUIRED]
+    missing = [key for key in required if key not in params]
+    if missing:
+        noun = "parameters" if len(required) > 1 else "parameter"
+        raise SpecError(f"{name} needs {noun} {', '.join(missing)}")
+    extras = sorted(set(params) - set(defaults))
+    if extras:
+        raise SpecError(f"unknown parameters for preset {name!r}: {extras}")
+    return build(n, **{**defaults, **params})

@@ -30,7 +30,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable
 
 from .chain import TransitionMatrix
@@ -73,21 +73,16 @@ class RngStream:
         raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _integer_weights(pairs) -> tuple[list, list[int]]:
-    """Convert (item, Fraction probability) pairs to exact integer weights."""
-    items = [item for item, _ in pairs]
-    probs = [p for _, p in pairs]
-    denom = lcm(*(p.denominator for p in probs))
-    return items, [int(p * denom) for p in probs]
-
-
 def composition_sampler(spec: CppSpec) -> Callable:
     """Draw closure `rng -> composition` for the spec's breaking law.
 
     The law is resolved once into integer weights over the sorted
     compositions; each draw is one `pick_weighted` call.
     """
-    comps, weights = _integer_weights(sorted(composition_law(spec).items()))
+    law = sorted(composition_law(spec).items())
+    den = lcm(*(p.denominator for _, p in law))
+    comps = [comp for comp, _ in law]
+    weights = [p.numerator * (den // p.denominator) for _, p in law]
     return lambda rng: comps[rng.pick_weighted(weights)]
 
 
@@ -119,13 +114,22 @@ def gsr_stepper(spec: CppSpec) -> Callable:
 
 
 def matrix_stepper(matrix: TransitionMatrix) -> Callable:
-    """Generic row sampler for any built transition matrix."""
+    """Generic row sampler for any built transition matrix.
+
+    A row's weights are its nonzero integer numerators over their gcd:
+    the row sums to the kernel's denominator, so these are the least
+    integers in the row's proportions.
+    """
     row_cache: dict = {}
 
     def step(state, rng: RngStream):
         cached = row_cache.get(state)
         if cached is None:
-            cached = row_cache[state] = _integer_weights(matrix.row_of(state).items())
+            row = matrix.kernel.entries[matrix.index[state]]
+            targets = [y for y, c in zip(matrix.states, row) if c]
+            nums = [c for c in row if c]
+            g = gcd(*nums)
+            cached = row_cache[state] = targets, [c // g for c in nums]
         targets, weights = cached
         return targets[rng.pick_weighted(weights)]
 

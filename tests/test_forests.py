@@ -15,6 +15,7 @@ from hopfchains.forests import (
     forest_algebra,
     forest_product,
     parse_forest,
+    tree_count,
     vertex_stats,
 )
 from hopfchains.hopf import (
@@ -69,6 +70,13 @@ def test_enumeration_counts_match_recurrence():
     # forests with n vertices correspond to trees with n+1 (hang a new root)
     for n in range(0, 6):
         assert len(enumerate_forests(n)) == r[n + 1]
+
+
+def test_tree_count_matches_enumeration():
+    r = _tree_counts_oracle(10)
+    for n in range(0, 11):
+        assert tree_count(n) == len(enumerate_trees(n)) == (r[n] if n else 0)
+    assert tree_count(21) == 35_221_832  # OEIS A000081
 
 
 def test_enumerated_forests_are_distinct_and_sorted():

@@ -15,15 +15,53 @@ from hopfchains.presets import (
     top_or_bottom_spec,
     top_to_random_spec,
     trinomial_spec,
-    weak_compositions,
 )
+from hopfchains.hopf import normalize_spec
 from hopfchains.shuffle import distinct_deck, rearrangement_class
+
+
+def weak_compositions(n: int, parts: int):
+    """All tuples of `parts` non-negative integers summing to n: every cut
+    of n cards into `parts` piles, empty piles included."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in weak_compositions(n - first, parts - 1):
+            yield (first,) + rest
 
 
 def test_weak_compositions():
     comps = list(weak_compositions(2, 2))
     assert comps == [(0, 2), (1, 1), (2, 0)]
     assert all(sum(c) == 4 for c in weak_compositions(4, 3))
+
+
+def test_riffle_and_biased_match_the_sum_over_every_cut():
+    # the reference sums one term per cut into a piles, empty piles included
+    for n in range(2, 8):
+        for a in range(2, 7):
+            cuts = list(weak_compositions(n, a))
+            assert riffle_spec(n, a) == normalize_spec(n, [(c, 1) for c in cuts])
+            qs = [F(k, a * (a + 1) // 2) for k in range(1, a + 1)]
+            reference = []
+            for c in cuts:
+                w = F(1)
+                for q, d in zip(qs, c):
+                    w *= q**d
+                reference.append((c, w))
+            assert biased_spec(n, qs) == normalize_spec(n, reference)
+
+
+def test_many_hands_expand_without_enumerating_cuts():
+    # C(2000 + 3, 3) weak compositions of 4 would be listed one by one
+    spec = riffle_spec(4, 2000)
+    assert len(spec.terms) == 8  # the compositions of 4
+    assert dict(spec.terms)[(1, 1, 1, 1)] == 2000 * 1999 * 1998 * 1997 // 24
+    piles = 1200
+    spec = biased_spec(4, [F(1, piles)] * piles)
+    assert len(spec.terms) == 8
+    assert dict(spec.terms)[(4,)] == piles * F(1, piles) ** 4
 
 
 def test_top_or_bottom_at_q_one_is_top_to_random():
@@ -86,6 +124,24 @@ def test_expand_preset_errors():
         expand_preset("riffle", 4, {"bogus": "1"})
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("top-m-ordered", {}, "top-m-ordered needs parameter m"),
+        ("trinomial", {"q1": "1/4"}, "trinomial needs parameters q2, q3"),
+        ("trinomial", {"q1": "1/4", "q2": "1/2", "q3": "1/4", "x": "1"},
+         "unknown parameters for preset 'trinomial': ['x']"),
+        ("biased", {}, "biased needs q (two hands) or qs=q1+q2+..."),
+        ("biased", {"q": "1/3", "qs": "1/2+1/2"}, "unknown parameters for preset 'biased': ['q']"),
+        ("top-to-random", {"a": "2"}, "unknown parameters for preset 'top-to-random': ['a']"),
+    ],
+)
+def test_expand_preset_error_messages(name, params, message):
+    with pytest.raises(SpecError) as exc:
+        expand_preset(name, 4, params)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -132,6 +188,18 @@ def test_cli_matrix_csv_round_trip(tmp_path):
     assert main(args) == 0
     assert out.read_text() == first  # deterministic export
     assert first.splitlines()[0] == "state,aab,aba,baa"
+
+
+def test_cli_spectrum_forests_20_counts_every_forest(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumerated the forests on {n} vertices")
+
+    monkeypatch.setattr("hopfchains.forests.enumerate_forests", refuse)
+    code = main(["spectrum", "--algebra", "forests", "--n", "20", "--preset", "top-to-random"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    # the forests on 20 vertices number the rooted trees on 21 (A000081)
+    assert sum(data["by_eigenvalue"].values()) == 35_221_832
 
 
 def test_cli_spectrum_verified(capsys):
@@ -342,6 +410,31 @@ def test_cli_state_cap_is_checked_before_enumeration(capsys, monkeypatch):
     assert main(argv) == 0
     data = json.loads(capsys.readouterr().out)
     assert all("target" not in row for row in data["statistics"]["weighted-descents"])
+
+
+def test_cli_forest_cap_is_checked_before_enumeration(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumerated the forests on {n} vertices")
+
+    monkeypatch.setattr("hopfchains.forests.enumerate_forests", refuse)
+    for argv in (
+        ["matrix", "--algebra", "forests", "--n", "20", "--preset", "top-to-random"],
+        ["stationary", "--algebra", "forests", "--n", "20"],
+    ):
+        err = _usage_error(capsys, argv)
+        assert "state space has 35221832 elements, above the cap 1000" in err
+
+
+@pytest.mark.parametrize(
+    "preset, params",
+    [("riffle", "a=2000"), ("biased", "qs=" + "+".join(["1/1200"] * 1200))],
+    ids=["riffle-2000-hands", "biased-1200-piles"],
+)
+def test_cli_many_hands_spectrum(capsys, preset, params):
+    argv = ["spectrum", "--distinct", "4", "--preset", preset, "--params", params]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert sum(data["by_eigenvalue"].values()) == 24
 
 
 def test_cli_evolve_negative_time_is_usage_error(capsys):

@@ -290,6 +290,34 @@ def test_matrix_stepper_on_forests():
     assert check.chi_square < check.chi_square_limit
 
 
+def test_matrix_stepper_draws_as_the_reduced_fraction_row():
+    # reference: each row as reduced Fractions, cleared by the lcm of
+    # their denominators; the stepper must make the very same draws
+    from math import gcd, lcm
+
+    from hopfchains.forests import forest_algebra
+
+    falg = forest_algebra()
+    # thirds: a row scaled by a power of two would draw alike anyway
+    K = build_transition_matrix(falg, trinomial_spec(5, F(1, 3), F(1, 3), F(1, 3)))
+    assert any(gcd(*filter(None, row)) > 1 for row in K.kernel.entries)
+
+    def reference(state, rng):
+        row = K.row_of(state)
+        den = lcm(*(p.denominator for p in row.values()))
+        targets = list(row)
+        return targets[rng.pick_weighted([int(p * den) for p in row.values()])]
+
+    stepper = matrix_stepper(K)
+    for stream in range(10):
+        for start in K.states:
+            rng_a, rng_b = RngStream(SEED, stream), RngStream(SEED, stream)
+            a = b = start
+            for _ in range(10):
+                a, b = stepper(a, rng_a), reference(b, rng_b)
+                assert a == b
+
+
 def _reference_totals(start, steps, trials, stepper, seed, stats):
     """Per-sample Fraction accumulation: the statistic at every sample."""
     total = {name: [F(0)] * (steps + 1) for name in stats}
