@@ -4,8 +4,9 @@ A `RatMatrix` is integer numerator rows over their least common
 denominator, so results are exact and equality needs no tolerance.  Row
 scaling changes neither rank nor null space, so the elimination routines
 take integer rows, picking the first nonzero pivot for determinism.
-`rank` runs fraction-free (Bareiss) elimination, whose intermediate
-entries are minor determinants; `rref` divides in `Fraction`.
+`rank` and `nullspace` share one fraction-free (Bareiss) elimination,
+whose intermediate entries are minor determinants, so no `Fraction` is
+formed until the kernel vectors are read off.
 """
 
 from __future__ import annotations
@@ -77,19 +78,24 @@ def shifted(m: RatMatrix, lam: Fraction) -> list[list[int]]:
     ]
 
 
-def rank(m: Sequence[Sequence[int]]) -> int:
-    """Exact rank of integer rows via fraction-free (Bareiss) elimination.
+def _eliminate(rows: Sequence[Sequence[int]], reduced: bool) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) elimination of integer rows; returns (rows, pivot columns).
 
     Each row is first divided by the gcd of its entries (zero rows drop
-    out).  Pivots are the first nonzero entry down each column; the
-    interior update keeps all entries integral (divisions are exact).
+    out).  Pivots are the first nonzero entry down each column.  Every
+    updated entry is a minor of the input, so each division by the
+    previous pivot is exact.  With `reduced` the rows above each pivot are
+    cleared the same way (Gauss-Jordan form): every pivot entry then equals
+    the last pivot, and the pivot rows are that multiple of the reduced row
+    echelon form.  Without it only the rows below are cleared.
     """
-    a = [[e // g for e in row] for row in m if (g := gcd(*row))]
+    a = [[e // g for e in row] for row in rows if (g := gcd(*row))]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    r = 0
+    pivots: list[int] = []
     prev = 1
     for col in range(ncols):
+        r = len(pivots)
         pivot_row = None
         for i in range(r, nrows):
             if a[i][col]:
@@ -101,11 +107,15 @@ def rank(m: Sequence[Sequence[int]]) -> int:
             a[r], a[pivot_row] = a[pivot_row], a[r]
         pivot = a[r][col]
         arow = a[r]
-        for i in range(r + 1, nrows):
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
             irow = a[i]
             factor = irow[col]
+            # rows below are zero left of col; rows above are not
+            lo = col + 1 if i > r else 0
             if factor:
-                for j in range(col + 1, ncols):
+                for j in range(lo, ncols):
                     num = pivot * irow[j] - factor * arow[j]
                     q, rem = divmod(num, prev)
                     if rem:  # pragma: no cover - guards the Bareiss invariant
@@ -113,55 +123,34 @@ def rank(m: Sequence[Sequence[int]]) -> int:
                     irow[j] = q
                 irow[col] = 0
             else:
-                for j in range(col + 1, ncols):
+                for j in range(lo, ncols):
                     num = pivot * irow[j]
                     q, rem = divmod(num, prev)
                     if rem:  # pragma: no cover
                         raise ArithmeticError("non-exact division in Bareiss step")
                     irow[j] = q
         prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rref(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of integer or rational rows; returns (rows, pivot columns)."""
-    a = [list(row) for row in m]
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = Fraction(a[r][col])
-        a[r] = [e / inv for e in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [e - f * p for e, p in zip(a[i], a[r])]
         pivots.append(col)
-        r += 1
-        if r == nrows:
+        if len(pivots) == nrows:
             break
     return a, pivots
 
 
-def nullspace(m: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of integer or rational rows, from the rref.
+def rank(m: Sequence[Sequence[int]]) -> int:
+    """Exact rank of integer rows, by forward fraction-free elimination."""
+    return len(_eliminate(m, reduced=False)[1])
 
-    Each basis vector has a 1 in one free column and the negated pivot-row
-    entries elsewhere; the list is empty when the kernel is trivial.
+
+def nullspace(m: Sequence[Sequence[int]]) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel of integer rows, by fraction-free Gauss-Jordan.
+
+    Each basis vector has a 1 in one free column and, on each pivot
+    column, minus its pivot row's entry in the free column over the pivot;
+    the vectors come in free-column order, and the list is empty when the
+    kernel is trivial.
     """
-    a, pivots = rref(m)
-    cols = len(a[0])
+    a, pivots = _eliminate(m, reduced=True)
+    cols = len(m[0])
     pivot_set = set(pivots)
     basis = []
     for free in range(cols):
@@ -170,7 +159,7 @@ def nullspace(m: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
         vec = [_ZERO] * cols
         vec[free] = _ONE
         for r, col in enumerate(pivots):
-            vec[col] = -a[r][free]
+            vec[col] = Fraction(-a[r][free], a[r][col])
         basis.append(tuple(vec))
     return basis
 

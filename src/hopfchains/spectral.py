@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .chain import TransitionMatrix
@@ -68,28 +69,29 @@ def pairing_count(lam, comp) -> int:
     """Number of ways to assign lam's parts to blocks with sums comp.
 
     Blocks are ordered; a block of required sum 0 must stay empty.  The
-    count only depends on the multiset of nonzero parts of comp.
+    count only depends on the multiset of nonzero parts of comp, so the
+    search is memoised on (part index, sorted remaining block sums), and a
+    part placed in one of m blocks with equal remaining sum counts m times.
     """
     lam = tuple(lam)
     comp = tuple(comp)
     if sum(lam) != sum(comp):
         raise ValueError(f"size mismatch: {lam} vs {comp}")
-    remaining = [d for d in comp if d]
-    total_parts = len(lam)
 
-    def rec(idx: int) -> int:
-        if idx == total_parts:
-            return 1 if all(r == 0 for r in remaining) else 0
-        part = lam[idx]
+    @cache
+    def rec(idx: int, remaining: tuple) -> int:
+        # remaining: the block sums still to fill, sorted
+        if idx == len(lam):
+            return int(not any(remaining))
         count = 0
-        for b, r in enumerate(remaining):
-            if r >= part:
-                remaining[b] = r - part
-                count += rec(idx + 1)
-                remaining[b] = r
+        for r in set(remaining):
+            if r >= lam[idx]:
+                rest = list(remaining)
+                rest[rest.index(r)] = r - lam[idx]
+                count += remaining.count(r) * rec(idx + 1, tuple(sorted(rest)))
         return count
 
-    return rec(0)
+    return rec(0, tuple(sorted(comp)))
 
 
 def beta_lambda(spec: CppSpec, lam) -> Fraction:
@@ -247,36 +249,35 @@ def verify_spectrum(matrix: TransitionMatrix, spectrum: Spectrum) -> SpectrumRep
 def primitive_basis(alg: AlgebraHandle, n: int) -> list[LinComb]:
     """Basis of the degree-n primitives (reduced coproduct kernel).
 
-    The reduced coproduct drops the boundary terms 1(x)x and x(x)1; its
-    kernel is computed by exact elimination on the matrix whose rows are
-    the inner tensor pairs.
+    The reduced coproduct drops the boundary terms 1(x)x and x(x)1, and
+    maps the keys of one content only to tensor pairs of that content, so
+    each content class is eliminated on its own: its kernel is read off
+    the matrix whose rows are the class's inner tensor pairs.  A kernel
+    vector ends in its free column, so sorting the vectors by the basis
+    position of their last key gives the list and order that one
+    elimination over the whole basis would give.
     """
     if n < 1:
         raise ValueError("primitives live in degree >= 1")
     basis = alg.basis(n)
-    if not basis:
-        return []
-    pair_index: dict = {}
-    columns = []
-    for x in basis:
-        col: dict = {}
-        for (u, v), c in alg.coproduct_basis(x).items():
-            if 0 < u.degree < n:
-                key = (u, v)
-                if key not in pair_index:
-                    pair_index[key] = len(pair_index)
-                col[pair_index[key]] = col.get(pair_index[key], 0) + c
-        columns.append(col)
-    if not pair_index:
-        return [LinComb.single(x) for x in basis]
-    rows = [[0] * len(basis) for _ in range(len(pair_index))]
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows[i][j] = c
-    kernel = nullspace(rows)
-    return [
-        LinComb({basis[j]: c for j, c in enumerate(vec) if c}) for vec in kernel
-    ]
+    classes: dict = {}
+    for pos, x in enumerate(basis):
+        classes.setdefault(alg.content(x), []).append(pos)
+    found = []
+    for members in classes.values():
+        rows: dict = {}
+        for j, pos in enumerate(members):
+            for (u, v), c in alg.coproduct_basis(basis[pos]).items():
+                if 0 < u.degree < n:
+                    rows.setdefault((u, v), [0] * len(members))[j] += c
+        # with no inner pairs (degree 1) one zero row makes every key primitive
+        for vec in nullspace(list(rows.values()) or [[0] * len(members)]):
+            support = [j for j, c in enumerate(vec) if c]
+            found.append(
+                (members[support[-1]], LinComb({basis[members[j]]: vec[j] for j in support}))
+            )
+    found.sort(key=lambda item: item[0])
+    return [p for _, p in found]
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +286,12 @@ def primitive_basis(alg: AlgebraHandle, n: int) -> list[LinComb]:
 
 @dataclass
 class Eigenvector:
-    """An exact eigenvector with the multiset data that generated it."""
+    """An exact eigenvector of the q-weighted insertion operator."""
 
     vector: LinComb
     eigenvalue: Fraction
     j: int
     q: Fraction
-    singles: tuple  # degree-1 primitive keys used
-    higher: tuple  # higher-degree primitive combinations used
 
     def to_dict(self) -> dict:
         return {
@@ -308,7 +307,7 @@ def _partitions_min_2(total: int) -> list[tuple[int, ...]]:
     return [lam for lam in partitions(total) if not lam or min(lam) >= 2]
 
 
-def _higher_primitive_multisets(alg, n: int, total: int):
+def _higher_primitive_multisets(alg, total: int):
     """Multisets of higher-degree primitive basis vectors of total degree."""
     prims = {d: primitive_basis(alg, d) for d in range(2, total + 1)}
     for lam in _partitions_min_2(total):
@@ -348,7 +347,7 @@ def build_E_j(
     Requires a cocommutative algebra.  Every emitted vector is verified
     exactly against the operator q Proj_1*id + (1-q) id*Proj_1 at degree n;
     a failure aborts with the offending multisets.  With `content` set,
-    only multisets whose combined letter content matches are produced.
+    only multisets whose combined `alg.content` matches are produced.
     j = n-1 always yields the empty list: no primitive has total degree 1
     once the degree-1 slots are spent.
     """
@@ -357,23 +356,15 @@ def build_E_j(
     if not 0 <= j <= n:
         raise ValueError("j must lie in 0..n")
     q = rat(q)
-    singles = alg.basis(1)
     op_spec = top_or_bottom_spec(n, q)
+    higher = list(_higher_primitive_multisets(alg, n - j))
     results = []
-    for c_multiset in itertools.combinations_with_replacement(singles, j):
-        if content is not None:
-            c_content = [0] * len(content)
-            for key in c_multiset:
-                c_content[alg.rank[key.letters[0]]] += 1
-            if any(c > r for c, r in zip(c_content, content)):
-                continue
-        for p_multiset in _higher_primitive_multisets(alg, n, n - j):
+    for c_multiset in itertools.combinations_with_replacement(alg.basis(1), j):
+        for p_multiset in higher:
             if content is not None:
-                combined = list(c_content)
-                for p in p_multiset:
-                    for pos, cnt in enumerate(alg.content(next(iter(p.terms)))):
-                        combined[pos] += cnt
-                if tuple(combined) != tuple(content):
+                # a primitive is content-homogeneous: any key of its support gives its content
+                keys = c_multiset + tuple(next(iter(p.support())) for p in p_multiset)
+                if tuple(map(sum, zip(*map(alg.content, keys)))) != tuple(content):
                     continue
             middle = symmetrized_product(alg, p_multiset)
             vector = LinComb.zero()
@@ -406,8 +397,6 @@ def build_E_j(
                     eigenvalue=Fraction(j, n),
                     j=j,
                     q=q,
-                    singles=c_multiset,
-                    higher=p_multiset,
                 )
             )
     return results

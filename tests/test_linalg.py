@@ -12,7 +12,41 @@ from hopfchains.linalg import (
     shifted,
 )
 from hopfchains.presets import riffle_spec, top_to_random_spec
-from hopfchains.shuffle import distinct_deck, rearrangement_class
+from hopfchains.shuffle import FreeAssociativeAlgebra, distinct_deck, rearrangement_class
+from hopfchains.spectral import primitive_basis
+
+
+def rref(m):
+    """Oracle: reduced row echelon form over Fraction; returns (rows, pivot columns)."""
+    a = [[F(e) for e in row] for row in m]
+    pivots = []
+    for col in range(len(a[0])):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        a[r] = [e / a[r][col] for e in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [e - f * p for e, p in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def oracle_kernel(m):
+    """Oracle kernel basis read off the rref: one vector per free column, in order."""
+    a, pivots = rref(m)
+    cols = len(a[0])
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [F(0)] * cols
+        vec[free] = F(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -a[r][free]
+        basis.append(tuple(vec))
+    return basis
 
 
 def test_rat_parsing():
@@ -79,6 +113,25 @@ def test_nullspace_single_row():
     assert any(vec)
 
 
+def test_nullspace_skipped_columns_and_zero_rows():
+    rows = [
+        [0, 2, 4, 1, 0, 3],
+        [0, 0, 0, 0, 0, 0],
+        [0, 4, 8, 5, 0, 1],
+        [0, 0, 0, 0, 0, 0],
+        [0, -2, -4, 2, 0, -8],  # row 3 minus 3 times row 1
+    ]
+    kernel = nullspace(rows)
+    assert kernel == oracle_kernel(rows)
+    # free columns 0, 2, 4 and 5: the zero columns are unit vectors
+    assert [max(j for j, c in enumerate(v) if c) for v in kernel] == [0, 2, 4, 5]
+    assert kernel[0] == (1, 0, 0, 0, 0, 0) and kernel[2] == (0, 0, 0, 0, 1, 0)
+    assert kernel[3] == (0, F(-7, 3), 0, F(5, 3), 0, 1)
+    for v in kernel:
+        assert all(sum(e * x for e, x in zip(row, v)) == 0 for row in rows)
+    assert rank(rows) == 2
+
+
 def test_rank_basics():
     assert rank([[int(i == j) for j in range(4)] for i in range(4)]) == 4
     assert rank([[0] * 5] * 3) == 0
@@ -121,8 +174,6 @@ def test_rank_plus_nullity():
 
 
 def test_rank_agrees_with_rref_pivots():
-    from hopfchains.linalg import rref
-
     mats = [
         RatMatrix([[2, 4, 1], [1, 2, 0], [0, 0, 1]]),
         RatMatrix([["1/7", 3], ["2/7", 6]]),
@@ -134,10 +185,8 @@ def test_rank_agrees_with_rref_pivots():
 def test_rank_matches_rref_on_random_degenerate_matrices():
     import random
 
-    from hopfchains.linalg import rref
-
     rng = random.Random(2024)
-    for _ in range(25):
+    for _ in range(200):
         rows = rng.randrange(2, 7)
         cols = rng.randrange(2, 7)
         base = [
@@ -150,11 +199,12 @@ def test_rank_matches_rref_on_random_degenerate_matrices():
         kill = rng.randrange(cols)
         for row in base:
             row[kill] = F(0)
+        base.insert(rng.randrange(rows + 1), [F(0)] * cols)
         m = RatMatrix(base)
-        # rref and nullspace also accept the rational rows themselves
+        # integer rows have the rational rows' kernel, in the same basis
         assert rank(m.entries) == len(rref(base)[1]) == len(rref(m.entries)[1])
-        assert rank(m.entries) + len(nullspace(base)) == m.cols
-        assert nullspace(base) == nullspace(m.entries)
+        assert nullspace(m.entries) == oracle_kernel(base)
+        assert rank(m.entries) + len(nullspace(m.entries)) == m.cols
 
 
 def test_annihilation_identity_and_jordan_block():
@@ -168,3 +218,26 @@ def test_annihilation_riffle_eigenvalues():
     K = build_transition_matrix(alg, riffle_spec(3), states=states)
     assert annihilation_check(K.kernel, [F(1, 4), F(1, 2), F(1)])
     assert not annihilation_check(K.kernel, [F(1, 2), F(1)])
+
+
+def _whole_basis_primitives(alg, n):
+    """Oracle: the reduced coproduct kernel from one rref over the whole basis."""
+    basis = alg.basis(n)
+    rows: dict = {}
+    for j, x in enumerate(basis):
+        for (u, v), c in alg.coproduct_basis(x).items():
+            if 0 < u.degree < n:
+                rows.setdefault((u, v), [0] * len(basis))[j] += c
+    if not rows:
+        return [{x: F(1)} for x in basis]
+    return [{basis[j]: c for j, c in enumerate(v) if c} for v in oracle_kernel(list(rows.values()))]
+
+
+@pytest.mark.parametrize("alphabet, top", [("abc", 4), ("1234", 3)])
+def test_primitive_basis_matches_whole_basis_oracle(alphabet, top):
+    # primitive_basis eliminates one content class at a time; the list and
+    # its order must be those of one elimination over the whole basis
+    alg = FreeAssociativeAlgebra(alphabet)
+    for n in range(1, top + 1):
+        got = [dict(p.items()) for p in primitive_basis(alg, n)]
+        assert got == _whole_basis_primitives(alg, n)

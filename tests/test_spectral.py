@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -55,6 +56,41 @@ def test_pairing_count_examples():
 
     with pytest.raises(ValueError):
         pairing_count((2, 1), (1, 1))
+
+
+def _compositions(n):
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        comp, size = [], 1
+        for cut in cuts:
+            if cut:
+                comp.append(size)
+                size = 0
+            size += 1
+        yield tuple(comp + [size])
+
+
+def _brute_pairing_count(lam, comp):
+    # walk every assignment of parts to blocks, one at a time, never
+    # letting a block overflow its sum
+    def walk(idx, left):
+        if idx == len(lam):
+            return int(not any(left))
+        total = 0
+        for b, r in enumerate(left):
+            if r >= lam[idx]:
+                total += walk(idx + 1, left[:b] + (r - lam[idx],) + left[b + 1 :])
+        return total
+
+    return walk(0, tuple(comp))
+
+
+def test_pairing_count_matches_brute_force():
+    for n in range(1, 8):
+        for lam in partitions(n):
+            for comp in _compositions(n):
+                assert pairing_count(lam, comp) == _brute_pairing_count(lam, comp), (lam, comp)
+            # empty blocks stay empty
+            assert pairing_count(lam, (0, n, 0)) == _brute_pairing_count(lam, (0, n, 0)) == 1
 
 
 def test_pairing_count_order_invariance():
