@@ -30,7 +30,7 @@ from .hopf import (
     product,
     symmetrized_product,
 )
-from .linalg import RatMatrix, annihilation_check, nullspace, rank, rat
+from .linalg import RatMatrix, annihilation_check, eigenspace_dimensions, nullspace, rank, rat
 from .presets import expand_preset, preset_names
 from .shuffle import (
     FreeAssociativeAlgebra,

@@ -240,13 +240,15 @@ _LITERAL_SPECTRA = (
 
 @_criterion(3, "spectra vs matrices")
 def criterion_3(seed: int, r: CriterionResult) -> None:
-    """Formula spectra match rank-derived eigenspace dimensions exactly."""
+    """Formula spectra match trace-certified eigenspace dimensions exactly."""
     for space_label, preset_label, alg, n, states, K in _grid_matrices():
         spectrum = class_spectrum(K.spec, alg, alg.content(states[0]))
         report = verify_spectrum(K, spectrum)
         if not report.ok:
             _fail(r, f"{space_label} / {preset_label}: " + "; ".join(report.lines()))
-    r.lines.append("all grid spectra match rank-derived dimensions; annihilation products vanish")
+    r.lines.append(
+        "all grid spectra match trace-certified dimensions; annihilation products vanish"
+    )
 
     for label, n, make_spec, expected, note in _LITERAL_SPECTRA:
         spec = make_spec(n)

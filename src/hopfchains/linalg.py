@@ -12,7 +12,7 @@ formed until the kernel vectors are read off.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
@@ -164,36 +164,70 @@ def nullspace(m: Sequence[Sequence[int]]) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def annihilation_check(m: RatMatrix, eigenvalues: Iterable[Fraction]) -> bool:
-    """True iff the product of (m - lam*I) over the given set is zero.
+def eigenspace_dimensions(m: RatMatrix, eigenvalues: Iterable) -> dict | None:
+    """Eigenspace dimension of each given eigenvalue, or None if m is not
+    diagonalisable with its spectrum among them.
 
-    With the full eigenvalue set this certifies diagonalisability.  The
-    factors commute, so the product is evaluated in sorted order on the
-    integer rows of `shifted`; each is a positive multiple of its factor,
-    so the product vanishes iff the rational one does.
+    With lam_1 < ... < lam_r the distinct values and S_k the integer rows
+    of `shifted(m, lam_k)`, the chain P_k = P_(k-1) S_k is a positive
+    multiple (the running product of the q*den scales) of
+    prod_(i<=k) (m - lam_i I).  If P_r vanishes, m is diagonalisable with
+    eigenvalues among the lam, and then
+
+        tr prod_(i<=k) (m - lam_i I) = sum_(l>k) d_l prod_(i<=k) (lam_l - lam_i)
+
+    for k = 0..r-1, a triangular system in the dimensions d_l that is
+    solved from k = r-1 down (Horn-Johnson, Matrix Analysis, 3.3).  Once
+    some P_k vanishes every later trace is 0.  Each right factor is read
+    as sparse (column, value) rows.  No rank is taken.
     """
     if m.rows != m.cols:
-        raise ValueError("annihilation_check needs a square matrix")
+        raise ValueError("eigenspace_dimensions needs a square matrix")
+    lams = sorted(set(rat(v) for v in eigenvalues))
+    if not lams:
+        raise ValueError("need at least one eigenvalue")
     n = m.rows
-    prod = None
-    for lam in sorted(set(rat(v) for v in eigenvalues)):
+    traces = [Fraction(n)]  # tr P_0 = tr I
+    chain = None
+    scale = 1
+    for lam in lams:
         factor = shifted(m, lam)
-        if prod is None:
-            prod = factor
+        scale *= lam.denominator * m.den
+        if chain is None:
+            chain = factor
         else:
+            sparse = [[(j, e) for j, e in enumerate(row) if e] for row in factor]
             new = []
-            for row in prod:
+            for row in chain:
                 acc = [0] * n
                 for k, rk in enumerate(row):
                     if rk:
-                        frow = factor[k]
-                        for j, fkj in enumerate(frow):
-                            if fkj:
-                                acc[j] += rk * fkj
+                        for j, fkj in sparse[k]:
+                            acc[j] += rk * fkj
                 new.append(acc)
-            prod = new
-        if all(not e for row in prod for e in row):
-            return True
-    if prod is None:
-        raise ValueError("need at least one eigenvalue")
-    return False
+            chain = new
+        if not any(map(any, chain)):
+            break
+        traces.append(Fraction(sum(chain[i][i] for i in range(n)), scale))
+    else:
+        return None
+    traces += [_ZERO] * (len(lams) - len(traces))
+    dims = [0] * len(lams)
+    for k in reversed(range(len(lams))):
+        below = lams[:k]
+        known = zip(lams[k + 1 :], dims[k + 1 :])
+        rest = traces[k] - sum(d * prod(l - i for i in below) for l, d in known)
+        d = rest / prod(lams[k] - i for i in below)
+        if d.denominator != 1 or d < 0:  # pragma: no cover - guards the trace identity
+            raise ArithmeticError(f"eigenspace dimension {d} of {lams[k]} is not a count")
+        dims[k] = int(d)
+    return dict(zip(lams, dims))
+
+
+def annihilation_check(m: RatMatrix, eigenvalues: Iterable[Fraction]) -> bool:
+    """True iff the product of (m - lam*I) over the given set is zero.
+
+    With the full eigenvalue set this certifies diagonalisability; it is
+    the vanishing test of `eigenspace_dimensions`.
+    """
+    return eigenspace_dimensions(m, eigenvalues) is not None

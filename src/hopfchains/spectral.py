@@ -16,11 +16,12 @@ deck of distinct cards the count is the number of permutations of cycle
 type lam; for forests, whose content is the vertex count, it is
 prod_i multichoose(t_i, m_i(lam)) with t_i the rooted trees on i vertices.
 
-Verification against a built transition matrix is rank-based: the
-eigenspace dimension of lam-hat is states - rank(K - lam-hat I), and the
-product of (K - lam-hat I) over all claimed eigenvalues must vanish
+Verification against a built transition matrix is a trace certificate:
+the product of (K - lam-hat I) over all claimed eigenvalues must vanish
 (diagonalisability holds whenever the algebra is commutative or
-cocommutative).
+cocommutative), and then the traces of its partial products give every
+eigenspace dimension exactly (`linalg.eigenspace_dimensions`).  Only a
+product that does not vanish falls back to states - rank(K - lam-hat I).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .hopf import (
     product,
     symmetrized_product,
 )
-from .linalg import RatMatrix, annihilation_check, nullspace, rank, rat, shifted
+from .linalg import RatMatrix, eigenspace_dimensions, nullspace, rank, rat, shifted
 from .presets import top_m_unordered_spec, top_or_bottom_spec, trinomial_spec
 
 _ZERO = Fraction(0)
@@ -94,15 +95,23 @@ def pairing_count(lam, comp) -> int:
     return rec(0, tuple(sorted(comp)))
 
 
-def beta_lambda(spec: CppSpec, lam) -> Fraction:
-    """Eigenvalue numerator: sum of weight x pairing count over the terms."""
-    return sum((w * pairing_count(lam, comp) for comp, w in spec.terms), _ZERO)
-
-
 def eigenvalues(spec: CppSpec) -> dict:
-    """Map each partition of n to its eigenvalue beta_lam / beta_n."""
+    """Map each partition of n to its eigenvalue beta_lam / beta_n.
+
+    beta_lam sums weight x pairing count over the terms.  The count
+    depends only on the sorted nonzero blocks of a composition, so the
+    weights are summed per block multiset first and each multiset is
+    counted once per partition.
+    """
     beta = beta_n(spec)
-    return {lam: beta_lambda(spec, lam) / beta for lam in partitions(spec.n)}
+    weights: dict = {}
+    for comp, w in spec.terms:
+        blocks = tuple(sorted(b for b in comp if b))
+        weights[blocks] = weights.get(blocks, _ZERO) + w
+    return {
+        lam: sum((w * pairing_count(lam, blocks) for blocks, w in weights.items()), _ZERO) / beta
+        for lam in partitions(spec.n)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +207,7 @@ class SpectrumReport:
     """Comparison of a claimed spectrum against a built matrix."""
 
     ok: bool
-    entries: list  # (eigenvalue, claimed multiplicity, rank-derived dimension)
+    entries: list  # (eigenvalue, claimed multiplicity, eigenspace dimension)
     total_claimed: int
     size: int
     diagonalizable: bool
@@ -219,24 +228,24 @@ class SpectrumReport:
 
 
 def verify_spectrum(matrix: TransitionMatrix, spectrum: Spectrum) -> SpectrumReport:
-    """Rank-derived eigenspace dimensions and the annihilation certificate."""
+    """Eigenspace dimensions from the annihilation chain's traces.
+
+    One `eigenspace_dimensions` call on the claimed support certifies
+    diagonalisability and gives every dimension; a value claimed with
+    multiplicity 0 then has dimension 0.  Only when the product does not
+    vanish are the dimensions read off `rank`, so a failing report still
+    shows the true ones.
+    """
     size = matrix.size
     agg = spectrum.by_eigenvalue()
-    entries = []
-    ok = True
-    for value in sorted(agg):
-        actual = size - rank(shifted(matrix.kernel, value))
-        claimed = agg[value]
-        entries.append((value, claimed, actual))
-        if claimed != actual:
-            ok = False
-    total = spectrum.total_multiplicity()
-    if total != size:
-        ok = False
     support = [value for value, mult in agg.items() if mult > 0]
-    diag = annihilation_check(matrix.kernel, support)
+    dims = eigenspace_dimensions(matrix.kernel, support)
+    diag = dims is not None
     if not diag:
-        ok = False
+        dims = {value: size - rank(shifted(matrix.kernel, value)) for value in agg}
+    entries = [(value, agg[value], dims.get(value, 0)) for value in sorted(agg)]
+    total = spectrum.total_multiplicity()
+    ok = diag and total == size and all(claimed == actual for _, claimed, actual in entries)
     return SpectrumReport(
         ok=ok, entries=entries, total_claimed=total, size=size, diagonalizable=diag
     )

@@ -6,6 +6,7 @@ from hopfchains.chain import build_transition_matrix, evolve, point_mass
 from hopfchains.linalg import (
     RatMatrix,
     annihilation_check,
+    eigenspace_dimensions,
     nullspace,
     rank,
     rat,
@@ -218,6 +219,61 @@ def test_annihilation_riffle_eigenvalues():
     K = build_transition_matrix(alg, riffle_spec(3), states=states)
     assert annihilation_check(K.kernel, [F(1, 4), F(1, 2), F(1)])
     assert not annihilation_check(K.kernel, [F(1, 2), F(1)])
+
+
+def _similar_diagonal(rng, diagonal):
+    """S D S^-1 for a random unit upper times unit lower triangular S."""
+    n = len(diagonal)
+
+    def entry():
+        return F(rng.randrange(-2, 3))
+
+    upper = [[entry() if j > i else F(int(i == j)) for j in range(n)] for i in range(n)]
+    lower = [[entry() if j < i else F(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    def inverse(a):
+        rows = [row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+        return [row[n:] for row in rref(rows)[0]]
+
+    s = mul(upper, lower)
+    d = [[diagonal[i] if i == j else F(0) for j in range(n)] for i in range(n)]
+    return mul(mul(s, d), inverse(s))
+
+
+def test_eigenspace_dimensions_match_rank_on_random_diagonalisable_matrices():
+    import random
+
+    rng = random.Random(11)
+    pool = [F(-1), F(0), F(1, 3), F(1, 2), F(2), F(5, 4)]
+    for _ in range(60):
+        size = rng.randrange(2, 7)
+        diagonal = [rng.choice(pool[:4]) for _ in range(size)]
+        m = RatMatrix(_similar_diagonal(rng, diagonal))
+        # every true eigenvalue plus candidates of dimension 0
+        candidates = sorted(set(diagonal) | set(rng.sample(pool, 2)))
+        dims = eigenspace_dimensions(m, candidates)
+        assert dims == {lam: size - rank(shifted(m, lam)) for lam in candidates}
+        assert dims == {lam: diagonal.count(lam) for lam in candidates}
+
+
+def test_eigenspace_dimensions_none_without_a_certificate():
+    jordan = RatMatrix([[F(1, 2), 1, 0], [0, F(1, 2), 0], [0, 0, 1]])
+    assert eigenspace_dimensions(jordan, [F(1, 2), F(1)]) is None
+    diagonal = RatMatrix([[F(1, 3), 0], [0, 2]])
+    assert eigenspace_dimensions(diagonal, [F(1, 3), 2]) == {F(1, 3): 1, 2: 1}
+    # a true eigenvalue left out of the list
+    alg, deck = distinct_deck(3)
+    states = rearrangement_class(alg, deck)
+    K = build_transition_matrix(alg, riffle_spec(3), states=states)
+    assert eigenspace_dimensions(K.kernel, [F(1, 4), F(1, 2), F(1)]) == {
+        F(1, 4): 2,
+        F(1, 2): 3,
+        F(1): 1,
+    }
+    assert eigenspace_dimensions(K.kernel, [F(1, 4), F(1)]) is None
 
 
 def _whole_basis_primitives(alg, n):

@@ -1,9 +1,10 @@
 """Property tests over random non-negatively weighted operator specs.
 
 For every drawn spec on a small state space, the formula spectrum must
-match the built matrix's rank-derived eigenspace dimensions (with a
-vanishing annihilation product), every stationary law must be fixed by
-the kernel, and on distinct decks the descent set must lump the chain.
+match the built matrix's eigenspace dimensions, certified by a vanishing
+annihilation product and the traces of its partial products; every
+stationary law must be fixed by the kernel, and on distinct decks the
+descent set must lump the chain.
 The examples are derandomised so the suite is repeatable.
 """
 

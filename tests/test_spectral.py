@@ -4,9 +4,10 @@ from math import comb, factorial
 
 import pytest
 
-from hopfchains.chain import build_transition_matrix
+from hopfchains.chain import TransitionMatrix, build_transition_matrix
 from hopfchains.forests import enumerate_trees, forest_algebra
 from hopfchains.hopf import LinComb, apply_cpp, beta_n, iterated_coproduct
+from hopfchains.linalg import RatMatrix
 from hopfchains.presets import (
     biased_spec,
     riffle_spec,
@@ -244,6 +245,45 @@ def test_verify_spectrum_catches_wrong_multiplicity():
     report = verify_spectrum(K, wrong)
     assert not report.ok
     assert any(claimed != actual for _, claimed, actual in report.entries)
+
+    # a multiplicity moved between two claimed eigenvalues: the support is
+    # unchanged, so the trace certificate holds and reports the true dimensions
+    truth = sorted(right.by_eigenvalue().items())
+    assert truth == [(F(1, 4), 2), (F(1, 2), 1), (F(1), 1)]
+    table = [list(row) for row in right.table]
+    next(row for row in table if row[1] == F(1, 4) and row[2])[2] -= 1
+    next(row for row in table if row[1] == F(1, 2) and row[2])[2] += 1
+    report = verify_spectrum(K, Spectrum(table=tuple(map(tuple, table))))
+    assert not report.ok and report.diagonalizable
+    assert report.entries == [(F(1, 4), 1, 2), (F(1, 2), 2, 1), (F(1), 1, 1)]
+    assert report.total_claimed == K.size
+
+    # a true eigenvalue claimed with multiplicity 0: the product no longer
+    # vanishes, and the rank fallback still shows its true dimension
+    dropped = Spectrum(
+        table=tuple((lam, v, 0 if v == F(1, 2) else mult) for lam, v, mult in right.table)
+    )
+    report = verify_spectrum(K, dropped)
+    assert not report.ok and not report.diagonalizable
+    assert report.entries == [(F(1, 4), 2, 2), (F(1, 2), 0, 1), (F(1), 1, 1)]
+    assert "annihilation product DOES NOT vanish" in report.lines()
+
+
+def test_verify_spectrum_rejects_a_non_diagonalisable_kernel():
+    h = F(1, 2)
+    kernel = RatMatrix([[h, h, 0], [0, h, h], [0, 0, 1]])
+    K = TransitionMatrix(states=["x", "y", "z"], kernel=kernel)
+    # the right eigenvalues and algebraic multiplicities, but 1/2 has one eigenvector
+    claimed = Spectrum(table=(((1,), F(1), 1), ((2,), h, 2)))
+    report = verify_spectrum(K, claimed)
+    assert not report.ok and not report.diagonalizable
+    assert report.entries == [(h, 2, 1), (F(1), 1, 1)]
+    assert report.lines() == [
+        "eigenvalue 1/2: claimed 2, matrix 1 [MISMATCH]",
+        "eigenvalue 1: claimed 1, matrix 1 [ok]",
+        "multiplicity total 3 vs 3 states [ok]",
+        "annihilation product DOES NOT vanish",
+    ]
 
 
 def test_verify_spectrum_forest_grid_cell():
