@@ -46,7 +46,7 @@ from .hopf import (
     check_coassociativity,
     check_state_space_basis,
 )
-from .linalg import annihilation_check
+from .linalg import annihilation_check, eigenspace_dimensions
 from .presets import (
     biased_spec,
     riffle_spec,
@@ -71,6 +71,7 @@ from .simulate import empirical_row_check, gsr_stepper, run_trajectories
 from .spectral import (
     build_E_j,
     class_spectrum,
+    group_certifiable,
     lincomb_rank,
     polynomial_eigenvalue_check,
     trinomial_eigenvalue_check,
@@ -240,22 +241,35 @@ _LITERAL_SPECTRA = (
 
 @_criterion(3, "spectra vs matrices")
 def criterion_3(seed: int, r: CriterionResult) -> None:
-    """Formula spectra match trace-certified eigenspace dimensions exactly."""
+    """Formula spectra match trace-certified eigenspace dimensions exactly.
+
+    A distinct deck's class is certified in the group algebra; there the
+    built kernel's matrix chain must give the same dimensions.
+    """
+    both = 0
     for space_label, preset_label, alg, n, states, K in _grid_matrices():
         spectrum = class_spectrum(K.spec, alg, alg.content(states[0]))
-        report = verify_spectrum(K, spectrum)
+        report = verify_spectrum(alg, K.spec, states, spectrum)
         if not report.ok:
             _fail(r, f"{space_label} / {preset_label}: " + "; ".join(report.lines()))
+        elif group_certifiable(alg, states, n):
+            support = [value for value, claimed, _ in report.entries if claimed]
+            dims = eigenspace_dimensions(K.kernel, support)
+            if dims is None or any(dims.get(v, 0) != d for v, _, d in report.entries):
+                _fail(r, f"{space_label} / {preset_label}: matrix certificate gives {dims}")
+            both += 1
     r.lines.append(
-        "all grid spectra match trace-certified dimensions; annihilation products vanish"
+        "all grid spectra match trace-certified dimensions; annihilation products vanish; "
+        f"the {both} distinct-deck cells agree by the group-algebra and matrix certificates"
     )
 
     for label, n, make_spec, expected, note in _LITERAL_SPECTRA:
         spec = make_spec(n)
-        alg, deck, K = _distinct_chain(n, spec)
+        alg, deck = distinct_deck(n)
         spectrum = class_spectrum(spec, alg, alg.content(deck))
         got = {v: m for v, m in spectrum.by_eigenvalue().items() if m}
-        if got != expected or not verify_spectrum(K, spectrum).ok:
+        states = rearrangement_class(alg, deck)
+        if got != expected or not verify_spectrum(alg, spec, states, spectrum).ok:
             _fail(r, f"{label} spectrum is {got}")
         else:
             shown = ", ".join(f"{v}:{m}" for v, m in expected.items())

@@ -8,6 +8,21 @@ the normalising constant:
 
 Row sums then equal 1 identically; the builder checks this for every row
 and fails loudly otherwise rather than normalising anything away.
+
+Word states (either word algebra, any state list) take the relabelled
+build.  Both word algebras cut and merge by position and never read a
+card label, so relabelling letters is a Hopf morphism: eta is the same on
+every word of a degree, and the operator's image of x is its image of
+the distinct word 0 1 ... n-1 with each key sigma read as x.sigma,
+(x.sigma)[i] = x[sigma[i]] (Pang, arXiv:1508.01570).  So one `apply_cpp`
+call gives the position law Q (`shuffle.position_law`), and
+K[x][x.sigma] += Q(sigma).  Q can hold n! permutations, so it is formed
+only when n! is at most the kernel's entry count: always on a distinct
+deck's class, but not on a deck such as aaaaaaaab, whose 9 states a
+per-row build reaches without ever forming 9! permutations.  Forests,
+whose coproduct reads tree shapes, and those word lists take one
+`apply_cpp` call per state (`per_row_kernel`); a test checks the two
+builds entry by entry on every word space of the grid.
 The kernel is stored as integer numerator rows over their least common
 denominator (`RatMatrix`); `evolve` and `lumping_check` work on those
 integers, and `row_of` and the exporters form `Fraction(c, den)` for output.
@@ -22,6 +37,7 @@ from typing import Callable, Optional
 
 from .hopf import AlgebraHandle, CppSpec, LinComb, apply_cpp, beta_n, eta, symmetrized_product
 from .linalg import RatMatrix, rat
+from .shuffle import Word, WordAlgebra, position_law, relabel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -72,7 +88,10 @@ def build_transition_matrix(
 
     `states` defaults to the full degree-n basis; passing a sublist (for
     example one deck's rearrangement class) restricts to it, and the
-    builder raises if the operator ever leaves that set.
+    builder raises if the operator ever leaves that set.  Word states take
+    the relabelled build from one position law when n! is at most the
+    square of the state count; forests, and word lists with many repeated
+    letters, take one `apply_cpp` call per state.
     """
     n = spec.n
     if states is None:
@@ -84,24 +103,14 @@ def build_transition_matrix(
     for s in states:
         if s.degree != n:
             raise ValueError(f"state {s!r} has degree {s.degree}, spec degree is {n}")
-    index = {s: i for i, s in enumerate(states)}
-    etas = [eta(alg, s) for s in states]
-    beta = beta_n(spec)
-
-    def rows():  # one dense row at a time, from the sparse image of its state
-        for i, x in enumerate(states):
-            row = [0] * len(states)
-            scale = beta * etas[i]
-            for y, c in apply_cpp(alg, LinComb.single(x), spec).items():
-                j = index.get(y)
-                if j is None:
-                    raise ValueError(
-                        f"state space not closed: {x!r} reaches {y!r} outside the given states"
-                    )
-                row[j] = c * etas[j] / scale
-            yield row
-
-    kernel = RatMatrix(rows())
+    # the position law holds up to n! permutations: it is formed only when
+    # that is no more than the kernel's entries (every distinct-deck class)
+    if isinstance(alg, WordAlgebra) and factorial(n) <= len(states) ** 2:
+        etas = [eta(alg, states[0])] * len(states)  # eta reads no label
+        kernel = relabelled_kernel(*position_law(alg, spec), states)
+    else:
+        etas = [eta(alg, s) for s in states]
+        kernel = per_row_kernel(alg, spec, states, etas)
     for x, row in zip(states, kernel.entries):
         total = Fraction(sum(row), kernel.den)
         if total != 1:
@@ -112,10 +121,48 @@ def build_transition_matrix(
         states=states,
         kernel=kernel,
         etas=etas,
-        beta=beta,
+        beta=beta_n(spec),
         spec=spec,
-        index=index,
     )
+
+
+def _not_closed(x, y) -> ValueError:
+    return ValueError(f"state space not closed: {x!r} reaches {y!r} outside the given states")
+
+
+def per_row_kernel(alg: AlgebraHandle, spec: CppSpec, states: list, etas: list) -> RatMatrix:
+    """K[x][y] = c_xy eta(y) / (beta_n eta(x)), one `apply_cpp` call per state."""
+    index = {s: i for i, s in enumerate(states)}
+    beta = beta_n(spec)
+
+    def rows():  # one dense row at a time, from the sparse image of its state
+        for i, x in enumerate(states):
+            row = [0] * len(states)
+            scale = beta * etas[i]
+            for y, c in apply_cpp(alg, LinComb.single(x), spec).items():
+                j = index.get(y)
+                if j is None:
+                    raise _not_closed(x, y)
+                row[j] = c * etas[j] / scale
+            yield row
+
+    return RatMatrix(rows())
+
+
+def relabelled_kernel(law: list, den: int, states: list) -> RatMatrix:
+    """K[x][x.sigma] += Q(sigma) for a position law Q over den (`position_law`)."""
+    index = {s.letters: i for i, s in enumerate(states)}
+    moves = [(relabel(sigma), q) for sigma, q in law]
+    rows = []
+    for x in states:
+        row = [0] * len(states)
+        for move, q in moves:
+            j = index.get(move(x.letters))
+            if j is None:
+                raise _not_closed(x, Word(move(x.letters)))
+            row[j] += q
+        rows.append(row)
+    return RatMatrix.from_numerators(rows, den)
 
 
 @dataclass

@@ -177,8 +177,7 @@ def cmd_spectrum(args) -> int:
     ok = True
     if args.verify_matrix:
         states = _states(args, alg, n, start)
-        K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
-        report = verify_spectrum(K, spectrum)
+        report = verify_spectrum(alg, spec, states, spectrum, max_states=args.max_states)
         payload["matrix_verification"] = {"ok": report.ok, "detail": report.lines()}
         ok = report.ok
     _emit(args, payload)

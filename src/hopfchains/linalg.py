@@ -63,6 +63,22 @@ class RatMatrix:
             rows[i] = tuple([e * f for e in rows[i]] if f > 1 else rows[i])
         self.entries, self.den, self.rows, self.cols = tuple(rows), den, len(rows), width
 
+    @classmethod
+    def from_numerators(cls, rows: Sequence[Sequence[int]], den: int) -> "RatMatrix":
+        """Integer rows over den, reduced by the gcd of den and every entry,
+        so that den is the least common denominator, as the constructor leaves it."""
+        g = den
+        for row in rows:
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        m = cls.__new__(cls)
+        m.entries = tuple(tuple(e // g for e in row) if g > 1 else tuple(row) for row in rows)
+        if not m.entries:
+            raise ValueError("matrix needs at least one row")
+        m.den, m.rows, m.cols = den // g, len(m.entries), len(m.entries[0])
+        return m
+
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMatrix) and (self.den, self.entries) == (other.den, other.entries)
 
@@ -164,6 +180,32 @@ def nullspace(m: Sequence[Sequence[int]]) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def dimensions_from_traces(lams: Sequence[Fraction], traces: Sequence[Fraction]) -> dict:
+    """Eigenspace dimensions of a diagonalisable operator from its chain traces.
+
+    With lam_1 < ... < lam_r the sorted distinct values, every eigenvalue
+    among them, and traces[k] = tr prod_(i<=k) (A - lam_i) for k = 0..r-1
+    (missing trailing traces are 0),
+
+        traces[k] = sum_(l>k) d_l prod_(i<=k) (lam_l - lam_i),
+
+    a triangular system in the dimensions d_l that is solved from k = r-1
+    down (Horn-Johnson, Matrix Analysis, 3.3).  A solution that is not a
+    non-negative integer raises ArithmeticError.
+    """
+    traces = list(traces) + [_ZERO] * (len(lams) - len(traces))
+    dims = [0] * len(lams)
+    for k in reversed(range(len(lams))):
+        below = lams[:k]
+        known = zip(lams[k + 1 :], dims[k + 1 :])
+        rest = traces[k] - sum(d * prod(l - i for i in below) for l, d in known)
+        d = rest / prod(lams[k] - i for i in below)
+        if d.denominator != 1 or d < 0:  # pragma: no cover - guards the trace identity
+            raise ArithmeticError(f"eigenspace dimension {d} of {lams[k]} is not a count")
+        dims[k] = int(d)
+    return dict(zip(lams, dims))
+
+
 def eigenspace_dimensions(m: RatMatrix, eigenvalues: Iterable) -> dict | None:
     """Eigenspace dimension of each given eigenvalue, or None if m is not
     diagonalisable with its spectrum among them.
@@ -172,14 +214,10 @@ def eigenspace_dimensions(m: RatMatrix, eigenvalues: Iterable) -> dict | None:
     of `shifted(m, lam_k)`, the chain P_k = P_(k-1) S_k is a positive
     multiple (the running product of the q*den scales) of
     prod_(i<=k) (m - lam_i I).  If P_r vanishes, m is diagonalisable with
-    eigenvalues among the lam, and then
-
-        tr prod_(i<=k) (m - lam_i I) = sum_(l>k) d_l prod_(i<=k) (lam_l - lam_i)
-
-    for k = 0..r-1, a triangular system in the dimensions d_l that is
-    solved from k = r-1 down (Horn-Johnson, Matrix Analysis, 3.3).  Once
-    some P_k vanishes every later trace is 0.  Each right factor is read
-    as sparse (column, value) rows.  No rank is taken.
+    eigenvalues among the lam, and the traces of the partial products give
+    every dimension (`dimensions_from_traces`).  Once some P_k vanishes
+    every later trace is 0.  Each right factor is read as sparse
+    (column, value) rows.  No rank is taken.
     """
     if m.rows != m.cols:
         raise ValueError("eigenspace_dimensions needs a square matrix")
@@ -211,17 +249,7 @@ def eigenspace_dimensions(m: RatMatrix, eigenvalues: Iterable) -> dict | None:
         traces.append(Fraction(sum(chain[i][i] for i in range(n)), scale))
     else:
         return None
-    traces += [_ZERO] * (len(lams) - len(traces))
-    dims = [0] * len(lams)
-    for k in reversed(range(len(lams))):
-        below = lams[:k]
-        known = zip(lams[k + 1 :], dims[k + 1 :])
-        rest = traces[k] - sum(d * prod(l - i for i in below) for l, d in known)
-        d = rest / prod(lams[k] - i for i in below)
-        if d.denominator != 1 or d < 0:  # pragma: no cover - guards the trace identity
-            raise ArithmeticError(f"eigenspace dimension {d} of {lams[k]} is not a count")
-        dims[k] = int(d)
-    return dict(zip(lams, dims))
+    return dimensions_from_traces(lams, traces)
 
 
 def annihilation_check(m: RatMatrix, eigenvalues: Iterable[Fraction]) -> bool:

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as cartesian
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import itemgetter
 
-from .hopf import AlgebraHandle, LinComb, _add_term, multinomial
+from .hopf import AlgebraHandle, CppSpec, LinComb, _add_term, apply_cpp, beta_n, multinomial
 from .linalg import rat
 
 
@@ -200,6 +201,38 @@ class FreeAssociativeAlgebra(WordAlgebra):
 
     def coproduct_basis(self, x: Word) -> LinComb:
         return deshuffle_coproduct(x)
+
+
+# ---------------------------------------------------------------------------
+# the position law
+
+
+def position_law(alg: WordAlgebra, spec: CppSpec) -> tuple[list, int]:
+    """The chain's law on position permutations, from one `apply_cpp` call.
+
+    Both word algebras cut and merge by position and never read a card
+    label, so relabelling letters is a Hopf morphism and eta is the same
+    on every word of a degree.  The operator's image of the distinct word
+    0 1 ... n-1 then names, in each key's letters, the permutation sigma
+    that sends card sigma[i] of the old deck to position i, and every word
+    chain steps from x to x.sigma, (x.sigma)[i] = x[sigma[i]], with
+    probability Q(sigma) = coefficient / beta_n.
+
+    Returns ((sigma, numerator) pairs, den) with Q(sigma) = numerator / den
+    over the least common denominator; the numerators sum to den.
+    """
+    beta = beta_n(spec)
+    image = apply_cpp(alg, LinComb.single(Word(range(spec.n))), spec)
+    law = [(w.letters, c / beta) for w, c in image.items()]
+    den = lcm(*(q.denominator for _, q in law))
+    return [(sigma, q.numerator * (den // q.denominator)) for sigma, q in law], den
+
+
+def relabel(sigma: tuple):
+    """The map x -> x.sigma on letter tuples: (x.sigma)[i] = x[sigma[i]]."""
+    if len(sigma) == 1:
+        return lambda letters: letters  # the only permutation of one card
+    return itemgetter(*sigma)
 
 
 # ---------------------------------------------------------------------------

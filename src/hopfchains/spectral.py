@@ -16,12 +16,20 @@ deck of distinct cards the count is the number of permutations of cycle
 type lam; for forests, whose content is the vertex count, it is
 prod_i multichoose(t_i, m_i(lam)) with t_i the rooted trees on i vertices.
 
-Verification against a built transition matrix is a trace certificate:
-the product of (K - lam-hat I) over all claimed eigenvalues must vanish
+Verification against the chain is a trace certificate: the product of
+(K - lam-hat I) over all claimed eigenvalues must vanish
 (diagonalisability holds whenever the algebra is commutative or
 cocommutative), and then the traces of its partial products give every
-eigenspace dimension exactly (`linalg.eigenspace_dimensions`).  Only a
-product that does not vanish falls back to states - rank(K - lam-hat I).
+eigenspace dimension exactly (`linalg.dimensions_from_traces`).  On a
+whole class of distinct cards the chain runs in the group algebra Q[S_n]:
+there K[x][x.sigma] = Q(sigma) for the position law Q, so K = M(Q) for
+the right-regular representation M, an algebra map.  Then
+prod (K - lam I) = M(prod (Q - lam e)) vanishes iff the group product
+does, and tr M(G) = n! G(e), so the chain needs vectors of length n!
+and no kernel.  Decks with repeated letters (where tr M(G) would count
+fixed words) and forests run the chain on the built kernel
+(`linalg.eigenspace_dimensions`).  Only a product that does not vanish
+falls back to states - rank(K - lam-hat I), on the built kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .chain import TransitionMatrix
+from .chain import build_transition_matrix, check_state_count
 from .hopf import (
     AlgebraHandle,
     CppSpec,
@@ -43,8 +51,17 @@ from .hopf import (
     product,
     symmetrized_product,
 )
-from .linalg import RatMatrix, eigenspace_dimensions, nullspace, rank, rat, shifted
+from .linalg import (
+    RatMatrix,
+    dimensions_from_traces,
+    eigenspace_dimensions,
+    nullspace,
+    rank,
+    rat,
+    shifted,
+)
 from .presets import top_m_unordered_spec, top_or_bottom_spec, trinomial_spec
+from .shuffle import WordAlgebra, position_law, relabel
 
 _ZERO = Fraction(0)
 
@@ -227,21 +244,89 @@ class SpectrumReport:
         return out
 
 
-def verify_spectrum(matrix: TransitionMatrix, spectrum: Spectrum) -> SpectrumReport:
-    """Eigenspace dimensions from the annihilation chain's traces.
+def group_certifiable(alg: AlgebraHandle, states: list, n: int) -> bool:
+    """True iff states are the whole class of a degree-n word of distinct letters.
 
-    One `eigenspace_dimensions` call on the claimed support certifies
-    diagonalisability and gives every dimension; a value claimed with
-    multiplicity 0 then has dimension 0.  Only when the product does not
-    vanish are the dimensions read off `rank`, so a failing report still
+    Then the states are the n! permutations of one word, and the chain is
+    the right-regular representation of its position law.
+    """
+    if not isinstance(alg, WordAlgebra) or len(states) != factorial(n):
+        return False
+    return (
+        all(x.degree == n and set(alg.content(x)) == {1} for x in states)
+        and len(set(states)) == len(states)
+    )
+
+
+def _group_dimensions(law: list, den: int, n: int, lams: list) -> dict | None:
+    """`eigenspace_dimensions` for the regular representation of a position law.
+
+    The chain P_k = P_(k-1) (q den Q - p den e), lam_k = p/q, runs in the
+    group algebra on integer numerators, with (G H)(rho.tau) summing
+    G(rho) H(tau).  On the distinct class x -> x.sigma is the right-regular
+    action, so tr M(G) = n! G(e) and M(P_k) is the matrix chain's product.
+    """
+    identity = tuple(range(n))
+    moves = [(relabel(sigma), c) for sigma, c in law]
+    nfact = factorial(n)
+    traces = [Fraction(nfact)]
+    chain = {identity: 1}
+    scale = 1
+    for lam in lams:
+        p, q = lam.numerator * den, lam.denominator
+        new: dict = {}
+        for rho, a in chain.items():
+            aq = a * q
+            for move, c in moves:
+                key = move(rho)
+                new[key] = new.get(key, 0) + aq * c
+        for rho, a in chain.items():
+            new[rho] = new.get(rho, 0) - p * a
+        chain = {rho: a for rho, a in new.items() if a}
+        scale *= q * den
+        if not chain:
+            break
+        traces.append(Fraction(nfact * chain.get(identity, 0), scale))
+    else:
+        return None
+    return dimensions_from_traces(lams, traces)
+
+
+def verify_spectrum(
+    alg: AlgebraHandle,
+    spec: CppSpec,
+    states: list,
+    spectrum: Spectrum,
+    max_states: int = 1000,
+) -> SpectrumReport:
+    """Eigenspace dimensions of the chain on `states` from an annihilation chain's traces.
+
+    One chain on the claimed support certifies diagonalisability and gives
+    every dimension; a value claimed with multiplicity 0 then has
+    dimension 0.  On a whole class of distinct cards the chain runs in the
+    group algebra on the position law, after n! is checked against
+    `max_states`, and no kernel is built; on any other space it runs on the
+    built kernel.  Only when the product does not vanish are the
+    dimensions read off `rank` of the kernel, so a failing report still
     shows the true ones.
     """
-    size = matrix.size
+    states = list(states)
+    size = len(states)
     agg = spectrum.by_eigenvalue()
-    support = [value for value, mult in agg.items() if mult > 0]
-    dims = eigenspace_dimensions(matrix.kernel, support)
+    support = sorted(value for value, mult in agg.items() if mult > 0)
+    if not support:
+        raise ValueError("the spectrum claims no eigenvalue")
+    matrix = None
+    if group_certifiable(alg, states, spec.n):
+        check_state_count(size, max_states)
+        dims = _group_dimensions(*position_law(alg, spec), spec.n, support)
+    else:
+        matrix = build_transition_matrix(alg, spec, states=states, max_states=max_states)
+        dims = eigenspace_dimensions(matrix.kernel, support)
     diag = dims is not None
     if not diag:
+        if matrix is None:
+            matrix = build_transition_matrix(alg, spec, states=states, max_states=max_states)
         dims = {value: size - rank(shifted(matrix.kernel, value)) for value in agg}
     entries = [(value, agg[value], dims.get(value, 0)) for value in sorted(agg)]
     total = spectrum.total_multiplicity()

@@ -17,6 +17,7 @@ from hopfchains.chain import (
     lumping_check,
     matrix_to_csv,
     matrix_to_dict,
+    per_row_kernel,
     point_mass,
     stationary_distributions,
 )
@@ -30,11 +31,14 @@ from hopfchains.presets import (
     trinomial_spec,
 )
 from hopfchains.shuffle import (
+    FreeAssociativeAlgebra,
     ShuffleAlgebra,
     Word,
+    WordAlgebra,
     deck_from_string,
     descent_peak_sets,
     distinct_deck,
+    position_law,
     rearrangement_class,
 )
 
@@ -357,3 +361,70 @@ def test_rational_rows_clear_to_their_least_common_denominator():
     assert RatMatrix([[2, -4]]).den == 1
     # equal matrices compare equal however their entries were written
     assert RatMatrix([[F(2, 4), 1], [0, "-3/6"]]) == RatMatrix([["1/2", "1"], ["0", "-1/2"]])
+    # integer rows over a common denominator reduce to the same canonical form
+    assert RatMatrix.from_numerators([[3, 6], [0, 9]], 12) == RatMatrix([["1/4", "1/2"], [0, "3/4"]])
+    assert RatMatrix.from_numerators([[1, 1]], 2).den == 2
+
+
+WORD_GRID_SPACES = [
+    label for label, alg, *_ in acceptance.grid_spaces() if isinstance(alg, WordAlgebra)
+]
+
+
+def _per_row(alg, spec, states):
+    return per_row_kernel(alg, spec, states, [eta(alg, s) for s in states])
+
+
+@pytest.mark.parametrize("space", WORD_GRID_SPACES)
+def test_relabelled_build_matches_the_per_row_hopf_builder(space):
+    # the relabelled build reads one position law; the per-row builder
+    # applies the operator to every state: the kernels agree entry by entry
+    for _, preset, alg, n, states, K in _grid(space):
+        assert K.kernel == _per_row(alg, K.spec, states), preset
+        assert K.etas == [eta(alg, s) for s in states], preset
+
+
+def test_relabelled_build_on_a_deck_in_non_identity_order():
+    alg, deck = deck_from_string("654312")
+    states = rearrangement_class(alg, deck)
+    for spec in (top_or_bottom_spec(6, F(1, 3)), top_to_random_spec(6)):
+        K = build_transition_matrix(alg, spec, states=states)
+        assert K.kernel == _per_row(alg, spec, states), spec
+    # the dual word algebra cuts and merges by position too
+    dual = FreeAssociativeAlgebra("abc")
+    states = rearrangement_class(dual, Word("cab"))
+    for spec in (riffle_spec(3), top_or_bottom_spec(3, F(1, 3))):
+        K = build_transition_matrix(dual, spec, states=states)
+        assert K.kernel == _per_row(dual, spec, states), spec
+
+
+def test_position_law_is_a_probability_law_on_permutations():
+    alg, _ = distinct_deck(4)
+    law, den = position_law(alg, top_to_random_spec(4))
+    # top-to-random moves the top card to one of the 4 positions
+    assert den == 4 and sorted(law) == [
+        ((0, 1, 2, 3), 1),
+        ((1, 0, 2, 3), 1),
+        ((1, 2, 0, 3), 1),
+        ((1, 2, 3, 0), 1),
+    ]
+
+
+def test_relabelled_build_reports_a_state_space_that_is_not_closed():
+    alg, deck = distinct_deck(3)
+    states = rearrangement_class(alg, deck)
+    with pytest.raises(ValueError, match="not closed: Word\\('123'\\) reaches Word\\('213'\\)"):
+        build_transition_matrix(alg, top_to_random_spec(3), states=states[:1] + states[3:])
+
+
+def test_relabelled_build_is_chosen_by_the_size_of_the_position_law(monkeypatch):
+    # aabb: 4! = 24 permutations against 6^2 kernel entries, so one position law
+    alg, deck = deck_from_string("aabb")
+    with monkeypatch.context() as m:
+        m.setattr("hopfchains.chain.per_row_kernel", None)
+        build_transition_matrix(alg, riffle_spec(4), states=rearrangement_class(alg, deck))
+    # aaab: 24 permutations against 4^2 entries, so one apply_cpp call per state
+    alg, deck = deck_from_string("aaab")
+    states = rearrangement_class(alg, deck)
+    monkeypatch.setattr("hopfchains.chain.position_law", None)
+    assert build_transition_matrix(alg, riffle_spec(4), states=states).size == 4

@@ -481,3 +481,20 @@ def test_cli_statistic_is_checked_before_the_kernel_is_built(capsys, monkeypatch
     monkeypatch.setattr("hopfchains.cli.build_transition_matrix", refuse)
     flags, message = STATISTIC_MISMATCHES[case]
     assert message in _usage_error(capsys, [command, *flags])
+
+
+def test_cli_verify_matrix_certifies_a_distinct_deck_without_a_kernel(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a kernel for a distinct deck's certificate")
+
+    monkeypatch.setattr("hopfchains.spectral.build_transition_matrix", refuse)
+    argv = ["spectrum", "--distinct", "5", "--preset", "trinomial",
+            "--params", "q1=1/4,q2=1/2,q3=1/4", "--verify-matrix"]
+    assert main(argv) == 0
+    detail = json.loads(capsys.readouterr().out)["matrix_verification"]["detail"]
+    assert detail[-2:] == ["multiplicity total 120 vs 120 states [ok]", "annihilation product vanishes"]
+
+
+def test_cli_verify_matrix_checks_n_factorial_against_the_cap(capsys):
+    argv = ["spectrum", "--distinct", "6", "--preset", "riffle", "--verify-matrix", "--max-states", "700"]
+    assert "720 elements, above the cap 700" in _usage_error(capsys, argv)

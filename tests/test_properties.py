@@ -4,7 +4,8 @@ For every drawn spec on a small state space, the formula spectrum must
 match the built matrix's eigenspace dimensions, certified by a vanishing
 annihilation product and the traces of its partial products; every
 stationary law must be fixed by the kernel, and on distinct decks the
-descent set must lump the chain.
+descent set must lump the chain.  The relabelled word build must equal
+the per-row Hopf builder entry by entry.
 The examples are derandomised so the suite is repeatable.
 """
 
@@ -17,10 +18,11 @@ from hopfchains.chain import (
     build_transition_matrix,
     is_stationary,
     lumping_check,
+    per_row_kernel,
     stationary_distributions,
 )
 from hopfchains.forests import forest_algebra
-from hopfchains.hopf import normalize_spec
+from hopfchains.hopf import eta, normalize_spec
 from hopfchains.shuffle import (
     deck_from_string,
     descent_peak_sets,
@@ -77,7 +79,7 @@ def test_formula_spectrum_and_stationary_laws_on_random_specs(space, data):
     alg, n, states = SPACES[space]()
     spec = _draw_spec(data, n)
     K = build_transition_matrix(alg, spec, states=states)
-    report = verify_spectrum(K, class_spectrum(spec, alg, alg.content(states[0])))
+    report = verify_spectrum(alg, spec, states, class_spectrum(spec, alg, alg.content(states[0])))
     assert report.ok, report.lines()
     pis = stationary_distributions(alg, n, states=states)
     assert pis
@@ -97,3 +99,22 @@ def test_descent_set_lumps_on_random_specs(n, data):
     assert res.quotient.size <= 2 ** (n - 1)
     for label in res.quotient.states:
         assert sum(res.quotient.row_of(label).values()) == 1
+
+
+# deck -> examples: the per-row builder applies the operator to all n! states
+RELABEL_DECKS = {"12": 10, "123": 20, "1234": 20, "12345": 3, "abcab": 6}
+
+
+@pytest.mark.parametrize("deck", sorted(RELABEL_DECKS))
+def test_relabelled_build_matches_the_per_row_builder_on_random_specs(deck):
+    alg, word = deck_from_string(deck)
+    states = rearrangement_class(alg, word)
+
+    @settings(PROPERTY_SETTINGS, max_examples=RELABEL_DECKS[deck])
+    @given(data=st.data())
+    def check(data):
+        spec = _draw_spec(data, word.degree)
+        K = build_transition_matrix(alg, spec, states=states)
+        assert K.kernel == per_row_kernel(alg, spec, states, [eta(alg, s) for s in states])
+
+    check()

@@ -6,10 +6,12 @@ import pytest
 
 from hopfchains.chain import TransitionMatrix, build_transition_matrix
 from hopfchains.forests import enumerate_trees, forest_algebra
-from hopfchains.hopf import LinComb, apply_cpp, beta_n, iterated_coproduct
-from hopfchains.linalg import RatMatrix
+from hopfchains.hopf import LinComb, SpecError, apply_cpp, beta_n, iterated_coproduct
+from hopfchains.linalg import RatMatrix, eigenspace_dimensions
 from hopfchains.presets import (
     biased_spec,
+    expand_preset,
+    preset_names,
     riffle_spec,
     top_or_bottom_spec,
     top_to_random_spec,
@@ -19,6 +21,7 @@ from hopfchains.shuffle import (
     FreeAssociativeAlgebra,
     ShuffleAlgebra,
     Word,
+    deck_from_string,
     distinct_alphabet,
     distinct_deck,
     lyndon_words,
@@ -30,6 +33,7 @@ from hopfchains.spectral import (
     class_multiplicity,
     class_spectrum,
     eigenvalues,
+    group_certifiable,
     lincomb_rank,
     pairing_count,
     partitions,
@@ -213,7 +217,6 @@ def test_verify_spectrum_top_to_random_distinct_4():
     alg, deck = distinct_deck(4)
     states = rearrangement_class(alg, deck)
     spec = top_to_random_spec(4)
-    K = build_transition_matrix(alg, spec, states=states)
     s = class_spectrum(spec, alg, alg.content(deck))
     assert {v: m for v, m in s.by_eigenvalue().items() if m} == {
         F(1): 1,
@@ -221,7 +224,7 @@ def test_verify_spectrum_top_to_random_distinct_4():
         F(1, 4): 8,
         F(0): 9,
     }
-    report = verify_spectrum(K, s)
+    report = verify_spectrum(alg, spec, states, s)
     assert report.ok and report.diagonalizable
 
 
@@ -229,9 +232,8 @@ def test_verify_spectrum_catches_wrong_multiplicity():
     alg, deck = distinct_deck(3)
     states = rearrangement_class(alg, deck)
     spec = top_to_random_spec(3)
-    K = build_transition_matrix(alg, spec, states=states)
     wrong = Spectrum(table=(((1, 1, 1), F(1), 2), ((2, 1), F(1, 3), 2), ((3,), F(0), 2)))
-    report = verify_spectrum(K, wrong)
+    report = verify_spectrum(alg, spec, states, wrong)
     assert not report.ok
 
     # one multiplicity of the forest formula spectrum moved by one
@@ -239,10 +241,10 @@ def test_verify_spectrum_catches_wrong_multiplicity():
     spec = riffle_spec(3)
     K = build_transition_matrix(falg, spec)
     right = class_spectrum(spec, falg, (3,))
-    assert verify_spectrum(K, right).ok
+    assert verify_spectrum(falg, spec, K.states, right).ok
     (lam, value, mult), *rest = right.table
     wrong = Spectrum(table=((lam, value, mult + 1), *rest))
-    report = verify_spectrum(K, wrong)
+    report = verify_spectrum(falg, spec, K.states, wrong)
     assert not report.ok
     assert any(claimed != actual for _, claimed, actual in report.entries)
 
@@ -253,7 +255,7 @@ def test_verify_spectrum_catches_wrong_multiplicity():
     table = [list(row) for row in right.table]
     next(row for row in table if row[1] == F(1, 4) and row[2])[2] -= 1
     next(row for row in table if row[1] == F(1, 2) and row[2])[2] += 1
-    report = verify_spectrum(K, Spectrum(table=tuple(map(tuple, table))))
+    report = verify_spectrum(falg, spec, K.states, Spectrum(table=tuple(map(tuple, table))))
     assert not report.ok and report.diagonalizable
     assert report.entries == [(F(1, 4), 1, 2), (F(1, 2), 2, 1), (F(1), 1, 1)]
     assert report.total_claimed == K.size
@@ -263,19 +265,118 @@ def test_verify_spectrum_catches_wrong_multiplicity():
     dropped = Spectrum(
         table=tuple((lam, v, 0 if v == F(1, 2) else mult) for lam, v, mult in right.table)
     )
-    report = verify_spectrum(K, dropped)
+    report = verify_spectrum(falg, spec, K.states, dropped)
     assert not report.ok and not report.diagonalizable
     assert report.entries == [(F(1, 4), 2, 2), (F(1, 2), 0, 1), (F(1), 1, 1)]
     assert "annihilation product DOES NOT vanish" in report.lines()
 
 
-def test_verify_spectrum_rejects_a_non_diagonalisable_kernel():
+# every preset, with parameters where it needs them
+PRESET_PARAMS = {
+    "biased": {"q": "1/3"},
+    "top-m-ordered": {"m": "2"},
+    "top-m-unordered": {"m": "2"},
+    "trinomial": {"q1": "1/4", "q2": "1/2", "q3": "1/4"},
+}
+
+
+def test_no_preset_has_a_chain_on_one_card():
+    # the group certificate has nothing to certify at n=1: no operator breaks one card
+    for name in preset_names():
+        with pytest.raises(SpecError):
+            expand_preset(name, 1, PRESET_PARAMS.get(name, {}))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_group_certificate_matches_class_spectrum_and_the_matrix_chain(n, monkeypatch):
+    alg, deck = distinct_deck(n)
+    states = rearrangement_class(alg, deck)
+    for name in preset_names():
+        params = dict(PRESET_PARAMS.get(name, {}))
+        if name.startswith("top-m") and n == 2:
+            params["m"] = "1"
+        spec = expand_preset(name, n, params)
+        spectrum = class_spectrum(spec, alg, alg.content(deck))
+        with monkeypatch.context() as m:
+            # a distinct deck's class is certified without building its kernel
+            m.setattr("hopfchains.spectral.build_transition_matrix", None)
+            report = verify_spectrum(alg, spec, states, spectrum)
+        assert report.ok and report.diagonalizable, (name, report.lines())
+        dims = {value: actual for value, _, actual in report.entries}
+        assert dims == spectrum.by_eigenvalue(), name
+        if n <= 5:  # the matrix chain on 720 states takes seconds per preset
+            K = build_transition_matrix(alg, spec, states=states)
+            support = [value for value, mult in dims.items() if mult]
+            assert eigenspace_dimensions(K.kernel, support) == {v: dims[v] for v in support}, name
+
+
+def test_group_certificate_reports_true_dimensions_on_wrong_claims():
+    alg, deck = distinct_deck(4)
+    states = rearrangement_class(alg, deck)
+    spec = riffle_spec(4)
+    right = class_spectrum(spec, alg, alg.content(deck))
+    truth = sorted((v, m) for v, m in right.by_eigenvalue().items() if m)
+    assert truth == [(F(1, 8), 6), (F(1, 4), 11), (F(1, 2), 6), (F(1), 1)]
+
+    # a multiplicity moved between two claimed eigenvalues: the group
+    # product still vanishes and the report shows the true dimensions
+    table = [list(row) for row in right.table]
+    next(row for row in table if row[1] == F(1, 4) and row[2])[2] -= 1
+    next(row for row in table if row[1] == F(1, 2) and row[2])[2] += 1
+    report = verify_spectrum(alg, spec, states, Spectrum(table=tuple(map(tuple, table))))
+    assert not report.ok and report.diagonalizable
+    assert [(v, c, a) for v, c, a in report.entries if c or a] == [
+        (F(1, 8), 6, 6), (F(1, 4), 10, 11), (F(1, 2), 7, 6), (F(1), 1, 1),
+    ]
+    assert "eigenvalue 1/4: claimed 10, matrix 11 [MISMATCH]" in report.lines()
+
+    # a true eigenvalue left out: the group product does not vanish, and the
+    # rank fallback on the relabelled kernel still shows its true dimension
+    dropped = Spectrum(
+        table=tuple((lam, v, 0 if v == F(1, 2) else mult) for lam, v, mult in right.table)
+    )
+    report = verify_spectrum(alg, spec, states, dropped)
+    assert not report.ok and not report.diagonalizable
+    assert [(v, c, a) for v, c, a in report.entries if c or a] == [
+        (F(1, 8), 6, 6), (F(1, 4), 11, 11), (F(1, 2), 0, 6), (F(1), 1, 1),
+    ]
+    assert "annihilation product DOES NOT vanish" in report.lines()
+
+
+def test_group_certificate_checks_the_cap_before_the_operator(monkeypatch):
+    alg, deck = distinct_deck(5)
+    states = rearrangement_class(alg, deck)
+    spec = riffle_spec(5)
+    spectrum = class_spectrum(spec, alg, alg.content(deck))
+    monkeypatch.setattr("hopfchains.spectral.position_law", None)  # never reached
+    with pytest.raises(ValueError, match="120 elements, above the cap 100"):
+        verify_spectrum(alg, spec, states, spectrum, max_states=100)
+
+
+def test_group_path_needs_the_whole_class_of_distinct_cards():
+    alg, deck = distinct_deck(3)
+    states = rearrangement_class(alg, deck)
+    assert group_certifiable(alg, states, 3)
+    assert not group_certifiable(alg, states, 4)
+    assert not group_certifiable(alg, states[:3], 3)
+    assert not group_certifiable(alg, states[:5] + states[:1], 3)
+    repeated, word = deck_from_string("aab")
+    assert not group_certifiable(repeated, rearrangement_class(repeated, word), 3)
+    assert not group_certifiable(forest_algebra(), list(forest_algebra().basis(3)), 3)
+
+
+def test_verify_spectrum_rejects_a_non_diagonalisable_kernel(monkeypatch):
     h = F(1, 2)
     kernel = RatMatrix([[h, h, 0], [0, h, h], [0, 0, 1]])
-    K = TransitionMatrix(states=["x", "y", "z"], kernel=kernel)
+    # a three-state word class with repeated letters takes the matrix path;
+    # its built kernel is replaced by a hand-made non-diagonalisable one
+    alg, deck = deck_from_string("aab")
+    states = rearrangement_class(alg, deck)
+    K = TransitionMatrix(states=states, kernel=kernel)
+    monkeypatch.setattr("hopfchains.spectral.build_transition_matrix", lambda *a, **k: K)
     # the right eigenvalues and algebraic multiplicities, but 1/2 has one eigenvector
     claimed = Spectrum(table=(((1,), F(1), 1), ((2,), h, 2)))
-    report = verify_spectrum(K, claimed)
+    report = verify_spectrum(alg, top_to_random_spec(3), states, claimed)
     assert not report.ok and not report.diagonalizable
     assert report.entries == [(h, 2, 1), (F(1), 1, 1)]
     assert report.lines() == [
@@ -289,9 +390,8 @@ def test_verify_spectrum_rejects_a_non_diagonalisable_kernel():
 def test_verify_spectrum_forest_grid_cell():
     falg = forest_algebra()
     spec = trinomial_spec(3, F(1, 4), F(1, 2), F(1, 4))
-    K = build_transition_matrix(falg, spec)
     s = class_spectrum(spec, falg, (3,))
-    assert verify_spectrum(K, s).ok
+    assert verify_spectrum(falg, spec, falg.basis(3), s).ok
 
 
 def test_primitive_basis_degree_one():
