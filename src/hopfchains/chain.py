@@ -16,13 +16,15 @@ every word of a degree, and the operator's image of x is its image of
 the distinct word 0 1 ... n-1 with each key sigma read as x.sigma,
 (x.sigma)[i] = x[sigma[i]] (Pang, arXiv:1508.01570).  So one `apply_cpp`
 call gives the position law Q (`shuffle.position_law`), and
-K[x][x.sigma] += Q(sigma).  Q can hold n! permutations, so it is formed
-only when n! is at most the kernel's entry count: always on a distinct
-deck's class, but not on a deck such as aaaaaaaab, whose 9 states a
-per-row build reaches without ever forming 9! permutations.  Forests,
-whose coproduct reads tree shapes, and those word lists take one
-`apply_cpp` call per state (`per_row_kernel`); a test checks the two
-builds entry by entry on every word space of the grid.
+K[x][x.sigma] += Q(sigma).  That call on n distinct cards costs far more
+than one on a deck with repeated letters, so Q is formed only when n! is
+at most 100 times the kernel's entry count (`RELABEL_RATIO`): always on
+a distinct deck's class and on most other classes, but not on decks
+such as aaaaaaaab or aaaaaaabb, whose 9 and 36 states a per-row build
+reaches sooner.  Forests, whose coproduct reads tree shapes, and those
+word lists take one `apply_cpp` call per state (`per_row_kernel`); a
+test checks the two builds entry by entry on every word space of the
+grid.
 The kernel is stored as integer numerator rows over their least common
 denominator (`RatMatrix`); `evolve` and `lumping_check` work on those
 integers, and `row_of` and the exporters form `Fraction(c, den)` for output.
@@ -38,6 +40,14 @@ from typing import Callable, Optional
 from .hopf import AlgebraHandle, CppSpec, LinComb, apply_cpp, beta_n, eta, symmetrized_product
 from .linalg import RatMatrix, rat
 from .shuffle import Word, WordAlgebra, position_law, relabel
+
+# The relabelled build is chosen when n! <= RELABEL_RATIO * states^2.  Timed
+# on one core (Python 3.11.7) against the per-row build on repeated-letter
+# decks of 6 to 9 cards under trinomial(1/4, 1/2, 1/4), whose position law
+# holds all n! permutations, the two cost the same near n! = 80 * states^2
+# at n = 6 and 120 * states^2 at n = 9.  Laws with fewer permutations
+# favour the relabelled build more.
+RELABEL_RATIO = 100
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -89,9 +99,10 @@ def build_transition_matrix(
     `states` defaults to the full degree-n basis; passing a sublist (for
     example one deck's rearrangement class) restricts to it, and the
     builder raises if the operator ever leaves that set.  Word states take
-    the relabelled build from one position law when n! is at most the
-    square of the state count; forests, and word lists with many repeated
-    letters, take one `apply_cpp` call per state.
+    the relabelled build from one position law when n! is at most
+    `RELABEL_RATIO` times the square of the state count; forests, and word
+    lists with few states for their degree, take one `apply_cpp` call per
+    state.
     """
     n = spec.n
     if states is None:
@@ -103,9 +114,7 @@ def build_transition_matrix(
     for s in states:
         if s.degree != n:
             raise ValueError(f"state {s!r} has degree {s.degree}, spec degree is {n}")
-    # the position law holds up to n! permutations: it is formed only when
-    # that is no more than the kernel's entries (every distinct-deck class)
-    if isinstance(alg, WordAlgebra) and factorial(n) <= len(states) ** 2:
+    if isinstance(alg, WordAlgebra) and factorial(n) <= RELABEL_RATIO * len(states) ** 2:
         etas = [eta(alg, states[0])] * len(states)  # eta reads no label
         kernel = relabelled_kernel(*position_law(alg, spec), states)
     else:

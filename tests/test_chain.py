@@ -8,6 +8,7 @@ import pytest
 
 from hopfchains import acceptance
 from hopfchains.chain import (
+    RELABEL_RATIO,
     Distribution,
     build_transition_matrix,
     distribution_to_dict,
@@ -418,13 +419,14 @@ def test_relabelled_build_reports_a_state_space_that_is_not_closed():
 
 
 def test_relabelled_build_is_chosen_by_the_size_of_the_position_law(monkeypatch):
-    # aabb: 4! = 24 permutations against 6^2 kernel entries, so one position law
-    alg, deck = deck_from_string("aabb")
+    # 7! against RELABEL_RATIO * states^2: aaaaabb (21 states) takes one position law
+    assert RELABEL_RATIO * 7**2 < factorial(7) <= RELABEL_RATIO * 21**2
+    alg, deck = deck_from_string("aaaaabb")
     with monkeypatch.context() as m:
         m.setattr("hopfchains.chain.per_row_kernel", None)
-        build_transition_matrix(alg, riffle_spec(4), states=rearrangement_class(alg, deck))
-    # aaab: 24 permutations against 4^2 entries, so one apply_cpp call per state
-    alg, deck = deck_from_string("aaab")
+        build_transition_matrix(alg, riffle_spec(7), states=rearrangement_class(alg, deck))
+    # and aaaaaab (7 states) one apply_cpp call per state
+    alg, deck = deck_from_string("aaaaaab")
     states = rearrangement_class(alg, deck)
     monkeypatch.setattr("hopfchains.chain.position_law", None)
-    assert build_transition_matrix(alg, riffle_spec(4), states=states).size == 4
+    assert build_transition_matrix(alg, riffle_spec(7), states=states).size == 7

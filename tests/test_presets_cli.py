@@ -493,8 +493,3 @@ def test_cli_verify_matrix_certifies_a_distinct_deck_without_a_kernel(capsys, mo
     assert main(argv) == 0
     detail = json.loads(capsys.readouterr().out)["matrix_verification"]["detail"]
     assert detail[-2:] == ["multiplicity total 120 vs 120 states [ok]", "annihilation product vanishes"]
-
-
-def test_cli_verify_matrix_checks_n_factorial_against_the_cap(capsys):
-    argv = ["spectrum", "--distinct", "6", "--preset", "riffle", "--verify-matrix", "--max-states", "700"]
-    assert "720 elements, above the cap 700" in _usage_error(capsys, argv)
