@@ -41,8 +41,6 @@ from .chain import (
 from .forests import Forest, enumerate_trees, f_j_statistic, forest_algebra, vertex_stats
 from .hopf import (
     LinComb,
-    apply_cpp,
-    beta_n,
     check_bialgebra_compatibility,
     check_coassociativity,
     check_state_space_basis,
@@ -70,6 +68,7 @@ from .shuffle import (
 )
 from .simulate import empirical_row_check, gsr_stepper, run_trajectories
 from .spectral import (
+    _eigen_equation,
     build_E_j,
     class_spectrum,
     group_certifiable,
@@ -256,8 +255,9 @@ _LITERAL_SPECTRA = (
 def criterion_3(seed: int, r: CriterionResult) -> None:
     """Formula spectra match trace-certified eigenspace dimensions exactly.
 
-    A distinct deck's class is certified in the group algebra; there the
-    grid's built kernel must give the same dimensions by the matrix chain.
+    A distinct deck's class is certified by the annihilation chain from one
+    row; there the grid's built kernel must give the same dimensions from
+    every row.
     Any other cell's kernel is built inside `verify_spectrum`.
     """
     both = 0
@@ -388,9 +388,8 @@ def criterion_7(seed: int, r: CriterionResult) -> None:
                 corrected_ok = False
             if literal_fail_witness is None:
                 spec_t = trinomial_spec(n, q1, q2, q3)
-                beta = beta_n(spec_t)
                 for vec in vectors:
-                    if apply_cpp(alg, vec.vector, spec_t) != vec.vector.scale(beta * q2**vec.j):
+                    if not _eigen_equation(alg, vec.vector, spec_t, q2**vec.j):
                         literal_fail_witness = (n, q, vec.j)
                         break
     if r.passed:

@@ -11,20 +11,23 @@ and fails loudly otherwise rather than normalising anything away.
 
 Word states (either word algebra, any state list) take the relabelled
 build.  Both word algebras cut and merge by position and never read a
-card label, so relabelling letters is a Hopf morphism: eta is the same on
-every word of a degree, and the operator's image of x is its image of
+card label, so relabelling letters is a Hopf morphism: eta is the same
+on every word of a degree, and the operator's image of x is its image of
 the distinct word 0 1 ... n-1 with each key sigma read as x.sigma,
 (x.sigma)[i] = x[sigma[i]] (Pang, arXiv:1508.01570).  So one `apply_cpp`
 call gives the position law Q (`shuffle.position_law`), and
-K[x][x.sigma] += Q(sigma).  That call on n distinct cards costs far more
-than one on a deck with repeated letters, so Q is formed only when n! is
-at most 100 times the kernel's entry count (`RELABEL_RATIO`): always on
-a distinct deck's class and on most other classes, but not on decks
-such as aaaaaaaab or aaaaaaabb, whose 9 and 36 states a per-row build
-reaches sooner.  Forests, whose coproduct reads tree shapes, and those
-word lists take one `apply_cpp` call per state (`per_row_kernel`); a
-test checks the two builds entry by entry on every word space of the
-grid.
+K[x][x.sigma] += Q(sigma) (`shuffle.relabelled_columns`).  That call on
+n distinct cards costs far more than one on a deck with repeated
+letters, so Q is formed only when n! is at most 100 times the kernel's
+entry count (`RELABEL_RATIO`): always on a distinct deck's class and on
+most other classes, but not on decks such as aaaaaaaab or aaaaaaabb,
+whose 9 and 36 states a per-row build reaches sooner.  Forests, whose
+coproduct reads tree shapes, and those word lists take one `apply_cpp`
+call per state (`per_row_kernel`).  On a distinct deck's class K is the
+right-regular representation of Q, and the spectrum certificate runs its
+chain from one of these rows.  Tests check the relabelled build entry by
+entry against the per-state formula on every grid space and against
+`per_row_kernel` on random specs.
 The kernel is stored as integer numerator rows over their least common
 denominator (`RatMatrix`); `evolve` and `lumping_check` work on those
 integers, and `row_of` and the exporters form `Fraction(c, den)` for output.
@@ -39,7 +42,7 @@ from typing import Callable, Optional
 
 from .hopf import AlgebraHandle, CppSpec, LinComb, apply_cpp, beta_n, eta, symmetrized_product
 from .linalg import RatMatrix, rat
-from .shuffle import Word, WordAlgebra, position_law, relabel
+from .shuffle import WordAlgebra, not_closed, position_law, relabelled_columns
 
 # The relabelled build is chosen when n! <= RELABEL_RATIO * states^2.  Timed
 # on one core (Python 3.11.7) against the per-row build on repeated-letter
@@ -135,10 +138,6 @@ def build_transition_matrix(
     )
 
 
-def _not_closed(x, y) -> ValueError:
-    return ValueError(f"state space not closed: {x!r} reaches {y!r} outside the given states")
-
-
 def per_row_kernel(alg: AlgebraHandle, spec: CppSpec, states: list, etas: list) -> RatMatrix:
     """K[x][y] = c_xy eta(y) / (beta_n eta(x)), one `apply_cpp` call per state."""
     index = {s: i for i, s in enumerate(states)}
@@ -151,7 +150,7 @@ def per_row_kernel(alg: AlgebraHandle, spec: CppSpec, states: list, etas: list) 
             for y, c in apply_cpp(alg, LinComb.single(x), spec).items():
                 j = index.get(y)
                 if j is None:
-                    raise _not_closed(x, y)
+                    raise not_closed(x, y)
                 row[j] = c * etas[j] / scale
             yield row
 
@@ -160,16 +159,12 @@ def per_row_kernel(alg: AlgebraHandle, spec: CppSpec, states: list, etas: list) 
 
 def relabelled_kernel(law: list, den: int, states: list) -> RatMatrix:
     """K[x][x.sigma] += Q(sigma) for a position law Q over den (`position_law`)."""
-    index = {s.letters: i for i, s in enumerate(states)}
-    moves = [(relabel(sigma), q) for sigma, q in law]
+    numerators = [c for _, c in law]
     rows = []
-    for x in states:
+    for columns in relabelled_columns(law, states):
         row = [0] * len(states)
-        for move, q in moves:
-            j = index.get(move(x.letters))
-            if j is None:
-                raise _not_closed(x, Word(move(x.letters)))
-            row[j] += q
+        for j, c in zip(columns, numerators):
+            row[j] += c
         rows.append(row)
     return RatMatrix.from_numerators(rows, den)
 

@@ -319,14 +319,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     numbers = None
-    if args.criteria:
+    if args.criteria is not None:
         bits = [x.strip() for x in args.criteria.split(",")]
         if not all(x.isdigit() and int(x) in acceptance.CRITERIA for x in bits):
             valid = sorted(acceptance.CRITERIA)
             raise UsageError(
                 f"unknown criteria {args.criteria!r}; valid criteria are {valid[0]}-{valid[-1]}"
             )
-        numbers = sorted(int(x) for x in bits)
+        numbers = sorted({int(x) for x in bits})
     results = acceptance.run_all(numbers=numbers, seed=args.seed)
     all_ok = True
     for r in results:

@@ -6,14 +6,16 @@ scaling changes neither rank nor null space, so the elimination routines
 take integer rows, picking the first nonzero pivot for determinism.
 `rank` and `nullspace` share one fraction-free (Bareiss) elimination,
 whose intermediate entries are minor determinants, so no `Fraction` is
-formed until the kernel vectors are read off.
+formed until the kernel vectors are read off.  Eigenspace dimensions
+take no rank: the traces of one annihilation chain (`annihilation_traces`),
+run from every row or, for a distinct deck's class, from one, give them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -200,56 +202,67 @@ def dimensions_from_traces(lams: Sequence[Fraction], traces: Sequence[Fraction])
         known = zip(lams[k + 1 :], dims[k + 1 :])
         rest = traces[k] - sum(d * prod(l - i for i in below) for l, d in known)
         d = rest / prod(lams[k] - i for i in below)
-        if d.denominator != 1 or d < 0:  # pragma: no cover - guards the trace identity
+        if d.denominator != 1 or d < 0:
             raise ArithmeticError(f"eigenspace dimension {d} of {lams[k]} is not a count")
         dims[k] = int(d)
     return dict(zip(lams, dims))
+
+
+def annihilation_traces(
+    row: Callable, size: int, den: int, lams: Sequence[Fraction], starts: Sequence[int]
+) -> list[Fraction] | None:
+    """Traces of the annihilation chain, run on the rows `starts` only.
+
+    row(i) gives row i of a size x size integer matrix A as (column,
+    numerator) pairs (a column may repeat; its numerators add), so
+    K = A / den.  For the sorted distinct lam_k = p/q, P_0 is the
+    identity's rows `starts` and P_k = P_(k-1) (q A - p den I), the same
+    rows of a positive multiple (the running product of the q den) of
+    prod_(i<=k) (K - lam_i I).  Returns the diagonal entries of P_0, P_1,
+    ... summed over `starts` and divided by that multiple, up to the first
+    P_k that vanishes, or None if P_r does not.  From every row these are
+    the traces of the chain.
+    """
+    chain = [[int(j == i) for j in range(size)] for i in starts]
+    traces = [Fraction(len(chain))]
+    scale = 1
+    for lam in lams:
+        p, q = lam.numerator * den, lam.denominator
+        scale *= q * den
+        new = []
+        for prow in chain:
+            acc = [0] * size
+            for k, a in enumerate(prow):
+                if a:
+                    aq = a * q
+                    for j, c in row(k):
+                        acc[j] += aq * c
+                    acc[k] -= p * a
+            new.append(acc)
+        chain = new
+        if not any(map(any, chain)):
+            return traces
+        traces.append(Fraction(sum(prow[i] for prow, i in zip(chain, starts)), scale))
+    return None
 
 
 def eigenspace_dimensions(m: RatMatrix, eigenvalues: Iterable) -> dict | None:
     """Eigenspace dimension of each given eigenvalue, or None if m is not
     diagonalisable with its spectrum among them.
 
-    With lam_1 < ... < lam_r the distinct values and S_k the integer rows
-    of `shifted(m, lam_k)`, the chain P_k = P_(k-1) S_k is a positive
-    multiple (the running product of the q*den scales) of
-    prod_(i<=k) (m - lam_i I).  If P_r vanishes, m is diagonalisable with
-    eigenvalues among the lam, and the traces of the partial products give
-    every dimension (`dimensions_from_traces`).  Once some P_k vanishes
-    every later trace is 0.  Each right factor is read as sparse
-    (column, value) rows.  No rank is taken.
+    If the chain prod (m - lam I) over the distinct values vanishes, m is
+    diagonalisable with eigenvalues among them, and the traces of the
+    partial products (`annihilation_traces` from every row) give every
+    dimension (`dimensions_from_traces`).  No rank is taken.
     """
     if m.rows != m.cols:
         raise ValueError("eigenspace_dimensions needs a square matrix")
     lams = sorted(set(rat(v) for v in eigenvalues))
     if not lams:
         raise ValueError("need at least one eigenvalue")
-    n = m.rows
-    traces = [Fraction(n)]  # tr P_0 = tr I
-    chain = None
-    scale = 1
-    for lam in lams:
-        factor = shifted(m, lam)
-        scale *= lam.denominator * m.den
-        if chain is None:
-            chain = factor
-        else:
-            sparse = [[(j, e) for j, e in enumerate(row) if e] for row in factor]
-            new = []
-            for row in chain:
-                acc = [0] * n
-                for k, rk in enumerate(row):
-                    if rk:
-                        for j, fkj in sparse[k]:
-                            acc[j] += rk * fkj
-                new.append(acc)
-            chain = new
-        if not any(map(any, chain)):
-            break
-        traces.append(Fraction(sum(chain[i][i] for i in range(n)), scale))
-    else:
-        return None
-    return dimensions_from_traces(lams, traces)
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in m.entries]
+    traces = annihilation_traces(rows.__getitem__, m.rows, m.den, lams, range(m.rows))
+    return None if traces is None else dimensions_from_traces(lams, traces)
 
 
 def annihilation_check(m: RatMatrix, eigenvalues: Iterable[Fraction]) -> bool:

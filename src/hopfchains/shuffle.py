@@ -228,11 +228,27 @@ def position_law(alg: WordAlgebra, spec: CppSpec) -> tuple[list, int]:
     return [(sigma, q.numerator * (den // q.denominator)) for sigma, q in law], den
 
 
-def relabel(sigma: tuple):
-    """The map x -> x.sigma on letter tuples: (x.sigma)[i] = x[sigma[i]]."""
-    if len(sigma) == 1:
-        return lambda letters: letters  # the only permutation of one card
-    return itemgetter(*sigma)
+def not_closed(x, y) -> ValueError:
+    """The error of a chain whose state x reaches y outside its state list."""
+    return ValueError(f"state space not closed: {x!r} reaches {y!r} outside the given states")
+
+
+def relabelled_columns(law: list, states: list):
+    """Yield each state's row of the relabelled chain (`position_law`) as columns.
+
+    The row of x = states[i] lists, for each (sigma, numerator) of the law
+    in order, the j with states[j] = x.sigma, (x.sigma)[i] = x[sigma[i]];
+    a column repeats when two permutations reach the same word.
+    """
+    index = {s.letters: i for i, s in enumerate(states)}
+    # itemgetter of one index returns the letter, not a tuple
+    moves = [itemgetter(*sigma) if len(sigma) > 1 else tuple for sigma, _ in law]
+    for x in states:
+        targets = [move(x.letters) for move in moves]
+        columns = [index.get(y) for y in targets]
+        if None in columns:
+            raise not_closed(x, Word(targets[columns.index(None)]))
+        yield columns
 
 
 # ---------------------------------------------------------------------------

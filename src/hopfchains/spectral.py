@@ -20,14 +20,17 @@ Verification against the chain is a trace certificate: the product of
 (K - lam-hat I) over all claimed eigenvalues must vanish
 (diagonalisability holds whenever the algebra is commutative or
 cocommutative), and then the traces of its partial products give every
-eigenspace dimension exactly (`linalg.dimensions_from_traces`).  On a
-whole class of distinct cards the chain runs in the group algebra Q[S_n]:
-there K[x][x.sigma] = Q(sigma) for the position law Q, so K = M(Q) for
-the right-regular representation M, an algebra map.  Then
-prod (K - lam I) = M(prod (Q - lam e)) vanishes iff the group product
-does, and tr M(G) = n! G(e), so the chain needs vectors of length n!
-and no kernel.  Decks with repeated letters (where tr M(G) would count
-fixed words) and forests run the chain on the built kernel
+eigenspace dimension exactly (`linalg.dimensions_from_traces`).  One
+routine forms that chain, `linalg.annihilation_traces`, on the rows it
+is started from.  On a whole class of distinct cards
+K[x][x.sigma] = Q(sigma) for the position law Q, so K is the
+right-regular representation of Q: every diagonal entry of a polynomial
+in K is the same, and the polynomial vanishes iff any one of its rows
+does (Diaconis, Group Representations in Probability and Statistics,
+ch. 3).  There the chain runs from one row of the relabelled rows
+(`shuffle.relabelled_columns`) and each trace is that row's entry times n!.
+Decks with repeated letters, where the diagonal is not constant, and
+forests run it from every row of the built kernel
 (`linalg.eigenspace_dimensions`).  Only a product that does not vanish
 falls back to states - rank(K - lam-hat I), on the built kernel.
 """
@@ -53,6 +56,7 @@ from .hopf import (
 )
 from .linalg import (
     RatMatrix,
+    annihilation_traces,
     dimensions_from_traces,
     eigenspace_dimensions,
     nullspace,
@@ -61,7 +65,7 @@ from .linalg import (
     shifted,
 )
 from .presets import top_m_unordered_spec, top_or_bottom_spec, trinomial_spec
-from .shuffle import WordAlgebra, position_law, relabel
+from .shuffle import WordAlgebra, position_law, relabelled_columns
 
 _ZERO = Fraction(0)
 
@@ -258,40 +262,6 @@ def group_certifiable(alg: AlgebraHandle, states: list, n: int) -> bool:
     )
 
 
-def _group_dimensions(law: list, den: int, n: int, lams: list) -> dict | None:
-    """`eigenspace_dimensions` for the regular representation of a position law.
-
-    The chain P_k = P_(k-1) (q den Q - p den e), lam_k = p/q, runs in the
-    group algebra on integer numerators, with (G H)(rho.tau) summing
-    G(rho) H(tau).  On the distinct class x -> x.sigma is the right-regular
-    action, so tr M(G) = n! G(e) and M(P_k) is the matrix chain's product.
-    """
-    identity = tuple(range(n))
-    moves = [(relabel(sigma), c) for sigma, c in law]
-    nfact = factorial(n)
-    traces = [Fraction(nfact)]
-    chain = {identity: 1}
-    scale = 1
-    for lam in lams:
-        p, q = lam.numerator * den, lam.denominator
-        new: dict = {}
-        for rho, a in chain.items():
-            aq = a * q
-            for move, c in moves:
-                key = move(rho)
-                new[key] = new.get(key, 0) + aq * c
-        for rho, a in chain.items():
-            new[rho] = new.get(rho, 0) - p * a
-        chain = {rho: a for rho, a in new.items() if a}
-        scale *= q * den
-        if not chain:
-            break
-        traces.append(Fraction(nfact * chain.get(identity, 0), scale))
-    else:
-        return None
-    return dimensions_from_traces(lams, traces)
-
-
 def verify_spectrum(
     alg: AlgebraHandle,
     spec: CppSpec,
@@ -303,12 +273,12 @@ def verify_spectrum(
 
     One chain on the claimed support certifies diagonalisability and gives
     every dimension; a value claimed with multiplicity 0 then has
-    dimension 0.  On a whole class of distinct cards the chain runs in the
-    group algebra on the position law, after n! is checked against
-    `max_states`, and no kernel is built; on any other space it runs on the
-    built kernel.  Only when the product does not vanish are the
-    dimensions read off `rank` of the kernel, so a failing report still
-    shows the true ones.
+    dimension 0.  On a whole class of distinct cards the chain runs from
+    one row of the relabelled rows, after n! is checked against
+    `max_states`, and no dense kernel is built; on any other space it runs
+    from every row of the built kernel.  Only when the product does not
+    vanish are the dimensions read off `rank` of the kernel, so a failing
+    report still shows the true ones.
     """
     states = list(states)
     size = len(states)
@@ -319,7 +289,11 @@ def verify_spectrum(
     matrix = None
     if group_certifiable(alg, states, spec.n):
         check_state_count(size, max_states)
-        dims = _group_dimensions(*position_law(alg, spec), spec.n, support)
+        law, den = position_law(alg, spec)
+        columns = list(relabelled_columns(law, states))
+        numerators = [c for _, c in law]
+        traces = annihilation_traces(lambda i: zip(columns[i], numerators), size, den, support, [0])
+        dims = None if traces is None else dimensions_from_traces(support, [size * t for t in traces])
     else:
         matrix = build_transition_matrix(alg, spec, states=states, max_states=max_states)
         dims = eigenspace_dimensions(matrix.kernel, support)
@@ -478,8 +452,7 @@ def build_E_j(
                 raise ArithmeticError(
                     f"eigenvector collapsed to zero for singles {c_multiset!r}"
                 )
-            image = apply_cpp(alg, vector, op_spec)
-            if image != vector.scale(j):
+            if not _eigen_equation(alg, vector, op_spec, Fraction(j, n)):
                 raise ArithmeticError(
                     f"eigen-equation failed for singles {c_multiset!r}, "
                     f"higher multiset of degrees "
@@ -496,11 +469,30 @@ def build_E_j(
     return results
 
 
+def _eigen_equation(alg: AlgebraHandle, vector: LinComb, spec: CppSpec, value: Fraction) -> bool:
+    """True iff the spec's operator maps vector to beta_n * value * vector,
+    that is, vector is an eigenvector of the chain's operator for value."""
+    return apply_cpp(alg, vector, spec) == vector.scale(beta_n(spec) * value)
+
+
 @dataclass
 class EigencheckReport:
     ok: bool
     checked: int
     lines: list
+
+
+def _eigencheck(alg: AlgebraHandle, vectors: list[Eigenvector], expect) -> EigencheckReport:
+    """One "j=...: eigenvalue ... [ok|FAILED]" line per vector, where
+    expect(n, j) gives the (spec, eigenvalue) of a degree-n vector of E_j."""
+    lines = []
+    ok = True
+    for vec in vectors:
+        spec, value = expect(homogeneous_degree(vec.vector), vec.j)
+        good = _eigen_equation(alg, vec.vector, spec, value)
+        lines.append(f"j={vec.j}: eigenvalue {value} [{'ok' if good else 'FAILED'}]")
+        ok = ok and good
+    return EigencheckReport(ok=ok, checked=len(vectors), lines=lines)
 
 
 def polynomial_eigenvalue_check(
@@ -511,23 +503,11 @@ def polynomial_eigenvalue_check(
     The normalised operator Proj_1^{*m} * id has eigenvalue
     C(j,m)/C(n,m) on each vector of the q=1 family.
     """
-    lines = []
-    ok = True
-    for vec in vectors:
-        if vec.q != 1:
-            raise ValueError("this check applies to vectors built with q = 1")
-        n = homogeneous_degree(vec.vector)
-        spec = top_m_unordered_spec(n, m)
-        expected_scale = Fraction(factorial(m) * comb(vec.j, m))
-        image = apply_cpp(alg, vec.vector, spec)
-        good = image == vec.vector.scale(expected_scale)
-        expected_value = Fraction(comb(vec.j, m), comb(n, m))
-        lines.append(
-            f"j={vec.j}: eigenvalue {expected_value} "
-            f"[{'ok' if good else 'FAILED'}]"
-        )
-        ok = ok and good
-    return EigencheckReport(ok=ok, checked=len(vectors), lines=lines)
+    if any(vec.q != 1 for vec in vectors):
+        raise ValueError("this check applies to vectors built with q = 1")
+    return _eigencheck(
+        alg, vectors, lambda n, j: (top_m_unordered_spec(n, m), Fraction(comb(j, m), comb(n, m)))
+    )
 
 
 def trinomial_eigenvalue_check(
@@ -547,22 +527,10 @@ def trinomial_eigenvalue_check(
     if q1 + q3 == 0:
         raise ValueError("q1 + q3 must be positive")
     expected_q = q1 / (q1 + q3)
-    lines = []
-    ok = True
     for vec in vectors:
         if vec.q != expected_q:
-            raise ValueError(
-                f"vector built with q={vec.q}, parameters give q={expected_q}"
-            )
-        n = homogeneous_degree(vec.vector)
-        spec = trinomial_spec(n, q1, q2, q3)
-        beta = beta_n(spec)
-        image = apply_cpp(alg, vec.vector, spec)
-        expected_value = q2 ** (n - vec.j)
-        good = image == vec.vector.scale(beta * expected_value)
-        lines.append(f"j={vec.j}: eigenvalue {expected_value} [{'ok' if good else 'FAILED'}]")
-        ok = ok and good
-    return EigencheckReport(ok=ok, checked=len(vectors), lines=lines)
+            raise ValueError(f"vector built with q={vec.q}, parameters give q={expected_q}")
+    return _eigencheck(alg, vectors, lambda n, j: (trinomial_spec(n, q1, q2, q3), q2 ** (n - j)))
 
 
 def lincomb_rank(vectors: list[LinComb]) -> int:

@@ -364,6 +364,12 @@ def test_cli_simulate_zero_trials_is_usage_error(capsys):
 
 def test_cli_verify_unknown_criterion_is_usage_error(capsys):
     assert "1-10" in _usage_error(capsys, ["verify", "--criteria", "11"])
+    # an empty selection is not "all criteria"
+    assert "1-10" in _usage_error(capsys, ["verify", "--criteria", ""])
+    # a repeated criterion runs once
+    assert main(["verify", "--criteria", "1,1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("criterion 1:") == 1 and "1/1 criteria passed" in out
 
 
 def test_cli_matrix_constant_deck_has_one_state(capsys):

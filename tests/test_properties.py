@@ -4,8 +4,9 @@ For every drawn spec on a small state space, the formula spectrum must
 match the built matrix's eigenspace dimensions, certified by a vanishing
 annihilation product and the traces of its partial products; every
 stationary law must be fixed by the kernel, and on distinct decks the
-descent set must lump the chain.  The relabelled word build must equal
-the per-row Hopf builder entry by entry.
+descent set must lump the chain, and the annihilation chain run from any
+one row must give the dimensions it gives from every row.  The
+relabelled word build must equal the per-row Hopf builder entry by entry.
 The examples are derandomised so the suite is repeatable.
 """
 
@@ -23,6 +24,7 @@ from hopfchains.chain import (
 )
 from hopfchains.forests import forest_algebra
 from hopfchains.hopf import eta, normalize_spec
+from hopfchains.linalg import annihilation_traces, dimensions_from_traces, eigenspace_dimensions
 from hopfchains.shuffle import (
     deck_from_string,
     descent_peak_sets,
@@ -99,6 +101,25 @@ def test_descent_set_lumps_on_random_specs(n, data):
     assert res.quotient.size <= 2 ** (n - 1)
     for label in res.quotient.states:
         assert sum(res.quotient.row_of(label).values()) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_one_row_chain_certifies_distinct_decks_on_random_specs(n, data):
+    # a distinct deck's kernel is the right-regular representation of its
+    # position law: every row of a polynomial in it carries the same diagonal
+    alg, deck = distinct_deck(n)
+    states = rearrangement_class(alg, deck)
+    spec = _draw_spec(data, n)
+    kernel = build_transition_matrix(alg, spec, states=states).kernel
+    claimed = class_spectrum(spec, alg, alg.content(deck)).by_eigenvalue()
+    support = sorted(v for v, m in claimed.items() if m)
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in kernel.entries]
+    start = data.draw(st.integers(0, len(states) - 1))
+    traces = annihilation_traces(rows.__getitem__, len(states), kernel.den, support, [start])
+    one_row = dimensions_from_traces(support, [len(states) * t for t in traces])
+    assert one_row == eigenspace_dimensions(kernel, support) == {v: claimed[v] for v in support}
 
 
 # deck -> examples: the per-row builder applies the operator to all n! states

@@ -4,10 +4,16 @@ from math import comb, factorial
 
 import pytest
 
+from hopfchains import acceptance
 from hopfchains.chain import TransitionMatrix, build_transition_matrix
 from hopfchains.forests import enumerate_trees, forest_algebra
 from hopfchains.hopf import LinComb, SpecError, apply_cpp, beta_n, iterated_coproduct
-from hopfchains.linalg import RatMatrix, eigenspace_dimensions
+from hopfchains.linalg import (
+    RatMatrix,
+    annihilation_traces,
+    dimensions_from_traces,
+    eigenspace_dimensions,
+)
 from hopfchains.presets import (
     biased_spec,
     expand_preset,
@@ -308,6 +314,34 @@ def test_group_certificate_matches_class_spectrum_and_the_matrix_chain(n, monkey
             K = build_transition_matrix(alg, spec, states=states)
             support = [value for value, mult in dims.items() if mult]
             assert eigenspace_dimensions(K.kernel, support) == {v: dims[v] for v in support}, name
+
+
+def _one_row_dimensions(kernel, lams):
+    """Dimensions read from one row's chain, each trace times the state count."""
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in kernel.entries]
+    traces = annihilation_traces(rows.__getitem__, kernel.rows, kernel.den, lams, [0])
+    return dimensions_from_traces(lams, [kernel.rows * t for t in traces])
+
+
+def test_one_row_certificate_needs_a_class_of_distinct_cards():
+    # on aabb the chain's diagonal is not constant: one row's traces times
+    # the class size give wrong dimensions (or none) under every grid preset
+    cells = [m for m in acceptance._grid_matrices() if m[0] == "deck aabb"]
+    assert len(cells) == len(acceptance.grid_presets(4))
+    unsolved = 0
+    for _, preset, alg, n, states, K in cells:
+        assert not group_certifiable(alg, states, n)
+        claimed = class_spectrum(K.spec, alg, alg.content(states[0])).by_eigenvalue()
+        support = sorted(v for v, m in claimed.items() if m)
+        dims = eigenspace_dimensions(K.kernel, support)
+        assert dims == {v: claimed[v] for v in support}, preset
+        try:
+            one_row = _one_row_dimensions(K.kernel, support)
+        except ArithmeticError:  # the triangular solve finds no count
+            unsolved += 1
+            continue
+        assert one_row != dims, preset
+    assert unsolved < len(cells)
 
 
 def test_group_certificate_reports_true_dimensions_on_wrong_claims():
