@@ -123,19 +123,24 @@ def build_transition_matrix(
     else:
         etas = [eta(alg, s) for s in states]
         kernel = per_row_kernel(alg, spec, states, etas)
+    return TransitionMatrix(
+        states=states,
+        kernel=check_stochastic(states, kernel),
+        etas=etas,
+        beta=beta_n(spec),
+        spec=spec,
+    )
+
+
+def check_stochastic(states: list, kernel: RatMatrix) -> RatMatrix:
+    """The kernel itself, once every row is checked to be a probability law."""
     for x, row in zip(states, kernel.entries):
         total = Fraction(sum(row), kernel.den)
         if total != 1:
             raise ArithmeticError(f"row for {x!r} sums to {total}, not 1: rescaling identity violated")
         if min(row) < 0:
             raise ArithmeticError(f"negative transition probability in row for {x!r}")
-    return TransitionMatrix(
-        states=states,
-        kernel=kernel,
-        etas=etas,
-        beta=beta_n(spec),
-        spec=spec,
-    )
+    return kernel
 
 
 def per_row_kernel(alg: AlgebraHandle, spec: CppSpec, states: list, etas: list) -> RatMatrix:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product as cartesian
 from math import comb, gcd, lcm
 from operator import itemgetter
@@ -339,9 +340,15 @@ class DeckStatistics:
     peaks: frozenset
 
 
+@lru_cache(maxsize=64)
+def _ranks(alphabet) -> dict:
+    """Each letter's position in the alphabet order."""
+    return {a: i for i, a in enumerate(alphabet)}
+
+
 def descent_peak_sets(word: Word, alphabet) -> DeckStatistics:
     """Descents in 1..n-1 and peaks in 1..n-2 (peak i = middle card at i+1)."""
-    rank = {a: i for i, a in enumerate(alphabet)}
+    rank = _ranks(tuple(alphabet))
     vals = [rank[a] for a in word.letters]
     n = len(vals)
     descents = frozenset(i for i in range(1, n) if vals[i - 1] > vals[i])
@@ -351,23 +358,19 @@ def descent_peak_sets(word: Word, alphabet) -> DeckStatistics:
     return DeckStatistics(descents=descents, peaks=peaks)
 
 
+@lru_cache(maxsize=256)
+def _binomial_weights(m: int, q: Fraction) -> tuple:
+    """C(m, k) q^k (1-q)^(m-k) for k = 0..m; empty for m < 0."""
+    return tuple(comb(m, k) * q**k * (1 - q) ** (m - k) for k in range(m + 1))
+
+
 def weighted_descent_stat(word: Word, q, alphabet) -> Fraction:
     """Sum over descents i of C(n-2, i-1) q^(i-1) (1-q)^(n-1-i)."""
-    q = rat(q)
-    n = word.degree
-    stats = descent_peak_sets(word, alphabet)
-    total = Fraction(0)
-    for i in stats.descents:
-        total += comb(n - 2, i - 1) * q ** (i - 1) * (1 - q) ** (n - 1 - i)
-    return total
+    weights = _binomial_weights(word.degree - 2, rat(q))
+    return sum((weights[i - 1] for i in descent_peak_sets(word, alphabet).descents), Fraction(0))
 
 
 def weighted_peak_stat(word: Word, q, alphabet) -> Fraction:
     """Sum over peaks i of C(n-3, i-1) q^(i-1) (1-q)^(n-2-i)."""
-    q = rat(q)
-    n = word.degree
-    stats = descent_peak_sets(word, alphabet)
-    total = Fraction(0)
-    for i in stats.peaks:
-        total += comb(n - 3, i - 1) * q ** (i - 1) * (1 - q) ** (n - 2 - i)
-    return total
+    weights = _binomial_weights(word.degree - 3, rat(q))
+    return sum((weights[i - 1] for i in descent_peak_sets(word, alphabet).peaks), Fraction(0))

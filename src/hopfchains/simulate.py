@@ -15,6 +15,9 @@ consecutive piles of those sizes, top pile first, then builds the new deck
 from the bottom by repeatedly dropping the bottommost card of a pile
 chosen with probability proportional to its current size.  Any built
 transition matrix can also be sampled row by row (`matrix_stepper`).
+Every law and row is resolved once into cumulative integer weights, so a
+draw from it is one `randbelow(total)` and a bisection; each card's drop
+is one `randbelow(cards left)` read against the current pile sizes.
 
 `run_trajectories` counts visits rather than samples: a statistic must be
 a pure function of the state, and it is evaluated once per distinct
@@ -28,8 +31,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable
 
@@ -61,49 +66,58 @@ class RngStream:
             r = self._rng.getrandbits(k)
         return r
 
-    def pick_weighted(self, weights: list[int]) -> int:
-        """Index drawn with probability weight/total (integer inverse-CDF)."""
-        total = sum(weights)
-        r = self.randbelow(total)
-        acc = 0
-        for i, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                return i
-        raise AssertionError("unreachable")  # pragma: no cover
+
+def _draw_index(cum: list[int], rng: RngStream) -> int:
+    """Index i drawn with probability (cum[i] - cum[i-1]) / cum[-1] from
+    cumulative integer weights: one `randbelow(total)` draw r, and the
+    first i with r < cum[i] (integer inverse-CDF)."""
+    return bisect_right(cum, rng.randbelow(cum[-1]))
 
 
 def composition_sampler(spec: CppSpec) -> Callable:
     """Draw closure `rng -> composition` for the spec's breaking law.
 
-    The law is resolved once into integer weights over the sorted
-    compositions; each draw is one `pick_weighted` call.
+    The law is resolved once into cumulative integer weights over the
+    sorted compositions; each draw is one `randbelow` call.
     """
     law = sorted(composition_law(spec).items())
     den = lcm(*(p.denominator for _, p in law))
     comps = [comp for comp, _ in law]
-    weights = [p.numerator * (den // p.denominator) for _, p in law]
-    return lambda rng: comps[rng.pick_weighted(weights)]
+    cum = list(accumulate(p.numerator * (den // p.denominator) for _, p in law))
+    return lambda rng: comps[_draw_index(cum, rng)]
 
 
 def gsr_step(deck: Word, comp, rng: RngStream) -> Word:
     """Cut into consecutive piles of the given sizes (top pile first), then
     rebuild the deck from the bottom by dropping the bottommost card of a
-    pile chosen with probability proportional to its current size."""
+    pile chosen with probability proportional to its current size.
+
+    The current sizes sum to the number of cards left, so each drop is one
+    `randbelow(left)` draw r, landing in the first pile whose running size
+    total exceeds r.  An empty pile adds nothing to that total, so it
+    leaves the walk.
+    """
     letters = deck.letters
-    if sum(comp) != len(letters):
-        raise ValueError(f"composition {comp} does not cut a deck of {len(letters)}")
+    n = len(letters)
+    if sum(comp) != n:
+        raise ValueError(f"composition {comp} does not cut a deck of {n}")
     piles = []
     at = 0
     for size in comp:
-        piles.append(list(letters[at : at + size]))
-        at += size
-    sizes = list(comp)
+        if size:
+            piles.append(list(letters[at : at + size]))
+            at += size
+    randbelow = rng.randbelow
     bottom_up = []
-    for _ in letters:
-        i = rng.pick_weighted(sizes)
-        bottom_up.append(piles[i].pop())
-        sizes[i] -= 1
+    for left in range(n, 0, -1):
+        r = randbelow(left)
+        for pile in piles:
+            r -= len(pile)
+            if r < 0:
+                break
+        bottom_up.append(pile.pop())
+        if not pile:
+            piles.remove(pile)  # the only empty pile, so the one just drawn
     return Word(reversed(bottom_up))
 
 
@@ -118,7 +132,8 @@ def matrix_stepper(matrix: TransitionMatrix) -> Callable:
 
     A row's weights are its nonzero integer numerators over their gcd:
     the row sums to the kernel's denominator, so these are the least
-    integers in the row's proportions.
+    integers in the row's proportions.  Each visited row is resolved once
+    into its targets and cumulative weights.
     """
     row_cache: dict = {}
 
@@ -129,9 +144,9 @@ def matrix_stepper(matrix: TransitionMatrix) -> Callable:
             targets = [y for y, c in zip(matrix.states, row) if c]
             nums = [c for c in row if c]
             g = gcd(*nums)
-            cached = row_cache[state] = targets, [c // g for c in nums]
-        targets, weights = cached
-        return targets[rng.pick_weighted(weights)]
+            cached = row_cache[state] = targets, list(accumulate(c // g for c in nums))
+        targets, cum = cached
+        return targets[_draw_index(cum, rng)]
 
     return step
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .chain import build_transition_matrix, check_state_count
+from .chain import build_transition_matrix, check_state_count, check_stochastic, relabelled_kernel
 from .hopf import (
     AlgebraHandle,
     CppSpec,
@@ -278,7 +278,8 @@ def verify_spectrum(
     `max_states`, and no dense kernel is built; on any other space it runs
     from every row of the built kernel.  Only when the product does not
     vanish are the dimensions read off `rank` of the kernel, so a failing
-    report still shows the true ones.
+    report still shows the true ones; on a distinct class that kernel is
+    summed from the position law already in hand.
     """
     states = list(states)
     size = len(states)
@@ -286,7 +287,7 @@ def verify_spectrum(
     support = sorted(value for value, mult in agg.items() if mult > 0)
     if not support:
         raise ValueError("the spectrum claims no eigenvalue")
-    matrix = None
+    kernel = None
     if group_certifiable(alg, states, spec.n):
         check_state_count(size, max_states)
         law, den = position_law(alg, spec)
@@ -295,13 +296,13 @@ def verify_spectrum(
         traces = annihilation_traces(lambda i: zip(columns[i], numerators), size, den, support, [0])
         dims = None if traces is None else dimensions_from_traces(support, [size * t for t in traces])
     else:
-        matrix = build_transition_matrix(alg, spec, states=states, max_states=max_states)
-        dims = eigenspace_dimensions(matrix.kernel, support)
+        kernel = build_transition_matrix(alg, spec, states=states, max_states=max_states).kernel
+        dims = eigenspace_dimensions(kernel, support)
     diag = dims is not None
     if not diag:
-        if matrix is None:
-            matrix = build_transition_matrix(alg, spec, states=states, max_states=max_states)
-        dims = {value: size - rank(shifted(matrix.kernel, value)) for value in agg}
+        if kernel is None:
+            kernel = check_stochastic(states, relabelled_kernel(law, den, states))
+        dims = {value: size - rank(shifted(kernel, value)) for value in agg}
     entries = [(value, agg[value], dims.get(value, 0)) for value in sorted(agg)]
     total = spectrum.total_multiplicity()
     ok = diag and total == size and all(claimed == actual for _, claimed, actual in entries)

@@ -6,11 +6,14 @@ annihilation product and the traces of its partial products; every
 stationary law must be fixed by the kernel, and on distinct decks the
 descent set must lump the chain, and the annihilation chain run from any
 one row must give the dimensions it gives from every row.  The
-relabelled word build must equal the per-row Hopf builder entry by entry.
+relabelled word build must equal the per-row Hopf builder entry by entry,
+and the weighted descent and peak statistics must equal their sums
+written out position by position.
 The examples are derandomised so the suite is repeatable.
 """
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +30,12 @@ from hopfchains.hopf import eta, normalize_spec
 from hopfchains.linalg import annihilation_traces, dimensions_from_traces, eigenspace_dimensions
 from hopfchains.shuffle import (
     deck_from_string,
+    Word,
     descent_peak_sets,
     distinct_deck,
     rearrangement_class,
+    weighted_descent_stat,
+    weighted_peak_stat,
 )
 from hopfchains.spectral import class_spectrum, verify_spectrum
 
@@ -139,3 +145,35 @@ def test_relabelled_build_matches_the_per_row_builder_on_random_specs(deck):
         assert K.kernel == per_row_kernel(alg, spec, states, [eta(alg, s) for s in states])
 
     check()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(
+    letters=st.integers(2, 9).flatmap(
+        lambda n: st.lists(st.sampled_from("abcd"), min_size=n, max_size=n)
+    ),
+    q=st.one_of(st.sampled_from([F(0), F(1)]), st.fractions(0, 1, max_denominator=12)),
+)
+def test_weighted_statistics_equal_the_per_position_sums(letters, q):
+    n = len(letters)
+    v = ["abcd".index(a) for a in letters]
+    descents = sum(
+        (
+            comb(n - 2, i - 1) * q ** (i - 1) * (1 - q) ** (n - 1 - i)
+            for i in range(1, n)
+            if v[i - 1] > v[i]
+        ),
+        F(0),
+    )
+    peaks = sum(
+        (
+            comb(n - 3, i - 1) * q ** (i - 1) * (1 - q) ** (n - 2 - i)
+            for i in range(1, n - 1)
+            if v[i - 1] < v[i] > v[i + 1]
+        ),
+        F(0),
+    )
+    word = Word(letters)
+    for q_arg in (q, str(q)):
+        assert weighted_descent_stat(word, q_arg, "abcd") == descents
+        assert weighted_peak_stat(word, q_arg, "abcd") == peaks

@@ -1,5 +1,7 @@
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd, lcm
+from string import ascii_lowercase
 
 import pytest
 
@@ -293,8 +295,6 @@ def test_matrix_stepper_on_forests():
 def test_matrix_stepper_draws_as_the_reduced_fraction_row():
     # reference: each row as reduced Fractions, cleared by the lcm of
     # their denominators; the stepper must make the very same draws
-    from math import gcd, lcm
-
     from hopfchains.forests import forest_algebra
 
     falg = forest_algebra()
@@ -306,7 +306,7 @@ def test_matrix_stepper_draws_as_the_reduced_fraction_row():
         row = K.row_of(state)
         den = lcm(*(p.denominator for p in row.values()))
         targets = list(row)
-        return targets[rng.pick_weighted([int(p * den) for p in row.values()])]
+        return targets[pick_weighted(rng, [int(p * den) for p in row.values()])]
 
     stepper = matrix_stepper(K)
     for stream in range(10):
@@ -316,6 +316,138 @@ def test_matrix_stepper_draws_as_the_reduced_fraction_row():
             for _ in range(10):
                 a, b = stepper(a, rng_a), reference(b, rng_b)
                 assert a == b
+
+
+# ---------------------------------------------------------------------------
+# reference samplers: the per-card weight-sum draws the samplers must repeat
+
+
+def pick_weighted(rng, weights: list[int]) -> int:
+    """Index drawn with probability weight/total (integer inverse-CDF)."""
+    total = sum(weights)
+    r = rng.randbelow(total)
+    acc = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return i
+    raise AssertionError("unreachable")  # pragma: no cover
+
+
+def _reference_composition_sampler(spec):
+    law = sorted(composition_law(spec).items())
+    den = lcm(*(p.denominator for _, p in law))
+    comps = [comp for comp, _ in law]
+    weights = [p.numerator * (den // p.denominator) for _, p in law]
+    return lambda rng: comps[pick_weighted(rng, weights)]
+
+
+def _reference_gsr_step(deck, comp, rng):
+    letters = deck.letters
+    if sum(comp) != len(letters):
+        raise ValueError(f"composition {comp} does not cut a deck of {len(letters)}")
+    piles = []
+    at = 0
+    for size in comp:
+        piles.append(list(letters[at : at + size]))
+        at += size
+    sizes = list(comp)
+    bottom_up = []
+    for _ in letters:
+        i = pick_weighted(rng, sizes)
+        bottom_up.append(piles[i].pop())
+        sizes[i] -= 1
+    return Word(reversed(bottom_up))
+
+
+def _reference_gsr_stepper(spec):
+    draw = _reference_composition_sampler(spec)
+    return lambda state, rng: _reference_gsr_step(state, draw(rng), rng)
+
+
+def _reference_matrix_stepper(matrix):
+    row_cache: dict = {}
+
+    def step(state, rng):
+        cached = row_cache.get(state)
+        if cached is None:
+            row = matrix.kernel.entries[matrix.index[state]]
+            targets = [y for y, c in zip(matrix.states, row) if c]
+            nums = [c for c in row if c]
+            g = gcd(*nums)
+            cached = row_cache[state] = targets, [c // g for c in nums]
+        targets, weights = cached
+        return targets[pick_weighted(rng, weights)]
+
+    return step
+
+
+class _RecordingStream(RngStream):
+    """A seeded stream that records the bound of every `randbelow` call."""
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, seed, stream):
+        super().__init__(seed, stream)
+        self.bounds = []
+
+    def randbelow(self, n: int) -> int:
+        self.bounds.append(n)
+        return super().randbelow(n)
+
+
+def _assert_same_draws(stepper, reference, start, streams, steps, label):
+    for k in range(streams):
+        rng_a, rng_b = _RecordingStream(SEED, k), _RecordingStream(SEED, k)
+        a = b = start
+        for _ in range(steps):
+            a, b = stepper(a, rng_a), reference(b, rng_b)
+            assert a == b, (label, k)
+        assert rng_a.bounds == rng_b.bounds, (label, k)
+
+
+_IDENTITY_DECKS = [
+    *(distinct_deck(n)[1] for n in range(3, 8)),
+    Word("aabb"),
+    Word(ascii_lowercase[:20]),
+]
+
+
+@pytest.mark.parametrize("deck", _IDENTITY_DECKS, ids=str)
+def test_gsr_stepper_makes_the_reference_draws(deck):
+    # the same randbelow bounds in the same order, so the same trajectory
+    for preset_label, spec in grid_presets(deck.degree):
+        _assert_same_draws(
+            gsr_stepper(spec), _reference_gsr_stepper(spec), deck, 40, 6, preset_label
+        )
+
+
+def test_gsr_step_makes_the_reference_draws_under_a_script():
+    # the outcome-tree oracle's stream, answering every draw 0, every draw
+    # with its largest value, and a mixed prefix followed by zeros
+    deck = distinct_deck(6)[1]
+    for comp in [(6,), (1, 5), (3, 3), (2, 0, 4), (1, 1, 1, 1, 1, 1), (0, 2, 0, 4)]:
+        for script in [(), (5, 4, 3, 2, 1, 0), (5, 0, 3)]:
+            a, b = _ScriptedStream(script), _ScriptedStream(script)
+            assert gsr_step(deck, comp, a) == _reference_gsr_step(deck, comp, b), (comp, script)
+            assert a.bounds == b.bounds == list(range(6, 0, -1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_matrix_stepper_makes_the_reference_draws(n):
+    from hopfchains.forests import forest_algebra
+
+    falg = forest_algebra()
+    alg, deck = distinct_deck(n)
+    words = rearrangement_class(alg, deck)
+    for preset_label, spec in grid_presets(n):
+        for label, K in [
+            ("forests", build_transition_matrix(falg, spec)),
+            ("distinct", build_transition_matrix(alg, spec, states=words)),
+        ]:
+            stepper, reference = matrix_stepper(K), _reference_matrix_stepper(K)
+            for start in K.states:
+                _assert_same_draws(stepper, reference, start, 5, 6, (label, preset_label))
 
 
 def _reference_totals(start, steps, trials, stepper, seed, stats):

@@ -13,6 +13,8 @@ from hopfchains.linalg import (
     annihilation_traces,
     dimensions_from_traces,
     eigenspace_dimensions,
+    rank,
+    shifted,
 )
 from hopfchains.presets import (
     biased_spec,
@@ -375,6 +377,38 @@ def test_group_certificate_reports_true_dimensions_on_wrong_claims():
         (F(1, 8), 6, 6), (F(1, 4), 11, 11), (F(1, 2), 0, 6), (F(1), 1, 1),
     ]
     assert "annihilation product DOES NOT vanish" in report.lines()
+
+
+def test_group_fallback_forms_the_position_law_once(monkeypatch):
+    # with a true eigenvalue left out the rank fallback needs the kernel:
+    # it is summed from the law the certificate already read
+    alg, deck = distinct_deck(4)
+    states = rearrangement_class(alg, deck)
+    spec = riffle_spec(4)
+    right = class_spectrum(spec, alg, alg.content(deck))
+    dropped = Spectrum(
+        table=tuple((lam, v, 0 if v == F(1, 2) else mult) for lam, v, mult in right.table)
+    )
+    K = build_transition_matrix(alg, spec, states=states).kernel
+    expected = [
+        (v, c, len(states) - rank(shifted(K, v))) for v, c in sorted(dropped.by_eigenvalue().items())
+    ]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return apply_cpp(*args, **kwargs)
+
+    for module in ("shuffle", "chain", "spectral"):
+        monkeypatch.setattr(f"hopfchains.{module}.apply_cpp", counted)
+    monkeypatch.setattr("hopfchains.spectral.build_transition_matrix", None)
+    report = verify_spectrum(alg, spec, states, dropped)
+    assert len(calls) == 1
+    assert not report.ok and not report.diagonalizable
+    assert report.entries == expected
+    assert [(v, c, a) for v, c, a in report.entries if c or a] == [
+        (F(1, 8), 6, 6), (F(1, 4), 11, 11), (F(1, 2), 0, 6), (F(1), 1, 1),
+    ]
 
 
 def test_group_certificate_checks_the_cap_before_the_operator(monkeypatch):
