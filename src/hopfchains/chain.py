@@ -18,12 +18,13 @@ the distinct word 0 1 ... n-1 with each key sigma read as x.sigma,
 call gives the position law Q (`shuffle.position_law`), and
 K[x][x.sigma] += Q(sigma) (`shuffle.relabelled_columns`).  That call on
 n distinct cards costs far more than one on a deck with repeated
-letters, so Q is formed only when n! is at most 100 times the kernel's
+letters, so Q is formed only when n! is at most 5 times the kernel's
 entry count (`RELABEL_RATIO`): always on a distinct deck's class and on
-most other classes, but not on decks such as aaaaaaaab or aaaaaaabb,
-whose 9 and 36 states a per-row build reaches sooner.  Forests, whose
-coproduct reads tree shapes, and those word lists take one `apply_cpp`
-call per state (`per_row_kernel`).  On a distinct deck's class K is the
+classes with many states for their size, such as aabbcc or aaaabbcc,
+but not on decks such as aaaaaabb or aaaabbbb, whose 28 and 70 states a
+per-row build reaches sooner.  Forests, whose coproduct reads tree
+shapes, and those word lists take one `apply_cpp` call per state
+(`per_row_kernel`).  On a distinct deck's class K is the
 right-regular representation of Q, and the spectrum certificate runs its
 chain from one of these rows.  Tests check the relabelled build entry by
 entry against the per-state formula on every grid space and against
@@ -45,12 +46,13 @@ from .linalg import RatMatrix, rat
 from .shuffle import WordAlgebra, not_closed, position_law, relabelled_columns
 
 # The relabelled build is chosen when n! <= RELABEL_RATIO * states^2.  Timed
-# on one core (Python 3.11.7) against the per-row build on repeated-letter
-# decks of 6 to 9 cards under trinomial(1/4, 1/2, 1/4), whose position law
-# holds all n! permutations, the two cost the same near n! = 80 * states^2
-# at n = 6 and 120 * states^2 at n = 9.  Laws with fewer permutations
-# favour the relabelled build more.
-RELABEL_RATIO = 100
+# in one process per deck (2 cores, Python 3.11.7) against the per-row
+# build on repeated-letter decks of 6 to 9 cards under trinomial(1/4, 1/2,
+# 1/4), whose position law holds all n! permutations, the relabelled build
+# was the faster one up to n! = 4.1 * states^2 and the per-row build from
+# 8.2 * states^2 on.  Laws with fewer permutations favour the relabelled
+# build more: under riffle(3) it stays faster up to 280 * states^2.
+RELABEL_RATIO = 5
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

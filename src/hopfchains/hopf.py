@@ -11,6 +11,13 @@ the normalisation constant of such an operator, the basis rescaling that
 makes its matrix row-stochastic, and the structural checks a basis must
 satisfy for those operators to define Markov chains.
 
+`apply_cpp` applies a weighted sum of projection convolutions in one
+leg-by-leg walk over the spec's composition prefixes: it splits off one
+non-empty leg at a time, keeps only the splits whose leg degrees still
+begin some composition, and multiplies each closed leg into a running
+product.  So it never forms a full iterated coproduct, and the
+compositions that share a prefix share its expansion.
+
 Basis keys must be hashable, canonical (equal iff they denote the same
 combinatorial object) and carry a `.degree` attribute; the unique degree-0
 key plays the role of the unit.
@@ -237,18 +244,6 @@ def iterated_coproduct(alg: AlgebraHandle, x: LinComb, a: int) -> LinComb:
     return LinComb._wrap(terms)
 
 
-def _product_of_keys(alg: AlgebraHandle, keys) -> dict:
-    """Left-to-right product of a sequence of basis keys, as a terms dict."""
-    acc = {keys[0]: 1}
-    for key in keys[1:]:
-        new: dict = {}
-        for x, cx in acc.items():
-            for k, ck in alg.product_basis(x, key).items():
-                _add_term(new, k, cx * ck)
-        acc = new
-    return acc
-
-
 def symmetrized_product(alg: AlgebraHandle, factors) -> LinComb:
     """Sum over all n! orderings of the product of n factors; the unit if n = 0.
 
@@ -362,37 +357,56 @@ def composition_law(spec: CppSpec) -> dict:
 def apply_cpp(alg: AlgebraHandle, x: LinComb, spec: CppSpec) -> LinComb:
     """Apply the weighted sum of projection convolutions to homogeneous x.
 
-    The a-fold coproduct is computed once per arity appearing in the spec
-    and bucketed by leg-degree profile, so each composition term is a
-    dictionary lookup.
+    One leg-by-leg walk serves every composition of the spec.  A frontier
+    entry (leg degrees so far, product of the closed legs, remaining key)
+    holds an integer coefficient; entries with the same key merge, so the
+    splits that reach the same product and remainder are expanded once.
+    Each entry emits product . remaining into the image of the composition
+    its degrees then make, if the spec has one.  While some composition
+    still needs two or more legs after its degrees, it also splits the
+    remaining key by one coproduct, keeps a split (u, v) only if the
+    degrees grown by deg u are still a proper prefix of a composition (so
+    no leg is empty), and folds u into the product.  Expanding the last
+    leg each time gives, by coassociativity, the a-fold coproduct
+    restricted to each composition's leg degrees, and the legs are
+    multiplied left to right, so each image is exactly
+    m^[a] . Proj_comp . Delta^[a] (x).
     """
     deg = homogeneous_degree(x)
     if deg is None:
         return LinComb.zero()
     if deg != spec.n:
         raise ValueError(f"degree mismatch: element degree {deg}, spec degree {spec.n}")
-    by_arity: dict = {}
-    for comp, w in spec.terms:
-        by_arity.setdefault(len(comp), []).append((comp, w))
+    images: dict = {comp: {} for comp, _ in spec.terms}
+    # leg degrees after which one more leg may be split off, and those
+    # after which a composition still needs two or more legs
+    splits = {comp[:i] for comp in images for i in range(1, len(comp))}
+    expanding = {degrees[:-1] for degrees in splits}
     # Clear x's denominators so that the structure maps run on ints; the
     # rational factor w / den is applied once per (composition, output key).
     den = lcm(*(c.denominator for _, c in x.items()))
-    x_int = LinComb._wrap({k: int(c * den) for k, c in x.items()})
-    out: dict = {}
-    for arity in sorted(by_arity):
-        delta = iterated_coproduct(alg, x_int, arity)
-        buckets: dict = {}
-        for keys, c in delta.items():
-            profile = tuple(k.degree for k in keys)
-            buckets.setdefault(profile, []).append((keys, c))
-        for comp, w in by_arity[arity]:
-            image: dict = {}
-            for keys, c in buckets.get(comp, ()):
-                for k, ck in _product_of_keys(alg, keys).items():
+    unit = alg.unit_key()
+    frontier = {((), unit, k): int(c * den) for k, c in x.items()}
+    while frontier:
+        grown: dict = {}
+        for (degrees, closed, rest), c in frontier.items():
+            image = images.get(degrees + (rest.degree,))
+            if image is not None:
+                for k, ck in alg.product_basis(closed, rest).items():
                     _add_term(image, k, c * ck)
-            scale = Fraction(w, den)
-            for k, c in image.items():
-                _add_term(out, k, scale * c)
+            if degrees not in expanding:
+                continue
+            for (u, v), cu in alg.coproduct_basis(rest).items():
+                longer = degrees + (u.degree,)
+                if longer in splits:
+                    for k, ck in alg.product_basis(closed, u).items():
+                        _add_term(grown, (longer, k, v), c * cu * ck)
+        frontier = grown
+    out: dict = {}
+    for comp, w in spec.terms:
+        scale = Fraction(w, den)
+        for k, c in images[comp].items():
+            _add_term(out, k, scale * c)
     return LinComb._wrap(out)
 
 

@@ -407,14 +407,14 @@ def test_relabelled_build_reports_a_state_space_that_is_not_closed():
 
 
 def test_relabelled_build_is_chosen_by_the_size_of_the_position_law(monkeypatch):
-    # 7! against RELABEL_RATIO * states^2: aaaaabb (21 states) takes one position law
-    assert RELABEL_RATIO * 7**2 < factorial(7) <= RELABEL_RATIO * 21**2
-    alg, deck = deck_from_string("aaaaabb")
+    # 6! against RELABEL_RATIO * states^2: aaaabb (15 states) takes one position law
+    assert RELABEL_RATIO * 6**2 < factorial(6) <= RELABEL_RATIO * 15**2
+    alg, deck = deck_from_string("aaaabb")
     with monkeypatch.context() as m:
         m.setattr("hopfchains.chain.per_row_kernel", None)
-        build_transition_matrix(alg, riffle_spec(7), states=rearrangement_class(alg, deck))
-    # and aaaaaab (7 states) one apply_cpp call per state
-    alg, deck = deck_from_string("aaaaaab")
+        build_transition_matrix(alg, riffle_spec(6), states=rearrangement_class(alg, deck))
+    # and aaaaab (6 states) one apply_cpp call per state
+    alg, deck = deck_from_string("aaaaab")
     states = rearrangement_class(alg, deck)
     monkeypatch.setattr("hopfchains.chain.position_law", None)
-    assert build_transition_matrix(alg, riffle_spec(7), states=states).size == 7
+    assert build_transition_matrix(alg, riffle_spec(6), states=states).size == 6

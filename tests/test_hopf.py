@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 from functools import reduce
 from itertools import permutations
+from math import lcm
 
 import pytest
 
+from hopfchains.acceptance import grid_presets
 from hopfchains.chain import build_transition_matrix
 from hopfchains.forests import forest_algebra, parse_forest
 from hopfchains.hopf import (
@@ -11,6 +13,7 @@ from hopfchains.hopf import (
     CppSpec,
     LinComb,
     SpecError,
+    _add_term,
     apply_cpp,
     beta_n,
     check_bialgebra_compatibility,
@@ -18,6 +21,7 @@ from hopfchains.hopf import (
     check_state_space_basis,
     composition_law,
     eta,
+    homogeneous_degree,
     iterated_coproduct,
     multinomial,
     normalize_spec,
@@ -29,6 +33,7 @@ from hopfchains.hopf import (
 from hopfchains.presets import (
     biased_spec,
     riffle_spec,
+    top_m_ordered_spec,
     top_or_bottom_spec,
     top_to_random_spec,
     trinomial_spec,
@@ -199,6 +204,101 @@ def test_apply_cpp_preserves_degree():
     for word in ["aab", "abc", "cba"]:
         out = apply_cpp(ALG3, lc(word), spec)
         assert {k.degree for k in out.support()} == {3}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_apply_cpp_matches_the_by_arity_reference_on_forest_grid_presets(n):
+    falg = forest_algebra()
+    for label, spec in grid_presets(n):
+        for x in falg.basis(n):
+            got = apply_cpp(falg, LinComb.single(x), spec)
+            assert got == by_arity_apply_cpp(falg, LinComb.single(x), spec), (label, x)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [ShuffleAlgebra("ab"), FreeAssociativeAlgebra("ab"), forest_algebra()],
+    ids=lambda alg: alg.name,
+)
+def test_apply_cpp_expands_only_keys_a_composition_can_split(alg, monkeypatch):
+    asked = []  # every key whose coproduct is asked for
+    coproduct_basis = type(alg).coproduct_basis
+
+    def counted(self, key):
+        asked.append(key)
+        return coproduct_basis(self, key)
+
+    monkeypatch.setattr(type(alg), "coproduct_basis", counted)
+    for n in (3, 4, 5):
+        two_part = [top_to_random_spec(n), top_m_ordered_spec(n, 2), top_m_ordered_spec(n, n - 1)]
+        for x in alg.basis(n):
+            for label, spec in grid_presets(n):
+                asked.clear()
+                apply_cpp(alg, LinComb.single(x), spec)
+                assert all(k.degree >= 2 for k in asked), (label, x)
+            for spec in two_part:
+                asked.clear()
+                apply_cpp(alg, LinComb.single(x), spec)
+                assert asked == [x], (spec, x)
+        # one call per key of a combination, too
+        keys = alg.basis(n)[:3]
+        asked.clear()
+        apply_cpp(alg, LinComb({k: F(i + 1, 2) for i, k in enumerate(keys)}), two_part[0])
+        assert sorted(map(str, asked)) == sorted(map(str, keys))
+
+
+# ---------------------------------------------------------------------------
+# reference operator: the a-fold coproduct built once per arity, bucketed by
+# leg-degree profile, with each bucket's legs multiplied left to right
+
+
+def _product_of_keys(alg: AlgebraHandle, keys) -> dict:
+    """Left-to-right product of a sequence of basis keys, as a terms dict."""
+    acc = {keys[0]: 1}
+    for key in keys[1:]:
+        new: dict = {}
+        for x, cx in acc.items():
+            for k, ck in alg.product_basis(x, key).items():
+                _add_term(new, k, cx * ck)
+        acc = new
+    return acc
+
+
+def by_arity_apply_cpp(alg: AlgebraHandle, x: LinComb, spec: CppSpec) -> LinComb:
+    """Apply the weighted sum of projection convolutions to homogeneous x.
+
+    The a-fold coproduct is computed once per arity appearing in the spec
+    and bucketed by leg-degree profile, so each composition term is a
+    dictionary lookup.
+    """
+    deg = homogeneous_degree(x)
+    if deg is None:
+        return LinComb.zero()
+    if deg != spec.n:
+        raise ValueError(f"degree mismatch: element degree {deg}, spec degree {spec.n}")
+    by_arity: dict = {}
+    for comp, w in spec.terms:
+        by_arity.setdefault(len(comp), []).append((comp, w))
+    # Clear x's denominators so that the structure maps run on ints; the
+    # rational factor w / den is applied once per (composition, output key).
+    den = lcm(*(c.denominator for _, c in x.items()))
+    x_int = LinComb._wrap({k: int(c * den) for k, c in x.items()})
+    out: dict = {}
+    for arity in sorted(by_arity):
+        delta = iterated_coproduct(alg, x_int, arity)
+        buckets: dict = {}
+        for keys, c in delta.items():
+            profile = tuple(k.degree for k in keys)
+            buckets.setdefault(profile, []).append((keys, c))
+        for comp, w in by_arity[arity]:
+            image: dict = {}
+            for keys, c in buckets.get(comp, ()):
+                for k, ck in _product_of_keys(alg, keys).items():
+                    _add_term(image, k, c * ck)
+            scale = F(w, den)
+            for k, c in image.items():
+                _add_term(out, k, scale * c)
+    return LinComb._wrap(out)
 
 
 # ---------------------------------------------------------------------------

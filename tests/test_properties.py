@@ -7,8 +7,9 @@ stationary law must be fixed by the kernel, and on distinct decks the
 descent set must lump the chain, and the annihilation chain run from any
 one row must give the dimensions it gives from every row.  The
 relabelled word build must equal the per-row Hopf builder entry by entry,
-and the weighted descent and peak statistics must equal their sums
-written out position by position.
+the operator's one prefix walk must equal the by-arity reference on
+rational combinations, and the weighted descent and peak statistics must
+equal their sums written out position by position.
 The examples are derandomised so the suite is repeatable.
 """
 
@@ -26,18 +27,21 @@ from hopfchains.chain import (
     stationary_distributions,
 )
 from hopfchains.forests import forest_algebra
-from hopfchains.hopf import eta, normalize_spec
+from hopfchains.hopf import LinComb, apply_cpp, eta, normalize_spec
 from hopfchains.linalg import annihilation_traces, dimensions_from_traces, eigenspace_dimensions
 from hopfchains.shuffle import (
     deck_from_string,
     Word,
     descent_peak_sets,
     distinct_deck,
+    FreeAssociativeAlgebra,
     rearrangement_class,
+    ShuffleAlgebra,
     weighted_descent_stat,
     weighted_peak_stat,
 )
 from hopfchains.spectral import class_spectrum, verify_spectrum
+from test_hopf import by_arity_apply_cpp
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -145,6 +149,41 @@ def test_relabelled_build_matches_the_per_row_builder_on_random_specs(deck):
         assert K.kernel == per_row_kernel(alg, spec, states, [eta(alg, s) for s in states])
 
     check()
+
+
+WALK_ALGEBRAS = {
+    "shuffle": ShuffleAlgebra("ab"),
+    "free-assoc": FreeAssociativeAlgebra("ab"),
+    "forests": forest_algebra(),
+}
+
+
+def _weak_composition(data, n):
+    """A composition of n with zero parts inserted anywhere."""
+    comp = list(data.draw(st.sampled_from(_compositions(n))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        comp.insert(data.draw(st.integers(0, len(comp))), 0)
+    return tuple(comp)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_ALGEBRAS))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_prefix_walk_matches_the_by_arity_reference(name, data):
+    alg = WALK_ALGEBRAS[name]
+    n = data.draw(st.integers(2, 5))
+    weight = st.fractions(min_value=0, max_value=3, max_denominator=6)
+    weights = data.draw(st.lists(weight, max_size=6))
+    # mixed arities, zero parts, and a composition may repeat
+    terms = [(_weak_composition(data, n), w) for w in weights]
+    breaking = data.draw(st.sampled_from([c for c in _compositions(n) if len(c) >= 2]))
+    terms.append((breaking, data.draw(st.fractions(min_value=F(1, 5), max_value=2))))
+    terms.extend(data.draw(st.lists(st.sampled_from(terms), max_size=2)))
+    spec = normalize_spec(n, terms)
+    keys = data.draw(st.lists(st.sampled_from(alg.basis(n)), min_size=1, max_size=4, unique=True))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    x = LinComb({k: data.draw(coeff) for k in keys})
+    assert apply_cpp(alg, x, spec) == by_arity_apply_cpp(alg, x, spec)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
