@@ -104,23 +104,11 @@ class LinComb:
             return LinComb.zero()
         return LinComb._wrap({k: c * v for k, v in self.terms.items()})
 
-    def __rmul__(self, c) -> "LinComb":
-        return self.scale(c)
-
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self.terms)
         for k, v in other.terms.items():
             _add_term(out, k, v)
         return LinComb._wrap(out)
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _add_term(out, k, -v)
-        return LinComb._wrap(out)
-
-    def __neg__(self) -> "LinComb":
-        return self.scale(-1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self.terms == other.terms
@@ -382,8 +370,9 @@ def apply_cpp(alg: AlgebraHandle, x: LinComb, spec: CppSpec) -> LinComb:
     # after which a composition still needs two or more legs
     splits = {comp[:i] for comp in images for i in range(1, len(comp))}
     expanding = {degrees[:-1] for degrees in splits}
-    # Clear x's denominators so that the structure maps run on ints; the
-    # rational factor w / den is applied once per (composition, output key).
+    # Clear x's denominators so that the structure maps run on ints, and
+    # bring the weights over their least common denominator, so that each
+    # output key sums integers and takes one Fraction at the end.
     den = lcm(*(c.denominator for _, c in x.items()))
     unit = alg.unit_key()
     frontier = {((), unit, k): int(c * den) for k, c in x.items()}
@@ -402,12 +391,14 @@ def apply_cpp(alg: AlgebraHandle, x: LinComb, spec: CppSpec) -> LinComb:
                     for k, ck in alg.product_basis(closed, u).items():
                         _add_term(grown, (longer, k, v), c * cu * ck)
         frontier = grown
-    out: dict = {}
+    wden = lcm(*(w.denominator for _, w in spec.terms))
+    totals: dict = {}
     for comp, w in spec.terms:
-        scale = Fraction(w, den)
+        m = w.numerator * (wden // w.denominator)
         for k, c in images[comp].items():
-            _add_term(out, k, scale * c)
-    return LinComb._wrap(out)
+            totals[k] = totals.get(k, 0) + m * c
+    scale = den * wden
+    return LinComb._wrap({k: Fraction(c, scale) for k, c in totals.items() if c})
 
 
 # ---------------------------------------------------------------------------

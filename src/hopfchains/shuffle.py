@@ -7,6 +7,10 @@ Its graded dual is the free associative algebra on the same letters:
 product is concatenation, coproduct sends a word to the sum over all
 position subsets of (restriction, complement).
 
+A word is the plain tuple of its letters (`Word` subclasses `tuple` and
+adds only `degree` and its printed forms), so it equals and hashes as
+that tuple; no dict here mixes words with other tuples of letters.
+
 Also here: deck statistics.  A descent is a position where a card sits on
 a card of smaller value; a peak is a position whose card exceeds both
 neighbours (indexed by the predecessor of the middle card, so peak
@@ -28,40 +32,37 @@ from .hopf import AlgebraHandle, CppSpec, LinComb, _add_term, apply_cpp, beta_n,
 from .linalg import rat
 
 
-class Word:
-    """An immutable sequence of card labels; degree = number of cards."""
+class Word(tuple):
+    """An immutable sequence of card labels; degree = number of cards.
 
-    __slots__ = ("letters",)
+    A word equals, and hashes as, the plain tuple of its letters.  Slicing
+    or adding words gives plain tuples, so every structure map wraps its
+    keys in `Word(...)`; no dict in this package mixes words with other
+    tuples of letters as keys.
+    """
 
-    def __init__(self, letters):
-        self.letters = tuple(letters)
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
-        return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
+        return len(self)
 
     def __str__(self) -> str:
-        return "".join(self.letters)
+        return "".join(map(str, self))
 
     def __repr__(self) -> str:
-        return f"Word({''.join(self.letters)!r})"
+        return f"Word({str(self)!r})"
 
 
 def shuffle_product(w: Word, z: Word) -> LinComb:
     """Sum of all interleavings of w and z, counted with multiplicity."""
-    total = len(w.letters) + len(z.letters)
+    total = len(w) + len(z)
     out: dict = {}
-    for positions in combinations(range(total), len(w.letters)):
+    for positions in combinations(range(total), len(w)):
         merged = [None] * total
-        for p, letter in zip(positions, w.letters):
+        for p, letter in zip(positions, w):
             merged[p] = letter
-        it = iter(z.letters)
+        it = iter(z)
         for i in range(total):
             if merged[i] is None:
                 merged[i] = next(it)
@@ -72,26 +73,26 @@ def shuffle_product(w: Word, z: Word) -> LinComb:
 def deconcat_coproduct(w: Word) -> LinComb:
     """Sum of all prefix (x) suffix splits, each with coefficient 1."""
     out = {}
-    for i in range(len(w.letters) + 1):
-        pair = (Word(w.letters[:i]), Word(w.letters[i:]))
+    for i in range(len(w) + 1):
+        pair = (Word(w[:i]), Word(w[i:]))
         _add_term(out, pair, 1)
     return LinComb._wrap(out)
 
 
 def concat_product(w: Word, z: Word) -> LinComb:
     """Concatenation; a single word with coefficient 1."""
-    return LinComb._wrap({Word(w.letters + z.letters): 1})
+    return LinComb._wrap({Word(w + z): 1})
 
 
 def deshuffle_coproduct(w: Word) -> LinComb:
     """Sum over position subsets S of (w restricted to S) (x) (rest)."""
-    n = len(w.letters)
+    n = len(w)
     out: dict = {}
     for size in range(n + 1):
         for chosen in combinations(range(n), size):
             chosen_set = set(chosen)
-            left = Word(w.letters[i] for i in chosen)
-            right = Word(w.letters[i] for i in range(n) if i not in chosen_set)
+            left = Word(w[i] for i in chosen)
+            right = Word(w[i] for i in range(n) if i not in chosen_set)
             _add_term(out, (left, right), 1)
     return LinComb._wrap(out)
 
@@ -140,7 +141,7 @@ class WordAlgebra(AlgebraHandle):
     def content(self, key: Word) -> tuple[int, ...]:
         """Letter multiplicities of a word, aligned with the alphabet order."""
         counts = [0] * len(self.alphabet)
-        for letter in key.letters:
+        for letter in key:
             counts[self.rank[letter]] += 1
         return tuple(counts)
 
@@ -214,8 +215,8 @@ def position_law(alg: WordAlgebra, spec: CppSpec) -> tuple[list, int]:
     Both word algebras cut and merge by position and never read a card
     label, so relabelling letters is a Hopf morphism and eta is the same
     on every word of a degree.  The operator's image of the distinct word
-    0 1 ... n-1 then names, in each key's letters, the permutation sigma
-    that sends card sigma[i] of the old deck to position i, and every word
+    0 1 ... n-1 then has as keys the permutations sigma themselves (each
+    sends card sigma[i] of the old deck to position i), and every word
     chain steps from x to x.sigma, (x.sigma)[i] = x[sigma[i]], with
     probability Q(sigma) = coefficient / beta_n.
 
@@ -224,7 +225,7 @@ def position_law(alg: WordAlgebra, spec: CppSpec) -> tuple[list, int]:
     """
     beta = beta_n(spec)
     image = apply_cpp(alg, LinComb.single(Word(range(spec.n))), spec)
-    law = [(w.letters, c / beta) for w, c in image.items()]
+    law = [(w, c / beta) for w, c in image.items()]
     den = lcm(*(q.denominator for _, q in law))
     return [(sigma, q.numerator * (den // q.denominator)) for sigma, q in law], den
 
@@ -241,11 +242,11 @@ def relabelled_columns(law: list, states: list):
     in order, the j with states[j] = x.sigma, (x.sigma)[i] = x[sigma[i]];
     a column repeats when two permutations reach the same word.
     """
-    index = {s.letters: i for i, s in enumerate(states)}
+    index = {s: i for i, s in enumerate(states)}
     # itemgetter of one index returns the letter, not a tuple
     moves = [itemgetter(*sigma) if len(sigma) > 1 else tuple for sigma, _ in law]
     for x in states:
-        targets = [move(x.letters) for move in moves]
+        targets = [move(x) for move in moves]
         columns = [index.get(y) for y in targets]
         if None in columns:
             raise not_closed(x, Word(targets[columns.index(None)]))
@@ -287,7 +288,7 @@ def rearrangement_class(alg: WordAlgebra, word: Word) -> list[Word]:
     multiset), so a class of size m costs O(m n) whatever the repeats.
     """
     letters = alg.alphabet
-    ranks = sorted(alg.rank[a] for a in word.letters)
+    ranks = sorted(alg.rank[a] for a in word)
     n = len(ranks)
     out = []
     while True:
@@ -349,7 +350,7 @@ def _ranks(alphabet) -> dict:
 def descent_peak_sets(word: Word, alphabet) -> DeckStatistics:
     """Descents in 1..n-1 and peaks in 1..n-2 (peak i = middle card at i+1)."""
     rank = _ranks(tuple(alphabet))
-    vals = [rank[a] for a in word.letters]
+    vals = [rank[a] for a in word]
     n = len(vals)
     descents = frozenset(i for i in range(1, n) if vals[i - 1] > vals[i])
     peaks = frozenset(

@@ -97,15 +97,14 @@ def gsr_step(deck: Word, comp, rng: RngStream) -> Word:
     total exceeds r.  An empty pile adds nothing to that total, so it
     leaves the walk.
     """
-    letters = deck.letters
-    n = len(letters)
+    n = len(deck)
     if sum(comp) != n:
         raise ValueError(f"composition {comp} does not cut a deck of {n}")
     piles = []
     at = 0
     for size in comp:
         if size:
-            piles.append(list(letters[at : at + size]))
+            piles.append(list(deck[at : at + size]))
             at += size
     randbelow = rng.randbelow
     bottom_up = []

@@ -267,10 +267,10 @@ def test_lumping_descents_under_riffle():
 def test_lumping_failure_produces_witness():
     _, deck, K = _class_chain(3, top_to_random_spec)
     # first letter is not a Markov statistic for this chain
-    res = lumping_check(K, lambda s: s.letters[0])
+    res = lumping_check(K, lambda s: s[0])
     assert not res.ok
     x, x2, label_class = res.witness
-    assert x.letters[0] == x2.letters[0]
+    assert x[0] == x2[0]
 
 
 def test_exports():

@@ -58,16 +58,22 @@ ALG3 = ShuffleAlgebra("abc")
 
 
 def test_lincomb_no_zero_terms():
-    v = LinComb({w("a"): F(1)}) - LinComb({w("a"): F(1)})
+    v = LinComb({w("a"): F(1), w("b"): F(2)}) + LinComb({w("a"): F(-1)})
+    assert v == LinComb({w("b"): F(2)})
+    v = v + lc("b").scale(-2)
     assert v.is_zero()
     assert len(v) == 0
+    assert lc("ab").scale(0).is_zero()
 
 
 def test_lincomb_arithmetic():
     v = lc("ab") + lc("ab") + lc("ba").scale(F(3))
     assert v.coefficient(w("ab")) == 2
     assert v.coefficient(w("ba")) == 3
-    assert (F(1, 2) * v).coefficient(w("ab")) == 1
+    half = v.scale(F(1, 2))
+    assert half.coefficient(w("ab")) == 1
+    assert half.coefficient(w("ba")) == F(3, 2)
+    assert v.scale(-1).coefficient(w("ba")) == -3
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,29 @@ def all_words(alphabet, n):
     return ShuffleAlgebra(alphabet).basis(n)
 
 
+def test_word_is_the_tuple_of_its_letters():
+    assert w("ab") == ("a", "b") and hash(w("ab")) == hash(("a", "b"))
+    assert str(w("ab")) == "ab" and repr(w("ab")) == "Word('ab')"
+    assert w("abc").degree == 3 and w("").degree == 0 and str(w("")) == ""
+    # the position law's keys are words of positions
+    assert repr(w(range(3))) == "Word('012')"
+    # a tensor key of two one-letter words is not the two-letter word
+    keys = {(w("a"), w("b")): 1, w("ab"): 2}
+    assert len(keys) == 2 and keys[("a", "b")] == 2
+
+
+def test_structure_maps_return_words_in_every_leg():
+    # slicing or adding words gives plain tuples; every key must be rewrapped
+    for alg in (ShuffleAlgebra("ab"), FreeAssociativeAlgebra("ab")):
+        for i in range(5):
+            for x in alg.basis(i):
+                for u, v in alg.coproduct_basis(x).terms:
+                    assert type(u) is Word and type(v) is Word
+                for j in range(5 - i):
+                    for y in alg.basis(j):
+                        assert all(type(k) is Word for k in alg.product_basis(x, y).terms)
+
+
 def test_shuffle_product_examples():
     got = shuffle_product(w("ac"), w("cb"))
     assert got.coefficient(w("accb")) == 2
@@ -171,8 +194,8 @@ def test_distinct_deck_and_classes():
 def test_rearrangement_class_matches_set_and_sort():
     # independent oracle: every permutation into a set, sorted by letter ranks
     def oracle(alg, deck):
-        seen = {Word(p) for p in permutations(deck.letters)}
-        return sorted(seen, key=lambda v: tuple(alg.rank[a] for a in v.letters))
+        seen = {Word(p) for p in permutations(deck)}
+        return sorted(seen, key=lambda v: tuple(alg.rank[a] for a in v))
 
     for alg in (ShuffleAlgebra("abc"), ShuffleAlgebra("cab")):
         expected = {}

@@ -343,7 +343,7 @@ def _reference_composition_sampler(spec):
 
 
 def _reference_gsr_step(deck, comp, rng):
-    letters = deck.letters
+    letters = deck
     if sum(comp) != len(letters):
         raise ValueError(f"composition {comp} does not cut a deck of {len(letters)}")
     piles = []
