@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .hopf import AlgebraHandle, CppSpec, LinComb, apply_cpp, beta_n, eta, symmetrized_product
 from .linalg import RatMatrix, rat
@@ -362,25 +362,25 @@ def lumping_check(matrix: TransitionMatrix, statistic: Callable) -> LumpingResul
 # export
 
 
-def _text_rows(matrix: TransitionMatrix) -> list[list[str]]:
-    """Kernel rows as "p/q" strings, one Fraction per distinct numerator."""
+def _text_rows(matrix: TransitionMatrix) -> Iterator[Iterator[str]]:
+    """Kernel rows as iterators of "p/q" strings, one Fraction per distinct numerator."""
     entries = matrix.kernel.entries
-    text = {c: str(Fraction(c, matrix.kernel.den)) for c in {c for row in entries for c in row}}
-    return [[text[c] for c in row] for row in entries]
+    text = {c: str(Fraction(c, matrix.kernel.den)) for c in set().union(*entries)}
+    return (map(text.__getitem__, row) for row in entries)
 
 
-def matrix_to_csv(matrix: TransitionMatrix) -> str:
-    """CSV with a header row of state encodings and rational-string entries."""
-    lines = ["state," + ",".join(str(s) for s in matrix.states)]
+def matrix_to_csv(matrix: TransitionMatrix) -> Iterator[str]:
+    """CSV lines, each ending in a newline: a header row of state encodings,
+    then one row of rational-string entries per state."""
+    yield "state," + ",".join(map(str, matrix.states)) + "\n"
     for s, row in zip(matrix.states, _text_rows(matrix)):
-        lines.append(str(s) + "," + ",".join(row))
-    return "\n".join(lines) + "\n"
+        yield f"{s},{','.join(row)}\n"
 
 
 def matrix_to_dict(matrix: TransitionMatrix) -> dict:
     data = {
         "states": [str(s) for s in matrix.states],
-        "rows": _text_rows(matrix),
+        "rows": list(map(list, _text_rows(matrix))),
     }
     if matrix.beta is not None:
         data["beta"] = str(matrix.beta)

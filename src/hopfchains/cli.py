@@ -5,6 +5,11 @@ verification suite.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 All rational parameters accept "p/q" strings; JSON output carries a
 format_version field and serialises rationals as "p/q" strings.
+
+Output is written as it is encoded, with no change to the bytes: JSON one
+container at a time, each container of scalars in one C-encoder call, and
+the text is exactly that of `json.dumps(payload, indent=2)`; CSV one line
+at a time.  A JSON payload is built whole before anything is written.
 """
 
 from __future__ import annotations
@@ -126,17 +131,68 @@ def _states(args, alg, n, start) -> list:
     return alg.basis(n)
 
 
-def _emit(args, payload: dict, csv_text: str | None = None) -> None:
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_chunks(obj, indent: str = ""):
+    """The text of `json.dumps(obj, indent=2)`, yielded one container at a
+    time.  A container whose items are all scalars (a kernel row, a state
+    list) is one C-encoder call framed with the same newlines and indents,
+    so no string is made per entry."""
+    if isinstance(obj, dict):
+        items, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = obj, "[]"
+    else:
+        yield json.dumps(obj)
+        return
+    if not obj:
+        yield brackets
+        return
+    inner = indent + "  "
+    if _SCALARS.issuperset(map(type, items)):
+        text = json.dumps(obj, separators=(",\n" + inner, ": "))
+        yield f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
+        return
+    # each key as JSON renders a dict key, with its separator: '"key": '
+    keys = [json.dumps({k: 0})[1:-2] for k in obj] if brackets == "{}" else [""] * len(obj)
+    sep = brackets[0]
+    for key, value in zip(keys, items):
+        yield f"{sep}\n{inner}{key}"
+        yield from _json_chunks(value, inner)
+        sep = ","
+    yield f"\n{indent}{brackets[1]}"
+
+
+def _write(path: str | None, chunks, end: str = "") -> None:
+    """Write text chunks, then `end`, to the file at `path`, or to stdout
+    without one.  A reader that closes stdout early (`| head`) ends the
+    output quietly."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+            fh.write(end)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.write(end)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os
+
+        # what is still buffered goes nowhere, so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _emit(args, payload: dict, csv_text=None) -> None:
+    """Write the payload as indented JSON, or else the CSV lines `csv_text`,
+    to --out or stdout as each piece is encoded."""
     if csv_text is None:
-        payload = {"format_version": FORMAT_VERSION, **payload}
-        text = json.dumps(payload, indent=2) + "\n"
+        _write(args.out, _json_chunks({"format_version": FORMAT_VERSION, **payload}), end="\n")
     else:
-        text = csv_text
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _write(args.out, csv_text)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +204,9 @@ def cmd_matrix(args) -> int:
     spec = _load_spec(args, n)
     states = _states(args, alg, n, start)
     K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
+    if args.format == "csv":  # the CSV carries the kernel alone
+        _emit(args, {}, csv_text=matrix_to_csv(K))
+        return 0
     payload = {
         "command": "matrix",
         "algebra": alg.name,
@@ -155,7 +214,7 @@ def cmd_matrix(args) -> int:
         "spec": spec_to_dict(spec),
         "matrix": matrix_to_dict(K),
     }
-    _emit(args, payload, csv_text=matrix_to_csv(K) if args.format == "csv" else None)
+    _emit(args, payload)
     return 0
 
 
@@ -360,8 +419,7 @@ def cmd_verify(args) -> int:
                 for r in results
             ],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+        _write(args.out, _json_chunks(payload))
     return 0 if all_ok else 1
 
 

@@ -275,7 +275,7 @@ def test_lumping_failure_produces_witness():
 
 def test_exports():
     _, deck, K = _class_chain(3, top_to_random_spec)
-    csv_text = matrix_to_csv(K)
+    csv_text = "".join(matrix_to_csv(K))
     lines = csv_text.strip().split("\n")
     assert lines[0] == "state,123,132,213,231,312,321"
     assert len(lines) == 7

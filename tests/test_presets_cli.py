@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hopfchains.chain import build_transition_matrix
-from hopfchains.cli import main
+from hopfchains.cli import _json_chunks, main
 from hopfchains.hopf import SpecError, beta_n, spec_from_dict, spec_to_dict
 from hopfchains.presets import (
     biased_spec,
@@ -499,3 +504,79 @@ def test_cli_verify_matrix_certifies_a_distinct_deck_without_a_kernel(capsys, mo
     assert main(argv) == 0
     detail = json.loads(capsys.readouterr().out)["matrix_verification"]["detail"]
     assert detail[-2:] == ["multiplicity total 120 vs 120 states [ok]", "annihilation product vanishes"]
+
+
+# ---------------------------------------------------------------------------
+# streamed output
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**300)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, float("nan"), float("-inf")])
+    | st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\u2028😀') | st.characters())
+)
+_JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": [{"f": []}]}})
+@example([-0.0, 1e300, float("nan"), 2**100, True, False, None, "q\"\\\x01é"])
+def test_streamed_json_equals_the_indented_dump(obj):
+    assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--distinct", "3", "--preset", "riffle"],
+        ["matrix", "--deck", "aabc", "--preset", "riffle", "--format", "csv"],
+        ["eigvecs", "--distinct", "3", "--q", "1/2"],
+    ],
+    ids=["matrix-json", "matrix-csv", "eigvecs"],
+)
+def test_cli_out_file_equals_stdout(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
+def test_cli_verify_report_has_no_trailing_newline(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--criteria", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text(encoding="utf-8")
+    assert not text.endswith("\n")
+    assert text == json.dumps(json.loads(text), indent=2)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_closed_pipe_ends_output_quietly(fmt):
+    # a reader that stops early (`| head -c 100`) is not a usage error
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    entry = "import sys; from hopfchains.cli import main; sys.exit(main())"
+    argv = ["matrix", "--distinct", "6", "--preset", "riffle", "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", entry, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)  # the 6.9 MB output cannot fit in the pipe
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""
+    assert head.startswith(b"{" if fmt == "json" else b"state,")
