@@ -90,9 +90,21 @@ def _check_horizon(args) -> None:
         raise UsageError(f"--t must be >= 0, got {args.t}")
 
 
+def _one_start(args, size: str, other: str) -> None:
+    """Reject a run given both start flags `--size` and `--other`, or a size below 1."""
+    n = getattr(args, size)
+    if n is None:
+        return
+    if getattr(args, other) is not None:
+        raise UsageError(f"give --{size} or --{other}, not both")
+    if n < 1:
+        raise UsageError(f"--{size} must be >= 1, got {n}")
+
+
 def _shuffle_deck(args, missing: str):
     """(shuffle algebra, deck) from --distinct or --deck; `missing` is the usage error."""
-    if args.distinct:
+    _one_start(args, "distinct", "deck")
+    if args.distinct is not None:
         return distinct_deck(args.distinct)
     if args.deck:
         return deck_from_string(args.deck)
@@ -105,11 +117,12 @@ def _setup_space(args):
         alg, deck = _shuffle_deck(args, "shuffle runs need --distinct N or --deck WORD")
         return alg, deck.degree, deck
     if args.algebra == "forests":
+        _one_start(args, "n", "forest")
         alg = forest_algebra()
         if args.forest:
             start = parse_forest(args.forest)
             return alg, start.degree, start
-        if args.n:
+        if args.n is not None:
             return alg, args.n, None
         raise UsageError("forest runs need --forest ENCODING or --n N")
     raise UsageError(f"unknown algebra {args.algebra!r}")

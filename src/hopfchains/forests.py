@@ -7,17 +7,21 @@ connected subtrees S that are empty or contain the root; for a multi-tree
 forest the per-tree coproducts multiply in the tensor square.
 
 Canonical form: a tree is a tuple of child trees sorted by their
-parenthesised encoding, a forest is a tuple of trees sorted the same way.
-"(()())" is a root with two leaf children, "()()" two isolated roots.
-The encoding of a canonical forest determines it, so forests hash and
-compare by encoding.  Structure constants are plain ints.
+parenthesised encoding, and a `Forest` is the tuple of its canonical
+trees sorted the same way.  "(()())" is a root with two leaf children,
+"()()" two isolated roots.  Equal forests are equal tuples, so forests
+hash and compare in C.  A forest equals the plain tuple of its trees,
+which is also a tree (the root over them) and can equal a tensor key;
+no dict in this package mixes forests with trees or tensor keys.  Each
+tree is canonicalised, measured and encoded once, by the memos below.
+Structure constants are plain ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as cartesian
 from math import comb
 
@@ -25,9 +29,9 @@ from .hopf import AlgebraHandle, LinComb, _add_term, tensor_square_product
 from .linalg import rat
 
 
-def _canon_tree(children) -> tuple:
-    kids = tuple(_canon_tree(c) for c in children)
-    return tuple(sorted(kids, key=_enc_tree))
+@lru_cache(maxsize=None)
+def _canon_tree(tree: tuple) -> tuple:
+    return tuple(sorted(map(_canon_tree, tree), key=_enc_tree))
 
 
 @lru_cache(maxsize=None)
@@ -35,40 +39,38 @@ def _enc_tree(tree) -> str:
     return "(" + "".join(_enc_tree(c) for c in tree) + ")"
 
 
+@lru_cache(maxsize=None)
 def _tree_size(tree) -> int:
-    return 1 + sum(_tree_size(c) for c in tree)
+    return 1 + sum(map(_tree_size, tree))
 
 
-class Forest:
-    """Canonical unlabelled rooted forest; hashable, equality by shape."""
+def _frozen(tree) -> tuple:
+    """A tree given as nested iterables (lists, say), as nested tuples."""
+    return tuple(map(_frozen, tree))
 
-    __slots__ = ("trees", "encoding", "_size")
 
-    def __init__(self, trees):
-        canon = tuple(sorted((_canon_tree(t) for t in trees), key=_enc_tree))
-        self._set(canon, sum(_tree_size(t) for t in canon))
+class Forest(tuple):
+    """Canonical unlabelled rooted forest: the sorted tuple of its trees."""
 
-    def _set(self, canon: tuple, size: int) -> None:
-        self.trees = canon
-        self.encoding = "".join(map(_enc_tree, canon))
-        self._size = size
+    __slots__ = ()
+
+    def __new__(cls, trees):
+        canon = map(_canon_tree, map(_frozen, trees))
+        return tuple.__new__(cls, sorted(canon, key=_enc_tree))
 
     @property
     def degree(self) -> int:
-        return self._size
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Forest) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return hash(self.encoding)
+        return sum(map(_tree_size, self))
 
     def __str__(self) -> str:
-        return self.encoding
+        return "".join(map(_enc_tree, self))
 
     def __repr__(self) -> str:
-        return f"Forest({self.encoding!r})"
+        return f"Forest({str(self)!r})"
 
+
+# The Forest of trees that are already canonical and sorted by encoding.
+_wrap_forest = partial(tuple.__new__, Forest)
 
 EMPTY_FOREST = Forest(())
 SINGLE_VERTEX = Forest(((),))
@@ -101,7 +103,7 @@ def enumerate_trees(n: int) -> tuple:
     """All rooted trees with n vertices: a root over each (n-1)-vertex forest."""
     if n < 1:
         return ()
-    return tuple(_canon_tree(f.trees) for f in enumerate_forests(n - 1))
+    return tuple(map(tuple, enumerate_forests(n - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +140,7 @@ def enumerate_forests(n: int) -> tuple[Forest, ...]:
 
     def extend(start: int, remaining: int, chosen: list) -> None:
         if remaining == 0:
-            results.append(Forest(tuple(chosen)))
+            results.append(_wrap_forest(sorted(chosen, key=_enc_tree)))
             return
         for idx in range(start, len(pool)):
             size, tree = pool[idx]
@@ -149,22 +151,21 @@ def enumerate_forests(n: int) -> tuple[Forest, ...]:
             chosen.pop()
 
     extend(0, n, [])
-    return tuple(sorted(results, key=lambda f: f.encoding))
+    return tuple(sorted(results, key=str))
 
 
 def forest_product(f: Forest, g: Forest) -> LinComb:
     """Disjoint union, as a single canonical forest with coefficient 1.
 
-    Both tree tuples are already canonical, so the union only merges them
-    by encoding; nothing is re-canonicalised.
+    Both forests' trees are already canonical, so the union only sorts
+    them by encoding; nothing is re-canonicalised.
     """
-    if not g.trees:
+    if not g:
         union = f
-    elif not f.trees:
+    elif not f:
         union = g
     else:
-        union = Forest.__new__(Forest)
-        union._set(tuple(sorted(f.trees + g.trees, key=_enc_tree)), f._size + g._size)
+        union = _wrap_forest(sorted(f + g, key=_enc_tree))
     return LinComb._wrap({union: 1})
 
 
@@ -188,17 +189,16 @@ def _tree_cuts(tree) -> list:
             left = left + child_left
             if child_kept is not None:
                 kept_children.append(child_kept)
-        cuts.append((left, _canon_tree(kept_children)))
+        cuts.append((left, tuple(sorted(kept_children, key=_enc_tree))))
     return cuts
 
 
 @lru_cache(maxsize=None)
 def _tree_coproduct(tree) -> LinComb:
     out: dict = {}
-    whole = Forest((tree,))
-    _add_term(out, (whole, EMPTY_FOREST), 1)  # S empty
+    _add_term(out, (_wrap_forest((tree,)), EMPTY_FOREST), 1)  # S empty
     for left, kept in _tree_cuts(tree):
-        _add_term(out, (Forest(left), Forest((kept,))), 1)
+        _add_term(out, (_wrap_forest(sorted(left, key=_enc_tree)), _wrap_forest((kept,))), 1)
     return LinComb._wrap(out)
 
 
@@ -216,9 +216,9 @@ class ForestAlgebra(AlgebraHandle):
         return forest_product(x, y)
 
     def coproduct_basis(self, x: Forest) -> LinComb:
-        if not x.trees:
+        if not x:
             return LinComb._wrap({(EMPTY_FOREST, EMPTY_FOREST): 1})
-        first, *rest = x.trees
+        first, *rest = x
         result = _tree_coproduct(first)
         for tree in rest:
             result = tensor_square_product(self, result, _tree_coproduct(tree))
@@ -267,7 +267,7 @@ def vertex_stats(f: Forest) -> list[VertexStats]:
         stats.append(VertexStats(desc=size, anc=depth + 1, component=component))
         return size
 
-    for tree in f.trees:
+    for tree in f:
         walk(tree, 0, _tree_size(tree))
     return stats
 

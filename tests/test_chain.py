@@ -138,7 +138,7 @@ def test_expectations_match_evolve_at_every_step():
     forest_chain = build_transition_matrix(falg, trinomial_spec(4, F(1, 4), F(1, 2), F(1, 4)))
     cases = [
         (word_chain[2], word_chain[1], lambda s: F(len(descent_peak_sets(s, "1234").peaks))),
-        (forest_chain, parse_forest("(((())))"), lambda f: F(len(f.trees), f.degree)),
+        (forest_chain, parse_forest("(((())))"), lambda f: F(len(f), f.degree)),
     ]
     for K, start_state, stat in cases:
         start = point_mass(K, start_state)

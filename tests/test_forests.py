@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hopfchains.forests import (
     EMPTY_FOREST,
@@ -26,16 +27,105 @@ from hopfchains.hopf import (
 )
 
 
+def test_forest_is_the_tuple_of_its_trees():
+    path = ((),)  # the tree "(())"
+    f = Forest([(), path])  # sorted by encoding: "(())" < "()"
+    assert f == (path, ()) and hash(f) == hash((path, ()))
+    assert str(f) == "(())()" and repr(f) == "Forest('(())()')"
+    assert f.degree == 3 and EMPTY_FOREST.degree == 0 and str(EMPTY_FOREST) == ""
+    # nested lists and unsorted trees canonicalise to the same forest
+    assert Forest([[], [[]]]) == Forest([[()], []]) == f
+    assert Forest([[[], [[]]]]) == Forest([(((),), ())]) == parse_forest("(()(()))")
+    assert Forest(f) == f and type(Forest(f)) is Forest
+    assert type(f + f) is tuple  # adding forests gives plain tuples, never a Forest
+    # a tensor key can equal a forest ("()()" is the pair of empty forests),
+    # so no dict holds both
+    assert (EMPTY_FOREST, EMPTY_FOREST) == parse_forest("()()")
+
+
+def test_forest_structure_maps_return_forests_in_every_leg():
+    # sums and sorts of trees are plain tuples; every key must be wrapped
+    falg = forest_algebra()
+    for i in range(7):
+        for x in enumerate_forests(i):
+            for u, v in falg.coproduct_basis(x).terms:
+                assert type(u) is Forest and type(v) is Forest
+            for j in range(7 - i):
+                for y in enumerate_forests(j):
+                    assert all(type(k) is Forest for k in falg.product_basis(x, y).terms)
+
+
+# The Forest class as it stood when a forest held its trees, encoding and
+# size in slots and hashed by encoding, with its helpers, kept as the
+# reference for the encoding of any input.
+def _canon_tree(children) -> tuple:
+    kids = tuple(_canon_tree(c) for c in children)
+    return tuple(sorted(kids, key=_enc_tree))
+
+
+def _enc_tree(tree) -> str:
+    return "(" + "".join(_enc_tree(c) for c in tree) + ")"
+
+
+def _tree_size(tree) -> int:
+    return 1 + sum(_tree_size(c) for c in tree)
+
+
+class _ReferenceForest:
+    """Canonical unlabelled rooted forest; hashable, equality by shape."""
+
+    __slots__ = ("trees", "encoding", "_size")
+
+    def __init__(self, trees):
+        canon = tuple(sorted((_canon_tree(t) for t in trees), key=_enc_tree))
+        self._set(canon, sum(_tree_size(t) for t in canon))
+
+    def _set(self, canon: tuple, size: int) -> None:
+        self.trees = canon
+        self.encoding = "".join(map(_enc_tree, canon))
+        self._size = size
+
+    @property
+    def degree(self) -> int:
+        return self._size
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _ReferenceForest) and self.encoding == other.encoding
+
+    def __hash__(self):
+        return hash(self.encoding)
+
+    def __str__(self) -> str:
+        return self.encoding
+
+    def __repr__(self) -> str:
+        return f"Forest({self.encoding!r})"
+
+
+_TREES = st.recursive(
+    st.just([]),
+    lambda kids: st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple),
+    max_leaves=10,
+)
+
+
+@given(st.lists(_TREES, max_size=4))
+def test_forest_encoding_matches_the_reference_class(trees):
+    f, reference = Forest(trees), _ReferenceForest(trees)
+    assert str(f) == str(reference) and repr(f) == repr(reference)
+    assert f.degree == reference.degree and f == reference.trees
+
+
 def test_canonical_form_ignores_child_order():
     left = Forest([((), ((),))])  # root with children: leaf, path-child
     right = Forest([(((),), ())])
     assert left == right
-    assert left.encoding == right.encoding
+    assert str(left) == str(right)
 
 
 def test_parse_round_trip():
     for enc in ["()", "()()", "(())", "(()())", "((()))(())()"]:
-        assert parse_forest(enc).encoding == enc
+        assert str(parse_forest(enc)) == enc
     with pytest.raises(ValueError):
         parse_forest("(()")
     with pytest.raises(ValueError):
@@ -82,7 +172,7 @@ def test_tree_count_matches_enumeration():
 def test_enumerated_forests_are_distinct_and_sorted():
     for n in range(1, 6):
         forests = enumerate_forests(n)
-        encodings = [f.encoding for f in forests]
+        encodings = [str(f) for f in forests]
         assert len(set(encodings)) == len(encodings)
         assert encodings == sorted(encodings)
         assert all(f.degree == n for f in forests)
@@ -132,10 +222,9 @@ def test_canonical_union_matches_recanonicalised_union():
             for f in enumerate_forests(i):
                 for g in enumerate_forests(j):
                     [(union, c)] = forest_product(f, g).items()
-                    reference = Forest(f.trees + g.trees)
+                    reference = Forest(f + g)
                     assert type(c) is int and c == 1
-                    assert union.trees == reference.trees
-                    assert union.encoding == reference.encoding
+                    assert str(union) == str(reference)
                     assert hash(union) == hash(reference)
                     assert union == reference and union.degree == i + j
 
@@ -145,7 +234,7 @@ def test_coproduct_matches_unit_seeded_product_of_tree_coproducts():
     for n in range(6):
         for f in enumerate_forests(n):
             reference = LinComb.single((EMPTY_FOREST, EMPTY_FOREST))
-            for tree in f.trees:
+            for tree in f:
                 reference = tensor_square_product(falg, reference, _tree_coproduct(tree))
             assert falg.coproduct_basis(f) == reference
 

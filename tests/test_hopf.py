@@ -389,7 +389,7 @@ def test_eta_forest_matches_removal_order_count():
 
     for n in range(1, 6):
         for f in falg.basis(n):
-            assert eta(falg, f) == removal_orders(f.trees), f
+            assert eta(falg, f) == removal_orders(f), f
 
 
 def test_state_space_checks_pass():

@@ -367,6 +367,38 @@ def test_cli_simulate_zero_trials_is_usage_error(capsys):
     assert "--trials" in _usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stationary", "--algebra", "forests", "--n", "0"], "--n must be >= 1, got 0"),
+        (["stationary", "--algebra", "forests", "--n", "-2"], "--n must be >= 1, got -2"),
+        (["matrix", "--distinct", "0", "--preset", "riffle"], "--distinct must be >= 1, got 0"),
+        (["matrix", "--distinct", "-1", "--preset", "riffle"], "--distinct must be >= 1, got -1"),
+        (["eigvecs", "--distinct", "0"], "--distinct must be >= 1, got 0"),
+    ],
+)
+def test_cli_start_size_below_one_is_usage_error(capsys, monkeypatch, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("set up a state space for a size below 1")
+
+    monkeypatch.setattr("hopfchains.cli.forest_algebra", refuse)
+    monkeypatch.setattr("hopfchains.cli.distinct_deck", refuse)
+    assert message in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--algebra", "forests", "--forest", "((()))", "--n", "5", "--preset", "riffle"],
+        ["stationary", "--algebra", "forests", "--n", "3", "--forest", "()"],
+        ["matrix", "--distinct", "3", "--deck", "abc", "--preset", "riffle"],
+        ["eigvecs", "--deck", "ab", "--distinct", "2"],
+    ],
+)
+def test_cli_second_start_flag_is_usage_error(capsys, argv):
+    assert "not both" in _usage_error(capsys, argv)
+
+
 def test_cli_verify_unknown_criterion_is_usage_error(capsys):
     assert "1-10" in _usage_error(capsys, ["verify", "--criteria", "11"])
     # an empty selection is not "all criteria"
