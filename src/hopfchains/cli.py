@@ -101,8 +101,18 @@ def _one_start(args, size: str, other: str) -> None:
         raise UsageError(f"--{size} must be >= 1, got {n}")
 
 
+def _no_start_of(args, algebra: str, *flags: str) -> None:
+    """Reject a start flag of the other algebra, which the run would ignore."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise UsageError(
+                f"--{flag} starts a {algebra} run and would be ignored under --algebra {args.algebra}"
+            )
+
+
 def _shuffle_deck(args, missing: str):
     """(shuffle algebra, deck) from --distinct or --deck; `missing` is the usage error."""
+    _no_start_of(args, "forests", "n", "forest")
     _one_start(args, "distinct", "deck")
     if args.distinct is not None:
         return distinct_deck(args.distinct)
@@ -117,6 +127,7 @@ def _setup_space(args):
         alg, deck = _shuffle_deck(args, "shuffle runs need --distinct N or --deck WORD")
         return alg, deck.degree, deck
     if args.algebra == "forests":
+        _no_start_of(args, "shuffle", "distinct", "deck")
         _one_start(args, "n", "forest")
         alg = forest_algebra()
         if args.forest:

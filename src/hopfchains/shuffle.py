@@ -235,16 +235,22 @@ def not_closed(x, y) -> ValueError:
     return ValueError(f"state space not closed: {x!r} reaches {y!r} outside the given states")
 
 
+def position_moves(law: list) -> list:
+    """One callable per (sigma, numerator) of a position law, in order,
+    sending a word x to the plain tuple of x.sigma, (x.sigma)[i] = x[sigma[i]]."""
+    # itemgetter of one index returns the letter, not a tuple
+    return [itemgetter(*sigma) if len(sigma) > 1 else tuple for sigma, _ in law]
+
+
 def relabelled_columns(law: list, states: list):
     """Yield each state's row of the relabelled chain (`position_law`) as columns.
 
     The row of x = states[i] lists, for each (sigma, numerator) of the law
-    in order, the j with states[j] = x.sigma, (x.sigma)[i] = x[sigma[i]];
-    a column repeats when two permutations reach the same word.
+    in order, the j with states[j] = x.sigma (`position_moves`); a column
+    repeats when two permutations reach the same word.
     """
     index = {s: i for i, s in enumerate(states)}
-    # itemgetter of one index returns the letter, not a tuple
-    moves = [itemgetter(*sigma) if len(sigma) > 1 else tuple for sigma, _ in law]
+    moves = position_moves(law)
     for x in states:
         targets = [move(x) for move in moves]
         columns = [index.get(y) for y in targets]

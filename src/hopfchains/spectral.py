@@ -40,15 +40,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import comb, factorial
+from functools import cache, lru_cache
+from math import comb, factorial, lcm, prod
 
 from .chain import build_transition_matrix, check_state_count, check_stochastic, relabelled_kernel
 from .hopf import (
     AlgebraHandle,
     CppSpec,
     LinComb,
-    apply_cpp,
     beta_n,
     homogeneous_degree,
     product,
@@ -65,7 +64,7 @@ from .linalg import (
     shifted,
 )
 from .presets import top_m_unordered_spec, top_or_bottom_spec, trinomial_spec
-from .shuffle import WordAlgebra, position_law, relabelled_columns
+from .shuffle import WordAlgebra, position_law, position_moves, relabelled_columns
 
 _ZERO = Fraction(0)
 
@@ -398,6 +397,22 @@ def _higher_primitive_multisets(alg, total: int):
             yield tuple(multiset)
 
 
+def _sub_multiset_splits(singles: tuple) -> list:
+    """(A, complement, count) for each sub-multiset A of a sorted tuple.
+
+    count = prod_a C(m_a, k_a) is the number of position subsets of
+    `singles` whose letters form A, where a occurs m_a times in `singles`
+    and k_a times in A.
+    """
+    groups = [(a, len(list(run))) for a, run in itertools.groupby(singles)]
+    splits = []
+    for ks in itertools.product(*(range(m + 1) for _, m in groups)):
+        left = tuple(a for (a, _), k in zip(groups, ks) for _ in range(k))
+        right = tuple(a for (a, m), k in zip(groups, ks) for _ in range(m - k))
+        splits.append((left, right, prod(comb(m, k) for (_, m), k in zip(groups, ks))))
+    return splits
+
+
 def build_E_j(
     alg: AlgebraHandle,
     n: int,
@@ -411,14 +426,25 @@ def build_E_j(
     of higher primitives p_1..p_k with total degree n-j, emit
 
       sum_i sum_{sigma} C(j,i) q^i (1-q)^(j-i)
-            c_sig(1)..c_sig(i) (sum_tau p_tau(1)..p_tau(k)) c_sig(i+1)..c_sig(j).
+            c_sig(1)..c_sig(i) M c_sig(i+1)..c_sig(j),   M = sum_tau p_tau(1)..p_tau(k).
 
-    Requires a cocommutative algebra.  Every emitted vector is verified
-    exactly against the operator q Proj_1*id + (1-q) id*Proj_1 at degree n;
-    a failure aborts with the offending multisets.  With `content` set,
-    only multisets whose combined `alg.content` matches are produced.
-    j = n-1 always yields the empty list: no primitive has total degree 1
-    once the degree-1 slots are spent.
+    The orderings sigma that put the position set S first sum to
+    sym(S) M sym(S^c), with sym the symmetrised product, and sym(S) only
+    depends on the letter multiset A of S; the subsets with multiset A
+    number prod_a C(m_a, k_a).  So the sum is built from one split per
+    sub-multiset A, i = |A|, weighted by C(j,i) q^i (1-q)^(j-i) times that
+    count: at most 2^j triple products.  sym(A) is formed once per
+    sub-multiset, as sum_a m_a sym(A - a) a over the distinct singles a of
+    A (the orderings grouped by their last factor), and M once per
+    multiset of higher primitives.
+
+    Requires a cocommutative word handle (`FreeAssociativeAlgebra`).  Every
+    emitted vector is verified exactly against the operator
+    q Proj_1*id + (1-q) id*Proj_1 at degree n through its position law
+    (`_eigen_equation`); a failure aborts with the offending multisets.
+    With `content` set, only multisets whose combined `alg.content`
+    matches are produced.  j = n-1 always yields the empty list: no
+    primitive has total degree 1 once the degree-1 slots are spent.
     """
     if not alg.cocommutative:
         raise ValueError(f"{alg.name} is not cocommutative")
@@ -426,54 +452,96 @@ def build_E_j(
         raise ValueError("j must lie in 0..n")
     q = rat(q)
     op_spec = top_or_bottom_spec(n, q)
+    value = Fraction(j, n)
+    weights = [comb(j, i) * q**i * (1 - q) ** (j - i) for i in range(j + 1)]
     higher = list(_higher_primitive_multisets(alg, n - j))
+    middles: dict = {}  # position in `higher` -> M
+    syms = {(): LinComb.single(alg.unit_key())}  # sub-multiset of singles -> sym(A)
+
+    def sym(letters: tuple) -> LinComb:
+        if letters not in syms:
+            total = LinComb.zero()
+            for pos, a in enumerate(letters):
+                if a not in letters[:pos]:
+                    rest = sym(letters[:pos] + letters[pos + 1 :])
+                    total = total + product(alg, rest, LinComb.single(a, letters.count(a)))
+            syms[letters] = total
+        return syms[letters]
+
     results = []
     for c_multiset in itertools.combinations_with_replacement(alg.basis(1), j):
-        for p_multiset in higher:
+        splits = [
+            (left, right, weights[len(left)] * count)
+            for left, right, count in _sub_multiset_splits(c_multiset)
+            if weights[len(left)]
+        ]
+        for pos, p_multiset in enumerate(higher):
             if content is not None:
                 # a primitive is content-homogeneous: any key of its support gives its content
                 keys = c_multiset + tuple(next(iter(p.support())) for p in p_multiset)
                 if tuple(map(sum, zip(*map(alg.content, keys)))) != tuple(content):
                     continue
-            middle = symmetrized_product(alg, p_multiset)
+            if pos not in middles:
+                middles[pos] = symmetrized_product(alg, p_multiset)
+            middle = middles[pos]
             vector = LinComb.zero()
-            for i in range(j + 1):
-                coeff = comb(j, i) * q**i * (1 - q) ** (j - i)
-                if not coeff:
-                    continue
-                for sigma in itertools.permutations(range(j)):
-                    term = LinComb.single(alg.unit_key())
-                    for s in sigma[:i]:
-                        term = product(alg, term, LinComb.single(c_multiset[s]))
-                    term = product(alg, term, middle)
-                    for s in sigma[i:]:
-                        term = product(alg, term, LinComb.single(c_multiset[s]))
-                    vector = vector + term.scale(coeff)
+            for left, right, coeff in splits:
+                term = product(alg, product(alg, sym(left), middle), sym(right))
+                vector = vector + term.scale(coeff)
             if vector.is_zero():
                 raise ArithmeticError(
                     f"eigenvector collapsed to zero for singles {c_multiset!r}"
                 )
-            if not _eigen_equation(alg, vector, op_spec, Fraction(j, n)):
+            if not _eigen_equation(alg, vector, op_spec, value):
                 raise ArithmeticError(
                     f"eigen-equation failed for singles {c_multiset!r}, "
                     f"higher multiset of degrees "
                     f"{[homogeneous_degree(p) for p in p_multiset]}"
                 )
-            results.append(
-                Eigenvector(
-                    vector=vector,
-                    eigenvalue=Fraction(j, n),
-                    j=j,
-                    q=q,
-                )
-            )
+            results.append(Eigenvector(vector=vector, eigenvalue=value, j=j, q=q))
     return results
+
+
+@lru_cache(maxsize=16)
+def _position_action(alg: WordAlgebra, spec: CppSpec) -> tuple[tuple, int]:
+    """The spec's position law as ((move, numerator), ...) over den, formed
+    once per (handle, spec); each move sends x to the plain tuple x.sigma."""
+    law, den = position_law(alg, spec)
+    return tuple(zip(position_moves(law), (c for _, c in law))), den
 
 
 def _eigen_equation(alg: AlgebraHandle, vector: LinComb, spec: CppSpec, value: Fraction) -> bool:
     """True iff the spec's operator maps vector to beta_n * value * vector,
-    that is, vector is an eigenvector of the chain's operator for value."""
-    return apply_cpp(alg, vector, spec) == vector.scale(beta_n(spec) * value)
+    that is, vector is an eigenvector of the chain's operator for value.
+
+    Only word handles are checked: their operators never read a card
+    label, so the operator sends each word x to sum_sigma beta_n Q(sigma)
+    x.sigma for the spec's position law Q = numerator / den
+    (`shuffle.position_law`).  The vector is scaled by the lcm of its
+    denominators to integers a_x, and the check is the integer identity
+
+      value.den * sum_x sum_sigma numerator(sigma) a_x x.sigma = den * value.num * a,
+
+    with zero entries dropped from the left side (value 0 has an empty
+    right side).  Any other handle raises ValueError.
+    """
+    if not isinstance(alg, WordAlgebra):
+        raise ValueError(f"{alg.name} is not a word algebra; eigen-equations are checked on words")
+    deg = homogeneous_degree(vector)
+    if deg not in (None, spec.n):
+        raise ValueError(f"degree mismatch: element degree {deg}, spec degree {spec.n}")
+    value = rat(value)
+    moves, den = _position_action(alg, spec)
+    vden = lcm(*(c.denominator for _, c in vector.items()))
+    scaled = {x: c.numerator * (vden // c.denominator) for x, c in vector.items()}
+    image: dict = {}
+    for x, a in scaled.items():
+        for move, m in moves:
+            y = move(x)
+            image[y] = image.get(y, 0) + m * a
+    lhs = {y: c * value.denominator for y, c in image.items() if c}
+    rhs = {x: a * den * value.numerator for x, a in scaled.items()} if value else {}
+    return lhs == rhs
 
 
 @dataclass

@@ -399,6 +399,29 @@ def test_cli_second_start_flag_is_usage_error(capsys, argv):
     assert "not both" in _usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["matrix", "--distinct", "3", "--n", "5", "--preset", "riffle"], "--n"),
+        (["spectrum", "--deck", "abc", "--forest", "(())", "--preset", "riffle"], "--forest"),
+        (["eigvecs", "--distinct", "3", "--forest", "(())"], "--forest"),
+        (["eigvecs", "--deck", "ab", "--n", "2"], "--n"),
+        (["matrix", "--algebra", "forests", "--n", "3", "--deck", "abc", "--preset", "riffle"],
+         "--deck"),
+        (["stationary", "--algebra", "forests", "--forest", "(())", "--distinct", "3"],
+         "--distinct"),
+    ],
+)
+def test_cli_other_algebra_start_flag_is_usage_error(capsys, monkeypatch, argv, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("set up a state space for a run with an ignored start flag")
+
+    monkeypatch.setattr("hopfchains.cli.forest_algebra", refuse)
+    monkeypatch.setattr("hopfchains.cli.distinct_deck", refuse)
+    monkeypatch.setattr("hopfchains.cli.deck_from_string", refuse)
+    assert f"{flag} starts a" in _usage_error(capsys, argv)
+
+
 def test_cli_verify_unknown_criterion_is_usage_error(capsys):
     assert "1-10" in _usage_error(capsys, ["verify", "--criteria", "11"])
     # an empty selection is not "all criteria"

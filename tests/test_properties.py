@@ -9,10 +9,13 @@ one row must give the dimensions it gives from every row.  The
 relabelled word build must equal the per-row Hopf builder entry by entry,
 the operator's one prefix walk must equal the by-arity reference on
 rational combinations, and the weighted descent and peak statistics must
-equal their sums written out position by position.
+equal their sums written out position by position.  Every insertion
+eigenvector must satisfy the eigen-equation through `apply_cpp` and equal
+the construction that sums over every ordering of its singles.
 The examples are derandomised so the suite is repeatable.
 """
 
+import itertools
 from fractions import Fraction as F
 from math import comb
 
@@ -27,8 +30,16 @@ from hopfchains.chain import (
     stationary_distributions,
 )
 from hopfchains.forests import forest_algebra
-from hopfchains.hopf import LinComb, apply_cpp, eta, normalize_spec
+from hopfchains.hopf import (
+    LinComb,
+    apply_cpp,
+    eta,
+    normalize_spec,
+    product,
+    symmetrized_product,
+)
 from hopfchains.linalg import annihilation_traces, dimensions_from_traces, eigenspace_dimensions
+from hopfchains.presets import top_or_bottom_spec
 from hopfchains.shuffle import (
     deck_from_string,
     Word,
@@ -40,8 +51,14 @@ from hopfchains.shuffle import (
     weighted_descent_stat,
     weighted_peak_stat,
 )
-from hopfchains.spectral import class_spectrum, verify_spectrum
+from hopfchains.spectral import (
+    _higher_primitive_multisets,
+    build_E_j,
+    class_spectrum,
+    verify_spectrum,
+)
 from test_hopf import by_arity_apply_cpp
+from test_spectral import apply_cpp_eigen_equation
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -216,3 +233,48 @@ def test_weighted_statistics_equal_the_per_position_sums(letters, q):
     for q_arg in (q, str(q)):
         assert weighted_descent_stat(word, q_arg, "abcd") == descents
         assert weighted_peak_stat(word, q_arg, "abcd") == peaks
+
+
+def _sigma_loop_vectors(alg, n, j, q, content):
+    """The insertion eigenvectors summed over every ordering sigma of the
+    singles and every cut point i, as `build_E_j` once built them."""
+    higher = list(_higher_primitive_multisets(alg, n - j))
+    results = []
+    for c_multiset in itertools.combinations_with_replacement(alg.basis(1), j):
+        for p_multiset in higher:
+            if content is not None:
+                # a primitive is content-homogeneous: any key of its support gives its content
+                keys = c_multiset + tuple(next(iter(p.support())) for p in p_multiset)
+                if tuple(map(sum, zip(*map(alg.content, keys)))) != tuple(content):
+                    continue
+            middle = symmetrized_product(alg, p_multiset)
+            vector = LinComb.zero()
+            for i in range(j + 1):
+                coeff = comb(j, i) * q**i * (1 - q) ** (j - i)
+                if not coeff:
+                    continue
+                for sigma in itertools.permutations(range(j)):
+                    term = LinComb.single(alg.unit_key())
+                    for s in sigma[:i]:
+                        term = product(alg, term, LinComb.single(c_multiset[s]))
+                    term = product(alg, term, middle)
+                    for s in sigma[i:]:
+                        term = product(alg, term, LinComb.single(c_multiset[s]))
+                    vector = vector + term.scale(coeff)
+            results.append(vector)
+    return results
+
+
+@pytest.mark.parametrize("deck", ["abc", "aab", "aabb", "abcd"])
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(q=st.one_of(st.sampled_from([F(0), F(1)]), st.fractions(0, 1, max_denominator=6)))
+def test_insertion_eigenvectors_match_the_sigma_loop_and_the_oracle(deck, q):
+    alg = FreeAssociativeAlgebra(sorted(set(deck)))
+    n = len(deck)
+    content = alg.content(Word(deck))
+    spec = top_or_bottom_spec(n, q)
+    for j in list(range(n - 1)) + [n]:
+        vectors = build_E_j(alg, n, j, q, content=content)
+        assert [v.vector for v in vectors] == _sigma_loop_vectors(alg, n, j, q, content)
+        for vec in vectors:
+            assert apply_cpp_eigen_equation(alg, vec.vector, spec, F(j, n))

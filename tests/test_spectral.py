@@ -21,6 +21,7 @@ from hopfchains.presets import (
     expand_preset,
     preset_names,
     riffle_spec,
+    top_m_unordered_spec,
     top_or_bottom_spec,
     top_to_random_spec,
     trinomial_spec,
@@ -37,6 +38,7 @@ from hopfchains.shuffle import (
 )
 from hopfchains.spectral import (
     Spectrum,
+    _eigen_equation,
     build_E_j,
     class_multiplicity,
     class_spectrum,
@@ -399,8 +401,10 @@ def test_group_fallback_forms_the_position_law_once(monkeypatch):
         calls.append(args)
         return apply_cpp(*args, **kwargs)
 
+    # spectral no longer binds apply_cpp; setting it anyway counts a call
+    # that comes back
     for module in ("shuffle", "chain", "spectral"):
-        monkeypatch.setattr(f"hopfchains.{module}.apply_cpp", counted)
+        monkeypatch.setattr(f"hopfchains.{module}.apply_cpp", counted, raising=False)
     monkeypatch.setattr("hopfchains.spectral.build_transition_matrix", None)
     report = verify_spectrum(alg, spec, states, dropped)
     assert len(calls) == 1
@@ -599,6 +603,78 @@ def test_trinomial_check_rejects_mismatched_q():
     vectors = build_E_j(alg, 2, 2, F(1), content=(1, 1))
     with pytest.raises(ValueError):
         trinomial_eigenvalue_check(alg, vectors, F(1, 4), F(1, 2), F(1, 4))
+
+
+def apply_cpp_eigen_equation(alg, vector, spec, value) -> bool:
+    """The eigen-equation through one `apply_cpp` call: the oracle that the
+    position-law check in `spectral._eigen_equation` must agree with."""
+    return apply_cpp(alg, vector, spec) == vector.scale(beta_n(spec) * value)
+
+
+def _insertion_families():
+    """(handle, n, q, vectors) for distinct n <= 4 and decks aab, aabb, at q in {0, 1/3, 1}."""
+    spaces = [(distinct_alphabet(n), (1,) * n) for n in (2, 3, 4)]
+    spaces += [("ab", (2, 1)), ("ab", (2, 2))]
+    for letters, content in spaces:
+        alg = FreeAssociativeAlgebra(letters)
+        n = sum(content)
+        for q in (F(0), F(1, 3), F(1)):
+            vectors = []
+            for j in list(range(n - 1)) + [n]:
+                vectors.extend(build_E_j(alg, n, j, q, content=content))
+            yield alg, n, q, vectors
+
+
+def test_every_insertion_eigenvector_satisfies_the_apply_cpp_oracle():
+    for alg, n, q, vectors in _insertion_families():
+        assert vectors
+        spec = top_or_bottom_spec(n, q)
+        for vec in vectors:
+            assert apply_cpp_eigen_equation(alg, vec.vector, spec, F(vec.j, n))
+
+
+def test_position_law_check_rejects_one_changed_coefficient():
+    for alg, n, q, vectors in _insertion_families():
+        spec = top_or_bottom_spec(n, q)
+        for vec in vectors:
+            key, c = min(vec.vector.items(), key=lambda kv: str(kv[0]))
+            for changed in (c + 1, -c, F(0)):
+                terms = dict(vec.vector.items())
+                terms[key] = changed
+                wrong = LinComb(terms)
+                if wrong.is_zero():
+                    continue
+                assert not apply_cpp_eigen_equation(alg, wrong, spec, F(vec.j, n))
+                assert not _eigen_equation(alg, wrong, spec, F(vec.j, n))
+
+
+def test_position_law_check_agrees_with_the_oracle_on_other_operators():
+    # the polynomial and trinomial checks, true and false values alike
+    alg = FreeAssociativeAlgebra("123")
+    vectors = []
+    for j in (0, 1, 3):
+        vectors.extend(build_E_j(alg, 3, j, F(1, 3), content=(1, 1, 1)))
+    specs = [top_m_unordered_spec(3, 2), trinomial_spec(3, F(1, 6), F(1, 2), F(1, 3))]
+    values = [F(0), F(1, 4), F(1, 2), F(1), F(1, 8)]
+    seen = set()
+    for spec in specs:
+        for vec in vectors:
+            for value in values:
+                verdict = _eigen_equation(alg, vec.vector, spec, value)
+                assert verdict == apply_cpp_eigen_equation(alg, vec.vector, spec, value)
+                seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_position_law_check_needs_a_word_handle_and_the_spec_degree():
+    forests = forest_algebra()
+    x = LinComb.single(forests.basis(2)[0])
+    with pytest.raises(ValueError, match="not a word algebra"):
+        _eigen_equation(forests, x, top_to_random_spec(2), F(1))
+    alg = FreeAssociativeAlgebra("ab")
+    with pytest.raises(ValueError, match="degree mismatch"):
+        _eigen_equation(alg, LinComb.single(Word("ab")), top_to_random_spec(3), F(1))
+    assert _eigen_equation(alg, LinComb.zero(), top_to_random_spec(3), F(1, 3))
 
 
 def test_spectrum_export():
