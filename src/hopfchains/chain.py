@@ -84,12 +84,13 @@ class TransitionMatrix:
         return {y: Fraction(c, den) for y, c in zip(self.states, row) if c}
 
 
-def check_state_count(count: int, max_states: int) -> None:
-    """Refuse a state space of `count` elements above the cap."""
+def check_state_count(count: int, max_states: int, knob: str = "max_states") -> None:
+    """Refuse a state space of `count` elements above the cap; the message
+    names `knob`, the setting that raises it."""
     if count > max_states:
         raise ValueError(
             f"state space has {count} elements, above the cap {max_states}; "
-            "raise max_states to proceed"
+            f"raise {knob} to proceed"
         )
 
 

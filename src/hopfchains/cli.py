@@ -85,6 +85,13 @@ def _rat_flag(args, name: str) -> Fraction:
         raise UsageError(f"zero denominator in --{name} {value!r}") from None
 
 
+def _check_cap(args) -> None:
+    """Refuse a --max-states below 1, which no state space fits under."""
+    cap = getattr(args, "max_states", None)  # verify has no cap
+    if cap is not None and cap < 1:
+        raise UsageError(f"--max-states must be >= 1, got {cap}")
+
+
 def _check_horizon(args) -> None:
     if args.t < 0:
         raise UsageError(f"--t must be >= 0, got {args.t}")
@@ -116,7 +123,9 @@ def _shuffle_deck(args, missing: str):
     _one_start(args, "distinct", "deck")
     if args.distinct is not None:
         return distinct_deck(args.distinct)
-    if args.deck:
+    if args.deck is not None:
+        if not args.deck:
+            raise UsageError("--deck needs at least one card")
         return deck_from_string(args.deck)
     raise UsageError(missing)
 
@@ -130,7 +139,9 @@ def _setup_space(args):
         _no_start_of(args, "shuffle", "distinct", "deck")
         _one_start(args, "n", "forest")
         alg = forest_algebra()
-        if args.forest:
+        if args.forest is not None:
+            if not args.forest:
+                raise UsageError("--forest needs at least one tree")
             start = parse_forest(args.forest)
             return alg, start.degree, start
         if args.n is not None:
@@ -149,9 +160,9 @@ def _states(args, alg, n, start) -> list:
     before they are enumerated: a deck's class by its multinomial size,
     the forests on n vertices by the rooted trees on n + 1."""
     if args.algebra == "shuffle":
-        check_state_count(_class_size(alg, start), args.max_states)
+        check_state_count(_class_size(alg, start), args.max_states, "--max-states")
         return rearrangement_class(alg, start)
-    check_state_count(tree_count(n + 1), args.max_states)
+    check_state_count(tree_count(n + 1), args.max_states, "--max-states")
     return alg.basis(n)
 
 
@@ -529,6 +540,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_cap(args)
         return args.fn(args)
     except (UsageError, SpecError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

@@ -9,15 +9,18 @@ inverse-CDF over a common denominator; floating point appears only in the
 reporting layer.
 
 Shuffles have a direct sampler, `gsr_stepper(spec)`: it resolves the
-spec's composition law once (`composition_sampler`), and each step draws
-piece sizes from it and runs `gsr_step`, which cuts the deck into
-consecutive piles of those sizes, top pile first, then builds the new deck
-from the bottom by repeatedly dropping the bottommost card of a pile
-chosen with probability proportional to its current size.  Any built
-transition matrix can also be sampled row by row (`matrix_stepper`).
-Every law and row is resolved once into cumulative integer weights, so a
-draw from it is one `randbelow(total)` and a bisection; each card's drop
-is one `randbelow(cards left)` read against the current pile sizes.
+spec's composition law once (the table `composition_sampler` draws from),
+and each step draws piece sizes from it and runs `gsr_step`, which cuts
+the deck into consecutive piles of those sizes, top pile first, then
+builds the new deck from the bottom by repeatedly dropping the bottommost
+card of a pile chosen with probability proportional to its current size.
+Any built transition matrix can also be sampled row by row
+(`matrix_stepper`).  Every law and row is resolved once into cumulative
+integer weights, so a draw from it is one `randbelow(total)` and a
+bisection, made inline in the step: no frame stands between a step and
+`randbelow`.  Each card's drop is one `randbelow(cards left)` read against
+the current pile sizes, and writes the chosen pile's bottom card straight
+to its slot of the new deck; no pile is copied out.
 
 `run_trajectories` counts visits rather than samples: a statistic must be
 a pure function of the state, and it is evaluated once per distinct
@@ -29,8 +32,8 @@ report does not depend on trial order.
 
 from __future__ import annotations
 
+import _random
 import hashlib
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,8 +56,9 @@ class RngStream:
         self.seed = seed
         self.stream = stream
         material = f"hopfchains:{seed}:{stream}".encode()
-        state = int.from_bytes(hashlib.sha256(material).digest(), "big")
-        self._rng = random.Random(state)
+        # seeded in one C call: the Mersenne Twister state of
+        # random.Random(state), without its Python-level __init__ and seed
+        self._rng = _random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection on getrandbits."""
@@ -67,24 +71,26 @@ class RngStream:
         return r
 
 
-def _draw_index(cum: list[int], rng: RngStream) -> int:
-    """Index i drawn with probability (cum[i] - cum[i-1]) / cum[-1] from
-    cumulative integer weights: one `randbelow(total)` draw r, and the
-    first i with r < cum[i] (integer inverse-CDF)."""
-    return bisect_right(cum, rng.randbelow(cum[-1]))
+def _composition_table(spec: CppSpec) -> tuple[list, list[int]]:
+    """The spec's breaking law as its sorted compositions and their
+    cumulative integer weights over the lcm of the denominators."""
+    law = sorted(composition_law(spec).items())
+    den = lcm(*(p.denominator for _, p in law))
+    comps = [comp for comp, _ in law]
+    return comps, list(accumulate(p.numerator * (den // p.denominator) for _, p in law))
 
 
 def composition_sampler(spec: CppSpec) -> Callable:
     """Draw closure `rng -> composition` for the spec's breaking law.
 
     The law is resolved once into cumulative integer weights over the
-    sorted compositions; each draw is one `randbelow` call.
+    sorted compositions; each draw is one `randbelow(total)` draw r and
+    the first composition whose cumulative weight exceeds r (integer
+    inverse-CDF by bisection).
     """
-    law = sorted(composition_law(spec).items())
-    den = lcm(*(p.denominator for _, p in law))
-    comps = [comp for comp, _ in law]
-    cum = list(accumulate(p.numerator * (den // p.denominator) for _, p in law))
-    return lambda rng: comps[_draw_index(cum, rng)]
+    comps, cum = _composition_table(spec)
+    total = cum[-1]
+    return lambda rng: comps[bisect_right(cum, rng.randbelow(total))]
 
 
 def gsr_step(deck: Word, comp, rng: RngStream) -> Word:
@@ -92,38 +98,52 @@ def gsr_step(deck: Word, comp, rng: RngStream) -> Word:
     rebuild the deck from the bottom by dropping the bottommost card of a
     pile chosen with probability proportional to its current size.
 
-    The current sizes sum to the number of cards left, so each drop is one
-    `randbelow(left)` draw r, landing in the first pile whose running size
-    total exceeds r.  An empty pile adds nothing to that total, so it
-    leaves the walk.
+    No pile is copied out: each nonzero pile is its size and the end
+    offset of its slice of `deck`.  The current sizes sum to the number of
+    cards left, so each drop is one `randbelow(left)` draw r, landing in
+    the first pile whose running size total exceeds r; that pile's
+    bottom card `deck[end - 1]` goes straight to slot `left - 1` of the
+    new deck, and its size and end shrink by one.  An emptied pile keeps
+    size 0, which adds nothing to the running total, so the walk passes it.
     """
     n = len(deck)
-    if sum(comp) != n:
+    if sum(comp) != n or min(comp, default=0) < 0:
         raise ValueError(f"composition {comp} does not cut a deck of {n}")
-    piles = []
+    sizes = []
+    ends = []
     at = 0
     for size in comp:
         if size:
-            piles.append(list(deck[at : at + size]))
             at += size
+            sizes.append(size)
+            ends.append(at)
     randbelow = rng.randbelow
-    bottom_up = []
-    for left in range(n, 0, -1):
-        r = randbelow(left)
-        for pile in piles:
-            r -= len(pile)
-            if r < 0:
-                break
-        bottom_up.append(pile.pop())
-        if not pile:
-            piles.remove(pile)  # the only empty pile, so the one just drawn
-    return Word(reversed(bottom_up))
+    out = list(deck)  # every slot is overwritten
+    for slot in range(n - 1, -1, -1):  # slot + 1 cards left
+        r = randbelow(slot + 1)
+        i = 0
+        while r >= sizes[i]:
+            r -= sizes[i]
+            i += 1
+        sizes[i] -= 1
+        ends[i] = end = ends[i] - 1
+        out[slot] = deck[end]
+    return Word(out)
 
 
 def gsr_stepper(spec: CppSpec) -> Callable:
-    """Cut-and-drop stepper: a composition from the spec's law, then `gsr_step`."""
-    draw = composition_sampler(spec)
-    return lambda state, rng: gsr_step(state, draw(rng), rng)
+    """Cut-and-drop stepper: a composition from the spec's law, then `gsr_step`.
+
+    The composition is drawn inline, as `composition_sampler` draws it, so
+    a step's only frames above `randbelow` are the step and `gsr_step`.
+    """
+    comps, cum = _composition_table(spec)
+    total = cum[-1]
+
+    def step(state, rng: RngStream):
+        return gsr_step(state, comps[bisect_right(cum, rng.randbelow(total))], rng)
+
+    return step
 
 
 def matrix_stepper(matrix: TransitionMatrix) -> Callable:
@@ -132,7 +152,8 @@ def matrix_stepper(matrix: TransitionMatrix) -> Callable:
     A row's weights are its nonzero integer numerators over their gcd:
     the row sums to the kernel's denominator, so these are the least
     integers in the row's proportions.  Each visited row is resolved once
-    into its targets and cumulative weights.
+    into its targets and cumulative weights, and a step draws from it
+    inline: one `randbelow(total)` and a bisection.
     """
     row_cache: dict = {}
 
@@ -145,7 +166,7 @@ def matrix_stepper(matrix: TransitionMatrix) -> Callable:
             g = gcd(*nums)
             cached = row_cache[state] = targets, list(accumulate(c // g for c in nums))
         targets, cum = cached
-        return targets[_draw_index(cum, rng)]
+        return targets[bisect_right(cum, rng.randbelow(cum[-1]))]
 
     return step
 

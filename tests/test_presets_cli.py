@@ -422,6 +422,55 @@ def test_cli_other_algebra_start_flag_is_usage_error(capsys, monkeypatch, argv, 
     assert f"{flag} starts a" in _usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--distinct", "3", "--preset", "riffle"],
+        ["spectrum", "--distinct", "3", "--preset", "riffle"],
+        ["stationary", "--algebra", "forests", "--n", "3"],
+        ["eigvecs", "--distinct", "3"],
+        ["evolve", "--deck", "1234", "--preset", "riffle", "--t", "2"],
+        ["simulate", "--deck", "1234", "--preset", "riffle", "--trials", "5", "--t", "2",
+         "--stat", "descents"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_max_states_below_one_is_usage_error(capsys, monkeypatch, argv, cap):
+    # below 1 no state space fits: refused before any start is set up,
+    # not run without exact targets or reported as "above the cap 0"
+    def refuse(*args, **kwargs):
+        raise AssertionError("set up a state space under a cap below 1")
+
+    monkeypatch.setattr("hopfchains.cli._setup_space", refuse)
+    monkeypatch.setattr("hopfchains.cli._shuffle_deck", refuse)
+    err = _usage_error(capsys, argv + ["--max-states", cap])
+    assert f"--max-states must be >= 1, got {cap}" in err
+
+
+def test_cli_state_cap_error_names_the_flag(capsys):
+    for argv in (
+        ["matrix", "--distinct", "7", "--preset", "riffle"],
+        ["stationary", "--algebra", "forests", "--n", "9", "--max-states", "10"],
+    ):
+        assert "; raise --max-states to proceed" in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--deck", "", "--preset", "riffle", "--trials", "5", "--t", "2",
+          "--stat", "descents"], "--deck needs at least one card"),
+        (["matrix", "--deck", "", "--preset", "riffle"], "--deck needs at least one card"),
+        (["eigvecs", "--deck", ""], "--deck needs at least one card"),
+        (["matrix", "--algebra", "forests", "--forest", "", "--preset", "riffle"],
+         "--forest needs at least one tree"),
+    ],
+)
+def test_cli_empty_start_is_usage_error(capsys, argv, message):
+    assert message in _usage_error(capsys, argv)
+
+
 def test_cli_verify_unknown_criterion_is_usage_error(capsys):
     assert "1-10" in _usage_error(capsys, ["verify", "--criteria", "11"])
     # an empty selection is not "all criteria"

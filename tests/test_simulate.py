@@ -1,3 +1,5 @@
+import hashlib
+import random
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -8,6 +10,7 @@ import pytest
 from hopfchains import simulate
 from hopfchains.acceptance import grid_presets
 from hopfchains.chain import build_transition_matrix, expectations, point_mass
+from hopfchains.cli import main
 from hopfchains.hopf import composition_law
 from hopfchains.presets import (
     biased_spec,
@@ -55,6 +58,45 @@ def test_rng_randbelow_bounds():
     assert set(draws) == set(range(7))
     with pytest.raises(ValueError):
         rng.randbelow(0)
+
+
+def _reference_stream_draws(seed: int, stream: int, bounds) -> list[int]:
+    """The stream's definition: a Mersenne Twister seeded with the sha256
+    of "hopfchains:{seed}:{stream}", and rejection on getrandbits."""
+    material = f"hopfchains:{seed}:{stream}".encode()
+    rng = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
+    draws = []
+    for m in bounds:
+        k = m.bit_length()
+        r = rng.getrandbits(k)
+        while r >= m:
+            r = rng.getrandbits(k)
+        draws.append(r)
+    return draws
+
+
+@pytest.mark.parametrize(
+    "seed, stream", [(0, 0), (0, 1), (1234, 0), (1234, 7), (-5, 3), (2**40, 19_999)]
+)
+def test_rng_stream_follows_its_definition(seed, stream):
+    # a mix of bounds: powers of two and just above them (rejection is
+    # most likely there), one, and bounds past one machine word
+    mix = [1, 2, 3, 4, 5, 7, 8, 9, 100, 128, 129, 5040, 2**31 + 1, 2**64 + 13, 10**30]
+    bounds = [mix[i % len(mix)] for i in range(200)]
+    rng = RngStream(seed, stream)
+    assert [rng.randbelow(m) for m in bounds] == _reference_stream_draws(seed, stream, bounds)
+
+
+def test_simulate_20_card_deck_digest(capsys):
+    # a deck the benchmark never runs: 20,000 visits of 20-card decks, which
+    # rarely repeat, so the visit index is folded more than once
+    argv = ["simulate", "--deck", "abcdefghijklmnopqrst", "--preset", "riffle",
+            "--trials", "2000", "--t", "10", "--seed", "1", "--stat", "descents"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "0718c86526b001b8138e66eb4e76f40b962fd107bf5c3f863fcfd4c6405c19ab"
+    )
 
 
 def test_sample_composition_point_mass():
@@ -105,6 +147,13 @@ def test_cut_and_drop_top_to_random_insertion():
 def test_cut_and_drop_rejects_bad_composition():
     with pytest.raises(ValueError):
         gsr_step(Word("123"), (1, 1), RngStream(0, 0))
+
+
+def test_cut_and_drop_rejects_a_negative_part():
+    # the parts sum to the deck size, but no cut has a pile of -1 cards
+    for comp in [(5, -1), (3, -1, 2)]:
+        with pytest.raises(ValueError, match="does not cut a deck of 4"):
+            gsr_step(Word("1234"), comp, RngStream(0, 0))
 
 
 class _ScriptedStream(RngStream):
