@@ -4,7 +4,8 @@ A forest is a multiset of rooted trees; its degree is the total vertex
 count.  The product of two forests is their disjoint union.  The
 coproduct of a single tree T is the sum of (T minus S) (x) S over all
 connected subtrees S that are empty or contain the root; for a multi-tree
-forest the per-tree coproducts multiply in the tensor square.
+forest the per-tree coproducts multiply in the tensor square, on keys:
+(a (x) b)(c (x) d) is the one key (a u c) (x) (b u d).
 
 Canonical form: a tree is a tuple of child trees sorted by their
 parenthesised encoding, and a `Forest` is the tuple of its canonical
@@ -14,7 +15,7 @@ hash and compare in C.  A forest equals the plain tuple of its trees,
 which is also a tree (the root over them) and can equal a tensor key;
 no dict in this package mixes forests with trees or tensor keys.  Each
 tree is canonicalised, measured and encoded once, by the memos below.
-Structure constants are plain ints.
+Both structure maps return plain `{key: int}` dicts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache, partial
 from itertools import product as cartesian
 from math import comb
 
-from .hopf import AlgebraHandle, LinComb, _add_term, tensor_square_product
+from .hopf import AlgebraHandle
 from .linalg import rat
 
 
@@ -154,19 +155,17 @@ def enumerate_forests(n: int) -> tuple[Forest, ...]:
     return tuple(sorted(results, key=str))
 
 
-def forest_product(f: Forest, g: Forest) -> LinComb:
-    """Disjoint union, as a single canonical forest with coefficient 1.
+def _union(f: Forest, g: Forest) -> Forest:
+    """Disjoint union, the product of two forests.
 
     Both forests' trees are already canonical, so the union only sorts
     them by encoding; nothing is re-canonicalised.
     """
     if not g:
-        union = f
-    elif not f:
-        union = g
-    else:
-        union = _wrap_forest(sorted(f + g, key=_enc_tree))
-    return LinComb._wrap({union: 1})
+        return f
+    if not f:
+        return g
+    return _wrap_forest(sorted(f + g, key=_enc_tree))
 
 
 def _tree_cuts(tree) -> list:
@@ -194,12 +193,12 @@ def _tree_cuts(tree) -> list:
 
 
 @lru_cache(maxsize=None)
-def _tree_coproduct(tree) -> LinComb:
-    out: dict = {}
-    _add_term(out, (_wrap_forest((tree,)), EMPTY_FOREST), 1)  # S empty
+def _tree_coproduct(tree) -> dict:
+    out = {(_wrap_forest((tree,)), EMPTY_FOREST): 1}  # S empty
     for left, kept in _tree_cuts(tree):
-        _add_term(out, (_wrap_forest(sorted(left, key=_enc_tree)), _wrap_forest((kept,))), 1)
-    return LinComb._wrap(out)
+        key = (_wrap_forest(sorted(left, key=_enc_tree)), _wrap_forest((kept,)))
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 class ForestAlgebra(AlgebraHandle):
@@ -212,16 +211,18 @@ class ForestAlgebra(AlgebraHandle):
     def basis(self, n: int) -> list:
         return list(enumerate_forests(n))
 
-    def product_basis(self, x: Forest, y: Forest) -> LinComb:
-        return forest_product(x, y)
+    def product_basis(self, x: Forest, y: Forest) -> dict:
+        return {_union(x, y): 1}
 
-    def coproduct_basis(self, x: Forest) -> LinComb:
-        if not x:
-            return LinComb._wrap({(EMPTY_FOREST, EMPTY_FOREST): 1})
-        first, *rest = x
-        result = _tree_coproduct(first)
-        for tree in rest:
-            result = tensor_square_product(self, result, _tree_coproduct(tree))
+    def coproduct_basis(self, x: Forest) -> dict:
+        result = _tree_coproduct(x[0]) if x else {(EMPTY_FOREST, EMPTY_FOREST): 1}
+        for tree in x[1:]:
+            folded: dict = {}
+            for (a, b), cs in result.items():
+                for (c, d), ct in _tree_coproduct(tree).items():
+                    key = (_union(a, c), _union(b, d))
+                    folded[key] = folded.get(key, 0) + cs * ct
+            result = folded
         return result
 
     def content(self, key: Forest) -> tuple[int]:

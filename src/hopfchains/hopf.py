@@ -1,7 +1,8 @@
 """Graded connected Hopf-algebra plumbing over explicit combinatorial bases.
 
 An `AlgebraHandle` supplies three things: a deterministic basis enumeration
-per degree, the product of two basis elements, and the coproduct of one.
+per degree, the product of two basis elements, and the coproduct of one,
+the last two as plain `{key: int}` dicts of structure constants.
 Everything else here is generic over the handle: rational linear
 combinations (one type, `LinComb`, whose keys are basis keys or, for
 tensors, tuples of them), the product, the iterated coproduct, the
@@ -131,8 +132,9 @@ class AlgebraHandle:
 
     Subclasses provide `basis`, `product_basis` and `coproduct_basis`, the
     `content` and `generator_counts` that the spectra and stationary laws
-    read, and set the `commutative` / `cocommutative` flags.  Handles are immutable
-    after construction; the internal caches only memoise pure functions.
+    read, and set the `commutative` / `cocommutative` flags.  The structure
+    maps return `{key: int}` dicts, which callers only read.  Handles are
+    immutable after construction; the internal caches only memoise pure functions.
     """
 
     name = "abstract"
@@ -149,11 +151,12 @@ class AlgebraHandle:
     def unit_key(self):
         return self.basis(0)[0]
 
-    def product_basis(self, x, y) -> LinComb:
+    def product_basis(self, x, y) -> dict:
+        """The product of x and y, as {key: int}."""
         raise NotImplementedError
 
-    def coproduct_basis(self, x) -> LinComb:
-        """The coproduct of x, as a LinComb keyed by (left, right) pairs."""
+    def coproduct_basis(self, x) -> dict:
+        """The coproduct of x, as {(left, right): int}."""
         raise NotImplementedError
 
     def content(self, key) -> tuple:
@@ -527,10 +530,21 @@ def spec_to_dict(spec: CppSpec) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def spec_from_dict(data: dict) -> CppSpec:
+    """Parse `spec_to_dict`'s form.  The degree and every part must be JSON
+    integers and each composition a list; anything else is a SpecError."""
     try:
-        n = int(data["n"])
+        n = data["n"]
         terms = [(t["composition"], rat(t["weight"])) for t in data["terms"]]
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"malformed spec JSON: {exc}") from exc
+    if not _is_int(n):
+        raise SpecError(f"malformed spec JSON: n must be an integer, got {n!r}")
+    for comp, _ in terms:
+        if not (isinstance(comp, list) and all(map(_is_int, comp))):
+            raise SpecError(f"malformed spec JSON: composition {comp!r} is not a list of integers")
     return normalize_spec(n, terms)

@@ -54,7 +54,7 @@ class Word(tuple):
         return f"Word({str(self)!r})"
 
 
-def shuffle_product(w: Word, z: Word) -> LinComb:
+def shuffle_product(w: Word, z: Word) -> dict:
     """Sum of all interleavings of w and z, counted with multiplicity."""
     total = len(w) + len(z)
     out: dict = {}
@@ -67,24 +67,20 @@ def shuffle_product(w: Word, z: Word) -> LinComb:
             if merged[i] is None:
                 merged[i] = next(it)
         _add_term(out, Word(merged), 1)
-    return LinComb._wrap(out)
+    return out
 
 
-def deconcat_coproduct(w: Word) -> LinComb:
+def deconcat_coproduct(w: Word) -> dict:
     """Sum of all prefix (x) suffix splits, each with coefficient 1."""
-    out = {}
-    for i in range(len(w) + 1):
-        pair = (Word(w[:i]), Word(w[i:]))
-        _add_term(out, pair, 1)
-    return LinComb._wrap(out)
+    return {(Word(w[:i]), Word(w[i:])): 1 for i in range(len(w) + 1)}
 
 
-def concat_product(w: Word, z: Word) -> LinComb:
+def concat_product(w: Word, z: Word) -> dict:
     """Concatenation; a single word with coefficient 1."""
-    return LinComb._wrap({Word(w + z): 1})
+    return {Word(w + z): 1}
 
 
-def deshuffle_coproduct(w: Word) -> LinComb:
+def deshuffle_coproduct(w: Word) -> dict:
     """Sum over position subsets S of (w restricted to S) (x) (rest)."""
     n = len(w)
     out: dict = {}
@@ -94,7 +90,7 @@ def deshuffle_coproduct(w: Word) -> LinComb:
             left = Word(w[i] for i in chosen)
             right = Word(w[i] for i in range(n) if i not in chosen_set)
             _add_term(out, (left, right), 1)
-    return LinComb._wrap(out)
+    return out
 
 
 def _mobius(n: int) -> int:
@@ -179,10 +175,10 @@ class ShuffleAlgebra(WordAlgebra):
     commutative = True
     cocommutative = False
 
-    def product_basis(self, x: Word, y: Word) -> LinComb:
+    def product_basis(self, x: Word, y: Word) -> dict:
         return shuffle_product(x, y)
 
-    def coproduct_basis(self, x: Word) -> LinComb:
+    def coproduct_basis(self, x: Word) -> dict:
         return deconcat_coproduct(x)
 
 
@@ -198,10 +194,10 @@ class FreeAssociativeAlgebra(WordAlgebra):
     commutative = False
     cocommutative = True
 
-    def product_basis(self, x: Word, y: Word) -> LinComb:
+    def product_basis(self, x: Word, y: Word) -> dict:
         return concat_product(x, y)
 
-    def coproduct_basis(self, x: Word) -> LinComb:
+    def coproduct_basis(self, x: Word) -> dict:
         return deshuffle_coproduct(x)
 
 

@@ -14,7 +14,6 @@ from hopfchains.forests import (
     enumerate_trees,
     f_j_statistic,
     forest_algebra,
-    forest_product,
     parse_forest,
     tree_count,
     vertex_stats,
@@ -48,11 +47,11 @@ def test_forest_structure_maps_return_forests_in_every_leg():
     falg = forest_algebra()
     for i in range(7):
         for x in enumerate_forests(i):
-            for u, v in falg.coproduct_basis(x).terms:
+            for u, v in falg.coproduct_basis(x):
                 assert type(u) is Forest and type(v) is Forest
             for j in range(7 - i):
                 for y in enumerate_forests(j):
-                    assert all(type(k) is Forest for k in falg.product_basis(x, y).terms)
+                    assert all(type(k) is Forest for k in falg.product_basis(x, y))
 
 
 # The Forest class as it stood when a forest held its trees, encoding and
@@ -181,31 +180,27 @@ def test_enumerated_forests_are_distinct_and_sorted():
 def test_coproduct_single_vertex():
     falg = forest_algebra()
     got = falg.coproduct_basis(SINGLE_VERTEX)
-    assert got == LinComb(
-        {(EMPTY_FOREST, SINGLE_VERTEX): F(1), (SINGLE_VERTEX, EMPTY_FOREST): F(1)},
-    )
+    assert got == {(EMPTY_FOREST, SINGLE_VERTEX): 1, (SINGLE_VERTEX, EMPTY_FOREST): 1}
 
 
 def test_coproduct_path_two():
     falg = forest_algebra()
     path = parse_forest("(())")
     got = falg.coproduct_basis(path)
-    assert got == LinComb(
-        {
-            (EMPTY_FOREST, path): F(1),
-            (SINGLE_VERTEX, SINGLE_VERTEX): F(1),
-            (path, EMPTY_FOREST): F(1),
-        },
-    )
+    assert got == {
+        (EMPTY_FOREST, path): 1,
+        (SINGLE_VERTEX, SINGLE_VERTEX): 1,
+        (path, EMPTY_FOREST): 1,
+    }
 
 
 def test_coproduct_two_dots():
     falg = forest_algebra()
     dots = parse_forest("()()")
     got = falg.coproduct_basis(dots)
-    assert got.coefficient((SINGLE_VERTEX, SINGLE_VERTEX)) == 2
-    assert got.coefficient((EMPTY_FOREST, dots)) == 1
-    assert got.coefficient((dots, EMPTY_FOREST)) == 1
+    assert got.get((SINGLE_VERTEX, SINGLE_VERTEX), 0) == 2
+    assert got.get((EMPTY_FOREST, dots), 0) == 1
+    assert got.get((dots, EMPTY_FOREST), 0) == 1
 
 
 def test_coproduct_star_counts_subtrees_with_multiplicity():
@@ -213,15 +208,16 @@ def test_coproduct_star_counts_subtrees_with_multiplicity():
     star = parse_forest("(()())")
     got = falg.coproduct_basis(star)
     # removing root plus one leaf: the kept subtree is a 2-path, twice
-    assert got.coefficient((SINGLE_VERTEX, parse_forest("(())"))) == 2
+    assert got.get((SINGLE_VERTEX, parse_forest("(())")), 0) == 2
 
 
 def test_canonical_union_matches_recanonicalised_union():
+    falg = forest_algebra()
     for i in range(7):
         for j in range(7 - i):
             for f in enumerate_forests(i):
                 for g in enumerate_forests(j):
-                    [(union, c)] = forest_product(f, g).items()
+                    [(union, c)] = falg.product_basis(f, g).items()
                     reference = Forest(f + g)
                     assert type(c) is int and c == 1
                     assert str(union) == str(reference)
@@ -231,12 +227,13 @@ def test_canonical_union_matches_recanonicalised_union():
 
 def test_coproduct_matches_unit_seeded_product_of_tree_coproducts():
     falg = forest_algebra()
-    for n in range(6):
+    for n in range(8):
         for f in enumerate_forests(n):
             reference = LinComb.single((EMPTY_FOREST, EMPTY_FOREST))
             for tree in f:
                 reference = tensor_square_product(falg, reference, _tree_coproduct(tree))
-            assert falg.coproduct_basis(f) == reference
+            # same terms, in the same order
+            assert list(falg.coproduct_basis(f).items()) == list(reference.items())
 
 
 def test_coassociativity_and_compatibility():

@@ -4,7 +4,6 @@ from math import comb
 
 import pytest
 
-from hopfchains.hopf import LinComb
 from hopfchains.shuffle import (
     FreeAssociativeAlgebra,
     ShuffleAlgebra,
@@ -47,21 +46,21 @@ def test_structure_maps_return_words_in_every_leg():
     for alg in (ShuffleAlgebra("ab"), FreeAssociativeAlgebra("ab")):
         for i in range(5):
             for x in alg.basis(i):
-                for u, v in alg.coproduct_basis(x).terms:
+                for u, v in alg.coproduct_basis(x):
                     assert type(u) is Word and type(v) is Word
                 for j in range(5 - i):
                     for y in alg.basis(j):
-                        assert all(type(k) is Word for k in alg.product_basis(x, y).terms)
+                        assert all(type(k) is Word for k in alg.product_basis(x, y))
 
 
 def test_shuffle_product_examples():
     got = shuffle_product(w("ac"), w("cb"))
-    assert got.coefficient(w("accb")) == 2
-    assert got.coefficient(w("acbc")) == 1
-    assert sum(c for _, c in got.items()) == comb(4, 2)
+    assert got.get(w("accb"), 0) == 2
+    assert got.get(w("acbc"), 0) == 1
+    assert sum(got.values()) == comb(4, 2)
 
-    assert shuffle_product(w("ab"), w("")) == LinComb.single(w("ab"))
-    assert shuffle_product(w("a"), w("a")) == LinComb({w("aa"): F(2)})
+    assert shuffle_product(w("ab"), w("")) == {w("ab"): 1}
+    assert shuffle_product(w("a"), w("a")) == {w("aa"): 2}
 
 
 def test_shuffle_coefficient_sum_is_binomial():
@@ -79,40 +78,38 @@ def test_shuffle_commutative():
 
 def test_deconcat_examples():
     got = deconcat_coproduct(w("accb"))
-    assert got.coefficient((w("ac"), w("cb"))) == 1
-    assert len(got.terms) == 5
-    assert deconcat_coproduct(w("")) == LinComb.single((w(""), w("")))
+    assert got.get((w("ac"), w("cb")), 0) == 1
+    assert len(got) == 5
+    assert deconcat_coproduct(w("")) == {(w(""), w("")): 1}
     got1 = deconcat_coproduct(w("a"))
-    assert got1 == LinComb({(w(""), w("a")): F(1), (w("a"), w("")): F(1)})
+    assert got1 == {(w(""), w("a")): 1, (w("a"), w("")): 1}
 
 
 def test_concat_product():
-    assert concat_product(w("ab"), w("c")) == LinComb.single(w("abc"))
-    assert concat_product(w(""), w("ab")) == LinComb.single(w("ab"))
+    assert concat_product(w("ab"), w("c")) == {w("abc"): 1}
+    assert concat_product(w(""), w("ab")) == {w("ab"): 1}
     assert concat_product(w("a"), w("b")) != concat_product(w("b"), w("a"))
 
 
 def test_deshuffle_examples():
     got = deshuffle_coproduct(w("ab"))
-    expect = LinComb(
-        {
-            (w(""), w("ab")): F(1),
-            (w("a"), w("b")): F(1),
-            (w("b"), w("a")): F(1),
-            (w("ab"), w("")): F(1),
-        },
-    )
+    expect = {
+        (w(""), w("ab")): 1,
+        (w("a"), w("b")): 1,
+        (w("b"), w("a")): 1,
+        (w("ab"), w("")): 1,
+    }
     assert got == expect
 
     got = deshuffle_coproduct(w("aa"))
-    assert got.coefficient((w("a"), w("a"))) == 2
-    assert got.coefficient((w(""), w("aa"))) == 1
+    assert got.get((w("a"), w("a")), 0) == 2
+    assert got.get((w(""), w("aa")), 0) == 1
 
 
 def test_deshuffle_cocommutative():
     for word in ["ab", "aab", "abc"]:
         got = deshuffle_coproduct(w(word))
-        flipped = LinComb({(b, a): c for (a, b), c in got.items()})
+        flipped = {(b, a): c for (a, b), c in got.items()}
         assert got == flipped
 
 
@@ -124,8 +121,8 @@ def test_duality_shuffle_vs_deshuffle():
             for i in range(total + 1):
                 for left in all_words("ab", i):
                     for right in all_words("ab", total - i):
-                        lhs = shuffle_product(left, right).coefficient(x)
-                        rhs = split.coefficient((left, right))
+                        lhs = shuffle_product(left, right).get(x, 0)
+                        rhs = split.get((left, right), 0)
                         assert lhs == rhs
 
 
@@ -136,8 +133,8 @@ def test_duality_concat_vs_deconcat():
             for i in range(total + 1):
                 for left in all_words("ab", i):
                     for right in all_words("ab", total - i):
-                        lhs = concat_product(left, right).coefficient(x)
-                        rhs = split.coefficient((left, right))
+                        lhs = concat_product(left, right).get(x, 0)
+                        rhs = split.get((left, right), 0)
                         assert lhs == rhs
 
 
