@@ -216,8 +216,9 @@ def annihilation_traces(
     row(i) gives row i of a size x size integer matrix A as (column,
     numerator) pairs (a column may repeat; its numerators add), so
     K = A / den.  For the sorted distinct lam_k = p/q, P_0 is the
-    identity's rows `starts` and P_k = P_(k-1) (q A - p den I), the same
-    rows of a positive multiple (the running product of the q den) of
+    identity's rows `starts` and P_k = P_(k-1) (q A - p den I) divided by
+    the gcd of all its entries, so the integers stay small: P_k holds the
+    same rows of a positive rational multiple (the running scale) of
     prod_(i<=k) (K - lam_i I).  Returns the diagonal entries of P_0, P_1,
     ... summed over `starts` and divided by that multiple, up to the first
     P_k that vanishes, or None if P_r does not.  From every row these are
@@ -228,7 +229,6 @@ def annihilation_traces(
     scale = 1
     for lam in lams:
         p, q = lam.numerator * den, lam.denominator
-        scale *= q * den
         new = []
         for prow in chain:
             acc = [0] * size
@@ -239,10 +239,12 @@ def annihilation_traces(
                         acc[j] += aq * c
                     acc[k] -= p * a
             new.append(acc)
-        chain = new
-        if not any(map(any, chain)):
+        g = gcd(*[gcd(*prow) for prow in new])
+        if not g:
             return traces
-        traces.append(Fraction(sum(prow[i] for prow, i in zip(chain, starts)), scale))
+        chain = [[a // g for a in prow] for prow in new] if g > 1 else new
+        scale = Fraction(scale * q * den, g)
+        traces.append(sum(prow[i] for prow, i in zip(chain, starts)) / scale)
     return None
 
 

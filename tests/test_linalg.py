@@ -3,18 +3,20 @@ from fractions import Fraction as F
 import pytest
 
 from hopfchains.chain import build_transition_matrix, evolve, point_mass
+from hopfchains.forests import forest_algebra
 from hopfchains.linalg import (
     RatMatrix,
     annihilation_check,
+    annihilation_traces,
     eigenspace_dimensions,
     nullspace,
     rank,
     rat,
     shifted,
 )
-from hopfchains.presets import riffle_spec, top_to_random_spec
-from hopfchains.shuffle import FreeAssociativeAlgebra, distinct_deck, rearrangement_class
-from hopfchains.spectral import primitive_basis
+from hopfchains.presets import riffle_spec, top_to_random_spec, trinomial_spec
+from hopfchains.shuffle import FreeAssociativeAlgebra, deck_from_string, distinct_deck, rearrangement_class
+from hopfchains.spectral import class_spectrum, primitive_basis
 
 
 def rref(m):
@@ -219,6 +221,45 @@ def test_annihilation_riffle_eigenvalues():
     K = build_transition_matrix(alg, riffle_spec(3), states=states)
     assert annihilation_check(K.kernel, [F(1, 4), F(1, 2), F(1)])
     assert not annihilation_check(K.kernel, [F(1, 2), F(1)])
+
+
+def _fraction_traces(m: RatMatrix, lams):
+    """Oracle: traces of I, (K - l_1 I), (K - l_1 I)(K - l_2 I), ... over
+    Fraction entries, up to the first product that vanishes, else None."""
+    size = m.rows
+    k = [[F(e, m.den) for e in row] for row in m.entries]
+    p = [[F(int(i == j)) for j in range(size)] for i in range(size)]
+    traces = [F(size)]
+    for lam in lams:
+        shift = [[k[i][j] - lam * (i == j) for j in range(size)] for i in range(size)]
+        p = [[sum(p[i][t] * shift[t][j] for t in range(size)) for j in range(size)] for i in range(size)]
+        if not any(map(any, p)):
+            return traces
+        traces.append(sum(p[i][i] for i in range(size)))
+    return None
+
+
+@pytest.mark.parametrize("space", ["deck aabc", "forests n=4"])
+def test_annihilation_traces_match_the_fraction_product(space):
+    # the chain rows are divided by their gcd after each factor; the traces
+    # over the running scale stay those of the plain rational product
+    spec = trinomial_spec(4, F(1, 4), F(1, 2), F(1, 4))
+    if space == "deck aabc":
+        alg, deck = deck_from_string("aabc")
+        states, content = rearrangement_class(alg, deck), alg.content(deck)
+    else:
+        alg = forest_algebra()
+        states, content = alg.basis(4), (4,)
+    kernel = build_transition_matrix(alg, spec, states=states).kernel
+    support = sorted(v for v, m in class_spectrum(spec, alg, content).by_eigenvalue().items() if m)
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in kernel.entries]
+
+    def traces(lams):
+        return annihilation_traces(rows.__getitem__, kernel.rows, kernel.den, lams, range(kernel.rows))
+
+    assert traces(support) == _fraction_traces(kernel, support) is not None
+    # without the smallest eigenvalue the product does not vanish
+    assert traces(support[1:]) is None is _fraction_traces(kernel, support[1:])
 
 
 def _similar_diagonal(rng, diagonal):

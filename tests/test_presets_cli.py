@@ -569,6 +569,25 @@ def test_cli_spec_file(tmp_path, capsys):
     assert spec_from_dict(data["spec"]) == spec
 
 
+
+@pytest.mark.parametrize(
+    "command, extra, flag",
+    [
+        ("matrix", ["--preset", "riffle"], "--preset"),
+        ("spectrum", ["--preset", "riffle"], "--preset"),
+        ("evolve", ["--params", "a=7"], "--params"),
+        ("simulate", ["--preset", "top-to-random", "--params", "a=7"], "--preset"),
+    ],
+)
+def test_cli_spec_with_preset_or_params_is_usage_error(tmp_path, capsys, command, extra, flag):
+    # a spec file fixes the operator: a preset or its parameters beside it
+    # would be ignored, so the pair is refused
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_dict(top_or_bottom_spec(3, F(1, 2)))))
+    argv = [command, "--distinct", "3", "--spec", str(path), *extra]
+    assert f"give --spec or {flag}, not both" in _usage_error(capsys, argv)
+
+
 STATISTIC_MISMATCHES = {
     "word-statistic-on-forests": (
         ["--algebra", "forests", "--forest", "(())", "--preset", "top-to-random",
@@ -684,3 +703,38 @@ def test_cli_closed_pipe_ends_output_quietly(fmt):
     assert proc.wait(timeout=60) == 0
     assert stderr == b""
     assert head.startswith(b"{" if fmt == "json" else b"state,")
+
+
+def test_cli_loads_only_the_modules_a_command_runs(tmp_path):
+    # `acceptance`, `spectral` and `simulate` are imported by the commands
+    # that run them, not by the package or the CLI module
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = (
+        "import sys\n{run}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('hopfchains.')))\n"
+        "sys.exit(code)\n"
+    )
+    cli = "from hopfchains.cli import main; code = main(sys.argv[1:])"
+    out = ["--out", str(tmp_path / "out.json")]
+    cases = [
+        ("import hopfchains; code = 0", [], None),
+        ("import hopfchains.cli; code = 0", [], set()),
+        (cli, ["matrix", "--distinct", "3", "--preset", "riffle", *out], set()),
+        (cli, ["evolve", "--distinct", "3", "--preset", "riffle", "--t", "1", *out], set()),
+        (cli, ["stationary", "--distinct", "3", *out], set()),
+        (cli, ["spectrum", "--distinct", "3", "--preset", "riffle", *out], {"spectral"}),
+        (cli, ["simulate", "--distinct", "3", "--preset", "riffle", "--trials", "5", *out],
+         {"simulate"}),
+    ]
+    for run, argv, lazy_loaded in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", probe.format(run=run), *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        if lazy_loaded is None:  # the package root imports no submodule
+            assert loaded == set(), loaded
+            continue
+        lazy = {m for m in ("acceptance", "spectral", "simulate") if f"hopfchains.{m}" in loaded}
+        assert lazy == lazy_loaded, (argv, loaded)
