@@ -29,9 +29,10 @@ right-regular representation of Q, and the spectrum certificate runs its
 chain from one of these rows.  Tests check the relabelled build entry by
 entry against the per-state formula on every grid space and against
 `per_row_kernel` on random specs.
-The kernel is stored as integer numerator rows over their least common
-denominator (`RatMatrix`); `evolve` and `lumping_check` work on those
-integers, and `row_of` and the exporters form `Fraction(c, den)` for output.
+Both builds write integer rows over one denominator (`RatMatrix`): the
+image is integers over den and eta a count, so only beta_n is rational.
+`evolve`, `lumping_check` and `check_stochastic` work on those integers,
+and `row_of` and the exporters form `Fraction(c, den)` for output.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ def build_transition_matrix(
 def check_stochastic(states: list, kernel: RatMatrix) -> RatMatrix:
     """The kernel itself, once every row is checked to be a probability law."""
     for x, row in zip(states, kernel.entries):
-        total = Fraction(sum(row), kernel.den)
-        if total != 1:
+        if sum(row) != kernel.den:
+            total = Fraction(sum(row), kernel.den)
             raise ArithmeticError(f"row for {x!r} sums to {total}, not 1: rescaling identity violated")
         if min(row) < 0:
             raise ArithmeticError(f"negative transition probability in row for {x!r}")
@@ -147,22 +148,24 @@ def check_stochastic(states: list, kernel: RatMatrix) -> RatMatrix:
 
 
 def per_row_kernel(alg: AlgebraHandle, spec: CppSpec, states: list, etas: list) -> RatMatrix:
-    """K[x][y] = c_xy eta(y) / (beta_n eta(x)), one `apply_cpp` call per state."""
+    """K[x][y] = c_xy eta(y) / (beta_n eta(x)), one `apply_cpp` call per state:
+    the integers c_xy eta(y) (L / eta(x)) over beta_n den L, L = lcm(etas)."""
     index = {s: i for i, s in enumerate(states)}
     beta = beta_n(spec)
-
-    def rows():  # one dense row at a time, from the sparse image of its state
-        for i, x in enumerate(states):
-            row = [0] * len(states)
-            scale = beta * etas[i]
-            for y, c in apply_cpp(alg, LinComb.single(x), spec).items():
-                j = index.get(y)
-                if j is None:
-                    raise not_closed(x, y)
-                row[j] = c * etas[j] / scale
-            yield row
-
-    return RatMatrix(rows())
+    etas_lcm = lcm(*etas)
+    rows = []
+    for x, ex in zip(states, etas):
+        row = [0] * len(states)
+        scale = etas_lcm // ex
+        image, den = apply_cpp(alg, {x: 1}, spec)
+        for y, c in image.items():
+            j = index.get(y)
+            if j is None:
+                raise not_closed(x, y)
+            row[j] = c * etas[j] * scale
+        rows.append(row)
+    # every image's den is the lcm of the spec weights' denominators
+    return RatMatrix(rows, beta.numerator * (den // beta.denominator) * etas_lcm)
 
 
 def relabelled_kernel(law: list, den: int, states: list) -> RatMatrix:
@@ -174,7 +177,7 @@ def relabelled_kernel(law: list, den: int, states: list) -> RatMatrix:
         for j, c in zip(columns, numerators):
             row[j] += c
         rows.append(row)
-    return RatMatrix.from_numerators(rows, den)
+    return RatMatrix(rows, den)
 
 
 @dataclass
@@ -353,8 +356,7 @@ def lumping_check(matrix: TransitionMatrix, statistic: Callable) -> LumpingResul
                 return LumpingResult(ok=False, witness=(prev_state, x, bad))
         else:
             lumped_rows[label] = (x, sums)
-    den = matrix.kernel.den
-    kernel = RatMatrix([Fraction(a, den) for a in lumped_rows[c][1]] for c in classes)
+    kernel = RatMatrix([lumped_rows[c][1] for c in classes], matrix.kernel.den)
     quotient = TransitionMatrix(states=classes, kernel=kernel)
     return LumpingResult(ok=True, quotient=quotient)
 

@@ -479,11 +479,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deck", help="explicit deck word, e.g. aabb")
     p.add_argument("--forest", help="forest encoding, e.g. (()())")
     p.add_argument("--n", type=int, help="degree for full-basis forest runs")
+    p.add_argument("--max-states", type=int, default=1000)
+    p.add_argument("--out", help="write output to this file instead of stdout")
+
+
+def _add_operator(p: argparse.ArgumentParser) -> None:
+    """Operator flags, registered only on the commands that build an operator."""
     p.add_argument("--preset", help="named operator: " + ", ".join(preset_names()))
     p.add_argument("--params", help="preset parameters, e.g. q=1/3 or a=3,q1=1/4")
     p.add_argument("--spec", help="path to an operator spec JSON file")
-    p.add_argument("--max-states", type=int, default=1000)
-    p.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def _add_statistic_flags(p: argparse.ArgumentParser, t_default: int) -> None:
@@ -509,11 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="build and export the transition matrix")
     _add_common(p)
+    _add_operator(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=cmd_matrix)
 
     p = sub.add_parser("spectrum", help="closed-form spectrum, optionally matrix-verified")
     _add_common(p)
+    _add_operator(p)
     p.add_argument("--verify-matrix", action="store_true")
     p.set_defaults(fn=cmd_spectrum)
 
@@ -528,11 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="exact expectations of a statistic over time")
     _add_common(p)
+    _add_operator(p)
     _add_statistic_flags(p, t_default=5)
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo with exact targets where available")
     _add_common(p)
+    _add_operator(p)
     _add_statistic_flags(p, t_default=3)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)

@@ -17,7 +17,8 @@ leg-by-leg walk over the spec's composition prefixes: it splits off one
 non-empty leg at a time, keeps only the splits whose leg degrees still
 begin some composition, and multiplies each closed leg into a running
 product.  So it never forms a full iterated coproduct, and the
-compositions that share a prefix share its expansion.
+compositions that share a prefix share its expansion.  It returns integer
+numerators over one denominator, as only the spec weights are rational.
 
 Basis keys must be hashable, canonical (equal iff they denote the same
 combinatorial object) and carry a `.degree` attribute; the unique degree-0
@@ -252,9 +253,9 @@ def symmetrized_product(alg: AlgebraHandle, factors) -> LinComb:
     return sum((ordered(order) for order in permutations(factors)), LinComb.zero())
 
 
-def homogeneous_degree(x: LinComb):
-    """Common degree of all terms, or None for the zero combination."""
-    degrees = {k.degree for k in x.terms}
+def homogeneous_degree(x):
+    """Common degree of a mapping's keys, or None if it has none."""
+    degrees = {k.degree for k in x}
     if not degrees:
         return None
     if len(degrees) > 1:
@@ -345,8 +346,12 @@ def composition_law(spec: CppSpec) -> dict:
     return {comp: w * multinomial(spec.n, comp) / beta for comp, w in spec.terms}
 
 
-def apply_cpp(alg: AlgebraHandle, x: LinComb, spec: CppSpec) -> LinComb:
+def apply_cpp(alg: AlgebraHandle, x, spec: CppSpec) -> tuple[dict, int]:
     """Apply the weighted sum of projection convolutions to homogeneous x.
+
+    x maps keys to int or Fraction coefficients.  Returns the image as
+    ({key: nonzero int numerator}, den), den the lcm of x's denominators
+    times that of the spec's weights.
 
     One leg-by-leg walk serves every composition of the spec.  A frontier
     entry (leg degrees so far, product of the closed legs, remaining key)
@@ -365,7 +370,7 @@ def apply_cpp(alg: AlgebraHandle, x: LinComb, spec: CppSpec) -> LinComb:
     """
     deg = homogeneous_degree(x)
     if deg is None:
-        return LinComb.zero()
+        return {}, 1
     if deg != spec.n:
         raise ValueError(f"degree mismatch: element degree {deg}, spec degree {spec.n}")
     images: dict = {comp: {} for comp, _ in spec.terms}
@@ -373,12 +378,10 @@ def apply_cpp(alg: AlgebraHandle, x: LinComb, spec: CppSpec) -> LinComb:
     # after which a composition still needs two or more legs
     splits = {comp[:i] for comp in images for i in range(1, len(comp))}
     expanding = {degrees[:-1] for degrees in splits}
-    # Clear x's denominators so that the structure maps run on ints, and
-    # bring the weights over their least common denominator, so that each
-    # output key sums integers and takes one Fraction at the end.
-    den = lcm(*(c.denominator for _, c in x.items()))
+    # the structure maps run on x's numerators over their common denominator
+    den = lcm(*(c.denominator for c in x.values()))
     unit = alg.unit_key()
-    frontier = {((), unit, k): int(c * den) for k, c in x.items()}
+    frontier = {((), unit, k): c.numerator * (den // c.denominator) for k, c in x.items()}
     while frontier:
         grown: dict = {}
         for (degrees, closed, rest), c in frontier.items():
@@ -400,15 +403,14 @@ def apply_cpp(alg: AlgebraHandle, x: LinComb, spec: CppSpec) -> LinComb:
         m = w.numerator * (wden // w.denominator)
         for k, c in images[comp].items():
             totals[k] = totals.get(k, 0) + m * c
-    scale = den * wden
-    return LinComb._wrap({k: Fraction(c, scale) for k, c in totals.items() if c})
+    return {k: c for k, c in totals.items() if c}, den * wden
 
 
 # ---------------------------------------------------------------------------
 # basis rescaling and structural checks
 
 
-def eta(alg: AlgebraHandle, key) -> Fraction:
+def eta(alg: AlgebraHandle, key) -> int:
     """Rescaling constant of a basis element of degree n >= 1.
 
     This is the coefficient sum after breaking the element all the way
@@ -424,7 +426,7 @@ def eta(alg: AlgebraHandle, key) -> Fraction:
             f"rescaling constant of {key!r} is {value}; "
             "basis cannot carry a Markov chain"
         )
-    return Fraction(value)
+    return value
 
 
 def _eta(alg: AlgebraHandle, key) -> int:

@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the rationals.
 
-A `RatMatrix` is integer numerator rows over their least common
-denominator, so results are exact and equality needs no tolerance.  Row
+A `RatMatrix` is integer rows over one denominator, both divided by
+their gcd, so results are exact and equality needs no tolerance.  Row
 scaling changes neither rank nor null space, so the elimination routines
 take integer rows, picking the first nonzero pivot for determinism.
 `rank` and `nullspace` share one fraction-free (Bareiss) elimination,
@@ -14,7 +14,7 @@ run from every row or, for a distinct deck's class, from one, give them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Callable, Iterable, Sequence
 
 _ZERO = Fraction(0)
@@ -42,44 +42,21 @@ class RatMatrix:
 
     __slots__ = ("rows", "cols", "entries", "den")
 
-    def __init__(self, entries: Iterable[Sequence]):
-        """Clear rows of ints, Fractions or "p/q" strings, one row at a time
-        (a generator of rows never exists as rationals all at once)."""
-        rows, dens = [], []
-        for row in entries:
-            nonzero = [(j, rat(e)) for j, e in enumerate(row) if e]
-            d = lcm(*[e.denominator for _, e in nonzero])
-            ints = [0] * len(row)
-            for j, e in nonzero:
-                ints[j] = e.numerator * (d // e.denominator)
-            rows.append(ints)
-            dens.append(d)
+    def __init__(self, rows: Sequence[Sequence[int]], den: int):
+        """Integer rows over a positive den, both divided by the gcd of den
+        and every entry, so that den is the least common denominator."""
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValueError("ragged rows: matrix must be rectangular")
-        den = lcm(*dens)
-        for i, d in enumerate(dens):
-            f = den // d
-            rows[i] = tuple([e * f for e in rows[i]] if f > 1 else rows[i])
-        self.entries, self.den, self.rows, self.cols = tuple(rows), den, len(rows), width
-
-    @classmethod
-    def from_numerators(cls, rows: Sequence[Sequence[int]], den: int) -> "RatMatrix":
-        """Integer rows over den, reduced by the gcd of den and every entry,
-        so that den is the least common denominator, as the constructor leaves it."""
         g = den
         for row in rows:
             g = gcd(g, *row)
             if g == 1:
                 break
-        m = cls.__new__(cls)
-        m.entries = tuple(tuple(e // g for e in row) if g > 1 else tuple(row) for row in rows)
-        if not m.entries:
-            raise ValueError("matrix needs at least one row")
-        m.den, m.rows, m.cols = den // g, len(m.entries), len(m.entries[0])
-        return m
+        self.entries = tuple(tuple(e // g for e in row) if g > 1 else tuple(row) for row in rows)
+        self.den, self.rows, self.cols = den // g, len(rows), width
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMatrix) and (self.den, self.entries) == (other.den, other.entries)

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as cartesian
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import itemgetter
 
-from .hopf import AlgebraHandle, CppSpec, LinComb, _add_term, apply_cpp, beta_n, multinomial
+from .hopf import AlgebraHandle, CppSpec, _add_term, apply_cpp, beta_n, multinomial
 from .linalg import rat
 
 
@@ -217,13 +217,14 @@ def position_law(alg: WordAlgebra, spec: CppSpec) -> tuple[list, int]:
     probability Q(sigma) = coefficient / beta_n.
 
     Returns ((sigma, numerator) pairs, den) with Q(sigma) = numerator / den
-    over the least common denominator; the numerators sum to den.
+    over the least common denominator: the image's numerators over beta_n
+    times its den, divided by their gcd.  The numerators sum to den.
     """
     beta = beta_n(spec)
-    image = apply_cpp(alg, LinComb.single(Word(range(spec.n))), spec)
-    law = [(w, c / beta) for w, c in image.items()]
-    den = lcm(*(q.denominator for _, q in law))
-    return [(sigma, q.numerator * (den // q.denominator)) for sigma, q in law], den
+    image, den = apply_cpp(alg, {Word(range(spec.n)): 1}, spec)
+    den = beta.numerator * (den // beta.denominator)
+    g = gcd(den, *image.values())
+    return [(sigma, c // g) for sigma, c in image.items()], den // g
 
 
 def not_closed(x, y) -> ValueError:

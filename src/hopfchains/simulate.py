@@ -9,11 +9,11 @@ inverse-CDF over a common denominator; floating point appears only in the
 reporting layer.
 
 Shuffles have a direct sampler, `gsr_stepper(spec)`: it resolves the
-spec's composition law once (the table `composition_sampler` draws from),
-and each step draws piece sizes from it and runs `gsr_step`, which cuts
-the deck into consecutive piles of those sizes, top pile first, then
-builds the new deck from the bottom by repeatedly dropping the bottommost
-card of a pile chosen with probability proportional to its current size.
+spec's composition law once (`_composition_table`), and each step draws
+piece sizes from it and runs `gsr_step`, which cuts the deck into
+consecutive piles of those sizes, top pile first, then builds the new
+deck from the bottom by repeatedly dropping the bottommost card of a pile
+chosen with probability proportional to its current size.
 Any built transition matrix can also be sampled row by row
 (`matrix_stepper`).  Every law and row is resolved once into cumulative
 integer weights, so a draw from it is one `randbelow(total)` and a
@@ -80,19 +80,6 @@ def _composition_table(spec: CppSpec) -> tuple[list, list[int]]:
     return comps, list(accumulate(p.numerator * (den // p.denominator) for _, p in law))
 
 
-def composition_sampler(spec: CppSpec) -> Callable:
-    """Draw closure `rng -> composition` for the spec's breaking law.
-
-    The law is resolved once into cumulative integer weights over the
-    sorted compositions; each draw is one `randbelow(total)` draw r and
-    the first composition whose cumulative weight exceeds r (integer
-    inverse-CDF by bisection).
-    """
-    comps, cum = _composition_table(spec)
-    total = cum[-1]
-    return lambda rng: comps[bisect_right(cum, rng.randbelow(total))]
-
-
 def gsr_step(deck: Word, comp, rng: RngStream) -> Word:
     """Cut into consecutive piles of the given sizes (top pile first), then
     rebuild the deck from the bottom by dropping the bottommost card of a
@@ -134,8 +121,10 @@ def gsr_step(deck: Word, comp, rng: RngStream) -> Word:
 def gsr_stepper(spec: CppSpec) -> Callable:
     """Cut-and-drop stepper: a composition from the spec's law, then `gsr_step`.
 
-    The composition is drawn inline, as `composition_sampler` draws it, so
-    a step's only frames above `randbelow` are the step and `gsr_step`.
+    The composition is drawn inline, one `randbelow(total)` draw r and the
+    first composition whose cumulative weight exceeds r (integer inverse-CDF
+    by bisection), so a step's only frames above `randbelow` are the step
+    and `gsr_step`.
     """
     comps, cum = _composition_table(spec)
     total = cum[-1]

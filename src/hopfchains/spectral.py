@@ -54,7 +54,6 @@ from .hopf import (
     symmetrized_product,
 )
 from .linalg import (
-    RatMatrix,
     annihilation_traces,
     dimensions_from_traces,
     eigenspace_dimensions,
@@ -496,7 +495,7 @@ def build_E_j(
                 raise ArithmeticError(
                     f"eigen-equation failed for singles {c_multiset!r}, "
                     f"higher multiset of degrees "
-                    f"{[homogeneous_degree(p) for p in p_multiset]}"
+                    f"{[homogeneous_degree(p.terms) for p in p_multiset]}"
                 )
             results.append(Eigenvector(vector=vector, eigenvalue=value, j=j, q=q))
     return results
@@ -527,7 +526,7 @@ def _eigen_equation(alg: AlgebraHandle, vector: LinComb, spec: CppSpec, value: F
     """
     if not isinstance(alg, WordAlgebra):
         raise ValueError(f"{alg.name} is not a word algebra; eigen-equations are checked on words")
-    deg = homogeneous_degree(vector)
+    deg = homogeneous_degree(vector.terms)
     if deg not in (None, spec.n):
         raise ValueError(f"degree mismatch: element degree {deg}, spec degree {spec.n}")
     value = rat(value)
@@ -557,7 +556,7 @@ def _eigencheck(alg: AlgebraHandle, vectors: list[Eigenvector], expect) -> Eigen
     lines = []
     ok = True
     for vec in vectors:
-        spec, value = expect(homogeneous_degree(vec.vector), vec.j)
+        spec, value = expect(homogeneous_degree(vec.vector.terms), vec.j)
         good = _eigen_equation(alg, vec.vector, spec, value)
         lines.append(f"j={vec.j}: eigenvalue {value} [{'ok' if good else 'FAILED'}]")
         ok = ok and good
@@ -603,13 +602,15 @@ def trinomial_eigenvalue_check(
 
 
 def lincomb_rank(vectors: list[LinComb]) -> int:
-    """Rank of a family of combinations (columns) over their joint support."""
+    """Rank of a family of combinations (columns) over their joint support,
+    each column scaled to integers by the lcm of its own denominators."""
     keys = sorted({k for v in vectors for k in v.support()}, key=str)
     key_index = {k: i for i, k in enumerate(keys)}
     rows = [[0] * len(vectors) for _ in keys]
     for col, v in enumerate(vectors):
+        vden = lcm(*(c.denominator for _, c in v.items()))
         for k, c in v.items():
-            rows[key_index[k]][col] = c
+            rows[key_index[k]][col] = c.numerator * (vden // c.denominator)
     if not rows:
         return 0
-    return rank(RatMatrix(rows).entries)
+    return rank(rows)

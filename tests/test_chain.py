@@ -2,7 +2,7 @@ import json
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, permutations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -78,9 +78,9 @@ def test_doob_identity_directly():
     spec = riffle_spec(4)
     beta = beta_n(spec)
     for x in rearrangement_class(alg, deck)[:6]:
-        image = apply_cpp(alg, LinComb.single(x), spec)
+        image, den = apply_cpp(alg, {x: 1}, spec)
         lhs = sum(c * eta(alg, y) for y, c in image.items())
-        assert lhs == beta * eta(alg, x)
+        assert lhs == beta * den * eta(alg, x)
 
 
 def test_state_space_closure_enforced():
@@ -264,6 +264,25 @@ def test_lumping_descents_under_riffle():
         assert sum(row) == res.quotient.kernel.den
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_lumping_quotient_is_stored_over_its_least_common_denominator(n):
+    # the class sums are passed over the kernel's den; the constant
+    # statistic's sums are all den, so its quotient is 1 over 1
+    alg, deck = distinct_deck(n)
+    states = rearrangement_class(alg, deck)
+    statistics = [
+        lambda s: tuple(sorted(descent_peak_sets(s, alg.alphabet).descents)),
+        lambda s: s.index(deck[0]),
+        lambda s: "all",
+    ]
+    for spec in (riffle_spec(n), top_to_random_spec(n), top_or_bottom_spec(n, F(1, 3))):
+        K = build_transition_matrix(alg, spec, states=states)
+        for statistic in statistics:
+            q = lumping_check(K, statistic).quotient.kernel
+            assert q.den == lcm(*(F(c, q.den).denominator for row in q.entries for c in row))
+        assert (q.entries, q.den) == (((1,),), 1) and K.kernel.den > 1
+
+
 def test_lumping_failure_produces_witness():
     _, deck, K = _class_chain(3, top_to_random_spec)
     # first letter is not a Markov statistic for this chain
@@ -300,8 +319,9 @@ def _fraction_rows(alg, spec, states):
     rows = []
     for x in states:
         row = [F(0)] * len(states)
-        for y, c in apply_cpp(alg, LinComb.single(x), spec).items():
-            row[index[y]] = c * eta(alg, y) / (beta * eta(alg, x))
+        image, den = apply_cpp(alg, {x: 1}, spec)
+        for y, c in image.items():
+            row[index[y]] = F(c, den) * eta(alg, y) / (beta * eta(alg, x))
         rows.append(row)
     return rows
 
@@ -358,15 +378,19 @@ def test_kernel_is_stored_over_its_least_common_denominator(space):
         assert den == lcm(*(F(c, den).denominator for row in entries for c in row)), preset
 
 
-def test_rational_rows_clear_to_their_least_common_denominator():
-    m = RatMatrix([["1/2", "1/3"]])
-    assert (m.entries, m.den) == (((3, 2),), 6)
-    assert RatMatrix([[2, -4]]).den == 1
-    # equal matrices compare equal however their entries were written
-    assert RatMatrix([[F(2, 4), 1], [0, "-3/6"]]) == RatMatrix([["1/2", "1"], ["0", "-1/2"]])
-    # integer rows over a common denominator reduce to the same canonical form
-    assert RatMatrix.from_numerators([[3, 6], [0, 9]], 12) == RatMatrix([["1/4", "1/2"], [0, "3/4"]])
-    assert RatMatrix.from_numerators([[1, 1]], 2).den == 2
+def test_integer_rows_reduce_to_their_least_common_denominator():
+    m = RatMatrix([[3, 6], [0, 9]], 12)
+    assert (m.entries, m.den) == (((1, 2), (0, 3)), 4)
+    assert RatMatrix([[3, 2]], 6).entries == ((3, 2),)
+    assert RatMatrix([[2, -4]], 2) == RatMatrix([[1, -2]], 1)
+    # equal matrices compare equal however far their rows were scaled
+    assert RatMatrix([[6, 4], [0, -6]], 12) == RatMatrix([[3, 2], [0, -3]], 6)
+    assert RatMatrix([[1, 1]], 2).den == 2
+    # the zero matrix is stored over 1
+    zero = RatMatrix([[0, 0]], 7)
+    assert (zero.entries, zero.den) == (((0, 0),), 1)
+    with pytest.raises(ValueError):
+        RatMatrix([], 1)
 
 
 def _per_row(alg, spec, states):
@@ -385,6 +409,20 @@ def test_relabelled_build_on_a_deck_in_non_identity_order():
     for spec in (riffle_spec(3), top_or_bottom_spec(3, F(1, 3))):
         K = build_transition_matrix(dual, spec, states=states)
         assert K.kernel == _per_row(dual, spec, states), spec
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["shuffle", "free-assoc"])
+def test_position_law_is_over_its_least_common_denominator(dual):
+    # the image's numerators over beta_n times its den, divided by their gcd
+    alg = FreeAssociativeAlgebra("ab") if dual else ShuffleAlgebra("ab")
+    for n in (3, 4, 5):
+        for label, spec in acceptance.grid_presets(n):
+            law, den = position_law(alg, spec)
+            numerators = [c for _, c in law]
+            assert type(den) is int and all(type(c) is int and c > 0 for c in numerators), label
+            assert sum(numerators) == den, label
+            assert gcd(den, *numerators) == 1, label
+            assert len({sigma for sigma, _ in law}) == len(law), label
 
 
 def test_position_law_is_a_probability_law_on_permutations():

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from hopfchains.acceptance import grid_presets
+from hopfchains.acceptance import grid_presets, grid_spaces
 from hopfchains.chain import build_transition_matrix
 from hopfchains.forests import forest_algebra, parse_forest
 from hopfchains.hopf import (
@@ -47,6 +47,13 @@ def w(s):
 
 def lc(s):
     return LinComb.single(Word(s))
+
+
+def image_of(alg, x: LinComb, spec: CppSpec) -> LinComb:
+    """`apply_cpp`'s image of a combination, as the combination of its
+    numerators over its den."""
+    image, den = apply_cpp(alg, x.terms, spec)
+    return LinComb({k: F(c, den) for k, c in image.items()})
 
 
 ALG2 = ShuffleAlgebra("ab")
@@ -155,7 +162,7 @@ def test_iterated_product_associativity():
 
 def _proj(alg, word, comp):
     """One projection convolution, applied through the general operator."""
-    return apply_cpp(alg, lc(word), normalize_spec(sum(comp), [(comp, 1)]))
+    return image_of(alg, lc(word), normalize_spec(sum(comp), [(comp, 1)]))
 
 
 def test_proj_convolution_break_one_then_rest():
@@ -166,7 +173,7 @@ def test_proj_convolution_break_one_then_rest():
 def test_proj_convolution_whole_block_is_identity():
     # (3,) alone is not a valid spec, so it rides along with a breaking term
     spec = normalize_spec(3, [((3,), 1), ((1, 2), 1)])
-    assert apply_cpp(ALG3, lc("abc"), spec) == lc("abc") + _proj(ALG3, "abc", (1, 2))
+    assert image_of(ALG3, lc("abc"), spec) == lc("abc") + _proj(ALG3, "abc", (1, 2))
 
 
 def test_proj_convolution_two_singles():
@@ -187,29 +194,32 @@ def test_zero_stripping_invariance():
 
 def test_apply_cpp_riffle_on_two_cards():
     # row sums must match 2^n, which pins the (1,1) term to ab + ba
-    got = apply_cpp(ALG2, lc("ab"), riffle_spec(2))
-    assert got == LinComb({w("ab"): F(3), w("ba"): F(1)})
-    assert sum(c for _, c in got.items()) == 4
+    image, den = apply_cpp(ALG2, {w("ab"): 1}, riffle_spec(2))
+    assert (image, den) == ({w("ab"): 3, w("ba"): 1}, 1)
+    assert sum(image.values()) == 4
 
 
 def test_apply_cpp_top_to_random():
-    got = apply_cpp(ALG3, lc("abc"), top_to_random_spec(3))
-    assert got == LinComb({w("abc"): F(1), w("bac"): F(1), w("bca"): F(1)})
+    got = apply_cpp(ALG3, {w("abc"): 1}, top_to_random_spec(3))
+    assert got == ({w("abc"): 1, w("bac"): 1, w("bca"): 1}, 1)
 
 
 def test_apply_cpp_linearity():
     spec = riffle_spec(2)
     x, y = lc("ab"), lc("ba")
-    lhs = apply_cpp(ALG2, x + y.scale(F(2, 3)), spec)
-    rhs = apply_cpp(ALG2, x, spec) + apply_cpp(ALG2, y, spec).scale(F(2, 3))
+    lhs = image_of(ALG2, x + y.scale(F(2, 3)), spec)
+    rhs = image_of(ALG2, x, spec) + image_of(ALG2, y, spec).scale(F(2, 3))
     assert lhs == rhs
+    # x's denominators multiply the weights' into the image's den
+    assert apply_cpp(ALG2, (x + y.scale(F(2, 3))).terms, spec)[1] == 3
+    assert apply_cpp(ALG2, {}, spec) == ({}, 1)
 
 
 def test_apply_cpp_preserves_degree():
     spec = riffle_spec(3)
     for word in ["aab", "abc", "cba"]:
-        out = apply_cpp(ALG3, lc(word), spec)
-        assert {k.degree for k in out.support()} == {3}
+        image, _ = apply_cpp(ALG3, {w(word): 1}, spec)
+        assert {k.degree for k in image} == {3}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -217,8 +227,21 @@ def test_apply_cpp_matches_the_by_arity_reference_on_forest_grid_presets(n):
     falg = forest_algebra()
     for label, spec in grid_presets(n):
         for x in falg.basis(n):
-            got = apply_cpp(falg, LinComb.single(x), spec)
+            got = image_of(falg, LinComb.single(x), spec)
             assert got == by_arity_apply_cpp(falg, LinComb.single(x), spec), (label, x)
+
+
+@pytest.mark.parametrize("space", [label for label, *_ in grid_spaces()])
+def test_apply_cpp_images_are_ints_over_an_int_den(space):
+    # the structure constants are ints and x = {key: 1}, so only the
+    # spec weights' denominators enter den
+    ((_, alg, n, states),) = [g for g in grid_spaces() if g[0] == space]
+    for label, spec in grid_presets(n):
+        wden = lcm(*(wt.denominator for _, wt in spec.terms))
+        for x in states:
+            image, den = apply_cpp(alg, {x: 1}, spec)
+            assert type(den) is int and den == wden, (label, x)
+            assert all(type(c) is int and c > 0 for c in image.values()), (label, x)
 
 
 @pytest.mark.parametrize(
@@ -240,16 +263,16 @@ def test_apply_cpp_expands_only_keys_a_composition_can_split(alg, monkeypatch):
         for x in alg.basis(n):
             for label, spec in grid_presets(n):
                 asked.clear()
-                apply_cpp(alg, LinComb.single(x), spec)
+                apply_cpp(alg, {x: 1}, spec)
                 assert all(k.degree >= 2 for k in asked), (label, x)
             for spec in two_part:
                 asked.clear()
-                apply_cpp(alg, LinComb.single(x), spec)
+                apply_cpp(alg, {x: 1}, spec)
                 assert asked == [x], (spec, x)
         # one call per key of a combination, too
         keys = alg.basis(n)[:3]
         asked.clear()
-        apply_cpp(alg, LinComb({k: F(i + 1, 2) for i, k in enumerate(keys)}), two_part[0])
+        apply_cpp(alg, {k: F(i + 1, 2) for i, k in enumerate(keys)}, two_part[0])
         assert sorted(map(str, asked)) == sorted(map(str, keys))
 
 
@@ -277,7 +300,7 @@ def by_arity_apply_cpp(alg: AlgebraHandle, x: LinComb, spec: CppSpec) -> LinComb
     and bucketed by leg-degree profile, so each composition term is a
     dictionary lookup.
     """
-    deg = homogeneous_degree(x)
+    deg = homogeneous_degree(x.terms)
     if deg is None:
         return LinComb.zero()
     if deg != spec.n:
@@ -541,7 +564,7 @@ def test_built_matrix_stays_rational():
     for alg, spec in cases:
         K = build_transition_matrix(alg, spec)
         assert type(K.beta) is F
-        assert all(type(e) is F for e in K.etas)
+        assert all(type(e) is int for e in K.etas)
         assert type(K.kernel.den) is int and K.kernel.den > 0
         assert all(type(e) is int for row in K.kernel.entries for e in row)
         assert all(type(p) is F for x in K.states for p in K.row_of(x).values())

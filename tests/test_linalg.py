@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -17,6 +18,14 @@ from hopfchains.linalg import (
 from hopfchains.presets import riffle_spec, top_to_random_spec, trinomial_spec
 from hopfchains.shuffle import FreeAssociativeAlgebra, deck_from_string, distinct_deck, rearrangement_class
 from hopfchains.spectral import class_spectrum, primitive_basis
+
+
+def rational_matrix(rows):
+    """Rational rows (ints, Fractions or "p/q" strings) as a RatMatrix over
+    the lcm of their denominators."""
+    rows = [[F(e) for e in row] for row in rows]
+    den = lcm(*(e.denominator for row in rows for e in row))
+    return RatMatrix([[e.numerator * (den // e.denominator) for e in row] for row in rows], den)
 
 
 def rref(m):
@@ -62,7 +71,7 @@ def test_rat_parsing():
 
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
-        RatMatrix([[1, 2], [3]])
+        RatMatrix([[1, 2], [3]], 1)
 
 
 def _top_to_random_3():
@@ -155,7 +164,7 @@ def test_rank_of_shifted_kernel():
 
 
 def test_shifted_is_a_positive_multiple_of_the_rational_shift():
-    m = RatMatrix([["1/2", "1/3"], ["1/4", 1]])
+    m = rational_matrix([["1/2", "1/3"], ["1/4", 1]])
     lam = F(2, 3)
     rows = shifted(m, lam)
     scale = lam.denominator * m.den
@@ -167,10 +176,10 @@ def test_shifted_is_a_positive_multiple_of_the_rational_shift():
 
 def test_rank_plus_nullity():
     mats = [
-        RatMatrix([[1, 2, 3], [4, 5, 6]]),
-        RatMatrix([["1/2", "1/3"], ["1/4", "1/6"], [1, 1]]),
+        RatMatrix([[1, 2, 3], [4, 5, 6]], 1),
+        rational_matrix([["1/2", "1/3"], ["1/4", "1/6"], [1, 1]]),
         _top_to_random_3().kernel,
-        RatMatrix([[0, 0, 1], [0, 0, 2]]),
+        RatMatrix([[0, 0, 1], [0, 0, 2]], 1),
     ]
     for m in mats:
         assert rank(m.entries) + len(nullspace(m.entries)) == m.cols
@@ -178,8 +187,8 @@ def test_rank_plus_nullity():
 
 def test_rank_agrees_with_rref_pivots():
     mats = [
-        RatMatrix([[2, 4, 1], [1, 2, 0], [0, 0, 1]]),
-        RatMatrix([["1/7", 3], ["2/7", 6]]),
+        RatMatrix([[2, 4, 1], [1, 2, 0], [0, 0, 1]], 1),
+        rational_matrix([["1/7", 3], ["2/7", 6]]),
     ]
     for m in mats:
         assert rank(m.entries) == len(rref(m.entries)[1])
@@ -203,7 +212,7 @@ def test_rank_matches_rref_on_random_degenerate_matrices():
         for row in base:
             row[kill] = F(0)
         base.insert(rng.randrange(rows + 1), [F(0)] * cols)
-        m = RatMatrix(base)
+        m = rational_matrix(base)
         # integer rows have the rational rows' kernel, in the same basis
         assert rank(m.entries) == len(rref(base)[1]) == len(rref(m.entries)[1])
         assert nullspace(m.entries) == oracle_kernel(base)
@@ -211,8 +220,8 @@ def test_rank_matches_rref_on_random_degenerate_matrices():
 
 
 def test_annihilation_identity_and_jordan_block():
-    assert annihilation_check(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [F(1)])
-    assert not annihilation_check(RatMatrix([[0, 1], [0, 0]]), [F(0)])
+    assert annihilation_check(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1), [F(1)])
+    assert not annihilation_check(RatMatrix([[0, 1], [0, 0]], 1), [F(0)])
 
 
 def test_annihilation_riffle_eigenvalues():
@@ -292,7 +301,7 @@ def test_eigenspace_dimensions_match_rank_on_random_diagonalisable_matrices():
     for _ in range(60):
         size = rng.randrange(2, 7)
         diagonal = [rng.choice(pool[:4]) for _ in range(size)]
-        m = RatMatrix(_similar_diagonal(rng, diagonal))
+        m = rational_matrix(_similar_diagonal(rng, diagonal))
         # every true eigenvalue plus candidates of dimension 0
         candidates = sorted(set(diagonal) | set(rng.sample(pool, 2)))
         dims = eigenspace_dimensions(m, candidates)
@@ -301,9 +310,9 @@ def test_eigenspace_dimensions_match_rank_on_random_diagonalisable_matrices():
 
 
 def test_eigenspace_dimensions_none_without_a_certificate():
-    jordan = RatMatrix([[F(1, 2), 1, 0], [0, F(1, 2), 0], [0, 0, 1]])
+    jordan = RatMatrix([[1, 2, 0], [0, 1, 0], [0, 0, 2]], 2)
     assert eigenspace_dimensions(jordan, [F(1, 2), F(1)]) is None
-    diagonal = RatMatrix([[F(1, 3), 0], [0, 2]])
+    diagonal = RatMatrix([[1, 0], [0, 6]], 3)
     assert eigenspace_dimensions(diagonal, [F(1, 3), 2]) == {F(1, 3): 1, 2: 1}
     # a true eigenvalue left out of the list
     alg, deck = distinct_deck(3)

@@ -503,6 +503,25 @@ def test_cli_format_is_a_matrix_flag_only(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stationary", "--distinct", "3", "--preset", "riffle", "--params", "a=9"],
+        ["stationary", "--distinct", "3", "--preset", "riffle"],
+        ["eigvecs", "--distinct", "3", "--params", "q=1/2"],
+        ["eigvecs", "--distinct", "3", "--spec", "spec.json"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[3:4]),
+)
+def test_cli_operator_flags_belong_to_the_operator_commands(capsys, argv):
+    # stationary laws depend on the algebra only, and eigvecs takes its
+    # own --q: an operator flag there would be ignored, so it is refused
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[3]}" in capsys.readouterr().err
+
+
 def test_cli_state_cap_is_checked_before_enumeration(capsys, monkeypatch):
     def refuse(alg, word):
         raise AssertionError(f"enumerated the class of {word}")

@@ -32,7 +32,6 @@ from hopfchains.chain import (
 from hopfchains.forests import forest_algebra
 from hopfchains.hopf import (
     LinComb,
-    apply_cpp,
     eta,
     normalize_spec,
     product,
@@ -57,7 +56,7 @@ from hopfchains.spectral import (
     class_spectrum,
     verify_spectrum,
 )
-from test_hopf import by_arity_apply_cpp
+from test_hopf import by_arity_apply_cpp, image_of
 from test_spectral import apply_cpp_eigen_equation
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -200,7 +199,7 @@ def test_prefix_walk_matches_the_by_arity_reference(name, data):
     keys = data.draw(st.lists(st.sampled_from(alg.basis(n)), min_size=1, max_size=4, unique=True))
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=7)
     x = LinComb({k: data.draw(coeff) for k in keys})
-    assert apply_cpp(alg, x, spec) == by_arity_apply_cpp(alg, x, spec)
+    assert image_of(alg, x, spec) == by_arity_apply_cpp(alg, x, spec)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)

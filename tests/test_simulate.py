@@ -32,7 +32,7 @@ from hopfchains.shuffle import (
 )
 from hopfchains.simulate import (
     RngStream,
-    composition_sampler,
+    _composition_table,
     empirical_row_check,
     gsr_step,
     gsr_stepper,
@@ -99,34 +99,28 @@ def test_simulate_20_card_deck_digest(capsys):
     )
 
 
+def _table_steps(spec) -> dict:
+    """Each composition's step in the spec's cumulative weight table, and
+    the table's total: a draw r in [0, total) lands on a composition for
+    exactly its step's worth of r."""
+    comps, cum = _composition_table(spec)
+    assert comps == sorted(comps)
+    steps = {c: b - a for c, a, b in zip(comps, [0] + cum, cum)}
+    return steps, cum[-1]
+
+
 def test_sample_composition_point_mass():
-    draw = composition_sampler(top_to_random_spec(5))
-    rng = RngStream(SEED, 0)
-    for _ in range(50):
-        assert draw(rng) == (1, 4)
+    assert _composition_table(top_to_random_spec(5)) == ([(1, 4)], [1])
 
 
 def test_sample_composition_coin_flip_frequencies():
-    draw = composition_sampler(top_or_bottom_spec(4, F(1, 2)))
-    rng = RngStream(SEED, 0)
-    n_draws = 100_000
-    hits = sum(draw(rng) == (1, 3) for _ in range(n_draws))
-    sigma = (n_draws * 0.25) ** 0.5
-    assert abs(hits - n_draws / 2) < 3 * sigma
+    steps, total = _table_steps(top_or_bottom_spec(4, F(1, 2)))
+    assert steps == {(1, 3): 1, (3, 1): 1} and total == 2
 
 
 def test_sample_composition_riffle_law():
-    draw = composition_sampler(riffle_spec(3))
-    rng = RngStream(SEED, 0)
-    n_draws = 60_000
-    counts = {}
-    for _ in range(n_draws):
-        comp = draw(rng)
-        counts[comp] = counts.get(comp, 0) + 1
-    expected = {(3,): F(2, 8), (1, 2): F(3, 8), (2, 1): F(3, 8)}
-    for comp, p in expected.items():
-        sigma = (n_draws * float(p) * (1 - float(p))) ** 0.5
-        assert abs(counts.get(comp, 0) - n_draws * float(p)) < 3 * sigma
+    steps, total = _table_steps(riffle_spec(3))
+    assert steps == {(1, 2): 3, (2, 1): 3, (3,): 2} and total == 8
 
 
 def test_cut_and_drop_single_pile_is_identity():
@@ -217,17 +211,14 @@ def test_gsr_step_outcome_law_is_the_exact_row(label, alg, deck):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_composition_sampler_draws_each_composition_for_its_weight(n):
+    # the stepper's inline draw reads the table: each composition takes
+    # its step's worth of the randbelow(total) draws
     for preset_label, spec in grid_presets(n):
-        law = composition_law(spec)
-        draw = composition_sampler(spec)
-        first = _ScriptedStream(())
-        draw(first)
-        (total,) = first.bounds  # one randbelow(total) call per draw
-        counts: dict = {}
-        for r in range(total):
-            comp = draw(_ScriptedStream((r,)))
-            counts[comp] = counts.get(comp, 0) + 1
-        assert counts == {c: p * total for c, p in law.items()}, preset_label
+        steps, total = _table_steps(spec)
+        assert all(step > 0 for step in steps.values()), preset_label
+        assert steps == {c: p * total for c, p in composition_law(spec).items()}, preset_label
+        # the least total: the steps share no factor
+        assert gcd(*steps.values()) == 1, preset_label
 
 
 def test_gsr_top_to_random_marginal():

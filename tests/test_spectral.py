@@ -53,6 +53,8 @@ from hopfchains.spectral import (
     verify_spectrum,
 )
 
+from test_hopf import image_of
+
 
 def test_partitions():
     assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
@@ -439,7 +441,7 @@ def test_group_path_needs_the_whole_class_of_distinct_cards():
 
 def test_verify_spectrum_rejects_a_non_diagonalisable_kernel(monkeypatch):
     h = F(1, 2)
-    kernel = RatMatrix([[h, h, 0], [0, h, h], [0, 0, 1]])
+    kernel = RatMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]], 2)  # h on and above the diagonal
     # a three-state word class with repeated letters takes the matrix path;
     # its built kernel is replaced by a hand-made non-diagonalisable one
     alg, deck = deck_from_string("aab")
@@ -507,7 +509,7 @@ def test_build_E_j_smallest_cases():
     assert vec2.eigenvalue == 1
     v = vec2.vector
     assert v.coefficient(Word("ab")) == v.coefficient(Word("ba")) != 0
-    image = apply_cpp(alg, v, top_to_random_spec(2))
+    image = image_of(alg, v, top_to_random_spec(2))
     assert image == v.scale(2)  # operator value 2 = beta * eigenvalue
 
 
@@ -594,7 +596,7 @@ def test_trinomial_eigenvalue_as_literally_stated():
     q1, q2, q3 = F(1, 4), F(1, 2), F(1, 4)
     spec = trinomial_spec(2, q1, q2, q3)
     (vec,) = build_E_j(alg, 2, 2, F(1, 2), content=(1, 1))
-    image = apply_cpp(alg, vec.vector, spec)
+    image = image_of(alg, vec.vector, spec)
     assert image == vec.vector.scale(beta_n(spec) * q2**vec.j)
 
 
@@ -608,7 +610,7 @@ def test_trinomial_check_rejects_mismatched_q():
 def apply_cpp_eigen_equation(alg, vector, spec, value) -> bool:
     """The eigen-equation through one `apply_cpp` call: the oracle that the
     position-law check in `spectral._eigen_equation` must agree with."""
-    return apply_cpp(alg, vector, spec) == vector.scale(beta_n(spec) * value)
+    return image_of(alg, vector, spec) == vector.scale(beta_n(spec) * value)
 
 
 def _insertion_families():
