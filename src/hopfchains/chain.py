@@ -85,22 +85,7 @@ class TransitionMatrix:
         return {y: Fraction(c, den) for y, c in zip(self.states, row) if c}
 
 
-def check_state_count(count: int, max_states: int, knob: str = "max_states") -> None:
-    """Refuse a state space of `count` elements above the cap; the message
-    names `knob`, the setting that raises it."""
-    if count > max_states:
-        raise ValueError(
-            f"state space has {count} elements, above the cap {max_states}; "
-            f"raise {knob} to proceed"
-        )
-
-
-def build_transition_matrix(
-    alg: AlgebraHandle,
-    spec: CppSpec,
-    states=None,
-    max_states: int = 1000,
-) -> TransitionMatrix:
+def build_transition_matrix(alg: AlgebraHandle, spec: CppSpec, states=None) -> TransitionMatrix:
     """Build the chain kernel for an operator spec at its degree.
 
     `states` defaults to the full degree-n basis; passing a sublist (for
@@ -117,7 +102,6 @@ def build_transition_matrix(
     states = list(states)
     if not states:
         raise ValueError(f"empty state space at degree {n}")
-    check_state_count(len(states), max_states)
     for s in states:
         if s.degree != n:
             raise ValueError(f"state {s!r} has degree {s.degree}, spec degree is {n}")
@@ -168,7 +152,7 @@ def per_row_kernel(alg: AlgebraHandle, spec: CppSpec, states: list, etas: list) 
     return RatMatrix(rows, beta.numerator * (den // beta.denominator) * etas_lcm)
 
 
-def relabelled_kernel(law: list, den: int, states: list) -> RatMatrix:
+def relabelled_kernel(law: tuple, den: int, states: list) -> RatMatrix:
     """K[x][x.sigma] += Q(sigma) for a position law Q over den (`position_law`)."""
     numerators = [c for _, c in law]
     rows = []
@@ -263,12 +247,7 @@ def expectations(
 # stationary distributions
 
 
-def stationary_distributions(
-    alg: AlgebraHandle,
-    n: int,
-    states=None,
-    max_states: int = 1000,
-) -> list[Distribution]:
+def stationary_distributions(alg: AlgebraHandle, n: int, states=None) -> list[Distribution]:
     """One stationary distribution per multiset of degree-1 basis elements.
 
     The weight of x is eta(x)/n!^2 times the number of ways (summed over
@@ -283,7 +262,6 @@ def stationary_distributions(
     if states is None:
         states = alg.basis(n)
     states = list(states)
-    check_state_count(len(states), max_states)
     singles = alg.basis(1)
     if not singles:
         raise ValueError("degree-1 basis is empty; no stationary construction")

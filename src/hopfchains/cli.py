@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .chain import (
     build_transition_matrix,
-    check_state_count,
     distribution_to_dict,
     expectations,
     matrix_to_csv,
@@ -95,6 +94,15 @@ def _check_cap(args) -> None:
         raise UsageError(f"--max-states must be >= 1, got {cap}")
 
 
+def check_state_count(count: int, max_states: int) -> None:
+    """Refuse a state space of `count` elements above the --max-states cap."""
+    if count > max_states:
+        raise UsageError(
+            f"state space has {count} elements, above the cap {max_states}; "
+            "raise --max-states to proceed"
+        )
+
+
 def _check_horizon(args) -> None:
     if args.t < 0:
         raise UsageError(f"--t must be >= 0, got {args.t}")
@@ -163,9 +171,9 @@ def _states(args, alg, n, start) -> list:
     before they are enumerated: a deck's class by its multinomial size,
     the forests on n vertices by the rooted trees on n + 1."""
     if args.algebra == "shuffle":
-        check_state_count(_class_size(alg, start), args.max_states, "--max-states")
+        check_state_count(_class_size(alg, start), args.max_states)
         return rearrangement_class(alg, start)
-    check_state_count(tree_count(n + 1), args.max_states, "--max-states")
+    check_state_count(tree_count(n + 1), args.max_states)
     return alg.basis(n)
 
 
@@ -241,7 +249,7 @@ def cmd_matrix(args) -> int:
     alg, n, start = _setup_space(args)
     spec = _load_spec(args, n)
     states = _states(args, alg, n, start)
-    K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
+    K = build_transition_matrix(alg, spec, states=states)
     if args.format == "csv":  # the CSV carries the kernel alone
         _emit(args, {}, csv_text=matrix_to_csv(K))
         return 0
@@ -276,7 +284,7 @@ def cmd_spectrum(args) -> int:
     ok = True
     if args.verify_matrix:
         states = _states(args, alg, n, start)
-        report = verify_spectrum(alg, spec, states, spectrum, max_states=args.max_states)
+        report = verify_spectrum(alg, spec, states, spectrum)
         payload["matrix_verification"] = {"ok": report.ok, "detail": report.lines()}
         ok = report.ok
     _emit(args, payload)
@@ -286,7 +294,7 @@ def cmd_spectrum(args) -> int:
 def cmd_stationary(args) -> int:
     alg, n, start = _setup_space(args)
     states = _states(args, alg, n, start)
-    pis = stationary_distributions(alg, n, states=states, max_states=args.max_states)
+    pis = stationary_distributions(alg, n, states=states)
     payload = {
         "command": "stationary",
         "algebra": alg.name,
@@ -334,12 +342,23 @@ def cmd_eigvecs(args) -> int:
     return 0
 
 
+# the statistic flags each statistic reads; any other one given is refused
+_STAT_FLAGS = {"weighted-descents": ("q",), "weighted-peaks": ("q",), "f_j": ("j", "q1", "q3")}
+
+
 def _resolve_statistic(args, alg):
-    """The statistic as a callable, checked against the algebra before any kernel is built."""
+    """The statistic as a callable, checked against the algebra and the statistic
+    flags before any kernel is built; an absent --q is 1/2 and an absent --j 2."""
     name = args.stat
+    given = [flag for flag in ("q", "j", "q1", "q3") if getattr(args, flag) is not None]
+    if args.q is None:
+        args.q = "1/2"
     q = _rat_flag(args, "q")
     if (name == "f_j") != (args.algebra == "forests"):
         raise UsageError(f"statistic {name!r} does not apply to the {args.algebra} algebra")
+    for flag in given:
+        if flag not in _STAT_FLAGS.get(name, ()):
+            raise UsageError(f"--{flag} would be ignored by --stat {name}")
     if name == "weighted-descents":
         return lambda w: weighted_descent_stat(w, q, alg.alphabet)
     if name == "weighted-peaks":
@@ -349,11 +368,11 @@ def _resolve_statistic(args, alg):
     if name == "peaks":
         return lambda w: Fraction(len(descent_peak_sets(w, alg.alphabet).peaks))
     if name == "f_j":
-        j = args.j
+        j = 2 if args.j is None else args.j
         if j < 2:
             raise UsageError(f"--j must be >= 2 for f_j, got {j}")
-        q1 = _rat_flag(args, "q1") if args.q1 else Fraction(1, 4)
-        q3 = _rat_flag(args, "q3") if args.q3 else Fraction(1, 4)
+        q1 = Fraction(1, 4) if args.q1 is None else _rat_flag(args, "q1")
+        q3 = Fraction(1, 4) if args.q3 is None else _rat_flag(args, "q3")
         return lambda f: f_j_statistic(f, j, q1, q3)
     raise UsageError(f"unknown statistic {name!r}")
 
@@ -366,7 +385,7 @@ def cmd_evolve(args) -> int:
     spec = _load_spec(args, n)
     stat = _resolve_statistic(args, alg)
     states = _states(args, alg, n, start)
-    K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
+    K = build_transition_matrix(alg, spec, states=states)
     dist = point_mass(K, start)
     rows = [
         {"t": t, "expectation": str(value), "float": float(value)}
@@ -403,7 +422,7 @@ def cmd_simulate(args) -> int:
         stepper = gsr_stepper(spec)  # above the cap: cut-and-drop needs no kernel
     else:
         states = _states(args, alg, n, start)
-        K = build_transition_matrix(alg, spec, states=states, max_states=args.max_states)
+        K = build_transition_matrix(alg, spec, states=states)
         stepper = gsr_stepper(spec) if args.algebra == "shuffle" else matrix_stepper(K)
         dist = point_mass(K, start)
         exact_targets = {args.stat: expectations(K, dist, args.t, stat)}
@@ -451,7 +470,6 @@ def cmd_verify(args) -> int:
     )
     if args.out:
         payload = {
-            "format_version": FORMAT_VERSION,
             "command": "verify",
             "results": [
                 {
@@ -466,7 +484,7 @@ def cmd_verify(args) -> int:
                 for r in results
             ],
         }
-        _write(args.out, _json_chunks(payload))
+        _emit(args, payload)
     return 0 if all_ok else 1
 
 
@@ -498,8 +516,8 @@ def _add_statistic_flags(p: argparse.ArgumentParser, t_default: int) -> None:
         default="weighted-descents",
         choices=["weighted-descents", "weighted-peaks", "descents", "peaks", "f_j"],
     )
-    p.add_argument("--q", default="1/2", help="weight parameter for weighted statistics")
-    p.add_argument("--j", type=int, default=2, help="threshold for the forest statistic")
+    p.add_argument("--q", help="weight parameter for weighted statistics (default 1/2)")
+    p.add_argument("--j", type=int, help="threshold for the forest statistic (default 2)")
     p.add_argument("--q1", help="forest statistic down-weight")
     p.add_argument("--q3", help="forest statistic up-weight")
 

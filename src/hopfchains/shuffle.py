@@ -205,8 +205,10 @@ class FreeAssociativeAlgebra(WordAlgebra):
 # the position law
 
 
-def position_law(alg: WordAlgebra, spec: CppSpec) -> tuple[list, int]:
-    """The chain's law on position permutations, from one `apply_cpp` call.
+@lru_cache(maxsize=16)
+def position_law(alg: WordAlgebra, spec: CppSpec) -> tuple[tuple, int]:
+    """The chain's law on position permutations, from one `apply_cpp` call
+    per (handle, spec): kernel builds, certificates and eigen checks share it.
 
     Both word algebras cut and merge by position and never read a card
     label, so relabelling letters is a Hopf morphism and eta is the same
@@ -224,7 +226,7 @@ def position_law(alg: WordAlgebra, spec: CppSpec) -> tuple[list, int]:
     image, den = apply_cpp(alg, {Word(range(spec.n)): 1}, spec)
     den = beta.numerator * (den // beta.denominator)
     g = gcd(den, *image.values())
-    return [(sigma, c // g) for sigma, c in image.items()], den // g
+    return tuple((sigma, c // g) for sigma, c in image.items()), den // g
 
 
 def not_closed(x, y) -> ValueError:
@@ -232,14 +234,14 @@ def not_closed(x, y) -> ValueError:
     return ValueError(f"state space not closed: {x!r} reaches {y!r} outside the given states")
 
 
-def position_moves(law: list) -> list:
+def position_moves(law: tuple) -> list:
     """One callable per (sigma, numerator) of a position law, in order,
     sending a word x to the plain tuple of x.sigma, (x.sigma)[i] = x[sigma[i]]."""
     # itemgetter of one index returns the letter, not a tuple
     return [itemgetter(*sigma) if len(sigma) > 1 else tuple for sigma, _ in law]
 
 
-def relabelled_columns(law: list, states: list):
+def relabelled_columns(law: tuple, states: list):
     """Yield each state's row of the relabelled chain (`position_law`) as columns.
 
     The row of x = states[i] lists, for each (sigma, numerator) of the law

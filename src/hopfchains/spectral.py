@@ -40,10 +40,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import comb, factorial, lcm, prod
 
-from .chain import build_transition_matrix, check_state_count, check_stochastic, relabelled_kernel
+from .chain import build_transition_matrix
 from .hopf import (
     AlgebraHandle,
     CppSpec,
@@ -265,19 +265,18 @@ def verify_spectrum(
     spec: CppSpec,
     states: list,
     spectrum: Spectrum,
-    max_states: int = 1000,
 ) -> SpectrumReport:
     """Eigenspace dimensions of the chain on `states` from an annihilation chain's traces.
 
     One chain on the claimed support certifies diagonalisability and gives
     every dimension; a value claimed with multiplicity 0 then has
     dimension 0.  On a whole class of distinct cards the chain runs from
-    one row of the relabelled rows, after n! is checked against
-    `max_states`, and no dense kernel is built; on any other space it runs
-    from every row of the built kernel.  Only when the product does not
-    vanish are the dimensions read off `rank` of the kernel, so a failing
-    report still shows the true ones; on a distinct class that kernel is
-    summed from the position law already in hand.
+    one row of the relabelled rows and no dense kernel is built; on any
+    other space it runs from every row of the built kernel.  Only when the
+    product does not vanish are the dimensions read off `rank` of the
+    kernel from `build_transition_matrix`, so a failing report still shows
+    the true ones; on a distinct class that build reads the memoised
+    position law, so the operator is still applied once.
     """
     states = list(states)
     size = len(states)
@@ -287,19 +286,18 @@ def verify_spectrum(
         raise ValueError("the spectrum claims no eigenvalue")
     kernel = None
     if group_certifiable(alg, states, spec.n):
-        check_state_count(size, max_states)
         law, den = position_law(alg, spec)
         columns = list(relabelled_columns(law, states))
         numerators = [c for _, c in law]
         traces = annihilation_traces(lambda i: zip(columns[i], numerators), size, den, support, [0])
         dims = None if traces is None else dimensions_from_traces(support, [size * t for t in traces])
     else:
-        kernel = build_transition_matrix(alg, spec, states=states, max_states=max_states).kernel
+        kernel = build_transition_matrix(alg, spec, states=states).kernel
         dims = eigenspace_dimensions(kernel, support)
     diag = dims is not None
     if not diag:
         if kernel is None:
-            kernel = check_stochastic(states, relabelled_kernel(law, den, states))
+            kernel = build_transition_matrix(alg, spec, states=states).kernel
         dims = {value: size - rank(shifted(kernel, value)) for value in agg}
     entries = [(value, agg[value], dims.get(value, 0)) for value in sorted(agg)]
     total = spectrum.total_multiplicity()
@@ -501,14 +499,6 @@ def build_E_j(
     return results
 
 
-@lru_cache(maxsize=16)
-def _position_action(alg: WordAlgebra, spec: CppSpec) -> tuple[tuple, int]:
-    """The spec's position law as ((move, numerator), ...) over den, formed
-    once per (handle, spec); each move sends x to the plain tuple x.sigma."""
-    law, den = position_law(alg, spec)
-    return tuple(zip(position_moves(law), (c for _, c in law))), den
-
-
 def _eigen_equation(alg: AlgebraHandle, vector: LinComb, spec: CppSpec, value: Fraction) -> bool:
     """True iff the spec's operator maps vector to beta_n * value * vector,
     that is, vector is an eigenvector of the chain's operator for value.
@@ -530,7 +520,8 @@ def _eigen_equation(alg: AlgebraHandle, vector: LinComb, spec: CppSpec, value: F
     if deg not in (None, spec.n):
         raise ValueError(f"degree mismatch: element degree {deg}, spec degree {spec.n}")
     value = rat(value)
-    moves, den = _position_action(alg, spec)
+    law, den = position_law(alg, spec)
+    moves = list(zip(position_moves(law), (c for _, c in law)))
     vden = lcm(*(c.denominator for _, c in vector.items()))
     scaled = {x: c.numerator * (vden // c.denominator) for x, c in vector.items()}
     image: dict = {}

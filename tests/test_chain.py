@@ -90,13 +90,6 @@ def test_state_space_closure_enforced():
         build_transition_matrix(alg, top_to_random_spec(3), states=states[:3])
 
 
-def test_max_states_cap():
-    alg, deck = distinct_deck(5)
-    states = rearrangement_class(alg, deck)
-    with pytest.raises(ValueError):
-        build_transition_matrix(alg, top_to_random_spec(5), states=states, max_states=100)
-
-
 def test_evolve_basics():
     _, deck, K = _class_chain(3, top_to_random_spec)
     start = point_mass(K, deck)

@@ -452,8 +452,17 @@ def test_cli_state_cap_error_names_the_flag(capsys):
     for argv in (
         ["matrix", "--distinct", "7", "--preset", "riffle"],
         ["stationary", "--algebra", "forests", "--n", "9", "--max-states", "10"],
+        ["matrix", "--distinct", "5", "--preset", "top-to-random", "--max-states", "100"],
     ):
         assert "; raise --max-states to proceed" in _usage_error(capsys, argv)
+
+
+def test_cli_group_certificate_checks_the_cap_before_the_operator(capsys, monkeypatch):
+    for module in ("shuffle", "chain", "spectral"):
+        monkeypatch.setattr(f"hopfchains.{module}.position_law", None)  # never reached
+    argv = ["spectrum", "--distinct", "5", "--preset", "riffle", "--verify-matrix",
+            "--max-states", "100"]
+    assert "120 elements, above the cap 100" in _usage_error(capsys, argv)
 
 
 @pytest.mark.parametrize(
@@ -622,6 +631,37 @@ STATISTIC_MISMATCHES = {
          "--stat", "f_j", "--j", "1"],
         "--j must be >= 2",
     ),
+    "forest-statistic-empty-q1": (
+        ["--algebra", "forests", "--forest", "(())", "--preset", "top-to-random",
+         "--stat", "f_j", "--q1", ""],
+        "Invalid literal for Fraction: ''",
+    ),
+    # a statistic flag the chosen statistic does not read is refused, not ignored
+    "q-with-descents": (
+        ["--distinct", "3", "--preset", "riffle", "--stat", "descents", "--q", "1/3"],
+        "--q would be ignored by --stat descents",
+    ),
+    "q-with-peaks": (
+        ["--distinct", "3", "--preset", "riffle", "--stat", "peaks", "--q", "1/3"],
+        "--q would be ignored by --stat peaks",
+    ),
+    "j-with-weighted-descents": (
+        ["--distinct", "3", "--preset", "riffle", "--stat", "weighted-descents", "--j", "7"],
+        "--j would be ignored by --stat weighted-descents",
+    ),
+    "q1-with-weighted-peaks": (
+        ["--distinct", "3", "--preset", "riffle", "--stat", "weighted-peaks", "--q1", "1/9"],
+        "--q1 would be ignored by --stat weighted-peaks",
+    ),
+    "q3-with-descents": (
+        ["--distinct", "3", "--preset", "riffle", "--stat", "descents", "--q3", "1/9"],
+        "--q3 would be ignored by --stat descents",
+    ),
+    "q-with-f_j": (
+        ["--algebra", "forests", "--forest", "(())", "--preset", "riffle", "--stat", "f_j",
+         "--q", "1/3"],
+        "--q would be ignored by --stat f_j",
+    ),
 }
 
 
@@ -697,13 +737,15 @@ def test_cli_out_file_equals_stdout(tmp_path, capsys, argv):
     assert out.read_bytes() == printed.encode("utf-8")
 
 
-def test_cli_verify_report_has_no_trailing_newline(tmp_path, capsys):
+def test_cli_verify_report_ends_in_a_newline(tmp_path, capsys):
+    # written by the one JSON writer, like every other --out file
     out = tmp_path / "report.json"
     assert main(["verify", "--criteria", "1", "--out", str(out)]) == 0
     capsys.readouterr()
     text = out.read_text(encoding="utf-8")
-    assert not text.endswith("\n")
-    assert text == json.dumps(json.loads(text), indent=2)
+    assert text.endswith("}\n")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert list(json.loads(text))[:2] == ["format_version", "command"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

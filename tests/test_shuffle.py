@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from hopfchains.presets import riffle_spec
 from hopfchains.shuffle import (
     FreeAssociativeAlgebra,
     ShuffleAlgebra,
@@ -13,8 +14,10 @@ from hopfchains.shuffle import (
     deconcat_coproduct,
     descent_peak_sets,
     deshuffle_coproduct,
+    distinct_alphabet,
     distinct_deck,
     lyndon_words,
+    position_law,
     rearrangement_class,
     shuffle_product,
     weighted_descent_stat,
@@ -252,3 +255,19 @@ def test_generator_counts_match_lyndon_words_on_every_content():
                             row = expected.setdefault(size, {})
                             row[v] = row.get(v, 0) + 1
                 assert alg.generator_counts(content) == expected
+
+
+@pytest.mark.parametrize("a", [2, 3, 4])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_riffle_position_law_is_the_bayer_diaconis_formula(n, a):
+    # Bayer-Diaconis, "Trailing the dovetail shuffle to its lair" (1992): one
+    # a-shuffle gives sigma the probability C(a + n - r, n) / a^n, where r is
+    # 1 plus the number of k with card k+1 left of card k in sigma
+    law, den = position_law(ShuffleAlgebra(distinct_alphabet(n)), riffle_spec(n, a))
+    expected = {}
+    for sigma in permutations(range(n)):
+        where = {card: i for i, card in enumerate(sigma)}
+        r = 1 + sum(where[k + 1] < where[k] for k in range(n - 1))
+        if comb(a + n - r, n):
+            expected[sigma] = F(comb(a + n - r, n), a**n)
+    assert {tuple(sigma): F(c, den) for sigma, c in law} == expected

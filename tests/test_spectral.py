@@ -34,6 +34,7 @@ from hopfchains.shuffle import (
     distinct_alphabet,
     distinct_deck,
     lyndon_words,
+    position_law,
     rearrangement_class,
 )
 from hopfchains.spectral import (
@@ -385,7 +386,7 @@ def test_group_certificate_reports_true_dimensions_on_wrong_claims():
 
 def test_group_fallback_forms_the_position_law_once(monkeypatch):
     # with a true eigenvalue left out the rank fallback needs the kernel:
-    # it is summed from the law the certificate already read
+    # it is built from the memoised law the certificate already read
     alg, deck = distinct_deck(4)
     states = rearrangement_class(alg, deck)
     spec = riffle_spec(4)
@@ -404,10 +405,10 @@ def test_group_fallback_forms_the_position_law_once(monkeypatch):
         return apply_cpp(*args, **kwargs)
 
     # spectral no longer binds apply_cpp; setting it anyway counts a call
-    # that comes back
+    # that comes back.  The expected kernel above formed the law already.
     for module in ("shuffle", "chain", "spectral"):
         monkeypatch.setattr(f"hopfchains.{module}.apply_cpp", counted, raising=False)
-    monkeypatch.setattr("hopfchains.spectral.build_transition_matrix", None)
+    position_law.cache_clear()
     report = verify_spectrum(alg, spec, states, dropped)
     assert len(calls) == 1
     assert not report.ok and not report.diagonalizable
@@ -415,16 +416,6 @@ def test_group_fallback_forms_the_position_law_once(monkeypatch):
     assert [(v, c, a) for v, c, a in report.entries if c or a] == [
         (F(1, 8), 6, 6), (F(1, 4), 11, 11), (F(1, 2), 0, 6), (F(1), 1, 1),
     ]
-
-
-def test_group_certificate_checks_the_cap_before_the_operator(monkeypatch):
-    alg, deck = distinct_deck(5)
-    states = rearrangement_class(alg, deck)
-    spec = riffle_spec(5)
-    spectrum = class_spectrum(spec, alg, alg.content(deck))
-    monkeypatch.setattr("hopfchains.spectral.position_law", None)  # never reached
-    with pytest.raises(ValueError, match="120 elements, above the cap 100"):
-        verify_spectrum(alg, spec, states, spectrum, max_states=100)
 
 
 def test_group_path_needs_the_whole_class_of_distinct_cards():
@@ -511,6 +502,20 @@ def test_build_E_j_smallest_cases():
     assert v.coefficient(Word("ab")) == v.coefficient(Word("ba")) != 0
     image = image_of(alg, v, top_to_random_spec(2))
     assert image == v.scale(2)  # operator value 2 = beta * eigenvalue
+
+
+def test_build_E_j_forms_the_position_law_once(monkeypatch):
+    # every eigen-equation check of one operator reads the memoised law
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return apply_cpp(*args, **kwargs)
+
+    monkeypatch.setattr("hopfchains.shuffle.apply_cpp", counted)
+    alg = FreeAssociativeAlgebra("1234")  # a fresh handle: no law is memoised yet
+    vectors = [v for j in (0, 1, 2, 4) for v in build_E_j(alg, 4, j, F(1, 2))]
+    assert len(vectors) == 4**4 and len(calls) == 1
 
 
 def test_E_n_minus_one_is_empty():
