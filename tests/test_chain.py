@@ -22,6 +22,7 @@ from hopfchains.chain import (
     point_mass,
     stationary_distributions,
 )
+from hopfchains.cli import UsageError, check_state_count, main
 from hopfchains.forests import forest_algebra, parse_forest
 from hopfchains.hopf import LinComb, apply_cpp, beta_n, eta, product
 from hopfchains.linalg import RatMatrix
@@ -88,6 +89,20 @@ def test_state_space_closure_enforced():
     states = rearrangement_class(alg, deck)
     with pytest.raises(ValueError):
         build_transition_matrix(alg, top_to_random_spec(3), states=states[:3])
+
+
+def test_max_states_cap(capsys):
+    # the cap lives in the command line: the 120-state top-to-random class
+    # is refused under a cap of 100, before any kernel is built
+    alg, deck = distinct_deck(5)
+    states = rearrangement_class(alg, deck)
+    assert len(states) == 120
+    with pytest.raises(UsageError, match="state space has 120 elements, above the cap 100"):
+        check_state_count(len(states), 100)
+    check_state_count(len(states), 120)
+    argv = ["matrix", "--distinct", "5", "--preset", "top-to-random", "--max-states", "100"]
+    assert main(argv) == 2
+    assert "above the cap 100; raise --max-states to proceed" in capsys.readouterr().err
 
 
 def test_evolve_basics():

@@ -452,7 +452,6 @@ def test_cli_state_cap_error_names_the_flag(capsys):
     for argv in (
         ["matrix", "--distinct", "7", "--preset", "riffle"],
         ["stationary", "--algebra", "forests", "--n", "9", "--max-states", "10"],
-        ["matrix", "--distinct", "5", "--preset", "top-to-random", "--max-states", "100"],
     ):
         assert "; raise --max-states to proceed" in _usage_error(capsys, argv)
 
