@@ -365,18 +365,22 @@ def descent_peak_sets(word: Word, alphabet) -> DeckStatistics:
 
 
 @lru_cache(maxsize=256)
-def _binomial_weights(m: int, q: Fraction) -> tuple:
-    """C(m, k) q^k (1-q)^(m-k) for k = 0..m; empty for m < 0."""
-    return tuple(comb(m, k) * q**k * (1 - q) ** (m - k) for k in range(m + 1))
+def _binomial_numerators(m: int, q: Fraction) -> tuple:
+    """C(m, k) q^k (1-q)^(m-k) for k = 0..m as integer numerators over the
+    denominator b^m of q = a/b, and that denominator; none for m < 0."""
+    if m < 0:
+        return (), 1
+    a, b = q.numerator, q.denominator
+    return tuple(comb(m, k) * a**k * (b - a) ** (m - k) for k in range(m + 1)), b**m
 
 
 def weighted_descent_stat(word: Word, q, alphabet) -> Fraction:
     """Sum over descents i of C(n-2, i-1) q^(i-1) (1-q)^(n-1-i)."""
-    weights = _binomial_weights(word.degree - 2, rat(q))
-    return sum((weights[i - 1] for i in descent_peak_sets(word, alphabet).descents), Fraction(0))
+    nums, den = _binomial_numerators(word.degree - 2, rat(q))
+    return Fraction(sum(nums[i - 1] for i in descent_peak_sets(word, alphabet).descents), den)
 
 
 def weighted_peak_stat(word: Word, q, alphabet) -> Fraction:
     """Sum over peaks i of C(n-3, i-1) q^(i-1) (1-q)^(n-2-i)."""
-    weights = _binomial_weights(word.degree - 3, rat(q))
-    return sum((weights[i - 1] for i in descent_peak_sets(word, alphabet).peaks), Fraction(0))
+    nums, den = _binomial_numerators(word.degree - 3, rat(q))
+    return Fraction(sum(nums[i - 1] for i in descent_peak_sets(word, alphabet).peaks), den)

@@ -9,18 +9,23 @@ inverse-CDF over a common denominator; floating point appears only in the
 reporting layer.
 
 Shuffles have a direct sampler, `gsr_stepper(spec)`: it resolves the
-spec's composition law once (`_composition_table`), and each step draws
-piece sizes from it and runs `gsr_step`, which cuts the deck into
-consecutive piles of those sizes, top pile first, then builds the new
-deck from the bottom by repeatedly dropping the bottommost card of a pile
-chosen with probability proportional to its current size.
+spec's cut law once (`cut_law`) into cumulative integer weights and, for
+each composition, its pile sizes and end offsets.  Each step is one call
+of `gsr_step`, one Python frame: it draws the composition by integer
+inverse-CDF, cuts the deck into consecutive piles of those sizes, top
+pile first, then builds the new deck from the bottom by repeatedly
+dropping the bottommost card of a pile chosen with probability
+proportional to its current size.  The step reads the stream's bits
+inline, by the pinned draw rule of `RngStream.randbelow`: a draw below m
+is `getrandbits(m.bit_length())`, redrawn while it is at least m.  So it
+consumes every Mersenne Twister word that a `randbelow` per draw would,
+and the trajectories do not depend on which of the two made the draws.
+Each card's drop is one draw below the number of cards left, read
+against the current pile sizes; it writes the chosen pile's bottom card
+straight to its slot of the new deck, and no pile is copied out.
 Any built transition matrix can also be sampled row by row
-(`matrix_stepper`).  Every law and row is resolved once into cumulative
-integer weights, so a draw from it is one `randbelow(total)` and a
-bisection, made inline in the step: no frame stands between a step and
-`randbelow`.  Each card's drop is one `randbelow(cards left)` read against
-the current pile sizes, and writes the chosen pile's bottom card straight
-to its slot of the new deck; no pile is copied out.
+(`matrix_stepper`): each visited row is resolved once into cumulative
+integer weights, and a step is one `randbelow(total)` and a bisection.
 
 `run_trajectories` counts visits rather than samples: a statistic must be
 a pure function of the state, and it is evaluated once per distinct
@@ -37,9 +42,10 @@ import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .chain import TransitionMatrix
 from .hopf import CppSpec, composition_law
@@ -71,43 +77,60 @@ class RngStream:
         return r
 
 
-def _composition_table(spec: CppSpec) -> tuple[list, list[int]]:
-    """The spec's breaking law as its sorted compositions and their
-    cumulative integer weights over the lcm of the denominators."""
+class CutLaw(NamedTuple):
+    """A spec's cut law, resolved once for `gsr_step`."""
+
+    cum: list  # cumulative integer weights of the compositions, in sorted order
+    total: int  # cum[-1]
+    bits: int  # total.bit_length(): the word size of a composition draw
+    piles: list  # per composition: (pile sizes, end offsets of the piles)
+    slots: tuple  # (s, (s + 1).bit_length()) for s = n-1 ... 0
+
+
+def cut_law(spec: CppSpec) -> CutLaw:
+    """The spec's breaking law over the lcm of its denominators, with each
+    composition's piles (spec compositions have no zero part)."""
     law = sorted(composition_law(spec).items())
     den = lcm(*(p.denominator for _, p in law))
-    comps = [comp for comp, _ in law]
-    return comps, list(accumulate(p.numerator * (den // p.denominator) for _, p in law))
+    cum = list(accumulate(p.numerator * (den // p.denominator) for _, p in law))
+    piles = [(list(comp), list(accumulate(comp))) for comp, _ in law]
+    slots = tuple((s, (s + 1).bit_length()) for s in range(spec.n - 1, -1, -1))
+    return CutLaw(cum, cum[-1], cum[-1].bit_length(), piles, slots)
 
 
-def gsr_step(deck: Word, comp, rng: RngStream) -> Word:
-    """Cut into consecutive piles of the given sizes (top pile first), then
-    rebuild the deck from the bottom by dropping the bottommost card of a
-    pile chosen with probability proportional to its current size.
+def gsr_step(law: CutLaw, deck: Word, rng: RngStream) -> Word:
+    """One cut-and-drop step: draw a composition from the law, cut the deck
+    into consecutive piles of its sizes (top pile first), then rebuild the
+    deck from the bottom by dropping the bottommost card of a pile chosen
+    with probability proportional to its current size.
 
-    No pile is copied out: each nonzero pile is its size and the end
-    offset of its slice of `deck`.  The current sizes sum to the number of
-    cards left, so each drop is one `randbelow(left)` draw r, landing in
-    the first pile whose running size total exceeds r; that pile's
-    bottom card `deck[end - 1]` goes straight to slot `left - 1` of the
-    new deck, and its size and end shrink by one.  An emptied pile keeps
-    size 0, which adds nothing to the running total, so the walk passes it.
+    Every draw below m reads `getrandbits(m.bit_length())` straight from
+    the stream's generator, redrawn while it is at least m: the rule of
+    `RngStream.randbelow`, made inline.  The composition is the first
+    whose cumulative weight exceeds a draw below the total.  A pile is
+    only its size and the end offset of its slice of `deck`, copied from
+    the law.  The current sizes sum to the number of cards left, so each
+    drop is one draw r below that number, landing in the first pile whose
+    running size total exceeds r; that pile's bottom card `deck[end - 1]`
+    goes straight to slot `left - 1` of the new deck, and its size and
+    end shrink by one.  An emptied pile keeps size 0, which adds nothing
+    to the running total, so the walk passes it.
     """
-    n = len(deck)
-    if sum(comp) != n or min(comp, default=0) < 0:
-        raise ValueError(f"composition {comp} does not cut a deck of {n}")
-    sizes = []
-    ends = []
-    at = 0
-    for size in comp:
-        if size:
-            at += size
-            sizes.append(size)
-            ends.append(at)
-    randbelow = rng.randbelow
+    cum, total, bits, piles, slots = law
+    if len(deck) != len(slots):
+        raise ValueError(f"a cut law of {len(slots)} cards does not cut a deck of {len(deck)}")
+    getrandbits = rng._rng.getrandbits
+    r = getrandbits(bits)
+    while r >= total:
+        r = getrandbits(bits)
+    sizes, ends = piles[bisect_right(cum, r)]
+    sizes = sizes.copy()
+    ends = ends.copy()
     out = list(deck)  # every slot is overwritten
-    for slot in range(n - 1, -1, -1):  # slot + 1 cards left
-        r = randbelow(slot + 1)
+    for slot, k in slots:  # slot + 1 cards left
+        r = getrandbits(k)
+        while r > slot:
+            r = getrandbits(k)
         i = 0
         while r >= sizes[i]:
             r -= sizes[i]
@@ -119,20 +142,8 @@ def gsr_step(deck: Word, comp, rng: RngStream) -> Word:
 
 
 def gsr_stepper(spec: CppSpec) -> Callable:
-    """Cut-and-drop stepper: a composition from the spec's law, then `gsr_step`.
-
-    The composition is drawn inline, one `randbelow(total)` draw r and the
-    first composition whose cumulative weight exceeds r (integer inverse-CDF
-    by bisection), so a step's only frames above `randbelow` are the step
-    and `gsr_step`.
-    """
-    comps, cum = _composition_table(spec)
-    total = cum[-1]
-
-    def step(state, rng: RngStream):
-        return gsr_step(state, comps[bisect_right(cum, rng.randbelow(total))], rng)
-
-    return step
+    """Cut-and-drop stepper: `gsr_step` on the spec's law, resolved once."""
+    return partial(gsr_step, cut_law(spec))
 
 
 def matrix_stepper(matrix: TransitionMatrix) -> Callable:

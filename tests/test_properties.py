@@ -11,7 +11,9 @@ the operator's one prefix walk must equal the by-arity reference on
 rational combinations, and the weighted descent and peak statistics must
 equal their sums written out position by position.  Every insertion
 eigenvector must satisfy the eigen-equation through `apply_cpp` and equal
-the construction that sums over every ordering of its singles.
+the construction that sums over every ordering of its singles.  The
+cut-and-drop stepper must follow the reference sampler step for step, in
+the state and in the Mersenne Twister state.
 The examples are derandomised so the suite is repeatable.
 """
 
@@ -50,6 +52,7 @@ from hopfchains.shuffle import (
     weighted_descent_stat,
     weighted_peak_stat,
 )
+from hopfchains.simulate import RngStream, gsr_stepper
 from hopfchains.spectral import (
     _higher_primitive_multisets,
     build_E_j,
@@ -57,6 +60,7 @@ from hopfchains.spectral import (
     verify_spectrum,
 )
 from test_hopf import by_arity_apply_cpp, image_of
+from test_simulate import _reference_gsr_stepper
 from test_spectral import apply_cpp_eigen_equation
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -200,6 +204,22 @@ def test_prefix_walk_matches_the_by_arity_reference(name, data):
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=7)
     x = LinComb({k: data.draw(coeff) for k in keys})
     assert image_of(alg, x, spec) == by_arity_apply_cpp(alg, x, spec)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_cut_and_drop_stepper_makes_the_reference_draws_on_random_specs(data):
+    n = data.draw(st.integers(2, 6))
+    spec = _draw_spec(data, n)
+    deck = Word(data.draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n)))
+    seed = data.draw(st.integers(-(2**40), 2**40))
+    stepper, reference = gsr_stepper(spec), _reference_gsr_stepper(spec)
+    rng_a, rng_b = RngStream(seed, 1), RngStream(seed, 1)
+    a = b = deck
+    for _ in range(10):
+        a, b = stepper(a, rng_a), reference(b, rng_b)
+        assert a == b
+        assert rng_a._rng.getstate() == rng_b._rng.getstate()
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)

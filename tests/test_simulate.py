@@ -1,8 +1,9 @@
 import hashlib
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from string import ascii_lowercase
 
 import pytest
@@ -11,7 +12,7 @@ from hopfchains import simulate
 from hopfchains.acceptance import grid_presets
 from hopfchains.chain import build_transition_matrix, expectations, point_mass
 from hopfchains.cli import main
-from hopfchains.hopf import composition_law
+from hopfchains.hopf import SpecError, composition_law, normalize_spec
 from hopfchains.presets import (
     biased_spec,
     riffle_spec,
@@ -32,7 +33,7 @@ from hopfchains.shuffle import (
 )
 from hopfchains.simulate import (
     RngStream,
-    _composition_table,
+    cut_law,
     empirical_row_check,
     gsr_step,
     gsr_stepper,
@@ -103,14 +104,18 @@ def _table_steps(spec) -> dict:
     """Each composition's step in the spec's cumulative weight table, and
     the table's total: a draw r in [0, total) lands on a composition for
     exactly its step's worth of r."""
-    comps, cum = _composition_table(spec)
+    law = cut_law(spec)
+    comps = [tuple(sizes) for sizes, _ in law.piles]
     assert comps == sorted(comps)
-    steps = {c: b - a for c, a, b in zip(comps, [0] + cum, cum)}
-    return steps, cum[-1]
+    steps = {c: b - a for c, a, b in zip(comps, [0] + law.cum, law.cum)}
+    return steps, law.total
 
 
 def test_sample_composition_point_mass():
-    assert _composition_table(top_to_random_spec(5)) == ([(1, 4)], [1])
+    law = cut_law(top_to_random_spec(5))
+    assert (law.cum, law.total, law.bits) == ([1], 1, 1)
+    assert law.piles == [([1, 4], [1, 5])]
+    assert law.slots == ((4, 3), (3, 3), (2, 2), (1, 2), (0, 1))
 
 
 def test_sample_composition_coin_flip_frequencies():
@@ -124,66 +129,88 @@ def test_sample_composition_riffle_law():
 
 
 def test_cut_and_drop_single_pile_is_identity():
+    # a riffle keeps a 4-card deck as one pile with probability 1/8; that
+    # pile drops its cards bottom-up, whatever the drop words, which
+    # rebuilds the deck
     deck = Word("1234")
-    for trial in range(20):
-        assert gsr_step(deck, (4,), RngStream(SEED, trial)) == deck
+    stepper = gsr_stepper(riffle_spec(4))
+    law = cut_law(riffle_spec(4))
+    whole = law.piles.index(([4], [4]))
+    word = law.cum[whole - 1] if whole else 0
+    for script in [(), (3, 2, 1, 0), (1, 0, 1)]:
+        assert stepper(deck, _ScriptedBits((word, *script))) == deck
 
 
 def test_cut_and_drop_top_to_random_insertion():
     # cutting (1, n-1) and dropping proportionally inserts the old top card
     # uniformly: over many trials all 4 insertion positions appear
     deck = Word("1234")
+    stepper = gsr_stepper(top_to_random_spec(4))
     rng = RngStream(SEED, 0)
-    seen = {str(gsr_step(deck, (1, 3), rng)) for _ in range(500)}
+    seen = {str(stepper(deck, rng)) for _ in range(500)}
     assert seen == {"1234", "2134", "2314", "2341"}
 
 
 def test_cut_and_drop_rejects_bad_composition():
-    with pytest.raises(ValueError):
-        gsr_step(Word("123"), (1, 1), RngStream(0, 0))
+    # a spec's compositions must cut its deck, and its law cuts no other deck
+    with pytest.raises(SpecError, match="does not sum to n=3"):
+        normalize_spec(3, [((1, 1), 1)])
+    with pytest.raises(ValueError, match="does not cut a deck of 4"):
+        gsr_stepper(riffle_spec(3))(Word("1234"), RngStream(0, 0))
 
 
 def test_cut_and_drop_rejects_a_negative_part():
     # the parts sum to the deck size, but no cut has a pile of -1 cards
     for comp in [(5, -1), (3, -1, 2)]:
-        with pytest.raises(ValueError, match="does not cut a deck of 4"):
-            gsr_step(Word("1234"), comp, RngStream(0, 0))
+        with pytest.raises(SpecError, match="negative part"):
+            normalize_spec(4, [(comp, 1), ((1, 3), 1)])
 
 
-class _ScriptedStream(RngStream):
-    """Answers `randbelow` from a fixed script, then with 0, recording every bound."""
+class _ScriptedBits(RngStream):
+    """A stream whose generator answers `getrandbits` from a fixed script
+    of words, then with 0, recording the word size of every call."""
 
     def __init__(self, script):
+        self._rng = self
         self.script = script
-        self.bounds = []
+        self.bits = []
 
-    def randbelow(self, n: int) -> int:
-        k = len(self.bounds)
-        self.bounds.append(n)
-        return self.script[k] if k < len(self.script) else 0
+    def getrandbits(self, k: int) -> int:
+        j = len(self.bits)
+        self.bits.append(k)
+        return self.script[j] if j < len(self.script) else 0
 
 
-def _outcome_law(run) -> dict:
-    """Exact law of `run(rng)` when each `randbelow(m)` is uniform on [0, m).
+def _outcome_law(law, deck) -> dict:
+    """Exact law of `gsr_step(law, deck, rng)` when the stream's bits are uniform.
 
-    Walks the whole outcome tree: each run replays a prefix of draws and
-    takes branch 0 after it, and every other branch past the prefix is
-    queued as a new prefix, so each leaf is reached exactly once.
+    The composition word is fixed inside each composition's weight range;
+    the drop words then walk the whole tree of k-bit words.  Each run
+    replays a prefix of drop words and takes 0 after it, and every other
+    k-bit word past the prefix is queued as a new prefix, so each run is
+    made exactly once.  A run that redraws (a word at least its bound) is
+    dropped unexpanded.  The kept runs are the n! tuples of in-range drop
+    words, which the uniform bits make equally likely.
     """
-    law: dict = {}
-    pending = [()]
-    while pending:
-        script = pending.pop()
-        rng = _ScriptedStream(script)
-        out = run(rng)
-        path = script + (0,) * (len(rng.bounds) - len(script))
-        for k in range(len(script), len(rng.bounds)):
-            pending.extend(path[:k] + (v,) for v in range(1, rng.bounds[k]))
-        p = F(1)
-        for m in rng.bounds:
-            p /= m
-        law[out] = law.get(out, 0) + p
-    return law
+    n = len(deck)
+    law_of: dict = {}
+    for lo, hi in zip([0] + law.cum, law.cum):
+        outcomes = Counter()
+        pending = [()]
+        while pending:
+            drops = pending.pop()
+            rng = _ScriptedBits((lo, *drops))
+            out = gsr_step(law, deck, rng)
+            if len(rng.bits) > n + 1:
+                continue  # a redraw
+            outcomes[out] += 1
+            path = drops + (0,) * (n - len(drops))
+            for j in range(len(drops), n):
+                pending.extend(path[:j] + (v,) for v in range(1, 1 << rng.bits[j + 1]))
+        assert sum(outcomes.values()) == factorial(n)
+        for y, c in outcomes.items():
+            law_of[y] = law_of.get(y, 0) + F(hi - lo, law.total) * F(c, factorial(n))
+    return law_of
 
 
 _ORACLE_DECKS = [
@@ -202,17 +229,13 @@ def test_gsr_step_outcome_law_is_the_exact_row(label, alg, deck):
     states = rearrangement_class(alg, deck)
     for preset_label, spec in grid_presets(deck.degree):
         K = build_transition_matrix(alg, spec, states=states)
-        row: dict = {}
-        for comp, p in composition_law(spec).items():
-            for y, q in _outcome_law(lambda rng: gsr_step(deck, comp, rng)).items():
-                row[y] = row.get(y, 0) + p * q
-        assert row == K.row_of(deck), (label, preset_label)
+        assert _outcome_law(cut_law(spec), deck) == K.row_of(deck), (label, preset_label)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_composition_sampler_draws_each_composition_for_its_weight(n):
-    # the stepper's inline draw reads the table: each composition takes
-    # its step's worth of the randbelow(total) draws
+    # the step's composition draw reads the table: each composition takes
+    # its step's worth of the draws below the total
     for preset_label, spec in grid_presets(n):
         steps, total = _table_steps(spec)
         assert all(step > 0 for step in steps.values()), preset_label
@@ -422,28 +445,15 @@ def _reference_matrix_stepper(matrix):
     return step
 
 
-class _RecordingStream(RngStream):
-    """A seeded stream that records the bound of every `randbelow` call."""
-
-    __slots__ = ("bounds",)
-
-    def __init__(self, seed, stream):
-        super().__init__(seed, stream)
-        self.bounds = []
-
-    def randbelow(self, n: int) -> int:
-        self.bounds.append(n)
-        return super().randbelow(n)
-
-
 def _assert_same_draws(stepper, reference, start, streams, steps, label):
+    """After every step, the same state and the same Mersenne Twister state."""
     for k in range(streams):
-        rng_a, rng_b = _RecordingStream(SEED, k), _RecordingStream(SEED, k)
+        rng_a, rng_b = RngStream(SEED, k), RngStream(SEED, k)
         a = b = start
         for _ in range(steps):
             a, b = stepper(a, rng_a), reference(b, rng_b)
             assert a == b, (label, k)
-        assert rng_a.bounds == rng_b.bounds, (label, k)
+            assert rng_a._rng.getstate() == rng_b._rng.getstate(), (label, k)
 
 
 _IDENTITY_DECKS = [
@@ -455,22 +465,41 @@ _IDENTITY_DECKS = [
 
 @pytest.mark.parametrize("deck", _IDENTITY_DECKS, ids=str)
 def test_gsr_stepper_makes_the_reference_draws(deck):
-    # the same randbelow bounds in the same order, so the same trajectory
+    # the inline draws consume the stream as the reference's randbelow
+    # calls do, so the trajectory and the generator state stay equal
     for preset_label, spec in grid_presets(deck.degree):
         _assert_same_draws(
             gsr_stepper(spec), _reference_gsr_stepper(spec), deck, 40, 6, preset_label
         )
 
 
+class _ScriptedStream(RngStream):
+    """Answers `randbelow` from a fixed script, then with 0, recording every bound."""
+
+    def __init__(self, script):
+        self.script = script
+        self.bounds = []
+
+    def randbelow(self, n: int) -> int:
+        k = len(self.bounds)
+        self.bounds.append(n)
+        return self.script[k] if k < len(self.script) else 0
+
+
 def test_gsr_step_makes_the_reference_draws_under_a_script():
-    # the outcome-tree oracle's stream, answering every draw 0, every draw
-    # with its largest value, and a mixed prefix followed by zeros
+    # every composition's first word, then drops answered 0, with their
+    # largest values, and by a mixed prefix followed by zeros; the
+    # reference reads the same answers through randbelow
     deck = distinct_deck(6)[1]
-    for comp in [(6,), (1, 5), (3, 3), (2, 0, 4), (1, 1, 1, 1, 1, 1), (0, 2, 0, 4)]:
+    law = cut_law(trinomial_spec(6, F(1, 4), F(1, 2), F(1, 4)))
+    for i, word in enumerate([0] + law.cum[:-1]):
+        assert bisect_right(law.cum, word) == i
+        sizes = law.piles[i][0]
         for script in [(), (5, 4, 3, 2, 1, 0), (5, 0, 3)]:
-            a, b = _ScriptedStream(script), _ScriptedStream(script)
-            assert gsr_step(deck, comp, a) == _reference_gsr_step(deck, comp, b), (comp, script)
-            assert a.bounds == b.bounds == list(range(6, 0, -1))
+            a, b = _ScriptedBits((word, *script)), _ScriptedStream(script)
+            assert gsr_step(law, deck, a) == _reference_gsr_step(deck, sizes, b), (sizes, script)
+            assert b.bounds == list(range(6, 0, -1))
+            assert a.bits == [law.bits] + [m.bit_length() for m in b.bounds]
 
 
 @pytest.mark.parametrize("n", [3, 4])
