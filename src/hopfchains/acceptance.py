@@ -59,6 +59,7 @@ from .shuffle import (
     FreeAssociativeAlgebra,
     ShuffleAlgebra,
     deck_from_string,
+    deck_statistic,
     descent_peak_sets,
     distinct_alphabet,
     distinct_deck,
@@ -531,7 +532,7 @@ def criterion_10(seed: int, r: CriterionResult) -> None:
     q = F(1, 2)
     alg, deck, K = _distinct_chain(n, top_or_bottom_spec(n, q))
     dist = point_mass(K, deck)
-    stat = {"weighted-descents": lambda w: weighted_descent_stat(w, q, alg.alphabet)}
+    stat = {"weighted-descents": deck_statistic("weighted-descents", alg.alphabet, n, q)}
     steps = 2
     report = run_trajectories(deck, steps, 100_000, gsr_stepper(K.spec), seed, stat)
     targets = expectations(K, dist, steps, stat["weighted-descents"])

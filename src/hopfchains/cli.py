@@ -38,11 +38,9 @@ from .presets import expand_preset, preset_names
 from .shuffle import (
     FreeAssociativeAlgebra,
     deck_from_string,
-    descent_peak_sets,
+    deck_statistic,
     distinct_deck,
     rearrangement_class,
-    weighted_descent_stat,
-    weighted_peak_stat,
 )
 
 FORMAT_VERSION = 1
@@ -346,9 +344,10 @@ def cmd_eigvecs(args) -> int:
 _STAT_FLAGS = {"weighted-descents": ("q",), "weighted-peaks": ("q",), "f_j": ("j", "q1", "q3")}
 
 
-def _resolve_statistic(args, alg):
-    """The statistic as a callable, checked against the algebra and the statistic
-    flags before any kernel is built; an absent --q is 1/2 and an absent --j 2."""
+def _resolve_statistic(args, alg, n: int):
+    """The statistic of size-n states as a callable, checked against the algebra
+    and the statistic flags before any kernel is built; an absent --q is 1/2 and
+    an absent --j 2.  A deck statistic resolves its weights once (`deck_statistic`)."""
     name = args.stat
     given = [flag for flag in ("q", "j", "q1", "q3") if getattr(args, flag) is not None]
     if args.q is None:
@@ -359,22 +358,14 @@ def _resolve_statistic(args, alg):
     for flag in given:
         if flag not in _STAT_FLAGS.get(name, ()):
             raise UsageError(f"--{flag} would be ignored by --stat {name}")
-    if name == "weighted-descents":
-        return lambda w: weighted_descent_stat(w, q, alg.alphabet)
-    if name == "weighted-peaks":
-        return lambda w: weighted_peak_stat(w, q, alg.alphabet)
-    if name == "descents":
-        return lambda w: Fraction(len(descent_peak_sets(w, alg.alphabet).descents))
-    if name == "peaks":
-        return lambda w: Fraction(len(descent_peak_sets(w, alg.alphabet).peaks))
-    if name == "f_j":
-        j = 2 if args.j is None else args.j
-        if j < 2:
-            raise UsageError(f"--j must be >= 2 for f_j, got {j}")
-        q1 = Fraction(1, 4) if args.q1 is None else _rat_flag(args, "q1")
-        q3 = Fraction(1, 4) if args.q3 is None else _rat_flag(args, "q3")
-        return lambda f: f_j_statistic(f, j, q1, q3)
-    raise UsageError(f"unknown statistic {name!r}")
+    if name != "f_j":
+        return deck_statistic(name, alg.alphabet, n, q)
+    j = 2 if args.j is None else args.j
+    if j < 2:
+        raise UsageError(f"--j must be >= 2 for f_j, got {j}")
+    q1 = Fraction(1, 4) if args.q1 is None else _rat_flag(args, "q1")
+    q3 = Fraction(1, 4) if args.q3 is None else _rat_flag(args, "q3")
+    return lambda f: f_j_statistic(f, j, q1, q3)
 
 
 def cmd_evolve(args) -> int:
@@ -383,7 +374,7 @@ def cmd_evolve(args) -> int:
     if start is None:
         raise UsageError("evolve needs a start state (--deck/--distinct/--forest)")
     spec = _load_spec(args, n)
-    stat = _resolve_statistic(args, alg)
+    stat = _resolve_statistic(args, alg, n)
     states = _states(args, alg, n, start)
     K = build_transition_matrix(alg, spec, states=states)
     dist = point_mass(K, start)
@@ -415,7 +406,7 @@ def cmd_simulate(args) -> int:
     if start is None:
         raise UsageError("simulate needs a start state (--deck/--distinct/--forest)")
     spec = _load_spec(args, n)
-    stat = _resolve_statistic(args, alg)
+    stat = _resolve_statistic(args, alg, n)
     stats = {args.stat: stat}
     exact_targets = None
     if args.algebra == "shuffle" and _class_size(alg, start) > args.max_states:

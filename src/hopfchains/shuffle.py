@@ -27,6 +27,7 @@ from functools import lru_cache
 from itertools import combinations, product as cartesian
 from math import comb, gcd
 from operator import itemgetter
+from typing import Callable
 
 from .hopf import AlgebraHandle, CppSpec, _add_term, apply_cpp, beta_n, multinomial
 from .linalg import rat
@@ -374,13 +375,46 @@ def _binomial_numerators(m: int, q: Fraction) -> tuple:
     return tuple(comb(m, k) * a**k * (b - a) ** (m - k) for k in range(m + 1)), b**m
 
 
+def deck_statistic(name: str, alphabet, n: int, q=Fraction(1, 2)) -> Callable:
+    """The named statistic of n-card decks as a per-deck callable, with q,
+    its binomial weights and the alphabet's ranks resolved once.
+
+    "descents" and "peaks" count positions; "weighted-descents" weighs
+    descent i by C(n-2, i-1) q^(i-1) (1-q)^(n-1-i) and "weighted-peaks"
+    weighs peak i by C(n-3, i-1) q^(i-1) (1-q)^(n-2-i).  Position i reads
+    the weight of index i-1, so each form is one pass over adjacent card
+    ranks, summing the weights of the positions it matches.
+    """
+    if name not in ("descents", "peaks", "weighted-descents", "weighted-peaks"):
+        raise ValueError(f"unknown deck statistic {name!r}")
+    peaks = name.endswith("peaks")
+    if name.startswith("weighted-"):
+        nums, den = _binomial_numerators(n - 2 - peaks, rat(q))
+    else:
+        nums, den = (1,) * max(n - 1 - peaks, 0), 1
+    rank = _ranks(tuple(alphabet)).__getitem__
+
+    def ranks(word) -> list:
+        if len(word) != n:
+            raise ValueError(f"a statistic of {n}-card decks got a deck of {len(word)}")
+        return list(map(rank, word))
+
+    def descent_sum(word) -> Fraction:
+        vals = ranks(word)
+        return Fraction(sum(w for w, a, b in zip(nums, vals, vals[1:]) if a > b), den)
+
+    def peak_sum(word) -> Fraction:
+        vals = ranks(word)
+        return Fraction(sum(w for w, a, b, c in zip(nums, vals, vals[1:], vals[2:]) if a < b > c), den)
+
+    return peak_sum if peaks else descent_sum
+
+
 def weighted_descent_stat(word: Word, q, alphabet) -> Fraction:
     """Sum over descents i of C(n-2, i-1) q^(i-1) (1-q)^(n-1-i)."""
-    nums, den = _binomial_numerators(word.degree - 2, rat(q))
-    return Fraction(sum(nums[i - 1] for i in descent_peak_sets(word, alphabet).descents), den)
+    return deck_statistic("weighted-descents", alphabet, word.degree, q)(word)
 
 
 def weighted_peak_stat(word: Word, q, alphabet) -> Fraction:
     """Sum over peaks i of C(n-3, i-1) q^(i-1) (1-q)^(n-2-i)."""
-    nums, den = _binomial_numerators(word.degree - 3, rat(q))
-    return Fraction(sum(nums[i - 1] for i in descent_peak_sets(word, alphabet).peaks), den)
+    return deck_statistic("weighted-peaks", alphabet, word.degree, q)(word)

@@ -11,6 +11,7 @@ from hopfchains.shuffle import (
     Word,
     concat_product,
     deck_from_string,
+    deck_statistic,
     deconcat_coproduct,
     descent_peak_sets,
     deshuffle_coproduct,
@@ -177,6 +178,32 @@ def test_weighted_stats():
     # q=1 keeps only the bottom descent position
     assert weighted_descent_stat(w("abdc"), F(1), order) == 1
     assert weighted_descent_stat(w("bacd"), F(1), order) == 0
+
+
+def test_deck_statistic_matches_the_set_definitions():
+    # every word of 0..5 letters over "abc", repeated letters included
+    for n in range(6):
+        stats = {name: deck_statistic(name, "abc", n, F(1, 3))
+                 for name in ("descents", "peaks", "weighted-descents", "weighted-peaks")}
+        for word in all_words("abc", n):
+            sets = descent_peak_sets(word, "abc")
+            values = {name: fn(word) for name, fn in stats.items()}
+            assert all(type(v) is F for v in values.values())
+            assert values["descents"] == len(sets.descents)
+            assert values["peaks"] == len(sets.peaks)
+            q = F(1, 3)
+            assert values["weighted-descents"] == sum(
+                (comb(n - 2, i - 1) * q ** (i - 1) * (1 - q) ** (n - 1 - i) for i in sets.descents),
+                F(0),
+            )
+            assert values["weighted-peaks"] == sum(
+                (comb(n - 3, i - 1) * q ** (i - 1) * (1 - q) ** (n - 2 - i) for i in sets.peaks),
+                F(0),
+            )
+    with pytest.raises(ValueError, match="3-card decks got a deck of 4"):
+        deck_statistic("descents", "abc", 3)(w("abca"))
+    with pytest.raises(ValueError, match="unknown deck statistic"):
+        deck_statistic("ascents", "abc", 3)
 
 
 def test_distinct_deck_and_classes():

@@ -1,9 +1,14 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
 from math import factorial, gcd, lcm
+from pathlib import Path
 from string import ascii_lowercase
 
 import pytest
@@ -25,6 +30,7 @@ from hopfchains.presets import (
 from hopfchains.shuffle import (
     Word,
     deck_from_string,
+    deck_statistic,
     descent_peak_sets,
     distinct_deck,
     rearrangement_class,
@@ -39,6 +45,7 @@ from hopfchains.simulate import (
     gsr_stepper,
     matrix_stepper,
     run_trajectories,
+    trial_moments,
 )
 
 SEED = 1234
@@ -622,6 +629,99 @@ def test_run_trajectories_evaluates_each_statistic_once_per_visited_state():
     for counter in calls.values():
         assert set(counter) == visited
         assert set(counter.values()) == {1}
+
+
+def _riffle_7():
+    alg, deck = distinct_deck(7)
+    stats = {
+        "wd": deck_statistic("weighted-descents", alg.alphabet, 7, F(1, 3)),
+        "wp": lambda w: weighted_peak_stat(w, F(2, 5), alg.alphabet),
+    }
+    return deck, lambda: gsr_stepper(riffle_spec(7)), stats
+
+
+def _forests_4():
+    (case,) = [p for p in _trajectory_cases() if p.id == "forests-4"]
+    return case.values
+
+
+def _forced_workers(monkeypatch, cpus: int) -> list:
+    """Report `cpus` available CPUs and record each fork made in this process."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(simulate, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.mark.parametrize("case, batch", [
+    pytest.param(_riffle_7, None, id="riffle-7"),
+    pytest.param(_forests_4, None, id="forests-4"),
+    pytest.param(_riffle_7, 2, id="riffle-7-batch-2"),
+    pytest.param(_forests_4, 2, id="forests-4-batch-2"),
+])
+def test_split_over_three_workers_equals_one_range(case, batch, monkeypatch):
+    # three workers of 1000, 1000 and 1001 trials; a batch of two distinct
+    # states makes every worker fold, and the patch reaches the children
+    if batch is not None:
+        monkeypatch.setattr(simulate, "_BATCH", batch)
+    forks = _forced_workers(monkeypatch, 3)
+    start, make_stepper, stats = case()
+    steps, trials = 3, 3 * simulate.MIN_TRIALS_PER_WORKER + 1
+    report = run_trajectories(start, steps, trials, make_stepper(), SEED, stats)
+    assert forks == [os.getpid()] * 2
+    one_range = trial_moments(start, steps, 0, trials, make_stepper(), SEED, stats)
+    for name in stats:
+        assert report.series[name].total == one_range[name][0], name
+        assert report.series[name].total_sq == one_range[name][1], name
+
+
+def test_one_cpu_runs_one_range_without_forking(monkeypatch):
+    forks = _forced_workers(monkeypatch, 1)
+    start, make_stepper, stats = _riffle_7()
+    steps, trials = 2, 2 * simulate.MIN_TRIALS_PER_WORKER
+    report = run_trajectories(start, steps, trials, make_stepper(), SEED, stats)
+    assert forks == []
+    one_range = trial_moments(start, steps, 0, trials, make_stepper(), SEED, stats)
+    assert {name: (s.total, s.total_sq) for name, s in report.series.items()} == one_range
+
+
+@pytest.mark.parametrize("where", ["every worker", "children only"])
+def test_worker_errors_reach_the_caller_and_leave_no_child(where, monkeypatch):
+    _forced_workers(monkeypatch, 3)
+    start, make_stepper, _ = _riffle_7()
+    parent = os.getpid()
+
+    def stat(w):
+        if w == start and (where == "every worker" or os.getpid() != parent):
+            raise ValueError(f"no value at {w}")
+        return F(1)
+
+    trials = 3 * simulate.MIN_TRIALS_PER_WORKER + 2
+    with pytest.raises(ValueError, match="no value at"):
+        run_trajectories(start, 2, trials, make_stepper(), SEED, {"s": stat})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_split_run_prints_one_json_document():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    entry = "import sys; from hopfchains.cli import main; sys.exit(main())"
+    argv = ["simulate", "--deck", "1234567", "--preset", "riffle", "--trials", "20000", "--t", "3",
+            "--seed", "1", "--stat", "weighted-descents", "--q", "1/3"]
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)  # a second document would be extra data
+    assert report["command"] == "simulate"
+    assert report["trials"] == 20000
 
 
 def test_report_serialises_with_metadata():
