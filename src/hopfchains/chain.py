@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Callable, Iterator, Optional
 
-from .hopf import AlgebraHandle, CppSpec, LinComb, apply_cpp, beta_n, eta, symmetrized_product
+from .hopf import AlgebraHandle, CppSpec, apply_cpp, beta_n, eta, symmetrized_product
 from .linalg import RatMatrix, rat
 from .shuffle import WordAlgebra, not_closed, position_law, relabelled_columns
 
@@ -269,10 +269,10 @@ def stationary_distributions(alg: AlgebraHandle, n: int, states=None) -> list[Di
     nfact = factorial(n)
     for content in sorted({alg.content(x) for x in states}, reverse=True):
         multiset = tuple(key for key, m in zip(singles, content) for _ in range(m))
-        coeffs = symmetrized_product(alg, [LinComb.single(key) for key in multiset])
+        coeffs = symmetrized_product(alg, [{key: 1} for key in multiset])
         weights = []
         for x in states:
-            c = coeffs.coefficient(x)
+            c = coeffs.get(x, 0)
             weights.append(c * eta(alg, x) / Fraction(nfact**2))
         total = sum(weights, _ZERO)
         if total == 0:

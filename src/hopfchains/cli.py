@@ -57,8 +57,10 @@ def _parse_params(raw: str | None) -> dict:
     for bit in raw.split(","):
         if "=" not in bit:
             raise UsageError(f"malformed parameter {bit!r}; expected key=value")
-        key, value = bit.split("=", 1)
-        params[key.strip()] = value.strip()
+        key, value = (part.strip() for part in bit.split("=", 1))
+        if key in params:
+            raise UsageError(f"parameter {key!r} given twice in --params")
+        params[key] = value
     return params
 
 

@@ -411,10 +411,10 @@ def deck_statistic(name: str, alphabet, n: int, q=Fraction(1, 2)) -> Callable:
 
 
 def weighted_descent_stat(word: Word, q, alphabet) -> Fraction:
-    """Sum over descents i of C(n-2, i-1) q^(i-1) (1-q)^(n-1-i)."""
+    """Sum over descents i of C(n-2, i-1) q^(i-1) (1-q)^(n-1-i).
+
+    The program resolves `deck_statistic` once per deck size instead; this
+    one-deck form remains because the benchmark's start-state check
+    (`perfbench/checks.py`) imports it.
+    """
     return deck_statistic("weighted-descents", alphabet, word.degree, q)(word)
-
-
-def weighted_peak_stat(word: Word, q, alphabet) -> Fraction:
-    """Sum over peaks i of C(n-3, i-1) q^(i-1) (1-q)^(n-2-i)."""
-    return deck_statistic("weighted-peaks", alphabet, word.degree, q)(word)

@@ -47,7 +47,7 @@ from .chain import build_transition_matrix
 from .hopf import (
     AlgebraHandle,
     CppSpec,
-    LinComb,
+    _add_term,
     beta_n,
     homogeneous_degree,
     product,
@@ -311,7 +311,7 @@ def verify_spectrum(
 # primitives
 
 
-def primitive_basis(alg: AlgebraHandle, n: int) -> list[LinComb]:
+def primitive_basis(alg: AlgebraHandle, n: int) -> list[dict]:
     """Basis of the degree-n primitives (reduced coproduct kernel).
 
     The reduced coproduct drops the boundary terms 1(x)x and x(x)1, and
@@ -338,9 +338,7 @@ def primitive_basis(alg: AlgebraHandle, n: int) -> list[LinComb]:
         # with no inner pairs (degree 1) one zero row makes every key primitive
         for vec in nullspace(list(rows.values()) or [[0] * len(members)]):
             support = [j for j, c in enumerate(vec) if c]
-            found.append(
-                (members[support[-1]], LinComb({basis[members[j]]: vec[j] for j in support}))
-            )
+            found.append((members[support[-1]], {basis[members[j]]: vec[j] for j in support}))
     found.sort(key=lambda item: item[0])
     return [p for _, p in found]
 
@@ -353,7 +351,7 @@ def primitive_basis(alg: AlgebraHandle, n: int) -> list[LinComb]:
 class Eigenvector:
     """An exact eigenvector of the q-weighted insertion operator."""
 
-    vector: LinComb
+    vector: dict
     eigenvalue: Fraction
     j: int
     q: Fraction
@@ -453,15 +451,16 @@ def build_E_j(
     weights = [comb(j, i) * q**i * (1 - q) ** (j - i) for i in range(j + 1)]
     higher = list(_higher_primitive_multisets(alg, n - j))
     middles: dict = {}  # position in `higher` -> M
-    syms = {(): LinComb.single(alg.unit_key())}  # sub-multiset of singles -> sym(A)
+    syms = {(): {alg.unit_key(): 1}}  # sub-multiset of singles -> sym(A)
 
-    def sym(letters: tuple) -> LinComb:
+    def sym(letters: tuple) -> dict:
         if letters not in syms:
-            total = LinComb.zero()
+            total: dict = {}
             for pos, a in enumerate(letters):
                 if a not in letters[:pos]:
                     rest = sym(letters[:pos] + letters[pos + 1 :])
-                    total = total + product(alg, rest, LinComb.single(a, letters.count(a)))
+                    for k, c in product(alg, rest, {a: letters.count(a)}).items():
+                        _add_term(total, k, c)
             syms[letters] = total
         return syms[letters]
 
@@ -475,17 +474,18 @@ def build_E_j(
         for pos, p_multiset in enumerate(higher):
             if content is not None:
                 # a primitive is content-homogeneous: any key of its support gives its content
-                keys = c_multiset + tuple(next(iter(p.support())) for p in p_multiset)
+                keys = c_multiset + tuple(next(iter(p)) for p in p_multiset)
                 if tuple(map(sum, zip(*map(alg.content, keys)))) != tuple(content):
                     continue
             if pos not in middles:
                 middles[pos] = symmetrized_product(alg, p_multiset)
             middle = middles[pos]
-            vector = LinComb.zero()
+            vector: dict = {}
             for left, right, coeff in splits:
                 term = product(alg, product(alg, sym(left), middle), sym(right))
-                vector = vector + term.scale(coeff)
-            if vector.is_zero():
+                for k, c in term.items():
+                    _add_term(vector, k, coeff * c)
+            if not vector:
                 raise ArithmeticError(
                     f"eigenvector collapsed to zero for singles {c_multiset!r}"
                 )
@@ -493,13 +493,13 @@ def build_E_j(
                 raise ArithmeticError(
                     f"eigen-equation failed for singles {c_multiset!r}, "
                     f"higher multiset of degrees "
-                    f"{[homogeneous_degree(p.terms) for p in p_multiset]}"
+                    f"{[homogeneous_degree(p) for p in p_multiset]}"
                 )
             results.append(Eigenvector(vector=vector, eigenvalue=value, j=j, q=q))
     return results
 
 
-def _eigen_equation(alg: AlgebraHandle, vector: LinComb, spec: CppSpec, value: Fraction) -> bool:
+def _eigen_equation(alg: AlgebraHandle, vector: dict, spec: CppSpec, value: Fraction) -> bool:
     """True iff the spec's operator maps vector to beta_n * value * vector,
     that is, vector is an eigenvector of the chain's operator for value.
 
@@ -516,7 +516,7 @@ def _eigen_equation(alg: AlgebraHandle, vector: LinComb, spec: CppSpec, value: F
     """
     if not isinstance(alg, WordAlgebra):
         raise ValueError(f"{alg.name} is not a word algebra; eigen-equations are checked on words")
-    deg = homogeneous_degree(vector.terms)
+    deg = homogeneous_degree(vector)
     if deg not in (None, spec.n):
         raise ValueError(f"degree mismatch: element degree {deg}, spec degree {spec.n}")
     value = rat(value)
@@ -547,7 +547,7 @@ def _eigencheck(alg: AlgebraHandle, vectors: list[Eigenvector], expect) -> Eigen
     lines = []
     ok = True
     for vec in vectors:
-        spec, value = expect(homogeneous_degree(vec.vector.terms), vec.j)
+        spec, value = expect(homogeneous_degree(vec.vector), vec.j)
         good = _eigen_equation(alg, vec.vector, spec, value)
         lines.append(f"j={vec.j}: eigenvalue {value} [{'ok' if good else 'FAILED'}]")
         ok = ok and good
@@ -592,10 +592,10 @@ def trinomial_eigenvalue_check(
     return _eigencheck(alg, vectors, lambda n, j: (trinomial_spec(n, q1, q2, q3), q2 ** (n - j)))
 
 
-def lincomb_rank(vectors: list[LinComb]) -> int:
+def lincomb_rank(vectors: list[dict]) -> int:
     """Rank of a family of combinations (columns) over their joint support,
     each column scaled to integers by the lcm of its own denominators."""
-    keys = sorted({k for v in vectors for k in v.support()}, key=str)
+    keys = sorted({k for v in vectors for k in v}, key=str)
     key_index = {k: i for i, k in enumerate(keys)}
     rows = [[0] * len(vectors) for _ in keys]
     for col, v in enumerate(vectors):

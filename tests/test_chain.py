@@ -24,7 +24,7 @@ from hopfchains.chain import (
 )
 from hopfchains.cli import UsageError, check_state_count, main
 from hopfchains.forests import forest_algebra, parse_forest
-from hopfchains.hopf import LinComb, apply_cpp, beta_n, eta, product
+from hopfchains.hopf import apply_cpp, beta_n, eta, product
 from hopfchains.linalg import RatMatrix
 from hopfchains.presets import (
     riffle_spec,
@@ -220,13 +220,13 @@ def test_stationary_laws_match_exhaustive_multiset_loop():
         states = alg.basis(n)
         laws = []
         for multiset in combinations_with_replacement(alg.basis(1), n):
-            coeffs = LinComb.zero()
+            coeffs = Counter()
             for order in permutations(multiset):
-                term = LinComb.single(alg.unit_key())
+                term = {alg.unit_key(): 1}
                 for key in order:
-                    term = product(alg, term, LinComb.single(key))
-                coeffs = coeffs + term
-            weights = [coeffs.coefficient(x) * eta(alg, x) / factorial(n) ** 2 for x in states]
+                    term = product(alg, term, {key: 1})
+                coeffs.update(term)
+            weights = [F(coeffs[x] * eta(alg, x), factorial(n) ** 2) for x in states]
             if any(weights):
                 laws.append((multiset, weights))
         return laws

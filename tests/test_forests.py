@@ -19,7 +19,6 @@ from hopfchains.forests import (
     vertex_stats,
 )
 from hopfchains.hopf import (
-    LinComb,
     check_bialgebra_compatibility,
     check_coassociativity,
     tensor_square_product,
@@ -229,7 +228,7 @@ def test_coproduct_matches_unit_seeded_product_of_tree_coproducts():
     falg = forest_algebra()
     for n in range(8):
         for f in enumerate_forests(n):
-            reference = LinComb.single((EMPTY_FOREST, EMPTY_FOREST))
+            reference = {(EMPTY_FOREST, EMPTY_FOREST): 1}
             for tree in f:
                 reference = tensor_square_product(falg, reference, _tree_coproduct(tree))
             # same terms, in the same order

@@ -362,6 +362,15 @@ def test_cli_zero_denominator_param_is_usage_error(capsys):
     assert "zero denominator" in _usage_error(capsys, argv)
 
 
+def test_cli_repeated_param_is_usage_error(capsys):
+    # a later a=2 must not silently replace a=3
+    argv = ["matrix", "--distinct", "3", "--preset", "riffle", "--params", "a=3,a=2"]
+    err = _usage_error(capsys, argv)
+    assert "'a'" in err and "twice" in err
+    argv = ["matrix", "--distinct", "3", "--preset", "trinomial", "--params", "q1=1/4, q1 =1/2"]
+    assert "'q1'" in _usage_error(capsys, argv)
+
+
 def test_cli_simulate_zero_trials_is_usage_error(capsys):
     argv = ["simulate", "--distinct", "3", "--preset", "riffle", "--trials", "0"]
     assert "--trials" in _usage_error(capsys, argv)

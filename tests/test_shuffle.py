@@ -22,7 +22,6 @@ from hopfchains.shuffle import (
     rearrangement_class,
     shuffle_product,
     weighted_descent_stat,
-    weighted_peak_stat,
 )
 
 
@@ -169,13 +168,17 @@ def test_repeated_letters_no_false_descents():
 
 def test_weighted_stats():
     order = "abcd"
-    assert weighted_descent_stat(w("abcd"), F(1, 2), order) == 0
-    assert weighted_peak_stat(w("abcd"), F(1, 2), order) == 0
+    assert deck_statistic("weighted-descents", order, 4, F(1, 2))(w("abcd")) == 0
+    assert deck_statistic("weighted-peaks", order, 4, F(1, 2))(w("abcd")) == 0
 
     # n=3, descent at position 2 only
-    assert weighted_descent_stat(w("bca"), F(1, 2), "abc") == F(1, 2)
+    assert deck_statistic("weighted-descents", "abc", 3, F(1, 2))(w("bca")) == F(1, 2)
 
     # q=1 keeps only the bottom descent position
+    bottom = deck_statistic("weighted-descents", order, 4, F(1))
+    assert bottom(w("abdc")) == 1
+    assert bottom(w("bacd")) == 0
+    # the one-deck form reads the same weights
     assert weighted_descent_stat(w("abdc"), F(1), order) == 1
     assert weighted_descent_stat(w("bacd"), F(1), order) == 0
 

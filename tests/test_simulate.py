@@ -34,8 +34,6 @@ from hopfchains.shuffle import (
     descent_peak_sets,
     distinct_deck,
     rearrangement_class,
-    weighted_descent_stat,
-    weighted_peak_stat,
 )
 from hopfchains.simulate import (
     RngStream,
@@ -331,7 +329,7 @@ def test_run_trajectories_mean_matches_exact():
     states = rearrangement_class(alg, deck)
     spec = top_or_bottom_spec(n, q)
     K = build_transition_matrix(alg, spec, states=states)
-    stat_fn = lambda w_: weighted_descent_stat(w_, q, alg.alphabet)
+    stat_fn = deck_statistic("weighted-descents", alg.alphabet, n, q)
     report = run_trajectories(deck, 1, 50_000, gsr_stepper(spec), SEED, {"wd": stat_fn})
     target = expectations(K, point_mass(K, deck), 1, stat_fn)[1]
     series = report.series["wd"]
@@ -548,7 +546,7 @@ def _trajectory_cases():
 
     alg, deck = distinct_deck(4)
     riffle_stats = {
-        "wd": lambda w: weighted_descent_stat(w, F(1, 3), alg.alphabet),
+        "wd": deck_statistic("weighted-descents", alg.alphabet, 4, F(1, 3)),
         "d": lambda w: F(len(descent_peak_sets(w, alg.alphabet).descents)),
     }
     yield pytest.param(deck, lambda: gsr_stepper(riffle_spec(4)), riffle_stats, id="riffle-distinct-4")
@@ -556,7 +554,7 @@ def _trajectory_cases():
     trinomial = trinomial_spec(4, F(1, 4), F(1, 4), F(1, 2))
     deck_stats = {
         "d": lambda w: F(len(descent_peak_sets(w, balg.alphabet).descents)),
-        "wp": lambda w: weighted_peak_stat(w, F(2, 5), balg.alphabet),
+        "wp": deck_statistic("weighted-peaks", balg.alphabet, 4, F(2, 5)),
     }
     yield pytest.param(bdeck, lambda: gsr_stepper(trinomial), deck_stats, id="trinomial-aabb")
     K = build_transition_matrix(forest_algebra(), trinomial_spec(4, F(1, 4), F(1, 2), F(1, 4)))
@@ -635,7 +633,7 @@ def _riffle_7():
     alg, deck = distinct_deck(7)
     stats = {
         "wd": deck_statistic("weighted-descents", alg.alphabet, 7, F(1, 3)),
-        "wp": lambda w: weighted_peak_stat(w, F(2, 5), alg.alphabet),
+        "wp": deck_statistic("weighted-peaks", alg.alphabet, 7, F(2, 5)),
     }
     return deck, lambda: gsr_stepper(riffle_spec(7)), stats
 
