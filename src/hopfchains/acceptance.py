@@ -1,14 +1,15 @@
 """The desk-scale acceptance grid: ten numbered verification criteria.
 
-Every criterion runs exact checks (rationals compared for equality) except
-the Monte Carlo one, which uses 3-sigma bands with a 3-to-4-sigma warning
-zone.  A criterion registers itself with `@_criterion(number, title)` on a
-check `(seed, r)`: registration enters it in `CRITERIA` as
-`criterion_N(seed)`, which hands the check the seed and a fresh passing
-`CriterionResult` `r`, times it, and returns `r`.  The check appends its
-lines, flags and defects to `r`, and `_fail(r, message)` adds a `FAIL:`
-line and marks it failed.  `run_all` executes a selection and the CLI
-renders one line per criterion.
+Every criterion runs exact checks (rationals compared for equality).  The
+simulation criterion compares the sampler's one-step law with the kernel
+rows exactly too; only its Monte Carlo means use 3-sigma bands with a
+3-to-4-sigma warning zone.  A criterion registers itself with
+`@_criterion(number, title)` on a check `(seed, r)`: registration enters
+it in `CRITERIA` as `criterion_N(seed)`, which hands the check the seed
+and a fresh passing `CriterionResult` `r`, times it, and returns `r`.
+The check appends its lines, flags and defects to `r`, and
+`_fail(r, message)` adds a `FAIL:` line and marks it failed.  `run_all`
+executes a selection and the CLI renders one line per criterion.
 
 Two checks are *documented defects*: the stated eigenvalue q2^j of the
 trinomial operator on the j-singleton eigenvector family, and the stated
@@ -64,7 +65,7 @@ from .shuffle import (
     distinct_deck,
     rearrangement_class,
 )
-from .simulate import empirical_row_check, gsr_stepper, run_trajectories
+from .simulate import cut_law, gsr_stepper, outcome_law, run_trajectories
 from .spectral import (
     _eigen_equation,
     build_E_j,
@@ -337,16 +338,15 @@ def criterion_5(seed: int, r: CriterionResult) -> None:
 @_criterion(6, "a-handed expected descent/peak counts")
 def criterion_6(seed: int, r: CriterionResult) -> None:
     """Expected descent and peak counts under a-handed riffles."""
-    for a in (2, 3):
-        for n in (4, 5):
-            alg, deck, K = _distinct_chain(n, riffle_spec(n, a))
+    for n in (4, 5):
+        alphabet = distinct_alphabet(n)
+        descents = deck_statistic("descents", alphabet, n)
+        peaks = deck_statistic("peaks", alphabet, n)
+        for a in (2, 3):
+            _, deck, K = _distinct_chain(n, riffle_spec(n, a))
             dist = point_mass(K, deck)
-            series_d = expectations(
-                K, dist, 4, lambda w: F(len(descent_peak_sets(w, alg.alphabet).descents))
-            )
-            series_p = expectations(
-                K, dist, 4, lambda w: F(len(descent_peak_sets(w, alg.alphabet).peaks))
-            )
+            series_d = expectations(K, dist, 4, descents)
+            series_p = expectations(K, dist, 4, peaks)
             for t, (got_d, got_p) in enumerate(zip(series_d, series_p)):
                 want_d = (1 - F(1, a**t)) * F(n - 1, 2)
                 want_p = (1 - F(1, a ** (2 * t))) * F(n - 2, 3)
@@ -513,21 +513,21 @@ def criterion_9(seed: int, r: CriterionResult) -> None:
 
 @_criterion(10, "simulation consistency")
 def criterion_10(seed: int, r: CriterionResult) -> None:
-    """Simulation consistency: samplers vs exact rows, means, determinism."""
-    n = 4
-    for preset_label, spec in grid_presets(n):
-        alg, deck, K = _distinct_chain(n, spec)
-        check = empirical_row_check(K, deck, trials=100_000, seed=seed, stepper=gsr_stepper(spec))
-        if check.over_4_sigma:
-            _fail(r, f"{preset_label}: entries beyond 4 sigma {check.over_4_sigma}")
-        for state in check.over_3_sigma:
-            r.flagged.append(f"{preset_label}: entry {state} between 3 and 4 sigma")
-        if check.chi_square > check.chi_square_limit:
-            r.flagged.append(
-                f"{preset_label}: chi-square {check.chi_square:.1f} above {check.chi_square_limit:.1f}"
-            )
-    r.lines.append("7 presets x 100000 one-step samples at distinct n=4: all entries within tolerance")
+    """Simulation consistency: the sampler's exact one-step law vs kernel
+    rows, Monte Carlo means, determinism."""
+    # the word spaces: forests have no cut-and-drop sampler
+    cells = [cell for cell in _grid_cells() if isinstance(cell[2], ShuffleAlgebra)]
+    for cell in cells:
+        space_label, preset_label, _, _, states, spec = cell
+        deck = states[0]
+        if outcome_law(cut_law(spec), deck) != _grid_matrix(cell).row_of(deck):
+            _fail(r, f"{space_label} / {preset_label}: one step from {deck} misses its kernel row")
+    r.lines.append(
+        f"{len(cells)} word-space cells: one cut-and-drop step from the first deck "
+        "has exactly the kernel row's law"
+    )
 
+    n = 4
     q = F(1, 2)
     alg, deck, K = _distinct_chain(n, top_or_bottom_spec(n, q))
     dist = point_mass(K, deck)

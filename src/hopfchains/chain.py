@@ -18,12 +18,15 @@ the distinct word 0 1 ... n-1 with each key sigma read as x.sigma,
 call gives the position law Q (`shuffle.position_law`), and
 K[x][x.sigma] += Q(sigma) (`shuffle.relabelled_columns`).  That call on
 n distinct cards costs far more than one on a deck with repeated
-letters, so Q is formed only when n! is at most 5 times the kernel's
-entry count (`RELABEL_RATIO`): always on a distinct deck's class and on
-classes with many states for their size, such as aabbcc or aaaabbcc,
-but not on decks such as aaaaaabb or aaaabbbb, whose 28 and 70 states a
-per-row build reaches sooner.  Forests, whose coproduct reads tree
-shapes, and those word lists take one `apply_cpp` call per state
+letters.  Q holds at most min(n!, sum of multinomial(n; c) over the
+spec's compositions c) permutations, and it is formed only when that
+bound is at most 5 times the kernel's entry count (`RELABEL_RATIO`):
+always on a distinct deck's class and on classes with many states for
+their size, such as aabbcc or aaaabbcc, and under a spec with few short
+compositions, such as riffle(3) on aaaaabbb, but not under trinomial on
+decks such as aaaaaabb or aaaabbbb, whose 28 and 70 states a per-row
+build reaches sooner.  Forests, whose coproduct reads tree shapes, and
+those word lists take one `apply_cpp` call per state
 (`per_row_kernel`).  On a distinct deck's class K is the
 right-regular representation of Q, and the spectrum certificate runs its
 chain from one of these rows.  Tests check the relabelled build entry by
@@ -42,17 +45,20 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Callable, Iterator, Optional
 
-from .hopf import AlgebraHandle, CppSpec, apply_cpp, beta_n, eta, symmetrized_product
+from .hopf import AlgebraHandle, CppSpec, apply_cpp, beta_n, eta, multinomial, symmetrized_product
 from .linalg import RatMatrix, rat
 from .shuffle import WordAlgebra, not_closed, position_law, relabelled_columns
 
-# The relabelled build is chosen when n! <= RELABEL_RATIO * states^2.  Timed
-# in one process per deck (2 cores, Python 3.11.7) against the per-row
-# build on repeated-letter decks of 6 to 9 cards under trinomial(1/4, 1/2,
-# 1/4), whose position law holds all n! permutations, the relabelled build
-# was the faster one up to n! = 4.1 * states^2 and the per-row build from
-# 8.2 * states^2 on.  Laws with fewer permutations favour the relabelled
-# build more: under riffle(3) it stays faster up to 280 * states^2.
+# The relabelled build is chosen when the position law's size bound,
+# min(n!, sum of multinomial(n; c) over the spec's compositions c), is at
+# most RELABEL_RATIO * states^2.  Timed in one process per deck (2 cores,
+# Python 3.11.7) against the per-row build on repeated-letter decks of 6
+# to 9 cards under trinomial(1/4, 1/2, 1/4), whose position law holds all
+# n! permutations (its bound is n!), the relabelled build was the faster
+# one up to n! = 4.1 * states^2 and the per-row build from 8.2 * states^2
+# on.  Laws with fewer permutations favour the relabelled build more:
+# under riffle(3) it stayed faster up to n! = 280 * states^2, and its
+# bound at n = 8 is 6,051, not 8! = 40,320.
 RELABEL_RATIO = 5
 
 _ZERO = Fraction(0)
@@ -91,10 +97,11 @@ def build_transition_matrix(alg: AlgebraHandle, spec: CppSpec, states=None) -> T
     `states` defaults to the full degree-n basis; passing a sublist (for
     example one deck's rearrangement class) restricts to it, and the
     builder raises if the operator ever leaves that set.  Word states take
-    the relabelled build from one position law when n! is at most
-    `RELABEL_RATIO` times the square of the state count; forests, and word
-    lists with few states for their degree, take one `apply_cpp` call per
-    state.
+    the relabelled build from one position law when the law's size bound,
+    min(n!, sum of multinomial(n; c) over the spec's compositions c), is at
+    most `RELABEL_RATIO` times the square of the state count; forests, and
+    word lists with few states for that bound, take one `apply_cpp` call
+    per state.
     """
     n = spec.n
     if states is None:
@@ -105,7 +112,9 @@ def build_transition_matrix(alg: AlgebraHandle, spec: CppSpec, states=None) -> T
     for s in states:
         if s.degree != n:
             raise ValueError(f"state {s!r} has degree {s.degree}, spec degree is {n}")
-    if isinstance(alg, WordAlgebra) and factorial(n) <= RELABEL_RATIO * len(states) ** 2:
+    if isinstance(alg, WordAlgebra) and min(
+        factorial(n), sum(multinomial(n, c) for c, _ in spec.terms)
+    ) <= RELABEL_RATIO * len(states) ** 2:
         etas = [eta(alg, states[0])] * len(states)  # eta reads no label
         kernel = relabelled_kernel(*position_law(alg, spec), states)
     else:

@@ -318,6 +318,8 @@ def cmd_eigvecs(args) -> int:
         raise UsageError("eigenvector construction runs on the word dual; use --algebra shuffle")
     words, deck = _shuffle_deck(args, "need --distinct N or --deck WORD")
     n = deck.degree
+    if n < 2:
+        raise UsageError(f"eigvecs needs a deck of at least 2 cards, got {n}")
     count = len(words.alphabet) ** n
     if count > args.max_states:
         raise UsageError(

@@ -23,6 +23,11 @@ and the trajectories do not depend on which of the two made the draws.
 Each card's drop is one draw below the number of cards left, read
 against the current pile sizes; it writes the chosen pile's bottom card
 straight to its slot of the new deck, and no pile is copied out.
+Given its cut sizes, the step is a uniform interleaving of the piles
+(Bayer-Diaconis), so one step from a deck has an exact rational law:
+`outcome_law` runs `gsr_step` once per tuple of in-range drop words from
+a scripted stream and weighs each outcome exactly.  The acceptance suite
+requires that law to equal the deck's kernel row.
 Any built transition matrix can also be sampled row by row
 (`matrix_stepper`): each visited row is resolved once into cumulative
 integer weights, and a step is one `randbelow(total)` and a bisection.
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Callable, NamedTuple
 
 from .chain import TransitionMatrix
@@ -151,6 +156,56 @@ def gsr_step(law: CutLaw, deck: Word, rng: RngStream) -> Word:
 def gsr_stepper(spec: CppSpec) -> Callable:
     """Cut-and-drop stepper: `gsr_step` on the spec's law, resolved once."""
     return partial(gsr_step, cut_law(spec))
+
+
+class _ScriptedBits(RngStream):
+    """A stream whose generator answers `getrandbits` from a fixed script
+    of words, then with 0, recording the word size of every call."""
+
+    def __init__(self, script):
+        self._rng = self
+        self.script = script
+        self.bits = []
+
+    def getrandbits(self, k: int) -> int:
+        j = len(self.bits)
+        self.bits.append(k)
+        return self.script[j] if j < len(self.script) else 0
+
+
+def outcome_law(law: CutLaw, deck: Word) -> dict:
+    """Exact law {deck: Fraction} of `gsr_step(law, deck, rng)` when the
+    stream's bits are uniform.
+
+    The composition word is fixed inside each composition's weight range;
+    the drop words then walk the whole tree of k-bit words.  Each run
+    replays a prefix of drop words and takes 0 after it, and every other
+    k-bit word past the prefix is queued as a new prefix, so each run is
+    made exactly once.  A run that redraws (a word at least its bound) is
+    dropped unexpanded.  The kept runs are the n! tuples of in-range drop
+    words, which the uniform bits make equally likely; any other count
+    raises `ArithmeticError`.
+    """
+    n = len(deck)
+    runs = factorial(n)
+    nums: dict = {}  # outcome -> numerator over law.total * n!
+    for lo, hi in zip([0] + law.cum, law.cum):
+        kept = 0
+        pending = [()]
+        while pending:
+            drops = pending.pop()
+            rng = _ScriptedBits((lo, *drops))
+            out = gsr_step(law, deck, rng)
+            if len(rng.bits) > n + 1:
+                continue  # a redraw
+            kept += 1
+            nums[out] = nums.get(out, 0) + hi - lo
+            path = drops + (0,) * (n - len(drops))
+            for j in range(len(drops), n):
+                pending.extend(path[:j] + (v,) for v in range(1, 1 << rng.bits[j + 1]))
+        if kept != runs:
+            raise ArithmeticError(f"{kept} drop runs from {deck}, not {n}! = {runs}")
+    return {y: Fraction(c, law.total * runs) for y, c in nums.items()}
 
 
 def matrix_stepper(matrix: TransitionMatrix) -> Callable:
@@ -384,81 +439,3 @@ def run_trajectories(
         for name, (total, total_sq) in totals.items()
     }
     return SimulationReport(steps=steps, trials=trials, seed=seed, series=series)
-
-
-# ---------------------------------------------------------------------------
-# empirical-vs-exact comparison helpers (reporting layer: floats allowed)
-
-
-@dataclass
-class RowCheck:
-    """Empirical one-step law against an exact matrix row."""
-
-    trials: int
-    max_z: float
-    over_3_sigma: list  # state strings with 3 < z <= 4
-    over_4_sigma: list
-    chi_square: float
-    chi_square_limit: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.over_4_sigma
-
-
-def empirical_row_check(
-    matrix: TransitionMatrix,
-    start,
-    trials: int,
-    seed: int,
-    stepper: Callable,
-) -> RowCheck:
-    """Sample one-step transitions and compare against the exact row.
-
-    Entries beyond 3 binomial standard deviations are flagged; beyond 4
-    they count as failures.  A chi-square statistic over the row support
-    is reported against the approximate 0.999 quantile.
-    """
-    rng = RngStream(seed, 0)
-    counts: dict = {}
-    for _ in range(trials):
-        nxt = stepper(start, rng)
-        counts[nxt] = counts.get(nxt, 0) + 1
-    row = matrix.row_of(start)
-    unexpected = set(counts) - set(row)
-    if unexpected:
-        raise AssertionError(f"sampler reached states of probability zero: {unexpected}")
-    max_z = 0.0
-    flag3, flag4 = [], []
-    chi = 0.0
-    for state, p in row.items():
-        pf = float(p)
-        observed = counts.get(state, 0)
-        expected = trials * pf
-        sigma = (trials * pf * (1.0 - pf)) ** 0.5
-        z = abs(observed - expected) / sigma if sigma else 0.0
-        max_z = max(max_z, z)
-        if z > 4.0:
-            flag4.append(str(state))
-        elif z > 3.0:
-            flag3.append(str(state))
-        if expected:
-            chi += (observed - expected) ** 2 / expected
-    limit = chi_square_quantile(len(row) - 1)
-    return RowCheck(
-        trials=trials,
-        max_z=max_z,
-        over_3_sigma=flag3,
-        over_4_sigma=flag4,
-        chi_square=chi,
-        chi_square_limit=limit,
-    )
-
-
-def chi_square_quantile(df: int) -> float:
-    """Wilson-Hilferty approximation to the chi-square 0.999 quantile."""
-    if df < 1:
-        return 0.0
-    z = 3.090232306167813  # standard normal 0.999 quantile
-    a = 2.0 / (9.0 * df)
-    return df * (1.0 - a + z * a**0.5) ** 3

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations_with_replacement, permutations
 from math import factorial, gcd, lcm
 
@@ -24,7 +25,7 @@ from hopfchains.chain import (
 )
 from hopfchains.cli import UsageError, check_state_count, main
 from hopfchains.forests import forest_algebra, parse_forest
-from hopfchains.hopf import apply_cpp, beta_n, eta, product
+from hopfchains.hopf import apply_cpp, beta_n, eta, multinomial, product
 from hopfchains.linalg import RatMatrix
 from hopfchains.presets import (
     riffle_spec,
@@ -453,14 +454,30 @@ def test_relabelled_build_reports_a_state_space_that_is_not_closed():
 
 
 def test_relabelled_build_is_chosen_by_the_size_of_the_position_law(monkeypatch):
-    # 6! against RELABEL_RATIO * states^2: aaaabb (15 states) takes one position law
-    assert RELABEL_RATIO * 6**2 < factorial(6) <= RELABEL_RATIO * 15**2
-    alg, deck = deck_from_string("aaaabb")
-    with monkeypatch.context() as m:
-        m.setattr("hopfchains.chain.per_row_kernel", None)
-        build_transition_matrix(alg, riffle_spec(6), states=rearrangement_class(alg, deck))
-    # and aaaaab (6 states) one apply_cpp call per state
-    alg, deck = deck_from_string("aaaaab")
-    states = rearrangement_class(alg, deck)
-    monkeypatch.setattr("hopfchains.chain.position_law", None)
-    assert build_transition_matrix(alg, riffle_spec(6), states=states).size == 6
+    # the law's size bound, min(n!, sum of multinomial(n; c) over the
+    # spec's compositions c), against RELABEL_RATIO * states^2
+    def bound(spec):
+        return min(factorial(spec.n), sum(multinomial(spec.n, c) for c, _ in spec.terms))
+
+    def build_without(name, deck, spec):
+        # the build never reaches chain.<name>
+        alg, start = deck_from_string(deck)
+        states = rearrangement_class(alg, start)
+        with monkeypatch.context() as m:
+            m.setattr(f"hopfchains.chain.{name}", None)
+            assert build_transition_matrix(alg, spec, states=states).size == len(states)
+
+    relabelled = partial(build_without, "per_row_kernel")
+    per_row = partial(build_without, "position_law")
+
+    riffle, trinomial = riffle_spec(6), trinomial_spec(6, F(1, 4), F(1, 2), F(1, 4))
+    # riffle(2) at n=6 holds 1 + (2^6 - 2) = 63 permutations at most, so
+    # aaaaab (6 states) takes one position law, as aaaabb (15 states) does
+    assert bound(riffle) == 63 <= RELABEL_RATIO * 6**2
+    relabelled("aaaaab", riffle)
+    relabelled("aaaabb", riffle)
+    # trinomial's bound is 6!: aaaabb still takes one position law, and
+    # aaaaab one apply_cpp call per state
+    assert RELABEL_RATIO * 6**2 < bound(trinomial) == factorial(6) <= RELABEL_RATIO * 15**2
+    relabelled("aaaabb", trinomial)
+    per_row("aaaaab", trinomial)

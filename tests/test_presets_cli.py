@@ -506,6 +506,14 @@ def test_cli_matrix_constant_deck_has_one_state(capsys):
     assert data["matrix"]["rows"] == [["1"]]
 
 
+@pytest.mark.parametrize("start", [["--deck", "a"], ["--distinct", "1"]])
+def test_cli_eigvecs_one_card_is_usage_error(capsys, start):
+    # eigvecs takes no operator, so an operator error would name a flag it
+    # never read; a one-card deck is refused by its size instead
+    err = _usage_error(capsys, ["eigvecs", *start])
+    assert "at least 2 cards, got 1" in err and "operator" not in err
+
+
 def test_cli_eigvecs_over_cap_is_usage_error(capsys):
     # 5^5 = 3125 vectors would be emitted; the default cap is 1000
     assert "3125" in _usage_error(capsys, ["eigvecs", "--distinct", "5"])

@@ -7,7 +7,7 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from pathlib import Path
 from string import ascii_lowercase
 
@@ -19,10 +19,7 @@ from hopfchains.chain import build_transition_matrix, expectations, point_mass
 from hopfchains.cli import main
 from hopfchains.hopf import SpecError, composition_law, normalize_spec
 from hopfchains.presets import (
-    biased_spec,
     riffle_spec,
-    top_m_ordered_spec,
-    top_m_unordered_spec,
     top_or_bottom_spec,
     top_to_random_spec,
     trinomial_spec,
@@ -37,11 +34,12 @@ from hopfchains.shuffle import (
 )
 from hopfchains.simulate import (
     RngStream,
+    _ScriptedBits,
     cut_law,
-    empirical_row_check,
     gsr_step,
     gsr_stepper,
     matrix_stepper,
+    outcome_law,
     run_trajectories,
     trial_moments,
 )
@@ -171,53 +169,6 @@ def test_cut_and_drop_rejects_a_negative_part():
             normalize_spec(4, [(comp, 1), ((1, 3), 1)])
 
 
-class _ScriptedBits(RngStream):
-    """A stream whose generator answers `getrandbits` from a fixed script
-    of words, then with 0, recording the word size of every call."""
-
-    def __init__(self, script):
-        self._rng = self
-        self.script = script
-        self.bits = []
-
-    def getrandbits(self, k: int) -> int:
-        j = len(self.bits)
-        self.bits.append(k)
-        return self.script[j] if j < len(self.script) else 0
-
-
-def _outcome_law(law, deck) -> dict:
-    """Exact law of `gsr_step(law, deck, rng)` when the stream's bits are uniform.
-
-    The composition word is fixed inside each composition's weight range;
-    the drop words then walk the whole tree of k-bit words.  Each run
-    replays a prefix of drop words and takes 0 after it, and every other
-    k-bit word past the prefix is queued as a new prefix, so each run is
-    made exactly once.  A run that redraws (a word at least its bound) is
-    dropped unexpanded.  The kept runs are the n! tuples of in-range drop
-    words, which the uniform bits make equally likely.
-    """
-    n = len(deck)
-    law_of: dict = {}
-    for lo, hi in zip([0] + law.cum, law.cum):
-        outcomes = Counter()
-        pending = [()]
-        while pending:
-            drops = pending.pop()
-            rng = _ScriptedBits((lo, *drops))
-            out = gsr_step(law, deck, rng)
-            if len(rng.bits) > n + 1:
-                continue  # a redraw
-            outcomes[out] += 1
-            path = drops + (0,) * (n - len(drops))
-            for j in range(len(drops), n):
-                pending.extend(path[:j] + (v,) for v in range(1, 1 << rng.bits[j + 1]))
-        assert sum(outcomes.values()) == factorial(n)
-        for y, c in outcomes.items():
-            law_of[y] = law_of.get(y, 0) + F(hi - lo, law.total) * F(c, factorial(n))
-    return law_of
-
-
 _ORACLE_DECKS = [
     ("distinct n=3", *distinct_deck(3)),
     ("distinct n=4", *distinct_deck(4)),
@@ -230,11 +181,39 @@ _ORACLE_DECKS = [
 def test_gsr_step_outcome_law_is_the_exact_row(label, alg, deck):
     # cut-and-drop given the cut sizes is a uniform interleaving of the
     # piles (Bayer-Diaconis), so summing its exact outcome law over the
-    # composition law gives the kernel row with no sampling error
+    # composition law gives the kernel row with no sampling error, from
+    # the first deck of the class and from its last
+    n = deck.degree
     states = rearrangement_class(alg, deck)
-    for preset_label, spec in grid_presets(deck.degree):
+    for preset_label, spec in [*grid_presets(n), ("top-to-random", top_to_random_spec(n))]:
         K = build_transition_matrix(alg, spec, states=states)
-        assert _outcome_law(cut_law(spec), deck) == K.row_of(deck), (label, preset_label)
+        for start in (deck, states[-1]):
+            law = outcome_law(cut_law(spec), start)
+            assert law == K.row_of(start), (label, preset_label, start)
+
+
+@pytest.mark.parametrize("label", ["distinct n=3 top-to-random", "forests n=3 trinomial"])
+def test_matrix_stepper_draws_each_row_exactly(label):
+    # a stream answering randbelow(total) with each value below the row
+    # total once makes the stepper visit every target for exactly its
+    # weight: the counts over the total are the kernel row
+    from hopfchains.forests import forest_algebra, parse_forest
+
+    if label.startswith("distinct"):
+        alg, start = distinct_deck(3)
+        states = rearrangement_class(alg, start)
+        K = build_transition_matrix(alg, top_to_random_spec(3), states=states)
+    else:
+        start = parse_forest("(()())")
+        K = build_transition_matrix(forest_algebra(), trinomial_spec(3, F(1, 4), F(1, 2), F(1, 4)))
+    stepper = matrix_stepper(K)
+    probe = _ScriptedStream(())
+    stepper(start, probe)
+    total = probe.bounds[0]
+    rng = _ScriptedStream(range(total))
+    counts = Counter(stepper(start, rng) for _ in range(total))
+    assert rng.bounds == [total] * total
+    assert {y: F(c, total) for y, c in counts.items()} == K.row_of(start)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -247,60 +226,6 @@ def test_composition_sampler_draws_each_composition_for_its_weight(n):
         assert steps == {c: p * total for c, p in composition_law(spec).items()}, preset_label
         # the least total: the steps share no factor
         assert gcd(*steps.values()) == 1, preset_label
-
-
-def test_gsr_top_to_random_marginal():
-    alg, deck = distinct_deck(3)
-    states = rearrangement_class(alg, deck)
-    spec = top_to_random_spec(3)
-    K = build_transition_matrix(alg, spec, states=states)
-    check = empirical_row_check(K, deck, trials=60_000, seed=SEED, stepper=gsr_stepper(spec))
-    assert not check.over_4_sigma
-    assert check.chi_square < check.chi_square_limit
-
-
-@pytest.mark.parametrize(
-    "label,spec_fn",
-    [
-        ("riffle2", lambda n: riffle_spec(n, 2)),
-        ("riffle3", lambda n: riffle_spec(n, 3)),
-        ("biased", lambda n: biased_spec(n, (F(1, 3), F(2, 3)))),
-        ("top-m-ordered", lambda n: top_m_ordered_spec(n, 2)),
-        ("top-m-unordered", lambda n: top_m_unordered_spec(n, 2)),
-        ("top-or-bottom", lambda n: top_or_bottom_spec(n, F(1, 2))),
-        ("trinomial", lambda n: trinomial_spec(n, F(1, 4), F(1, 2), F(1, 4))),
-    ],
-)
-def test_gsr_marginal_equivalence_all_presets(label, spec_fn):
-    # cut-and-drop sampling must realise the exact matrix row
-    for n in (3, 4):
-        alg, deck = distinct_deck(n)
-        states = rearrangement_class(alg, deck)
-        spec = spec_fn(n)
-        K = build_transition_matrix(alg, spec, states=states)
-        trials = 40_000
-        check = empirical_row_check(K, deck, trials=trials, seed=SEED, stepper=gsr_stepper(spec))
-        assert not check.over_4_sigma, (label, n, check.over_4_sigma)
-        assert check.chi_square < check.chi_square_limit, (label, n)
-
-
-def test_gsr_marginal_equivalence_n5_sample():
-    alg, deck = distinct_deck(5)
-    states = rearrangement_class(alg, deck)
-    spec = riffle_spec(5)
-    K = build_transition_matrix(alg, spec, states=states)
-    check = empirical_row_check(K, deck, trials=50_000, seed=SEED, stepper=gsr_stepper(spec))
-    assert not check.over_4_sigma
-    assert check.chi_square < check.chi_square_limit
-
-
-def test_matrix_stepper_matches_row():
-    alg, deck = distinct_deck(3)
-    states = rearrangement_class(alg, deck)
-    spec = top_to_random_spec(3)
-    K = build_transition_matrix(alg, spec, states=states)
-    check = empirical_row_check(K, deck, trials=30_000, seed=SEED, stepper=matrix_stepper(K))
-    assert not check.over_4_sigma
 
 
 def test_trajectory_determinism():
@@ -346,18 +271,6 @@ def test_two_handed_descent_mean_at_t2():
     series = report.series["d"]
     sem = (float(series.variance(2)) / report.trials) ** 0.5
     assert abs(float(series.mean(2)) - 1.5) < 3 * sem
-
-
-def test_matrix_stepper_on_forests():
-    from hopfchains.forests import forest_algebra, parse_forest
-    from hopfchains.presets import trinomial_spec
-
-    falg = forest_algebra()
-    K = build_transition_matrix(falg, trinomial_spec(3, F(1, 4), F(1, 2), F(1, 4)))
-    start = parse_forest("(()())")
-    check = empirical_row_check(K, start, trials=30_000, seed=SEED, stepper=matrix_stepper(K))
-    assert not check.over_4_sigma
-    assert check.chi_square < check.chi_square_limit
 
 
 def test_matrix_stepper_draws_as_the_reduced_fraction_row():
