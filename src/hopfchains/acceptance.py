@@ -198,6 +198,11 @@ def _grid_cells() -> list:
     ]
 
 
+def _grid_cell(space_label: str, preset_label: str) -> tuple:
+    """The grid cell with these labels."""
+    return next(cell for cell in _grid_cells() if cell[:2] == (space_label, preset_label))
+
+
 def _grid_matrix(cell) -> TransitionMatrix:
     """Build (and cache) one grid cell's transition matrix."""
     space_label, preset_label, alg, _, states, spec = cell
@@ -303,9 +308,9 @@ def criterion_4(seed: int, r: CriterionResult) -> None:
     for space_label, pis in pis_by_space.items():
         if space_label.startswith("distinct"):
             size = len(pis[0].states)
-            if len(pis) != 1 or any(w != F(1, size) for w in pis[0].weights):
+            if len(pis) != 1 or pis[0].den != size or any(c != 1 for c in pis[0].nums):
                 _fail(r, f"{space_label}: stationary law not uniform 1/{size}")
-        vectors = [{x: w for x, w in zip(pi.states, pi.weights) if w} for pi in pis]
+        vectors = [{x: c for x, c in zip(pi.states, pi.nums) if c} for pi in pis]
         if lincomb_rank(vectors) != len(pis):
             _fail(r, f"{space_label}: stationary laws linearly dependent")
     if r.passed:
@@ -343,8 +348,8 @@ def criterion_6(seed: int, r: CriterionResult) -> None:
         descents = deck_statistic("descents", alphabet, n)
         peaks = deck_statistic("peaks", alphabet, n)
         for a in (2, 3):
-            _, deck, K = _distinct_chain(n, riffle_spec(n, a))
-            dist = point_mass(K, deck)
+            K = _grid_matrix(_grid_cell(f"distinct n={n}", f"riffle({a})"))
+            dist = point_mass(K, K.states[0])  # the sorted deck: no descent, no peak
             series_d = expectations(K, dist, 4, descents)
             series_p = expectations(K, dist, 4, peaks)
             for t, (got_d, got_p) in enumerate(zip(series_d, series_p)):
@@ -379,12 +384,10 @@ def criterion_7(seed: int, r: CriterionResult) -> None:
                 _fail(r, f"n={n}, q={q}: {len(vectors)} vectors, expected {factorial(n)}")
             if lincomb_rank([v.vector for v in vectors]) != factorial(n):
                 _fail(r, f"n={n}, q={q}: vectors not linearly independent")
-            if q == 1 and n >= 2:
-                rep = polynomial_eigenvalue_check(alg, vectors, 2)
-                if not rep.ok:
-                    _fail(r, f"n={n}: m=2 removal-operator eigenvalues failed")
+            if q == 1 and n >= 2 and not polynomial_eigenvalue_check(alg, vectors, 2):
+                _fail(r, f"n={n}: m=2 removal-operator eigenvalues failed")
             q1, q2, q3 = trinomial_for_q[q]
-            if not trinomial_eigenvalue_check(alg, vectors, q1, q2, q3).ok:
+            if not trinomial_eigenvalue_check(alg, vectors, q1, q2, q3):
                 corrected_ok = False
             if literal_fail_witness is None:
                 spec_t = trinomial_spec(n, q1, q2, q3)
@@ -412,16 +415,17 @@ def criterion_7(seed: int, r: CriterionResult) -> None:
 @_criterion(8, "descent set is a Markov statistic")
 def criterion_8(seed: int, r: CriterionResult) -> None:
     """The descent set is a Markov statistic for every grid shuffle."""
-    for n in (4, 5):
-        for preset_label, spec in grid_presets(n):
-            alg, deck, K = _distinct_chain(n, spec)
-            result = lumping_check(
-                K, lambda w: tuple(sorted(descent_peak_sets(w, alg.alphabet).descents))
-            )
-            if not result.ok:
-                _fail(r, f"n={n} / {preset_label}: witness {result.witness}")
-            elif result.quotient.size > 2 ** (n - 1):
-                _fail(r, f"n={n} / {preset_label}: quotient too large")
+    for cell in _grid_cells():
+        space_label, preset_label, alg, n = cell[:4]
+        if space_label not in ("distinct n=4", "distinct n=5"):
+            continue
+        result = lumping_check(
+            _grid_matrix(cell), lambda w: tuple(sorted(descent_peak_sets(w, alg.alphabet).descents))
+        )
+        if not result.ok:
+            _fail(r, f"n={n} / {preset_label}: witness {result.witness}")
+        elif result.quotient.size > 2 ** (n - 1):
+            _fail(r, f"n={n} / {preset_label}: quotient too large")
     if r.passed:
         r.lines.append("descent-set lumping holds for n=4,5 under all 7 presets (quotients <= 2^(n-1))")
 
@@ -529,11 +533,14 @@ def criterion_10(seed: int, r: CriterionResult) -> None:
 
     n = 4
     q = F(1, 2)
-    alg, deck, K = _distinct_chain(n, top_or_bottom_spec(n, q))
+    cell = _grid_cell(f"distinct n={n}", "top-or-bottom(1/2)")
+    _, _, alg, _, states, spec = cell
+    K = _grid_matrix(cell)
+    deck = states[0]
     dist = point_mass(K, deck)
     stat = {"weighted-descents": deck_statistic("weighted-descents", alg.alphabet, n, q)}
     steps = 2
-    report = run_trajectories(deck, steps, 100_000, gsr_stepper(K.spec), seed, stat)
+    report = run_trajectories(deck, steps, 100_000, gsr_stepper(spec), seed, stat)
     targets = expectations(K, dist, steps, stat["weighted-descents"])
     for t in range(1, steps + 1):
         target = targets[t]
@@ -547,8 +554,8 @@ def criterion_10(seed: int, r: CriterionResult) -> None:
             r.flagged.append(f"Monte Carlo mean at t={t}: z={z:.2f} between 3 and 4 sigma")
     r.lines.append("Monte Carlo weighted-descent means match exact evolution within 3 sigma")
 
-    small_a = run_trajectories(deck, 2, 2_000, gsr_stepper(K.spec), seed, stat)
-    small_b = run_trajectories(deck, 2, 2_000, gsr_stepper(K.spec), seed, stat)
+    small_a = run_trajectories(deck, 2, 2_000, gsr_stepper(spec), seed, stat)
+    small_b = run_trajectories(deck, 2, 2_000, gsr_stepper(spec), seed, stat)
     if small_a.to_dict() != small_b.to_dict():
         _fail(r, "identical seeds produced different reports")
     else:

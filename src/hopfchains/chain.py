@@ -18,51 +18,51 @@ the distinct word 0 1 ... n-1 with each key sigma read as x.sigma,
 call gives the position law Q (`shuffle.position_law`), and
 K[x][x.sigma] += Q(sigma) (`shuffle.relabelled_columns`).  That call on
 n distinct cards costs far more than one on a deck with repeated
-letters.  Q holds at most min(n!, sum of multinomial(n; c) over the
-spec's compositions c) permutations, and it is formed only when that
-bound is at most 5 times the kernel's entry count (`RELABEL_RATIO`):
-always on a distinct deck's class and on classes with many states for
-their size, such as aabbcc or aaaabbcc, and under a spec with few short
-compositions, such as riffle(3) on aaaaabbb, but not under trinomial on
-decks such as aaaaaabb or aaaabbbb, whose 28 and 70 states a per-row
-build reaches sooner.  Forests, whose coproduct reads tree shapes, and
-those word lists take one `apply_cpp` call per state
-(`per_row_kernel`).  On a distinct deck's class K is the
-right-regular representation of Q, and the spectrum certificate runs its
-chain from one of these rows.  Tests check the relabelled build entry by
-entry against the per-state formula on every grid space and against
-`per_row_kernel` on random specs.
+letters.  So the build rule is: Q holds at most min(n!, sum of
+multinomial(n; c) over the spec's compositions c) permutations, and it
+is formed only when that bound is at most `RELABEL_RATIO` times the
+kernel's entry count, states^2.  That holds on a distinct deck's class
+and on classes with many states for their size, such as aabbcc or
+aaaabbcc, and under a spec with few short compositions, such as
+riffle(3) on aaaaabbb, but not under trinomial on decks such as
+aaaaaabb or aaaabbbb, whose 28 and 70 states a per-row build reaches
+sooner.  Forests, whose coproduct reads tree shapes, and those word
+lists take one `apply_cpp` call per state (`per_row_kernel`).  On a
+distinct deck's class K is the right-regular representation of Q, and
+the spectrum certificate runs its chain from one of these rows.  Tests
+check the relabelled build entry by entry against the per-state formula
+on every grid space and against `per_row_kernel` on random specs.
 Both builds write integer rows over one denominator (`RatMatrix`): the
 image is integers over den and eta a count, so only beta_n is rational.
-`evolve`, `lumping_check` and `check_stochastic` work on those integers,
-and `row_of` and the exporters form `Fraction(c, den)` for output.
+A law (`Distribution`) has the same format, integer numerators over one
+den: `evolve` steps them through the kernel's rows, and
+`stationary_distributions`, `is_stationary`, `lumping_check` and
+`check_stochastic` work on integers too.  `row_of`, the exporters and
+`distribution_to_dict` form `Fraction(c, den)` for output, and
+`expectations` one per time step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Iterator, Optional
 
 from .hopf import AlgebraHandle, CppSpec, apply_cpp, beta_n, eta, multinomial, symmetrized_product
 from .linalg import RatMatrix, rat
 from .shuffle import WordAlgebra, not_closed, position_law, relabelled_columns
 
-# The relabelled build is chosen when the position law's size bound,
-# min(n!, sum of multinomial(n; c) over the spec's compositions c), is at
-# most RELABEL_RATIO * states^2.  Timed in one process per deck (2 cores,
-# Python 3.11.7) against the per-row build on repeated-letter decks of 6
-# to 9 cards under trinomial(1/4, 1/2, 1/4), whose position law holds all
-# n! permutations (its bound is n!), the relabelled build was the faster
-# one up to n! = 4.1 * states^2 and the per-row build from 8.2 * states^2
-# on.  Laws with fewer permutations favour the relabelled build more:
-# under riffle(3) it stayed faster up to n! = 280 * states^2, and its
-# bound at n = 8 is 6,051, not 8! = 40,320.
+# The ratio of the word-build rule in the module docstring.  Timed in one
+# process per deck (2 cores, Python 3.11.7) against the per-row build on
+# repeated-letter decks of 6 to 9 cards under trinomial(1/4, 1/2, 1/4),
+# whose position law holds all n! permutations (its bound is n!), the
+# relabelled build was the faster one up to n! = 4.1 * states^2 and the
+# per-row build from 8.2 * states^2 on.  Laws with fewer permutations
+# favour the relabelled build more: under riffle(3) it stayed faster up
+# to n! = 280 * states^2, and its bound at n = 8 is 6,051, not
+# 8! = 40,320.
 RELABEL_RATIO = 5
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -97,11 +97,8 @@ def build_transition_matrix(alg: AlgebraHandle, spec: CppSpec, states=None) -> T
     `states` defaults to the full degree-n basis; passing a sublist (for
     example one deck's rearrangement class) restricts to it, and the
     builder raises if the operator ever leaves that set.  Word states take
-    the relabelled build from one position law when the law's size bound,
-    min(n!, sum of multinomial(n; c) over the spec's compositions c), is at
-    most `RELABEL_RATIO` times the square of the state count; forests, and
-    word lists with few states for that bound, take one `apply_cpp` call
-    per state.
+    the relabelled build by the rule in the module docstring; forests, and
+    the word lists it turns away, take one `apply_cpp` call per state.
     """
     n = spec.n
     if states is None:
@@ -175,48 +172,51 @@ def relabelled_kernel(law: tuple, den: int, states: list) -> RatMatrix:
 
 @dataclass
 class Distribution:
-    """Exact probability vector aligned with a state list."""
+    """Exact probability law aligned with a state list: state i has
+    probability nums[i] / den, both divided by their gcd as in `RatMatrix`."""
 
     states: list
-    weights: list
+    nums: tuple
+    den: int
     provenance: Optional[tuple] = None
 
     def __post_init__(self):
-        if len(self.states) != len(self.weights):
+        if len(self.states) != len(self.nums):
             raise ValueError("weights must align with states")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("negative weight in distribution")
-        if sum(self.weights, _ZERO) != 1:
+        if self.den <= 0 or sum(self.nums) != self.den:
             raise ValueError("distribution weights must sum to exactly 1")
+        if min(self.nums) < 0:
+            raise ValueError("negative weight in distribution")
+        g = gcd(self.den, *self.nums)
+        self.nums = tuple(c // g for c in self.nums) if g > 1 else tuple(self.nums)
+        self.den //= g
 
 
 def point_mass(matrix: TransitionMatrix, state) -> Distribution:
     if state not in matrix.index:
         raise ValueError(f"state {state!r} not in the chain's state space")
-    weights = [_ZERO] * matrix.size
-    weights[matrix.index[state]] = _ONE
-    return Distribution(states=matrix.states, weights=weights)
+    nums = [0] * matrix.size
+    nums[matrix.index[state]] = 1
+    return Distribution(matrix.states, nums, 1)
 
 
 def evolve(matrix: TransitionMatrix, start: Distribution, t: int) -> Distribution:
-    """Distribution after t steps: start x K^t, computed exactly on integer
-    numerators over the start's common denominator times den^t."""
+    """Distribution after t steps: start x K^t, the start's numerators
+    stepped through the kernel's integer rows, over start.den * den^t."""
     if t < 0:
         raise ValueError("negative time")
     if start.states != matrix.states:
         raise ValueError("distribution is over a different state list")
-    den = lcm(*[w.denominator for w in start.weights])
-    weights = [w.numerator * (den // w.denominator) for w in start.weights]
+    nums = start.nums
     for _ in range(t):
         new = [0] * matrix.size
-        for wi, row in zip(weights, matrix.kernel.entries):
+        for wi, row in zip(nums, matrix.kernel.entries):
             if wi:
                 for j, a in enumerate(row):
                     if a:
                         new[j] += wi * a
-        weights = new
-    den *= matrix.kernel.den**t
-    return Distribution(states=matrix.states, weights=[Fraction(w, den) for w in weights])
+        nums = new
+    return Distribution(matrix.states, nums, start.den * matrix.kernel.den**t)
 
 
 def expectations(
@@ -229,7 +229,8 @@ def expectations(
 
     One pass: the distribution advances one step at a time.  The statistic
     is evaluated at most once per state, the first time the state carries
-    weight.
+    weight, and each step's expectation is one integer sum over the law's
+    den times the lcm of the denominators of the values it weighs.
     """
     if t < 0:
         raise ValueError("negative time")
@@ -241,14 +242,14 @@ def expectations(
     for s in range(t + 1):
         if s:
             dist = evolve(matrix, dist, 1)
-        total = _ZERO
-        for i, w in enumerate(dist.weights):
-            if w:
-                v = values[i]
-                if v is None:
-                    v = values[i] = rat(stat(dist.states[i]))
-                total += w * v
-        out.append(total)
+        support = [i for i, w in enumerate(dist.nums) if w]
+        for i in support:
+            if values[i] is None:
+                v = stat(dist.states[i])
+                values[i] = v if isinstance(v, int) else rat(v)  # an int is its own numerator
+        vden = lcm(*(values[i].denominator for i in support))
+        total = sum(dist.nums[i] * values[i].numerator * (vden // values[i].denominator) for i in support)
+        out.append(Fraction(total, dist.den * vden))
     return out
 
 
@@ -275,31 +276,27 @@ def stationary_distributions(alg: AlgebraHandle, n: int, states=None) -> list[Di
     if not singles:
         raise ValueError("degree-1 basis is empty; no stationary construction")
     results = []
-    nfact = factorial(n)
+    den = factorial(n) ** 2
     for content in sorted({alg.content(x) for x in states}, reverse=True):
         multiset = tuple(key for key, m in zip(singles, content) for _ in range(m))
         coeffs = symmetrized_product(alg, [{key: 1} for key in multiset])
-        weights = []
-        for x in states:
-            c = coeffs.get(x, 0)
-            weights.append(c * eta(alg, x) / Fraction(nfact**2))
-        total = sum(weights, _ZERO)
+        nums = [coeffs.get(x, 0) * eta(alg, x) for x in states]
+        total = sum(nums)
         if total == 0:
             continue
-        if total != 1:
+        if total != den:
             raise ArithmeticError(
-                f"stationary weights for multiset {multiset!r} sum to {total}; "
+                f"stationary weights for multiset {multiset!r} sum to {Fraction(total, den)}; "
                 "the state list does not cover this class"
             )
-        results.append(
-            Distribution(states=states, weights=weights, provenance=multiset)
-        )
+        results.append(Distribution(states, nums, den, provenance=multiset))
     return results
 
 
 def is_stationary(matrix: TransitionMatrix, dist: Distribution) -> bool:
-    """Exact fixed-point test: dist x K == dist."""
-    return evolve(matrix, dist, 1).weights == dist.weights
+    """Exact fixed-point test: dist x K == dist, as reduced numerators over den."""
+    after = evolve(matrix, dist, 1)
+    return (after.nums, after.den) == (dist.nums, dist.den)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +310,6 @@ class LumpingResult:
     ok: bool
     quotient: Optional[TransitionMatrix] = None
     witness: Optional[tuple] = None  # (x, x_prime, label_class)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def lumping_check(matrix: TransitionMatrix, statistic: Callable) -> LumpingResult:
@@ -380,4 +374,4 @@ def matrix_to_dict(matrix: TransitionMatrix) -> dict:
 
 
 def distribution_to_dict(dist: Distribution) -> dict:
-    return {str(s): str(w) for s, w in zip(dist.states, dist.weights) if w}
+    return {str(s): str(Fraction(c, dist.den)) for s, c in zip(dist.states, dist.nums) if c}

@@ -68,11 +68,9 @@ from .shuffle import Word
 class RngStream:
     """Deterministic pseudo-random stream identified by (seed, stream)."""
 
-    __slots__ = ("seed", "stream", "_rng")
+    __slots__ = ("_rng",)
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = seed
-        self.stream = stream
         material = f"hopfchains:{seed}:{stream}".encode()
         # seeded in one C call: the Mersenne Twister state of
         # random.Random(state), without its Python-level __init__ and seed

@@ -534,29 +534,18 @@ def _eigen_equation(alg: AlgebraHandle, vector: dict, spec: CppSpec, value: Frac
     return lhs == rhs
 
 
-@dataclass
-class EigencheckReport:
-    ok: bool
-    checked: int
-    lines: list
-
-
-def _eigencheck(alg: AlgebraHandle, vectors: list[Eigenvector], expect) -> EigencheckReport:
-    """One "j=...: eigenvalue ... [ok|FAILED]" line per vector, where
-    expect(n, j) gives the (spec, eigenvalue) of a degree-n vector of E_j."""
-    lines = []
-    ok = True
-    for vec in vectors:
-        spec, value = expect(homogeneous_degree(vec.vector), vec.j)
-        good = _eigen_equation(alg, vec.vector, spec, value)
-        lines.append(f"j={vec.j}: eigenvalue {value} [{'ok' if good else 'FAILED'}]")
-        ok = ok and good
-    return EigencheckReport(ok=ok, checked=len(vectors), lines=lines)
+def _eigencheck(alg: AlgebraHandle, vectors: list[Eigenvector], expect) -> bool:
+    """True iff every vector satisfies its eigen-equation, where expect(n, j)
+    gives the (spec, eigenvalue) of a degree-n vector of E_j."""
+    return all(
+        _eigen_equation(alg, vec.vector, *expect(homogeneous_degree(vec.vector), vec.j))
+        for vec in vectors
+    )
 
 
 def polynomial_eigenvalue_check(
     alg: AlgebraHandle, vectors: list[Eigenvector], m: int
-) -> EigencheckReport:
+) -> bool:
     """Check the m-fold single-card removal operator on q=1 eigenvectors.
 
     The normalised operator Proj_1^{*m} * id has eigenvalue
@@ -571,7 +560,7 @@ def polynomial_eigenvalue_check(
 
 def trinomial_eigenvalue_check(
     alg: AlgebraHandle, vectors: list[Eigenvector], q1, q2, q3
-) -> EigencheckReport:
+) -> bool:
     """Check the trinomial operator's eigenvalue q2^(n-j) on a q-family.
 
     The vectors must have been built with q = q1/(q1+q3); the trinomial

@@ -51,6 +51,11 @@ def _class_chain(n, spec_fn):
     return alg, deck, build_transition_matrix(alg, spec_fn(n), states=states)
 
 
+def _weights(dist):
+    """The law's probabilities as Fractions, one per state."""
+    return [F(c, dist.den) for c in dist.nums]
+
+
 def test_top_to_random_row():
     _, deck, K = _class_chain(3, top_to_random_spec)
     row = {str(s): p for s, p in K.row_of(deck).items()}
@@ -109,9 +114,9 @@ def test_max_states_cap(capsys):
 def test_evolve_basics():
     _, deck, K = _class_chain(3, top_to_random_spec)
     start = point_mass(K, deck)
-    assert evolve(K, start, 0).weights == start.weights
+    assert _weights(evolve(K, start, 0)) == _weights(start)
     one = evolve(K, start, 1)
-    assert {str(s): p for s, p in zip(one.states, one.weights) if p} == {
+    assert {str(s): p for s, p in zip(one.states, _weights(one)) if p} == {
         "123": F(1, 3),
         "213": F(1, 3),
         "231": F(1, 3),
@@ -122,10 +127,26 @@ def test_evolve_basics():
 
 def test_distribution_validation():
     _, deck, K = _class_chain(3, top_to_random_spec)
-    with pytest.raises(ValueError):
-        Distribution(states=K.states, weights=[F(1)] * 6)
-    with pytest.raises(ValueError):
-        Distribution(states=K.states, weights=[F(-1)] + [F(1, 3)] * 5 + [F(1, 3)])
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        Distribution(K.states, [1] * 6, 1)
+    with pytest.raises(ValueError, match="align"):
+        Distribution(K.states, [-1] + [1] * 5 + [1], 6)
+    with pytest.raises(ValueError, match="negative"):
+        Distribution(K.states, [-1, 2, 0, 0, 0, 0], 1)
+    # the sum is checked first, so an empty law is not a min() error
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        Distribution([], [], 1)
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        Distribution(K.states, [0] * 6, 0)
+
+
+def test_distribution_is_stored_over_its_least_common_denominator():
+    _, deck, K = _class_chain(3, top_to_random_spec)
+    law = Distribution(K.states, [2, 2, 2, 0, 0, 0], 6)
+    assert (law.nums, law.den) == ((1, 1, 1, 0, 0, 0), 3)
+    assert law == Distribution(K.states, [1, 1, 1, 0, 0, 0], 3)
+    one = point_mass(K, deck)
+    assert (one.nums, one.den) == ((1, 0, 0, 0, 0, 0), 1)
 
 
 def test_expectation_constant_and_linearity():
@@ -155,10 +176,10 @@ def test_expectations_match_evolve_at_every_step():
         assert len(series) == 6
         for s, value in enumerate(series):
             dist = evolve(K, start, s)
-            assert value == sum(w * stat(x) for x, w in zip(dist.states, dist.weights))
+            assert value == sum(w * stat(x) for x, w in zip(dist.states, _weights(dist)))
     with pytest.raises(ValueError):
         expectations(K, start, -1, stat)
-    other = Distribution(states=K.states[::-1], weights=start.weights[::-1])
+    other = Distribution(K.states[::-1], start.nums[::-1], start.den)
     with pytest.raises(ValueError):
         expectations(K, other, 0, stat)
 
@@ -173,7 +194,7 @@ def test_expectations_evaluate_the_statistic_once_per_state():
         return F(len(descent_peak_sets(s, "1234").descents))
 
     expectations(K, start, 5, stat)
-    reached = {x for t in range(6) for x, w in zip(K.states, evolve(K, start, t).weights) if w}
+    reached = {x for t in range(6) for x, c in zip(K.states, evolve(K, start, t).nums) if c}
     assert set(calls) == reached
     assert set(calls.values()) == {1}
 
@@ -183,14 +204,14 @@ def test_stationary_uniform_on_distinct_decks():
         alg, deck = distinct_deck(n)
         states = rearrangement_class(alg, deck)
         (pi,) = stationary_distributions(alg, n, states=states)
-        assert all(wt == F(1, factorial(n)) for wt in pi.weights)
+        assert all(wt == F(1, factorial(n)) for wt in _weights(pi))
 
 
 def test_stationary_repeated_deck():
     alg, deck = deck_from_string("aab")
     states = rearrangement_class(alg, deck)
     (pi,) = stationary_distributions(alg, 3, states=states)
-    assert all(wt == F(1, 3) for wt in pi.weights)
+    assert all(wt == F(1, 3) for wt in _weights(pi))
 
 
 def test_stationary_fixed_by_every_spec():
@@ -208,7 +229,7 @@ def test_stationary_full_word_space_splits_by_content():
     alg, _ = deck_from_string("ab")
     pis = stationary_distributions(alg, 3)
     assert len(pis) == 4
-    supports = [frozenset(str(s) for s, wt in zip(pi.states, pi.weights) if wt) for pi in pis]
+    supports = [frozenset(str(s) for s, c in zip(pi.states, pi.nums) if c) for pi in pis]
     assert len(set(supports)) == 4
     K = build_transition_matrix(alg, riffle_spec(3))
     for pi in pis:
@@ -236,8 +257,25 @@ def test_stationary_laws_match_exhaustive_multiset_loop():
     cases += [(ShuffleAlgebra("abc"), n) for n in range(1, 4)]
     cases += [(forest_algebra(), n) for n in range(1, 5)]
     for alg, n in cases:
-        got = [(pi.provenance, pi.weights) for pi in stationary_distributions(alg, n)]
+        got = [(pi.provenance, _weights(pi)) for pi in stationary_distributions(alg, n)]
         assert got == exhaustive(alg, n)
+
+
+def test_is_stationary_reads_the_law_not_its_provenance():
+    # one step drops the provenance, so the fixed-point test must compare
+    # numerators and den, not the dataclasses
+    alg, deck = deck_from_string("aabb")
+    states = rearrangement_class(alg, deck)
+    K = build_transition_matrix(alg, riffle_spec(4), states=states)
+    (pi,) = stationary_distributions(alg, 4, states=states)
+    assert [str(key) for key in pi.provenance] == ["a", "a", "b", "b"]
+    after = evolve(K, pi, 1)
+    assert after.provenance is None and after != pi
+    assert is_stationary(K, pi)
+    relabelled = Distribution(states, pi.nums, pi.den, provenance=("any",))
+    assert is_stationary(K, relabelled)
+    start = point_mass(K, deck)
+    assert not is_stationary(K, Distribution(states, start.nums, start.den, provenance=("any",)))
 
 
 def test_stationary_forest_point_mass():
@@ -312,7 +350,7 @@ def test_exports():
     assert json.dumps(data)  # serialisable
     assert data["rows"][0][0] == "1/3"
 
-    dist = Distribution(states=K.states, weights=[F(1, 6)] * 6)
+    dist = Distribution(K.states, [1] * 6, 6)
     assert distribution_to_dict(dist)["123"] == "1/6"
 
 
@@ -369,11 +407,11 @@ def test_integer_kernel_matches_fraction_reference(space):
         assert K.etas == [eta(alg, s) for s in states], preset
         # a start law with a nontrivial common denominator, and a rational statistic
         total = len(states) * (len(states) + 1) // 2
-        start = Distribution(states, [F(i + 1, total) for i in range(len(states))])
+        start = Distribution(states, list(range(1, len(states) + 1)), total)
         values = {x: F(i % 3, 2) for i, x in enumerate(states)}
-        reference = [_fraction_evolve(rows, start.weights, t) for t in range(4)]
+        reference = [_fraction_evolve(rows, _weights(start), t) for t in range(4)]
         for t in range(4):
-            assert evolve(K, start, t).weights == reference[t], (preset, t)
+            assert _weights(evolve(K, start, t)) == reference[t], (preset, t)
         assert expectations(K, start, 3, values.__getitem__) == [
             sum((w * values[x] for x, w in zip(states, ws)), F(0)) for ws in reference
         ], preset

@@ -3,7 +3,9 @@
 For every drawn spec on a small state space, the formula spectrum must
 match the built matrix's eigenspace dimensions, certified by a vanishing
 annihilation product and the traces of its partial products; every
-stationary law must be fixed by the kernel, and on distinct decks the
+stationary law must be fixed by the kernel, `evolve` and `expectations`
+from a drawn start law must equal the Fraction loop over the formula
+kernel, and on distinct decks the
 descent set must lump the chain, and the annihilation chain run from any
 one row must give the dimensions it gives from every row.  The
 relabelled word build must equal the per-row Hopf builder entry by entry,
@@ -25,7 +27,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfchains.chain import (
+    Distribution,
     build_transition_matrix,
+    evolve,
+    expectations,
     is_stationary,
     lumping_check,
     per_row_kernel,
@@ -58,6 +63,7 @@ from hopfchains.spectral import (
     class_spectrum,
     verify_spectrum,
 )
+from test_chain import _fraction_evolve, _fraction_rows, _weights
 from test_hopf import by_arity_apply_cpp, image_of
 from test_simulate import _reference_gsr_stepper
 from test_spectral import apply_cpp_eigen_equation
@@ -116,6 +122,27 @@ def test_formula_spectrum_and_stationary_laws_on_random_specs(space, data):
     assert pis
     for pi in pis:
         assert is_stationary(K, pi)
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_evolve_and_expectations_match_the_fraction_loop_on_random_specs(space, data):
+    # a drawn start law with its own denominator, and a drawn rational statistic
+    alg, n, states = SPACES[space]()
+    spec = _draw_spec(data, n)
+    K = build_transition_matrix(alg, spec, states=states)
+    size = len(states)
+    nums = data.draw(st.lists(st.integers(0, 5), min_size=size, max_size=size).filter(any))
+    start = Distribution(states, nums, sum(nums))
+    value = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    values = dict(zip(states, data.draw(st.lists(value, min_size=size, max_size=size))))
+    rows = _fraction_rows(alg, spec, states)
+    reference = [_fraction_evolve(rows, _weights(start), t) for t in range(4)]
+    assert [_weights(evolve(K, start, t)) for t in range(4)] == reference
+    assert expectations(K, start, 3, values.__getitem__) == [
+        sum((w * values[x] for x, w in zip(states, ws)), F(0)) for ws in reference
+    ]
 
 
 @pytest.mark.parametrize("n", [3, 4])
