@@ -9,13 +9,13 @@ the normalising constant:
 Row sums then equal 1 identically; the builder checks this for every row
 and fails loudly otherwise rather than normalising anything away.
 
-Word states (either word algebra, any state list) take the relabelled
-build.  Both word algebras cut and merge by position and never read a
-card label, so relabelling letters is a Hopf morphism: eta is the same
-on every word of a degree, and the operator's image of x is its image of
-the distinct word 0 1 ... n-1 with each key sigma read as x.sigma,
-(x.sigma)[i] = x[sigma[i]] (Pang, arXiv:1508.01570).  So one `apply_cpp`
-call gives the position law Q (`shuffle.position_law`), and
+Word states (either word algebra, any state list) can take the
+relabelled build.  Both word algebras cut and merge by position and
+never read a card label, so relabelling letters is a Hopf morphism: eta
+is the same on every word of a degree, and the operator's image of x is
+its image of the distinct word 0 1 ... n-1 with each key sigma read as
+x.sigma, (x.sigma)[i] = x[sigma[i]] (Pang, arXiv:1508.01570).  So one
+`apply_cpp` call gives the position law Q (`shuffle.position_law`), and
 K[x][x.sigma] += Q(sigma) (`shuffle.relabelled_columns`).  That call on
 n distinct cards costs far more than one on a deck with repeated
 letters.  So the build rule is: Q holds at most min(n!, sum of
@@ -27,9 +27,13 @@ aaaabbcc, and under a spec with few short compositions, such as
 riffle(3) on aaaaabbb, but not under trinomial on decks such as
 aaaaaabb or aaaabbbb, whose 28 and 70 states a per-row build reaches
 sooner.  Forests, whose coproduct reads tree shapes, and those word
-lists take one `apply_cpp` call per state (`per_row_kernel`).  On a
-distinct deck's class K is the right-regular representation of Q, and
-the spectrum certificate runs its chain from one of these rows.  Tests
+lists take one `apply_cpp` call per state (`per_row_kernel`).  One
+helper, `relabels`, holds the rule, and the spectrum certificate reads
+it too: where it holds, the certificate reads its rows straight off Q
+and builds no kernel.  Relabelling letters of equal multiplicity also
+fixes K, K(gx, gy) = K(x, y), so on one whole class the certificate's
+chain starts from one row per orbit (`shuffle.relabelling_orbits`): 1
+row on a distinct deck, 15 of 90 on aabbcc.  Tests
 check the relabelled build entry by entry against the per-state formula
 on every grid space and against `per_row_kernel` on random specs.
 Both builds write integer rows over one denominator (`RatMatrix`): the
@@ -44,10 +48,9 @@ den: `evolve` steps them through the kernel's rows, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .hopf import AlgebraHandle, CppSpec, apply_cpp, beta_n, eta, multinomial, symmetrized_product
 from .linalg import RatMatrix, rat
@@ -65,21 +68,23 @@ from .shuffle import WordAlgebra, not_closed, position_law, relabelled_columns
 RELABEL_RATIO = 5
 
 
-@dataclass
 class TransitionMatrix:
     """Exact row-stochastic kernel over an ordered list of states: the step
-    from state i to state j has probability kernel.entries[i][j] / kernel.den."""
+    from state i to state j has probability kernel.entries[i][j] / kernel.den.
+    `index` maps each state to its position."""
 
-    states: list
-    kernel: RatMatrix
-    etas: Optional[list] = None
-    beta: Optional[Fraction] = None
-    spec: Optional[CppSpec] = None
-    index: dict = field(default_factory=dict)
+    __slots__ = ("states", "kernel", "etas", "beta", "spec", "index")
 
-    def __post_init__(self):
-        if not self.index:
-            self.index = {s: i for i, s in enumerate(self.states)}
+    def __init__(
+        self,
+        states: list,
+        kernel: RatMatrix,
+        etas: Optional[list] = None,
+        beta: Optional[Fraction] = None,
+        spec: Optional[CppSpec] = None,
+    ):
+        self.states, self.kernel, self.etas, self.beta, self.spec = states, kernel, etas, beta, spec
+        self.index = {s: i for i, s in enumerate(states)}
 
     @property
     def size(self) -> int:
@@ -109,9 +114,7 @@ def build_transition_matrix(alg: AlgebraHandle, spec: CppSpec, states=None) -> T
     for s in states:
         if s.degree != n:
             raise ValueError(f"state {s!r} has degree {s.degree}, spec degree is {n}")
-    if isinstance(alg, WordAlgebra) and min(
-        factorial(n), sum(multinomial(n, c) for c, _ in spec.terms)
-    ) <= RELABEL_RATIO * len(states) ** 2:
+    if relabels(alg, spec, len(states)):
         etas = [eta(alg, states[0])] * len(states)  # eta reads no label
         kernel = relabelled_kernel(*position_law(alg, spec), states)
     else:
@@ -124,6 +127,15 @@ def build_transition_matrix(alg: AlgebraHandle, spec: CppSpec, states=None) -> T
         beta=beta_n(spec),
         spec=spec,
     )
+
+
+def relabels(alg: AlgebraHandle, spec: CppSpec, size: int) -> bool:
+    """The word-build rule of the module docstring: True iff the chain's
+    rows on `size` word states are read off the position law."""
+    n = spec.n
+    return isinstance(alg, WordAlgebra) and min(
+        factorial(n), sum(multinomial(n, c) for c, _ in spec.terms)
+    ) <= RELABEL_RATIO * size**2
 
 
 def check_stochastic(states: list, kernel: RatMatrix) -> RatMatrix:
@@ -170,26 +182,31 @@ def relabelled_kernel(law: tuple, den: int, states: list) -> RatMatrix:
     return RatMatrix(rows, den)
 
 
-@dataclass
 class Distribution:
     """Exact probability law aligned with a state list: state i has
     probability nums[i] / den, both divided by their gcd as in `RatMatrix`."""
 
-    states: list
-    nums: tuple
-    den: int
-    provenance: Optional[tuple] = None
+    __slots__ = ("states", "nums", "den", "provenance")
 
-    def __post_init__(self):
-        if len(self.states) != len(self.nums):
+    def __init__(self, states: list, nums, den: int, provenance: Optional[tuple] = None):
+        if len(states) != len(nums):
             raise ValueError("weights must align with states")
-        if self.den <= 0 or sum(self.nums) != self.den:
+        if den <= 0 or sum(nums) != den:
             raise ValueError("distribution weights must sum to exactly 1")
-        if min(self.nums) < 0:
+        if min(nums) < 0:
             raise ValueError("negative weight in distribution")
-        g = gcd(self.den, *self.nums)
-        self.nums = tuple(c // g for c in self.nums) if g > 1 else tuple(self.nums)
-        self.den //= g
+        g = gcd(den, *nums)
+        self.states, self.provenance = states, provenance
+        self.nums = tuple(c // g for c in nums) if g > 1 else tuple(nums)
+        self.den = den // g
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Distribution) and (
+            self.states, self.nums, self.den, self.provenance
+        ) == (other.states, other.nums, other.den, other.provenance)
+
+    def __repr__(self) -> str:
+        return f"Distribution({self.states!r}, {self.nums!r}, {self.den}, {self.provenance!r})"
 
 
 def point_mass(matrix: TransitionMatrix, state) -> Distribution:
@@ -303,8 +320,7 @@ def is_stationary(matrix: TransitionMatrix, dist: Distribution) -> bool:
 # lumping
 
 
-@dataclass
-class LumpingResult:
+class LumpingResult(NamedTuple):
     """Outcome of a strong-lumpability check."""
 
     ok: bool

@@ -20,11 +20,11 @@ Both structure maps return plain `{key: int}` dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product as cartesian
 from math import comb
+from typing import NamedTuple
 
 from .hopf import AlgebraHandle
 from .linalg import rat
@@ -247,8 +247,7 @@ def forest_algebra() -> ForestAlgebra:
 # vertex statistics
 
 
-@dataclass(frozen=True)
-class VertexStats:
+class VertexStats(NamedTuple):
     """Per-vertex counts: descendants, ancestors (both including the
     vertex itself) and the size of its connected component."""
 

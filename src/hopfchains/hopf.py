@@ -33,11 +33,11 @@ key plays the role of the unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import factorial, lcm
+from typing import NamedTuple
 
 from .linalg import rat
 
@@ -222,8 +222,7 @@ class SpecError(ValueError):
     """Raised when an operator specification violates its axioms."""
 
 
-@dataclass(frozen=True)
-class CppSpec:
+class CppSpec(NamedTuple):
     """A validated non-negatively weighted sum of projection convolutions.
 
     `terms` maps compositions of n (no zero parts, canonically sorted) to

@@ -21,13 +21,13 @@ shuffles, which the acceptance suite exercises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as cartesian
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .hopf import AlgebraHandle, CppSpec, _add_term, apply_cpp, beta_n, multinomial
 from .linalg import rat
@@ -259,6 +259,58 @@ def relabelled_columns(law: tuple, states: list):
         yield columns
 
 
+def relabelled_rows(law: tuple, states: list):
+    """Yield each state's row of the relabelled chain as a list of columns
+    and a list of numerators, the numerators of a column that two
+    permutations reach added."""
+    numerators = [c for _, c in law]
+    for columns in relabelled_columns(law, states):
+        if len(set(columns)) == len(columns):  # always so on distinct cards
+            yield columns, numerators
+            continue
+        row: dict = {}
+        for j, c in zip(columns, numerators):
+            row[j] = row.get(j, 0) + c
+        yield list(row), list(row.values())
+
+
+def relabelling_orbits(alg: AlgebraHandle, states: list) -> tuple[list, int]:
+    """(starts, weight): one state index per orbit of the letter relabellings
+    that fix the states' content, and the size of every orbit.
+
+    The chains never read a card label, so a permutation g of the letters
+    of equal multiplicity has K(gx, gy) = K(x, y), and so has every
+    polynomial in K: P[gx][gx] = P[x][x], and row gx of P is row x with
+    its columns permuted.  On one whole rearrangement class every letter
+    occurs in every word, so no such g but the identity fixes a word, and
+    each orbit has weight = prod_m k_m! members, k_m the letters of
+    multiplicity m.  The start of an orbit is its word in which the
+    letters of each multiplicity first occur in alphabet order.  Any other
+    list (forests, part of a class, several classes) gives every index
+    with weight 1.
+    """
+    every = (list(range(len(states))), 1)
+    if not isinstance(alg, WordAlgebra) or not states:
+        return every
+    content = alg.content(states[0])
+    if len(states) != multinomial(sum(content), content) or len(set(states)) != len(states):
+        return every
+    if any(alg.content(x) != content for x in states):
+        return every
+    mult = {a: m for a, m in zip(alg.alphabet, content) if m}
+    rank = alg.rank
+    starts = []
+    for i, x in enumerate(states):
+        last: dict = {}  # multiplicity -> rank of its last letter met
+        for a in dict.fromkeys(x):
+            if last.get(mult[a], -1) > rank[a]:
+                break
+            last[mult[a]] = rank[a]
+        else:
+            starts.append(i)
+    return starts, prod(map(factorial, Counter(mult.values()).values()))
+
+
 # ---------------------------------------------------------------------------
 # deck construction helpers
 
@@ -339,8 +391,7 @@ def lyndon_words(alphabet, max_len: int) -> dict[int, list[tuple[str, ...]]]:
 # deck statistics
 
 
-@dataclass(frozen=True)
-class DeckStatistics:
+class DeckStatistics(NamedTuple):
     """Descent and peak position sets of a deck."""
 
     descents: frozenset

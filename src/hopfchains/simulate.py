@@ -52,7 +52,6 @@ import os
 import pickle
 import signal
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -237,8 +236,7 @@ def matrix_stepper(matrix: TransitionMatrix) -> Callable:
 _BATCH = 1 << 13
 
 
-@dataclass
-class StatSeries:
+class StatSeries(NamedTuple):
     """Exact sums of a statistic and of its square at each time step."""
 
     total: list  # Fraction sums per t
@@ -253,8 +251,7 @@ class StatSeries:
         return self.total_sq[t] / self.trials - m * m
 
 
-@dataclass
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Per-step sample moments for each registered statistic."""
 
     steps: int

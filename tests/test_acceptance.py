@@ -41,9 +41,10 @@ def test_criterion_02_row_stochasticity():
 def test_criterion_03_spectra_vs_matrices():
     r = _report(acceptance.criterion_3())
     assert r.passed
-    # the 3 distinct decks x 7 presets of the grid, by both certificates
+    # the 3 distinct decks and aabb, x 7 presets of the grid, by both certificates
     assert r.lines[0].endswith(
-        "the 21 distinct-deck cells agree by the group-algebra and matrix certificates"
+        "the 28 word cells with orbits of more than one deck agree from one row "
+        "per orbit and from every row"
     )
     assert r.seconds < 300
 

@@ -263,7 +263,7 @@ def test_stationary_laws_match_exhaustive_multiset_loop():
 
 def test_is_stationary_reads_the_law_not_its_provenance():
     # one step drops the provenance, so the fixed-point test must compare
-    # numerators and den, not the dataclasses
+    # numerators and den, not the objects
     alg, deck = deck_from_string("aabb")
     states = rearrangement_class(alg, deck)
     K = build_transition_matrix(alg, riffle_spec(4), states=states)

@@ -815,3 +815,18 @@ def test_cli_loads_only_the_modules_a_command_runs(tmp_path):
             continue
         lazy = {m for m in ("acceptance", "spectral", "simulate") if f"hopfchains.{m}" in loaded}
         assert lazy == lazy_loaded, (argv, loaded)
+
+
+def test_no_module_of_the_program_imports_dataclasses():
+    # `dataclasses` and its decorators cost every job 15-30 ms of start-up;
+    # -S keeps `site` from importing it on the program's behalf
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = (
+        "import sys\n"
+        "import hopfchains.cli, hopfchains.spectral, hopfchains.simulate, hopfchains.acceptance\n"
+        "sys.exit('dataclasses' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr or "dataclasses was imported"

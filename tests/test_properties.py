@@ -7,7 +7,9 @@ stationary law must be fixed by the kernel, `evolve` and `expectations`
 from a drawn start law must equal the Fraction loop over the formula
 kernel, and on distinct decks the
 descent set must lump the chain, and the annihilation chain run from any
-one row must give the dimensions it gives from every row.  The
+one row must give the dimensions it gives from every row.  On decks with
+letters of equal multiplicity, the certificate from one row per
+letter-relabelling orbit must give them too.  The
 relabelled word build must equal the per-row Hopf builder entry by entry,
 the operator's one prefix walk must equal the by-arity reference on
 rational combinations, and the weighted descent and peak statistics must
@@ -53,6 +55,7 @@ from hopfchains.shuffle import (
     distinct_deck,
     FreeAssociativeAlgebra,
     rearrangement_class,
+    relabelling_orbits,
     ShuffleAlgebra,
     deck_statistic,
 )
@@ -176,6 +179,33 @@ def test_one_row_chain_certifies_distinct_decks_on_random_specs(n, data):
     traces = annihilation_traces(rows.__getitem__, len(states), kernel.den, support, [start])
     one_row = dimensions_from_traces(support, [len(states) * t for t in traces])
     assert one_row == eigenspace_dimensions(kernel, support) == {v: claimed[v] for v in support}
+
+
+# deck -> examples; each deck has letters of equal multiplicity
+ORBIT_DECKS = {"aabb": 20, "aabbc": 10, "abcabc": 3}
+
+
+@pytest.mark.parametrize("deck", sorted(ORBIT_DECKS))
+def test_orbit_certificate_matches_every_row_on_random_specs(deck):
+    # relabelling letters of equal multiplicity commutes with the chain, so
+    # one row per orbit, each trace times the orbit size, certifies the class
+    alg, word = deck_from_string(deck)
+    states = rearrangement_class(alg, word)
+    assert relabelling_orbits(alg, states)[1] > 1
+
+    @settings(PROPERTY_SETTINGS, max_examples=ORBIT_DECKS[deck])
+    @given(data=st.data())
+    def check(data):
+        spec = _draw_spec(data, word.degree)
+        spectrum = class_spectrum(spec, alg, alg.content(word))
+        report = verify_spectrum(alg, spec, states, spectrum)
+        assert report.ok and report.diagonalizable
+        kernel = build_transition_matrix(alg, spec, states=states).kernel
+        support = sorted(v for v, m in spectrum.by_eigenvalue().items() if m)
+        orbit_dims = {v: d for v, claimed, d in report.entries if claimed}
+        assert orbit_dims == eigenspace_dimensions(kernel, support)
+
+    check()
 
 
 # deck -> examples: the per-row builder applies the operator to all n! states

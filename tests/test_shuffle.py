@@ -288,7 +288,7 @@ def test_generator_counts_match_lyndon_words_on_every_content():
 
 
 @pytest.mark.parametrize("a", [2, 3, 4])
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_riffle_position_law_is_the_bayer_diaconis_formula(n, a):
     # Bayer-Diaconis, "Trailing the dovetail shuffle to its lair" (1992): one
     # a-shuffle gives sigma the probability C(a + n - r, n) / a^n, where r is
@@ -301,3 +301,22 @@ def test_riffle_position_law_is_the_bayer_diaconis_formula(n, a):
         if comb(a + n - r, n):
             expected[sigma] = F(comb(a + n - r, n), a**n)
     assert {tuple(sigma): F(c, den) for sigma, c in law} == expected
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_two_riffles_compose_to_one_four_shuffle(n):
+    # Bayer-Diaconis: an a-shuffle followed by a b-shuffle is an ab-shuffle.
+    # A step sends x to x.sigma, (x.sigma)[i] = x[sigma[i]], so sigma then
+    # tau sends x to the word of the permutation i -> sigma[tau[i]], and two
+    # steps of Q_2 are the convolution Q_2 * Q_2 in Q[S_n]
+    alg = ShuffleAlgebra(distinct_alphabet(n))
+    law2, den2 = position_law(alg, riffle_spec(n, 2))
+    law4, den4 = position_law(alg, riffle_spec(n, 4))
+    twice: dict = {}
+    for sigma, c in law2:
+        for tau, d in law2:
+            rho = tuple(sigma[i] for i in tau)
+            twice[rho] = twice.get(rho, 0) + c * d
+    assert {rho: F(c, den2**2) for rho, c in twice.items()} == {
+        tuple(sigma): F(c, den4) for sigma, c in law4
+    }

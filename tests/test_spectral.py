@@ -36,6 +36,7 @@ from hopfchains.shuffle import (
     lyndon_words,
     position_law,
     rearrangement_class,
+    relabelling_orbits,
 )
 from hopfchains.spectral import (
     Spectrum,
@@ -44,7 +45,6 @@ from hopfchains.spectral import (
     class_multiplicity,
     class_spectrum,
     eigenvalues,
-    group_certifiable,
     lincomb_rank,
     pairing_count,
     partitions,
@@ -330,18 +330,24 @@ def _one_row_dimensions(kernel, lams):
     return dimensions_from_traces(lams, [kernel.rows * t for t in traces])
 
 
-def test_one_row_certificate_needs_a_class_of_distinct_cards():
+def test_one_row_is_wrong_on_aabb_and_one_row_per_orbit_is_right():
     # on aabb the chain's diagonal is not constant: one row's traces times
-    # the class size give wrong dimensions (or none) under every grid preset
+    # the class size give wrong dimensions (or none) under every grid preset,
+    # while the rows of one start per relabelling orbit, each trace times
+    # the orbit size, give the dimensions of every row
     cells = [m for m in acceptance._grid_matrices() if m[0] == "deck aabb"]
     assert len(cells) == len(acceptance.grid_presets(4))
     unsolved = 0
     for _, preset, alg, n, states, K in cells:
-        assert not group_certifiable(alg, states, n)
+        starts, weight = relabelling_orbits(alg, states)
+        assert (len(starts), weight) == (3, 2)
         claimed = class_spectrum(K.spec, alg, alg.content(states[0])).by_eigenvalue()
         support = sorted(v for v, m in claimed.items() if m)
         dims = eigenspace_dimensions(K.kernel, support)
         assert dims == {v: claimed[v] for v in support}, preset
+        rows = [[(j, e) for j, e in enumerate(row) if e] for row in K.kernel.entries]
+        traces = annihilation_traces(rows.__getitem__, K.size, K.kernel.den, support, starts)
+        assert dimensions_from_traces(support, [weight * t for t in traces]) == dims, preset
         try:
             one_row = _one_row_dimensions(K.kernel, support)
         except ArithmeticError:  # the triangular solve finds no count
@@ -349,6 +355,86 @@ def test_one_row_certificate_needs_a_class_of_distinct_cards():
             continue
         assert one_row != dims, preset
     assert unsolved < len(cells)
+
+
+def _letter_relabellings(alg, content):
+    """Every permutation of the letters in use that keeps each multiplicity, as a dict."""
+    letters = [a for a, m in zip(alg.alphabet, content) if m]
+    mult = dict(zip(alg.alphabet, content))
+    for image in itertools.permutations(letters):
+        if all(mult[a] == mult[b] for a, b in zip(letters, image)):
+            yield dict(zip(letters, image))
+
+
+@pytest.mark.parametrize("deck", ["aabb", "aabbcc", "abcabc"])
+def test_relabelling_letters_of_equal_multiplicity_keeps_the_kernel(deck):
+    # the chains cut and merge by position only: K(gx, gy) = K(x, y)
+    alg, word = deck_from_string(deck)
+    states = rearrangement_class(alg, word)
+    content = alg.content(word)
+    index = {x: i for i, x in enumerate(states)}
+    moves = [
+        [index[Word(g[a] for a in x)] for x in states]
+        for g in _letter_relabellings(alg, content)
+    ]
+    assert len(moves) == relabelling_orbits(alg, states)[1] > 1
+    for preset, spec in acceptance.grid_presets(len(deck)):
+        rows = build_transition_matrix(alg, spec, states=states).kernel.entries
+        for image in moves:
+            assert all(
+                rows[image[i]][image[j]] == e for i, row in enumerate(rows) for j, e in enumerate(row)
+            ), (deck, preset)
+
+
+def test_orbit_certificate_builds_no_kernel_on_aabbcc(monkeypatch):
+    # every grid preset's position law is small enough for 90 states: the
+    # certificate reads 15 relabelled rows and never builds the kernel
+    alg, word = deck_from_string("aabbcc")
+    states = rearrangement_class(alg, word)
+    monkeypatch.setattr("hopfchains.spectral.build_transition_matrix", None)
+    for preset, spec in acceptance.grid_presets(6):
+        report = verify_spectrum(alg, spec, states, class_spectrum(spec, alg, alg.content(word)))
+        assert report.ok and report.diagonalizable, (preset, report.lines())
+
+
+def test_relabelling_orbits_pick_one_start_per_orbit():
+    for n in range(1, 7):
+        alg, deck = distinct_deck(n)
+        states = rearrangement_class(alg, deck)
+        assert relabelling_orbits(alg, states) == ([0], factorial(n))
+    for deck, count, weight in [("aabbcc", 15, 6), ("abcabc", 15, 6), ("aabb", 3, 2),
+                                ("aabbcd", 45, 4), ("aaabbc", 60, 1)]:
+        alg, word = deck_from_string(deck)
+        states = rearrangement_class(alg, word)
+        starts, w = relabelling_orbits(alg, states)
+        assert (len(starts), w) == (count, weight), deck
+        # the orbits of the starts cover the class, each state once
+        content = alg.content(word)
+        reached = [
+            Word(g[a] for a in states[i])
+            for i in starts
+            for g in _letter_relabellings(alg, content)
+        ]
+        assert sorted(reached) == sorted(states), deck
+    # the start of an orbit meets the letters of each multiplicity in alphabet order
+    alg, word = deck_from_string("aabbcc")
+    states = rearrangement_class(alg, word)
+    assert [str(states[i]) for i in relabelling_orbits(alg, states)[0]][:4] == [
+        "aabbcc", "aabcbc", "aabccb", "ababcc",
+    ]
+
+
+def test_relabelling_orbits_keep_every_row_off_one_whole_class():
+    alg, deck = distinct_deck(3)
+    states = rearrangement_class(alg, deck)
+    every = lambda size: (list(range(size)), 1)
+    assert relabelling_orbits(alg, states[:3]) == every(3)
+    assert relabelling_orbits(alg, states[:5] + states[:1]) == every(6)
+    other = rearrangement_class(alg, Word("112"))
+    assert relabelling_orbits(alg, states[:3] + other[:3]) == every(6)
+    assert relabelling_orbits(alg, []) == every(0)
+    falg = forest_algebra()
+    assert relabelling_orbits(falg, list(falg.basis(3))) == every(len(falg.basis(3)))
 
 
 def test_group_certificate_reports_true_dimensions_on_wrong_claims():
@@ -418,26 +504,16 @@ def test_group_fallback_forms_the_position_law_once(monkeypatch):
     ]
 
 
-def test_group_path_needs_the_whole_class_of_distinct_cards():
-    alg, deck = distinct_deck(3)
-    states = rearrangement_class(alg, deck)
-    assert group_certifiable(alg, states, 3)
-    assert not group_certifiable(alg, states, 4)
-    assert not group_certifiable(alg, states[:3], 3)
-    assert not group_certifiable(alg, states[:5] + states[:1], 3)
-    repeated, word = deck_from_string("aab")
-    assert not group_certifiable(repeated, rearrangement_class(repeated, word), 3)
-    assert not group_certifiable(forest_algebra(), list(forest_algebra().basis(3)), 3)
-
-
 def test_verify_spectrum_rejects_a_non_diagonalisable_kernel(monkeypatch):
     h = F(1, 2)
     kernel = RatMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]], 2)  # h on and above the diagonal
-    # a three-state word class with repeated letters takes the matrix path;
-    # its built kernel is replaced by a hand-made non-diagonalisable one
+    # with the relabelled rows turned off, a three-state word class (every
+    # row its own orbit) reads the built kernel, which is replaced by a
+    # hand-made non-diagonalisable one
     alg, deck = deck_from_string("aab")
     states = rearrangement_class(alg, deck)
     K = TransitionMatrix(states=states, kernel=kernel)
+    monkeypatch.setattr("hopfchains.spectral.relabels", lambda *a: False)
     monkeypatch.setattr("hopfchains.spectral.build_transition_matrix", lambda *a, **k: K)
     # the right eigenvalues and algebraic multiplicities, but 1/2 has one eigenvector
     claimed = Spectrum(table=(((1,), F(1), 1), ((2,), h, 2)))
