@@ -6,44 +6,42 @@ the normalising constant:
 
     K[x][y] = c_xy * eta(y) / (beta_n * eta(x)).
 
-Row sums then equal 1 identically; the builder checks this for every row
-and fails loudly otherwise rather than normalising anything away.
+One function forms these rows, `kernel_rows`: each state's row as
+(column, numerator) pairs over one den.  It checks that every row's
+numerators are positive and sum to den, failing loudly rather than
+normalising anything away, and it refuses a state list the operator
+leaves.  The matrix build (`build_transition_matrix`) and the spectrum
+certificate (`spectral.verify_spectrum`) both read their rows from it.
 
-Word states (either word algebra, any state list) can take the
-relabelled build.  Both word algebras cut and merge by position and
-never read a card label, so relabelling letters is a Hopf morphism: eta
-is the same on every word of a degree, and the operator's image of x is
-its image of the distinct word 0 1 ... n-1 with each key sigma read as
-x.sigma, (x.sigma)[i] = x[sigma[i]] (Pang, arXiv:1508.01570).  So one
-`apply_cpp` call gives the position law Q (`shuffle.position_law`), and
-K[x][x.sigma] += Q(sigma) (`shuffle.relabelled_columns`).  That call on
-n distinct cards costs far more than one on a deck with repeated
-letters.  So the build rule is: Q holds at most min(n!, sum of
-multinomial(n; c) over the spec's compositions c) permutations, and it
-is formed only when that bound is at most `RELABEL_RATIO` times the
-kernel's entry count, states^2.  That holds on a distinct deck's class
+The rows come one of two ways.  Both word algebras cut and merge by
+position and never read a card label, so relabelling letters is a Hopf
+morphism: eta is the same on every word of a degree, and the operator's
+image of x is its image of the distinct word 0 1 ... n-1 with each key
+sigma read as x.sigma, (x.sigma)[i] = x[sigma[i]] (Pang, arXiv:1508.01570).
+So one `apply_cpp` call gives the position law Q (`shuffle.position_law`),
+and row x holds Q(sigma) at x.sigma, added where two sigma reach one
+word.  That call on n distinct cards costs far more than one on a deck
+with repeated letters.  So the word-build rule (`relabels`) is: Q holds
+at most min(n!, sum of multinomial(n; c) over the spec's compositions c)
+permutations, and it is read only when that bound is at most
+`RELABEL_RATIO` times states^2.  That holds on a distinct deck's class
 and on classes with many states for their size, such as aabbcc or
 aaaabbcc, and under a spec with few short compositions, such as
-riffle(3) on aaaaabbb, but not under trinomial on decks such as
-aaaaaabb or aaaabbbb, whose 28 and 70 states a per-row build reaches
-sooner.  Forests, whose coproduct reads tree shapes, and those word
-lists take one `apply_cpp` call per state (`per_row_kernel`).  One
-helper, `relabels`, holds the rule, and the spectrum certificate reads
-it too: where it holds, the certificate reads its rows straight off Q
-and builds no kernel.  Relabelling letters of equal multiplicity also
-fixes K, K(gx, gy) = K(x, y), so on one whole class the certificate's
-chain starts from one row per orbit (`shuffle.relabelling_orbits`): 1
-row on a distinct deck, 15 of 90 on aabbcc.  Tests
-check the relabelled build entry by entry against the per-state formula
-on every grid space and against `per_row_kernel` on random specs.
-Both builds write integer rows over one denominator (`RatMatrix`): the
-image is integers over den and eta a count, so only beta_n is rational.
-A law (`Distribution`) has the same format, integer numerators over one
-den: `evolve` steps them through the kernel's rows, and
-`stationary_distributions`, `is_stationary`, `lumping_check` and
-`check_stochastic` work on integers too.  `row_of`, the exporters and
-`distribution_to_dict` form `Fraction(c, den)` for output, and
-`expectations` one per time step.
+riffle(3) on aaaaabbb, but not under trinomial on decks such as aaaaaabb
+or aaaabbbb, whose 28 and 70 states one call per state reaches sooner.
+Forests, whose coproduct reads tree shapes, and those word lists take
+one `apply_cpp` call per state, rescaled by the etas.  Tests check the
+rows entry by entry against the per-state formula on every grid space,
+and the two ways against each other on random specs.
+
+The kernel (`RatMatrix`) holds the rows as dense integers over one
+denominator (`linalg.dense_matrix`): the image is integers over den and
+eta a count, so only beta_n is rational.  A law (`Distribution`) has the
+same format, integer numerators over one den: `evolve` steps them
+through the kernel's rows, and `stationary_distributions`,
+`is_stationary` and `lumping_check` work on integers too.  `row_of`, the
+exporters and `distribution_to_dict` form `Fraction(c, den)` for output,
+and `expectations` one per time step.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ from math import factorial, gcd, lcm
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .hopf import AlgebraHandle, CppSpec, apply_cpp, beta_n, eta, multinomial, symmetrized_product
-from .linalg import RatMatrix, rat
-from .shuffle import WordAlgebra, not_closed, position_law, relabelled_columns
+from .linalg import RatMatrix, dense_matrix, rat
+from .shuffle import Word, WordAlgebra, position_law, position_moves
 
 # The ratio of the word-build rule in the module docstring.  Timed in one
 # process per deck (2 cores, Python 3.11.7) against the per-row build on
@@ -101,31 +99,13 @@ def build_transition_matrix(alg: AlgebraHandle, spec: CppSpec, states=None) -> T
 
     `states` defaults to the full degree-n basis; passing a sublist (for
     example one deck's rearrangement class) restricts to it, and the
-    builder raises if the operator ever leaves that set.  Word states take
-    the relabelled build by the rule in the module docstring; forests, and
-    the word lists it turns away, take one `apply_cpp` call per state.
+    builder raises if the operator ever leaves that set.  The kernel is
+    `kernel_rows`, made dense.
     """
-    n = spec.n
-    if states is None:
-        states = alg.basis(n)
-    states = list(states)
-    if not states:
-        raise ValueError(f"empty state space at degree {n}")
-    for s in states:
-        if s.degree != n:
-            raise ValueError(f"state {s!r} has degree {s.degree}, spec degree is {n}")
-    if relabels(alg, spec, len(states)):
-        etas = [eta(alg, states[0])] * len(states)  # eta reads no label
-        kernel = relabelled_kernel(*position_law(alg, spec), states)
-    else:
-        etas = [eta(alg, s) for s in states]
-        kernel = per_row_kernel(alg, spec, states, etas)
+    states = list(alg.basis(spec.n) if states is None else states)
+    rows, den, etas = kernel_rows(alg, spec, states)
     return TransitionMatrix(
-        states=states,
-        kernel=check_stochastic(states, kernel),
-        etas=etas,
-        beta=beta_n(spec),
-        spec=spec,
+        states=states, kernel=dense_matrix(rows, den), etas=etas, beta=beta_n(spec), spec=spec
     )
 
 
@@ -138,48 +118,62 @@ def relabels(alg: AlgebraHandle, spec: CppSpec, size: int) -> bool:
     ) <= RELABEL_RATIO * size**2
 
 
-def check_stochastic(states: list, kernel: RatMatrix) -> RatMatrix:
-    """The kernel itself, once every row is checked to be a probability law."""
-    for x, row in zip(states, kernel.entries):
-        if sum(row) != kernel.den:
-            total = Fraction(sum(row), kernel.den)
-            raise ArithmeticError(f"row for {x!r} sums to {total}, not 1: rescaling identity violated")
-        if min(row) < 0:
-            raise ArithmeticError(f"negative transition probability in row for {x!r}")
-    return kernel
+def _not_closed(x, y) -> ValueError:
+    return ValueError(f"state space not closed: {x!r} reaches {y!r} outside the given states")
 
 
-def per_row_kernel(alg: AlgebraHandle, spec: CppSpec, states: list, etas: list) -> RatMatrix:
-    """K[x][y] = c_xy eta(y) / (beta_n eta(x)), one `apply_cpp` call per state:
-    the integers c_xy eta(y) (L / eta(x)) over beta_n den L, L = lcm(etas)."""
+def kernel_rows(alg: AlgebraHandle, spec: CppSpec, states: list) -> tuple[list, int, list]:
+    """(rows, den, etas): each state's row of K as (column, numerator)
+    pairs, with distinct columns and positive numerators summing to den,
+    and each state's eta.
+
+    Where `relabels` holds, row x holds the position law's numerator of
+    sigma at x.sigma, over the law's den.  Otherwise it is one `apply_cpp`
+    call per state: the integers c_xy eta(y) (L / eta(x)) over beta_n den L,
+    L = lcm(etas).
+    """
+    if not states:
+        raise ValueError(f"empty state space at degree {spec.n}")
+    for s in states:
+        if s.degree != spec.n:
+            raise ValueError(f"state {s!r} has degree {s.degree}, spec degree is {spec.n}")
     index = {s: i for i, s in enumerate(states)}
-    beta = beta_n(spec)
-    etas_lcm = lcm(*etas)
     rows = []
-    for x, ex in zip(states, etas):
-        row = [0] * len(states)
-        scale = etas_lcm // ex
-        image, den = apply_cpp(alg, {x: 1}, spec)
-        for y, c in image.items():
-            j = index.get(y)
-            if j is None:
-                raise not_closed(x, y)
-            row[j] = c * etas[j] * scale
-        rows.append(row)
-    # every image's den is the lcm of the spec weights' denominators
-    return RatMatrix(rows, beta.numerator * (den // beta.denominator) * etas_lcm)
-
-
-def relabelled_kernel(law: tuple, den: int, states: list) -> RatMatrix:
-    """K[x][x.sigma] += Q(sigma) for a position law Q over den (`position_law`)."""
-    numerators = [c for _, c in law]
-    rows = []
-    for columns in relabelled_columns(law, states):
-        row = [0] * len(states)
-        for j, c in zip(columns, numerators):
-            row[j] += c
-        rows.append(row)
-    return RatMatrix(rows, den)
+    if relabels(alg, spec, len(states)):
+        law, den = position_law(alg, spec)
+        etas = [eta(alg, states[0])] * len(states)  # eta reads no label
+        moves = list(zip(position_moves(law), (c for _, c in law)))
+        for x in states:
+            row: dict = {}
+            for move, c in moves:
+                j = index.get(move(x))
+                if j is None:
+                    raise _not_closed(x, Word(move(x)))
+                row[j] = row.get(j, 0) + c
+            rows.append(row)
+    else:
+        etas = [eta(alg, s) for s in states]
+        etas_lcm = lcm(*etas)
+        for x, ex in zip(states, etas):
+            scale = etas_lcm // ex
+            image, den = apply_cpp(alg, {x: 1}, spec)
+            row = {}
+            for y, c in image.items():
+                j = index.get(y)
+                if j is None:
+                    raise _not_closed(x, y)
+                row[j] = c * etas[j] * scale
+            rows.append(row)
+        # every image's den is the lcm of the spec weights' denominators
+        beta = beta_n(spec)
+        den = beta.numerator * (den // beta.denominator) * etas_lcm
+    for x, row in zip(states, rows):
+        if sum(row.values()) != den:
+            total = Fraction(sum(row.values()), den)
+            raise ArithmeticError(f"row for {x!r} sums to {total}, not 1: rescaling identity violated")
+        if min(row.values()) <= 0:
+            raise ArithmeticError(f"non-positive transition probability in row for {x!r}")
+    return [list(row.items()) for row in rows], den, etas
 
 
 class Distribution:

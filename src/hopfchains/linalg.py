@@ -8,19 +8,21 @@ take integer rows, picking the first nonzero pivot for determinism.
 whose intermediate entries are minor determinants, so no `Fraction` is
 formed until the kernel vectors are read off.  Eigenspace dimensions
 take no rank: the traces of one annihilation chain (`annihilation_traces`)
-give them.  It runs from any list of start rows, each trace summed over
-them: from every row (`eigenspace_dimensions`), or, on a word class whose
-chain commutes with relabelling letters of equal multiplicity, from one
-row per relabelling orbit with each trace times the orbit size
-(`spectral.verify_spectrum`): 1 row of 120 on five distinct cards, 15 of
-90 on aabbcc, 105 of 2,520 on aabbccdd.
+give them.  It runs on sparse rows, (column, numerator) pairs, from any
+list of start rows, each trace summed over them: from every row
+(`eigenspace_dimensions`), or, on a word class whose chain commutes with
+relabelling letters of equal multiplicity, from one row per relabelling
+orbit with each trace times the orbit size (`spectral.verify_spectrum`):
+1 row of 120 on five distinct cards, 15 of 90 on aabbcc, 105 of 2,520 on
+aabbccdd.  `sparse_rows` and `dense_matrix` convert between the two row
+formats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -30,10 +32,11 @@ def rat(value) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact Fraction.
 
     Floats are rejected on purpose: nothing in this package may round.
+    So are booleans, which Python counts as ints.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
@@ -191,21 +194,22 @@ def dimensions_from_traces(lams: Sequence[Fraction], traces: Sequence[Fraction])
 
 
 def annihilation_traces(
-    row: Callable, size: int, den: int, lams: Sequence[Fraction], starts: Sequence[int]
+    rows: Sequence, den: int, lams: Sequence[Fraction], starts: Sequence[int]
 ) -> list[Fraction] | None:
     """Traces of the annihilation chain, run on the rows `starts` only.
 
-    row(i) gives row i of a size x size integer matrix A as (column,
-    numerator) pairs (a column may repeat; its numerators add), so
-    K = A / den.  For the sorted distinct lam_k = p/q, P_0 is the
-    identity's rows `starts` and P_k = P_(k-1) (q A - p den I) divided by
-    the gcd of all its entries, so the integers stay small: P_k holds the
-    same rows of a positive rational multiple (the running scale) of
+    rows[i] is row i of a square integer matrix A as (column, numerator)
+    pairs (a column may repeat; its numerators add), so K = A / den.  For
+    the sorted distinct lam_k = p/q, P_0 is the identity's rows `starts`
+    and P_k = P_(k-1) (q A - p den I) divided by the gcd of all its
+    entries, so the integers stay small: P_k holds the same rows of a
+    positive rational multiple (the running scale) of
     prod_(i<=k) (K - lam_i I).  Returns the diagonal entries of P_0, P_1,
     ... summed over `starts` and divided by that multiple, up to the first
     P_k that vanishes, or None if P_r does not.  From every row these are
     the traces of the chain.
     """
+    size = len(rows)
     chain = [[int(j == i) for j in range(size)] for i in starts]
     traces = [Fraction(len(chain))]
     scale = 1
@@ -217,7 +221,7 @@ def annihilation_traces(
             for k, a in enumerate(prow):
                 if a:
                     aq = a * q
-                    for j, c in row(k):
+                    for j, c in rows[k]:
                         acc[j] += aq * c
                     acc[k] -= p * a
             new.append(acc)
@@ -235,6 +239,18 @@ def sparse_rows(m: RatMatrix) -> list[list[tuple[int, int]]]:
     return [[(j, e) for j, e in enumerate(row) if e] for row in m.entries]
 
 
+def dense_matrix(rows: Sequence, den: int) -> RatMatrix:
+    """The square `RatMatrix` of (column, numerator) rows with distinct
+    columns over den: the inverse of `sparse_rows`."""
+    dense = []
+    for row in rows:
+        entries = [0] * len(rows)
+        for j, e in row:
+            entries[j] = e
+        dense.append(entries)
+    return RatMatrix(dense, den)
+
+
 def eigenspace_dimensions(m: RatMatrix, eigenvalues: Iterable) -> dict | None:
     """Eigenspace dimension of each given eigenvalue, or None if m is not
     diagonalisable with its spectrum among them.
@@ -249,7 +265,7 @@ def eigenspace_dimensions(m: RatMatrix, eigenvalues: Iterable) -> dict | None:
     lams = sorted(set(rat(v) for v in eigenvalues))
     if not lams:
         raise ValueError("need at least one eigenvalue")
-    traces = annihilation_traces(sparse_rows(m).__getitem__, m.rows, m.den, lams, range(m.rows))
+    traces = annihilation_traces(sparse_rows(m), m.den, lams, range(m.rows))
     return None if traces is None else dimensions_from_traces(lams, traces)
 
 

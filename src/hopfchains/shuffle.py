@@ -230,48 +230,11 @@ def position_law(alg: WordAlgebra, spec: CppSpec) -> tuple[tuple, int]:
     return tuple((sigma, c // g) for sigma, c in image.items()), den // g
 
 
-def not_closed(x, y) -> ValueError:
-    """The error of a chain whose state x reaches y outside its state list."""
-    return ValueError(f"state space not closed: {x!r} reaches {y!r} outside the given states")
-
-
 def position_moves(law: tuple) -> list:
     """One callable per (sigma, numerator) of a position law, in order,
     sending a word x to the plain tuple of x.sigma, (x.sigma)[i] = x[sigma[i]]."""
     # itemgetter of one index returns the letter, not a tuple
     return [itemgetter(*sigma) if len(sigma) > 1 else tuple for sigma, _ in law]
-
-
-def relabelled_columns(law: tuple, states: list):
-    """Yield each state's row of the relabelled chain (`position_law`) as columns.
-
-    The row of x = states[i] lists, for each (sigma, numerator) of the law
-    in order, the j with states[j] = x.sigma (`position_moves`); a column
-    repeats when two permutations reach the same word.
-    """
-    index = {s: i for i, s in enumerate(states)}
-    moves = position_moves(law)
-    for x in states:
-        targets = [move(x) for move in moves]
-        columns = [index.get(y) for y in targets]
-        if None in columns:
-            raise not_closed(x, Word(targets[columns.index(None)]))
-        yield columns
-
-
-def relabelled_rows(law: tuple, states: list):
-    """Yield each state's row of the relabelled chain as a list of columns
-    and a list of numerators, the numerators of a column that two
-    permutations reach added."""
-    numerators = [c for _, c in law]
-    for columns in relabelled_columns(law, states):
-        if len(set(columns)) == len(columns):  # always so on distinct cards
-            yield columns, numerators
-            continue
-        row: dict = {}
-        for j, c in zip(columns, numerators):
-            row[j] = row.get(j, 0) + c
-        yield list(row), list(row.values())
 
 
 def relabelling_orbits(alg: AlgebraHandle, states: list) -> tuple[list, int]:

@@ -21,21 +21,21 @@ Verification against the chain is a trace certificate: the product of
 (diagonalisability holds whenever the algebra is commutative or
 cocommutative), and then the traces of its partial products give every
 eigenspace dimension exactly (`linalg.dimensions_from_traces`).  One
-routine forms that chain, `linalg.annihilation_traces`, on the rows it
-is started from.  The word chains never read a card label, so a
-permutation g of the letters of equal multiplicity has
-K(gx, gy) = K(x, y), and every polynomial P in K commutes with it:
-P[gx][gx] = P[x][x], and row gx of P is row x with its columns permuted
-(Diaconis, Group Representations in Probability and Statistics, ch. 3).
-On one whole rearrangement class the chain therefore runs from one row
-per orbit of these relabellings (`shuffle.relabelling_orbits`), each
-trace times the orbit size, and P vanishes iff those rows do: one row of
-weight n! on distinct cards, 15 of weight 6 on aabbcc.  Forests and
-other state lists run it from every row.  The rows are the relabelled
-rows (`shuffle.relabelled_rows`) whenever the build rule takes them
-(`chain.relabels`), and the built kernel's otherwise.  Only a product
-that does not vanish falls back to states - rank(K - lam-hat I), on the
-built kernel.
+routine forms that chain, `linalg.annihilation_traces`, on the kernel's
+rows from `chain.kernel_rows`, the rows the matrix build makes dense;
+the certificate forms no dense kernel, and where the rows are read off
+the position law it applies the operator once.  The word chains never
+read a card label, so a permutation g of the letters of equal
+multiplicity has K(gx, gy) = K(x, y), and every polynomial P in K
+commutes with it: P[gx][gx] = P[x][x], and row gx of P is row x with its
+columns permuted (Diaconis, Group Representations in Probability and
+Statistics, ch. 3).  On one whole rearrangement class the chain
+therefore runs from one row per orbit of these relabellings
+(`shuffle.relabelling_orbits`), each trace times the orbit size, and P
+vanishes iff those rows do: one row of weight n! on distinct cards, 15
+of weight 6 on aabbcc.  Forests and other state lists run it from every
+row.  Only a product that does not vanish falls back to
+states - rank(K - lam-hat I), on the same rows made dense.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import cache
 from math import comb, lcm, prod
 from typing import NamedTuple
 
-from .chain import build_transition_matrix, relabels
+from .chain import kernel_rows
 from .hopf import (
     AlgebraHandle,
     CppSpec,
@@ -58,21 +58,15 @@ from .hopf import (
 )
 from .linalg import (
     annihilation_traces,
+    dense_matrix,
     dimensions_from_traces,
     nullspace,
     rank,
     rat,
     shifted,
-    sparse_rows,
 )
 from .presets import top_m_unordered_spec, top_or_bottom_spec, trinomial_spec
-from .shuffle import (
-    WordAlgebra,
-    position_law,
-    position_moves,
-    relabelled_rows,
-    relabelling_orbits,
-)
+from .shuffle import WordAlgebra, position_law, position_moves, relabelling_orbits
 
 _ZERO = Fraction(0)
 
@@ -263,18 +257,15 @@ def verify_spectrum(
 
     One chain on the claimed support certifies diagonalisability and gives
     every dimension; a value claimed with multiplicity 0 then has
-    dimension 0.  The chain runs from one row per letter-relabelling orbit
-    (`relabelling_orbits`: one start of weight n! on a distinct deck, 15
-    of weight 6 on aabbcc, every row of weight 1 on forests or where no two
-    letters share a multiplicity), and each trace is multiplied by the
-    weight.  Its rows are read off the position law when `relabels` holds,
-    with no kernel built; otherwise they are the rows of the kernel from
-    `build_transition_matrix`.  Only when the product does not vanish are
-    the dimensions read off `rank` of that kernel, so a failing report
-    still shows the true ones; on a relabelled class that build reads the
-    memoised position law, so the operator is still applied once.  On
-    aabbccd under riffle this takes 2.3 s where the chain from every row
-    of the built kernel took 16.9 s.
+    dimension 0.  The chain runs on the rows of `kernel_rows` from one row
+    per letter-relabelling orbit (`relabelling_orbits`: one start of
+    weight n! on a distinct deck, 15 of weight 6 on aabbcc, every row of
+    weight 1 on forests or where no two letters share a multiplicity), and
+    each trace is multiplied by the weight.  Only when the product does
+    not vanish are the dimensions read off `rank` of those rows made
+    dense, so a failing report still shows the true ones.  On aabbccd
+    under riffle this takes 2.3 s where the chain from every row of the
+    built kernel took 16.9 s.
     """
     states = list(states)
     size = len(states)
@@ -282,21 +273,13 @@ def verify_spectrum(
     support = sorted(value for value, mult in agg.items() if mult > 0)
     if not support:
         raise ValueError("the spectrum claims no eigenvalue")
-    kernel = None
-    if relabels(alg, spec, size):
-        law, den = position_law(alg, spec)
-        rows = list(relabelled_rows(law, states))
-        row = lambda i: zip(*rows[i])
-    else:
-        kernel = build_transition_matrix(alg, spec, states=states).kernel
-        row, den = sparse_rows(kernel).__getitem__, kernel.den
+    rows, den, _ = kernel_rows(alg, spec, states)
     starts, weight = relabelling_orbits(alg, states)
-    traces = annihilation_traces(row, size, den, support, starts)
+    traces = annihilation_traces(rows, den, support, starts)
     dims = None if traces is None else dimensions_from_traces(support, [weight * t for t in traces])
     diag = dims is not None
     if not diag:
-        if kernel is None:
-            kernel = build_transition_matrix(alg, spec, states=states).kernel
+        kernel = dense_matrix(rows, den)
         dims = {value: size - rank(shifted(kernel, value)) for value in agg}
     entries = [(value, agg[value], dims.get(value, 0)) for value in sorted(agg)]
     total = spectrum.total_multiplicity()

@@ -19,7 +19,6 @@ from hopfchains.chain import (
     lumping_check,
     matrix_to_csv,
     matrix_to_dict,
-    per_row_kernel,
     point_mass,
     stationary_distributions,
 )
@@ -440,22 +439,25 @@ def test_integer_rows_reduce_to_their_least_common_denominator():
         RatMatrix([], 1)
 
 
-def _per_row(alg, spec, states):
-    return per_row_kernel(alg, spec, states, [eta(alg, s) for s in states])
+def _per_row(monkeypatch, alg, spec, states):
+    # the kernel from one apply_cpp call per state, the position law turned off
+    with monkeypatch.context() as m:
+        m.setattr("hopfchains.chain.relabels", lambda *a: False)
+        return build_transition_matrix(alg, spec, states=states).kernel
 
 
-def test_relabelled_build_on_a_deck_in_non_identity_order():
+def test_relabelled_build_on_a_deck_in_non_identity_order(monkeypatch):
     alg, deck = deck_from_string("654312")
     states = rearrangement_class(alg, deck)
     for spec in (top_or_bottom_spec(6, F(1, 3)), top_to_random_spec(6)):
         K = build_transition_matrix(alg, spec, states=states)
-        assert K.kernel == _per_row(alg, spec, states), spec
+        assert K.kernel == _per_row(monkeypatch, alg, spec, states), spec
     # the dual word algebra cuts and merges by position too
     dual = FreeAssociativeAlgebra("abc")
     states = rearrangement_class(dual, Word("cab"))
     for spec in (riffle_spec(3), top_or_bottom_spec(3, F(1, 3))):
         K = build_transition_matrix(dual, spec, states=states)
-        assert K.kernel == _per_row(dual, spec, states), spec
+        assert K.kernel == _per_row(monkeypatch, dual, spec, states), spec
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["shuffle", "free-assoc"])
@@ -484,9 +486,13 @@ def test_position_law_is_a_probability_law_on_permutations():
     ]
 
 
-def test_relabelled_build_reports_a_state_space_that_is_not_closed():
+def test_relabelled_build_reports_a_state_space_that_is_not_closed(monkeypatch):
     alg, deck = distinct_deck(3)
     states = rearrangement_class(alg, deck)
+    with pytest.raises(ValueError, match="not closed: Word\\('123'\\) reaches Word\\('213'\\)"):
+        build_transition_matrix(alg, top_to_random_spec(3), states=states[:1] + states[3:])
+    # one apply_cpp call per state refuses the same state list
+    monkeypatch.setattr("hopfchains.chain.relabels", lambda *a: False)
     with pytest.raises(ValueError, match="not closed: Word\\('123'\\) reaches Word\\('213'\\)"):
         build_transition_matrix(alg, top_to_random_spec(3), states=states[:1] + states[3:])
 
@@ -505,7 +511,7 @@ def test_relabelled_build_is_chosen_by_the_size_of_the_position_law(monkeypatch)
             m.setattr(f"hopfchains.chain.{name}", None)
             assert build_transition_matrix(alg, spec, states=states).size == len(states)
 
-    relabelled = partial(build_without, "per_row_kernel")
+    relabelled = partial(build_without, "apply_cpp")
     per_row = partial(build_without, "position_law")
 
     riffle, trinomial = riffle_spec(6), trinomial_spec(6, F(1, 4), F(1, 2), F(1, 4))

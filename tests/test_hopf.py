@@ -380,6 +380,7 @@ def test_spec_json_round_trip():
         (3, [None, 3], "1"),
         (2, [1.5, 1.5], "1"),
         (3, [True, 2], "1"),
+        (3, [1, 2], True),  # JSON true is not the weight 1
     ]
     for n, comp, weight in bad_cases:
         bad = {"n": n, "terms": [{"composition": comp, "weight": weight}]}

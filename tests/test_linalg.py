@@ -14,6 +14,7 @@ from hopfchains.linalg import (
     rank,
     rat,
     shifted,
+    sparse_rows,
 )
 from hopfchains.presets import riffle_spec, top_to_random_spec, trinomial_spec
 from hopfchains.shuffle import FreeAssociativeAlgebra, deck_from_string, distinct_deck, rearrangement_class
@@ -67,6 +68,9 @@ def test_rat_parsing():
     assert rat("-2") == F(-2)
     with pytest.raises(TypeError):
         rat(0.5)
+    # a bool is an int to Python, but not an exact rational here
+    with pytest.raises(TypeError, match="not an exact rational: True"):
+        rat(True)
 
 
 def test_ragged_rows_rejected():
@@ -262,10 +266,10 @@ def test_annihilation_traces_match_the_fraction_product(space):
         states, content = alg.basis(4), (4,)
     kernel = build_transition_matrix(alg, spec, states=states).kernel
     support = sorted(v for v, m in class_spectrum(spec, alg, content).by_eigenvalue().items() if m)
-    rows = [[(j, e) for j, e in enumerate(row) if e] for row in kernel.entries]
+    rows = sparse_rows(kernel)
 
     def traces(lams):
-        return annihilation_traces(rows.__getitem__, kernel.rows, kernel.den, lams, range(kernel.rows))
+        return annihilation_traces(rows, kernel.den, lams, range(kernel.rows))
 
     assert traces(support) == _fraction_traces(kernel, support) is not None
     # without the smallest eigenvalue the product does not vanish

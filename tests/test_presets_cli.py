@@ -696,7 +696,8 @@ def test_cli_verify_matrix_certifies_a_distinct_deck_without_a_kernel(capsys, mo
     def refuse(*args, **kwargs):
         raise AssertionError("built a kernel for a distinct deck's certificate")
 
-    monkeypatch.setattr("hopfchains.spectral.build_transition_matrix", refuse)
+    for module in ("chain", "spectral"):  # the one sparse-to-dense step, wherever bound
+        monkeypatch.setattr(f"hopfchains.{module}.dense_matrix", refuse)
     argv = ["spectrum", "--distinct", "5", "--preset", "trinomial",
             "--params", "q1=1/4,q2=1/2,q3=1/4", "--verify-matrix"]
     assert main(argv) == 0

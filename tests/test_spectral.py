@@ -5,7 +5,8 @@ from math import comb, factorial
 import pytest
 
 from hopfchains import acceptance
-from hopfchains.chain import TransitionMatrix, build_transition_matrix
+from hopfchains.chain import build_transition_matrix
+from hopfchains.cli import main
 from hopfchains.forests import enumerate_trees, forest_algebra
 from hopfchains.hopf import SpecError, apply_cpp, beta_n, iterated_coproduct
 from hopfchains.linalg import (
@@ -15,6 +16,7 @@ from hopfchains.linalg import (
     eigenspace_dimensions,
     rank,
     shifted,
+    sparse_rows,
 )
 from hopfchains.presets import (
     biased_spec,
@@ -311,8 +313,9 @@ def test_group_certificate_matches_class_spectrum_and_the_matrix_chain(n, monkey
         spec = expand_preset(name, n, params)
         spectrum = class_spectrum(spec, alg, alg.content(deck))
         with monkeypatch.context() as m:
-            # a distinct deck's class is certified without building its kernel
-            m.setattr("hopfchains.spectral.build_transition_matrix", None)
+            # a distinct deck's class is certified without a dense kernel
+            for module in ("chain", "spectral"):
+                m.setattr(f"hopfchains.{module}.dense_matrix", None)
             report = verify_spectrum(alg, spec, states, spectrum)
         assert report.ok and report.diagonalizable, (name, report.lines())
         dims = {value: actual for value, _, actual in report.entries}
@@ -325,8 +328,7 @@ def test_group_certificate_matches_class_spectrum_and_the_matrix_chain(n, monkey
 
 def _one_row_dimensions(kernel, lams):
     """Dimensions read from one row's chain, each trace times the state count."""
-    rows = [[(j, e) for j, e in enumerate(row) if e] for row in kernel.entries]
-    traces = annihilation_traces(rows.__getitem__, kernel.rows, kernel.den, lams, [0])
+    traces = annihilation_traces(sparse_rows(kernel), kernel.den, lams, [0])
     return dimensions_from_traces(lams, [kernel.rows * t for t in traces])
 
 
@@ -345,8 +347,7 @@ def test_one_row_is_wrong_on_aabb_and_one_row_per_orbit_is_right():
         support = sorted(v for v, m in claimed.items() if m)
         dims = eigenspace_dimensions(K.kernel, support)
         assert dims == {v: claimed[v] for v in support}, preset
-        rows = [[(j, e) for j, e in enumerate(row) if e] for row in K.kernel.entries]
-        traces = annihilation_traces(rows.__getitem__, K.size, K.kernel.den, support, starts)
+        traces = annihilation_traces(sparse_rows(K.kernel), K.kernel.den, support, starts)
         assert dimensions_from_traces(support, [weight * t for t in traces]) == dims, preset
         try:
             one_row = _one_row_dimensions(K.kernel, support)
@@ -388,10 +389,11 @@ def test_relabelling_letters_of_equal_multiplicity_keeps_the_kernel(deck):
 
 def test_orbit_certificate_builds_no_kernel_on_aabbcc(monkeypatch):
     # every grid preset's position law is small enough for 90 states: the
-    # certificate reads 15 relabelled rows and never builds the kernel
+    # certificate runs from 15 rows read off it and never makes them dense
     alg, word = deck_from_string("aabbcc")
     states = rearrangement_class(alg, word)
-    monkeypatch.setattr("hopfchains.spectral.build_transition_matrix", None)
+    for module in ("chain", "spectral"):
+        monkeypatch.setattr(f"hopfchains.{module}.dense_matrix", None)
     for preset, spec in acceptance.grid_presets(6):
         report = verify_spectrum(alg, spec, states, class_spectrum(spec, alg, alg.content(word)))
         assert report.ok and report.diagonalizable, (preset, report.lines())
@@ -507,14 +509,11 @@ def test_group_fallback_forms_the_position_law_once(monkeypatch):
 def test_verify_spectrum_rejects_a_non_diagonalisable_kernel(monkeypatch):
     h = F(1, 2)
     kernel = RatMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]], 2)  # h on and above the diagonal
-    # with the relabelled rows turned off, a three-state word class (every
-    # row its own orbit) reads the built kernel, which is replaced by a
-    # hand-made non-diagonalisable one
+    # a three-state word class (every row its own orbit) reads hand-made
+    # rows of a non-diagonalisable kernel
     alg, deck = deck_from_string("aab")
     states = rearrangement_class(alg, deck)
-    K = TransitionMatrix(states=states, kernel=kernel)
-    monkeypatch.setattr("hopfchains.spectral.relabels", lambda *a: False)
-    monkeypatch.setattr("hopfchains.spectral.build_transition_matrix", lambda *a, **k: K)
+    monkeypatch.setattr("hopfchains.spectral.kernel_rows", lambda *a: (sparse_rows(kernel), kernel.den, None))
     # the right eigenvalues and algebraic multiplicities, but 1/2 has one eigenvector
     claimed = Spectrum(table=(((1,), F(1), 1), ((2,), h, 2)))
     report = verify_spectrum(alg, top_to_random_spec(3), states, claimed)
@@ -526,6 +525,20 @@ def test_verify_spectrum_rejects_a_non_diagonalisable_kernel(monkeypatch):
         "multiplicity total 3 vs 3 states [ok]",
         "annihilation product DOES NOT vanish",
     ]
+
+
+def test_certificate_checks_the_row_sums_of_the_position_law(capsys, monkeypatch):
+    # the certificate's rows are read off the position law; a law whose
+    # numerators do not sum to its den is refused before any trace
+    alg, deck = distinct_deck(3)
+    states = rearrangement_class(alg, deck)
+    spec = riffle_spec(3)
+    law, den = position_law(alg, spec)
+    monkeypatch.setattr("hopfchains.chain.position_law", lambda *a: (law, den + 1))
+    with pytest.raises(ArithmeticError, match="not 1"):
+        verify_spectrum(alg, spec, states, class_spectrum(spec, alg, alg.content(deck)))
+    assert main(["spectrum", "--distinct", "3", "--preset", "riffle", "--verify-matrix"]) == 1
+    assert "verification failure" in capsys.readouterr().err
 
 
 def test_verify_spectrum_forest_grid_cell():
