@@ -11,9 +11,11 @@ Both algebras are free commutative (the shuffle algebra on Lyndon words,
 the forest algebra on rooted trees), so on the basis keys of one content
 the multiplicity of lam is the number of multisets of free generators
 with size profile lam and that total content.  The algebra handle's
-`generator_counts` supplies the generators by size and content.  For a
-deck of distinct cards the count is the number of permutations of cycle
-type lam; for forests, whose content is the vertex count, it is
+`generator_counts` supplies the generators by size and content, and
+`class_multiplicity` counts the multisets of every profile in one
+iterative pass over them, largest size first.  For a deck of distinct
+cards the count is the number of permutations of cycle type lam; for
+forests, whose content is the vertex count, it is
 prod_i multichoose(t_i, m_i(lam)) with t_i the rooted trees on i vertices.
 
 Verification against the chain is a trace certificate: the product of
@@ -161,65 +163,49 @@ class Spectrum(NamedTuple):
         ]
 
 
-def class_multiplicity(generators: dict, content, lam) -> int:
-    """Multisets of free generators with size profile lam and total content.
+def class_multiplicity(generators: dict, content) -> dict:
+    """{lam: multisets of free generators with size profile lam and total content}.
 
     `generators` is the algebra's `generator_counts(content)` table
-    {size: {content: count}}; taking k generators of one content out of
-    `count` is a single multichoose(count, k) factor.  `content` is the
-    class's tuple from `AlgebraHandle.content`.  For distinct cards
-    (all-ones content) this is the number of permutations of cycle type lam.
+    {size: {content: count}}, and `content` the class's tuple from
+    `AlgebraHandle.content`.  One pass over the table, largest size
+    first, keeps the number of ways to reach each (content still to fill,
+    sizes taken so far); taking k generators of one content out of
+    `count` is a single multichoose(count, k) factor.  Profiles that
+    fill the content exactly are kept, so a partition missing from the
+    result has multiplicity 0.  For distinct cards (all-ones content)
+    the count of lam is the number of permutations of cycle type lam.
     """
-    lam = tuple(lam)
     content = tuple(content)
-    if sum(lam) != sum(content):
-        raise ValueError(f"partition {lam} does not match content of size {sum(content)}")
-    sizes = sorted(set(lam))
-    memo: dict = {}
-
-    def choose(idx: int, options: tuple, left: int, remaining: tuple) -> int:
-        # `left` generators of size sizes[idx] still to pick from options
-        if not left:
-            return by_size(idx + 1, remaining)
-        if not options:
-            return 0
-        (gen, count), rest = options[0], options[1:]
-        total = choose(idx, rest, left, remaining)
-        for k in range(1, left + 1):
-            remaining = tuple(r - g for r, g in zip(remaining, gen))
-            if min(remaining) < 0:
-                break
-            total += comb(count + k - 1, k) * choose(idx, rest, left - k, remaining)
-        return total
-
-    def by_size(idx: int, remaining: tuple) -> int:
-        if idx == len(sizes):
-            return 0 if any(remaining) else 1
-        key = (idx, remaining)
-        if key not in memo:
-            s = sizes[idx]
-            options = tuple(
-                (gen, count)
-                for gen, count in generators.get(s, {}).items()
-                if all(g <= r for g, r in zip(gen, remaining))
-            )
-            memo[key] = choose(idx, options, lam.count(s), remaining)
-        return memo[key]
-
-    return by_size(0, content)
+    ways = {content: {(): 1}}  # content still to fill -> {sizes taken so far: count}
+    for size in sorted(generators, reverse=True):
+        for gen, count in generators[size].items():
+            # visit the remainders that hold gen in lexicographic order: taking
+            # gen moves to a smaller remainder, whose counts were already read
+            for rest in itertools.product(*(range(c - g + 1) for c, g in zip(content, gen))):
+                remaining = tuple(r + g for r, g in zip(rest, gen))
+                taken = ways.get(remaining, {})
+                for k in range(1, min(r // g for r, g in zip(remaining, gen) if g) + 1):
+                    factor, parts = comb(count + k - 1, k), (size,) * k
+                    target = ways.setdefault(tuple(r - k * g for r, g in zip(remaining, gen)), {})
+                    for lam, w in taken.items():
+                        target[lam + parts] = target.get(lam + parts, 0) + factor * w
+    return ways.get((0,) * len(content), {})
 
 
 def class_spectrum(spec: CppSpec, alg: AlgebraHandle, content) -> Spectrum:
     """Formula spectrum on the basis keys of one content class.
 
     For a deck this is its rearrangement class; for forests, whose content
-    is the vertex count, the whole degree-n basis.
+    is the vertex count, the whole degree-n basis.  Every partition's
+    multiplicity is read off one `class_multiplicity` table.
     """
-    generators = alg.generator_counts(content)
-    rows = tuple(
-        (lam, value, class_multiplicity(generators, content, lam))
-        for lam, value in eigenvalues(spec).items()
-    )
+    if sum(content) != spec.n:
+        raise ValueError(
+            f"content of size {sum(content)} does not match the operator's degree {spec.n}"
+        )
+    counts = class_multiplicity(alg.generator_counts(content), content)
+    rows = tuple((lam, value, counts.get(lam, 0)) for lam, value in eigenvalues(spec).items())
     return Spectrum(table=rows)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from hopfchains.cli import _json_chunks, main
 from hopfchains.hopf import SpecError, beta_n, spec_from_dict, spec_to_dict
 from hopfchains.presets import (
     biased_spec,
+    bottom_to_random_spec,
     expand_preset,
     preset_names,
     riffle_spec,
@@ -22,7 +24,7 @@ from hopfchains.presets import (
     trinomial_spec,
 )
 from hopfchains.hopf import normalize_spec
-from hopfchains.shuffle import distinct_deck, rearrangement_class
+from hopfchains.shuffle import Word, deck_from_string, distinct_deck, rearrangement_class
 
 
 def weak_compositions(n: int, parts: int):
@@ -71,6 +73,32 @@ def test_many_hands_expand_without_enumerating_cuts():
 
 def test_top_or_bottom_at_q_one_is_top_to_random():
     assert top_or_bottom_spec(5, F(1)) == top_to_random_spec(5)
+
+
+def test_bottom_to_random_is_top_to_random_on_reversed_decks():
+    # moving the bottom card is moving the top card of the reversed deck:
+    # K_bottom(x, y) = K_top(rev x, rev y)
+    for deck in ("123", "1234", "12345", "aabc"):
+        alg, start = deck_from_string(deck)
+        states = rearrangement_class(alg, start)
+        bottom = build_transition_matrix(alg, bottom_to_random_spec(len(deck)), states=states)
+        top = build_transition_matrix(alg, top_to_random_spec(len(deck)), states=states)
+        at = {x: i for i, x in enumerate(states)}
+        rev = [at[Word(x[::-1])] for x in states]
+        assert bottom.kernel.den == top.kernel.den
+        assert all(
+            bottom.kernel.entries[i][j] == top.kernel.entries[rev[i]][rev[j]]
+            for i in range(len(states))
+            for j in range(len(states))
+        )
+
+
+def test_cli_spectrum_bottom_to_random_certifies(capsys):
+    code = main(["spectrum", "--distinct", "4", "--preset", "bottom-to-random", "--verify-matrix"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["by_eigenvalue"] == {"1": 1, "1/2": 6, "1/4": 8, "0": 9}
+    assert data["matrix_verification"]["ok"]
 
 
 def test_biased_at_half_matches_riffle_up_to_scale():
@@ -486,6 +514,18 @@ def test_cli_group_certificate_checks_the_cap_before_the_operator(capsys, monkey
 )
 def test_cli_empty_start_is_usage_error(capsys, argv, message):
     assert message in _usage_error(capsys, argv)
+
+
+def test_cli_verify_show_flagged_prints_the_counted_flags(capsys):
+    assert main(["verify", "--criteria", "9"]) == 1
+    assert "flagged:" not in capsys.readouterr().out
+    assert main(["verify", "--criteria", "9", "--show-flagged"]) == 1
+    status, *lines = capsys.readouterr().out.splitlines()
+    assert status.startswith("[DEFECT] criterion 9:")
+    counted = int(re.search(r"\[(\d+) flagged\]", status).group(1))
+    flagged = [line for line in lines if "flagged:" in line]
+    assert counted == len(flagged) == 3
+    assert all(line.startswith("    flagged: vacuous: ") for line in flagged)
 
 
 def test_cli_verify_unknown_criterion_is_usage_error(capsys):

@@ -1,13 +1,15 @@
+import inspect
 import itertools
+import sys
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from hopfchains import acceptance
 from hopfchains.chain import build_transition_matrix
 from hopfchains.cli import main
-from hopfchains.forests import enumerate_trees, forest_algebra
+from hopfchains.forests import enumerate_trees, forest_algebra, tree_count
 from hopfchains.hopf import SpecError, apply_cpp, beta_n, iterated_coproduct
 from hopfchains.linalg import (
     RatMatrix,
@@ -56,6 +58,7 @@ from hopfchains.spectral import (
     verify_spectrum,
 )
 
+from test_forests import _tree_size
 from test_hopf import combine, image_of
 
 
@@ -164,18 +167,15 @@ def test_forest_generator_counts_are_tree_counts():
 
 
 def test_class_multiplicity_rejects_size_mismatch():
-    table = ShuffleAlgebra("ab").generator_counts((2, 1))
-    with pytest.raises(ValueError):
-        class_multiplicity(table, (2, 1), (2, 2))
     with pytest.raises(ValueError):
         class_spectrum(top_to_random_spec(4), forest_algebra(), (3,))
 
 
 def test_multiplicity_one_letter():
-    table = ShuffleAlgebra("a").generator_counts((3,))
-    assert class_multiplicity(table, (3,), (1, 1, 1)) == 1
-    assert class_multiplicity(table, (3,), (2, 1)) == 0
-    assert class_multiplicity(table, (3,), (3,)) == 0
+    counts = class_multiplicity(ShuffleAlgebra("a").generator_counts((3,)), (3,))
+    assert counts.get((1, 1, 1), 0) == 1
+    assert counts.get((2, 1), 0) == 0
+    assert counts.get((3,), 0) == 0
 
 
 def test_multiplicity_totals_two_letters():
@@ -185,8 +185,8 @@ def test_multiplicity_totals_two_letters():
         grand_total = 0
         for i in range(n + 1):
             content = (i, n - i)
-            table = alg.generator_counts(content)
-            total = sum(class_multiplicity(table, content, lam) for lam in partitions(n))
+            counts = class_multiplicity(alg.generator_counts(content), content)
+            total = sum(counts.get(lam, 0) for lam in partitions(n))
             assert total == comb(n, i)
             grand_total += total
         assert grand_total == 2**n
@@ -194,10 +194,11 @@ def test_multiplicity_totals_two_letters():
 
 def test_multiplicity_totals_forests():
     falg = forest_algebra()
-    for n in range(1, 7):
-        table = falg.generator_counts((n,))
-        total = sum(class_multiplicity(table, (n,), lam) for lam in partitions(n))
-        assert total == len(falg.basis(n))
+    for n in (1, 2, 3, 4, 5, 6, 12, 20, 30, 40):
+        counts = class_multiplicity(falg.generator_counts((n,)), (n,))
+        total = sum(counts.get(lam, 0) for lam in partitions(n))
+        # the forests on n vertices number the rooted trees on n + 1
+        assert total == (len(falg.basis(n)) if n <= 6 else tree_count(n + 1))
 
 
 def test_class_multiplicity_distinct_is_cycle_type_count():
@@ -211,21 +212,89 @@ def test_class_multiplicity_distinct_is_cycle_type_count():
             denom *= size**m * factorial(m)
         return factorial(n) // denom
 
-    for n in (3, 4, 5):
-        alg, deck = distinct_deck(n)
-        content = alg.content(deck)
-        table = alg.generator_counts(content)
+    for n in (3, 4, 5, 6, 9, 10):
+        content = (1,) * n
+        table = ShuffleAlgebra("abcdefghij"[:n]).generator_counts(content)
+        counts = class_multiplicity(table, content)
         for lam in partitions(n):
-            assert class_multiplicity(table, content, lam) == cycle_type_count(lam)
+            assert counts.get(lam, 0) == cycle_type_count(lam)
 
 
 def test_class_multiplicity_repeated_content():
-    alg = ShuffleAlgebra("ab")
-    content = (2, 2)  # the aabb class
-    table = alg.generator_counts(content)
-    got = {lam: class_multiplicity(table, content, lam) for lam in partitions(4)}
-    assert got == {(4,): 1, (3, 1): 2, (2, 2): 1, (2, 1, 1): 1, (1, 1, 1, 1): 1}
-    assert sum(got.values()) == 6
+    for content in ((2, 2), (2, 2, 2), (2, 2, 2, 2), (4, 4, 4)):
+        n = sum(content)
+        table = ShuffleAlgebra("abcd"[: len(content)]).generator_counts(content)
+        counts = class_multiplicity(table, content)
+        got = {lam: counts.get(lam, 0) for lam in partitions(n)}
+        if content == (2, 2):  # the aabb class
+            assert got == {(4,): 1, (3, 1): 2, (2, 2): 1, (2, 1, 1): 1, (1, 1, 1, 1): 1}
+        # one word per multiset of Lyndon words: the class has n! / prod c!
+        # words, the weakly decreasing one alone factors into letters, and
+        # the Lyndon words of the whole content are the one-part multisets
+        assert sum(got.values()) == factorial(n) // prod(map(factorial, content))
+        assert got[(1,) * n] == 1
+        assert got[(n,)] == table[n][content]
+
+
+def _lyndon_factor_lengths(word) -> tuple:
+    """Part lengths, largest first, of the Chen-Fox-Lyndon factorisation of
+    a word (Duval's algorithm)."""
+    lengths, i = [], 0
+    while i < len(word):
+        j, k = i + 1, i
+        while j < len(word) and word[k] <= word[j]:
+            k = i if word[k] < word[j] else k + 1
+            j += 1
+        while i <= k:
+            lengths.append(j - k)
+            i += j - k
+    return tuple(sorted(lengths, reverse=True))
+
+
+def test_class_multiplicity_counts_lyndon_factorisations():
+    # a word is the product of its Lyndon factors in decreasing order, one
+    # word per multiset of Lyndon words: the multiplicity of lam on a class
+    # counts its words whose factor lengths are lam
+    alg = ShuffleAlgebra("abc")
+    classes = 0
+    for n in range(1, 7):
+        profiles: dict = {}
+        for word in itertools.product("abc", repeat=n):
+            content = tuple(word.count(a) for a in "abc")
+            lam = _lyndon_factor_lengths(word)
+            by_lam = profiles.setdefault(content, {})
+            by_lam[lam] = by_lam.get(lam, 0) + 1
+        for content, expected in profiles.items():
+            counts = class_multiplicity(alg.generator_counts(content), content)
+            assert {lam: counts.get(lam, 0) for lam in partitions(n)} == {
+                lam: expected.get(lam, 0) for lam in partitions(n)
+            }
+            classes += 1
+    assert classes == 83
+
+
+def test_class_multiplicity_counts_forests_by_tree_sizes():
+    falg = forest_algebra()
+    for n in range(1, 8):
+        expected: dict = {}
+        for forest in falg.basis(n):
+            lam = tuple(sorted(map(_tree_size, forest), reverse=True))
+            expected[lam] = expected.get(lam, 0) + 1
+        counts = class_multiplicity(falg.generator_counts((n,)), (n,))
+        for lam in partitions(n):
+            assert counts.get(lam, 0) == expected.get(lam, 0)
+
+
+def test_class_spectrum_needs_no_deep_recursion():
+    # the multiplicities of nine distinct letters were once searched with
+    # one stack frame per generator content of a size, past this limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        spectrum = class_spectrum(riffle_spec(9), ShuffleAlgebra("abcdefghi"), (1,) * 9)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert spectrum.total_multiplicity() == factorial(9)
 
 
 def test_verify_spectrum_top_to_random_distinct_4():
