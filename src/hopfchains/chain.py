@@ -278,7 +278,8 @@ def stationary_distributions(alg: AlgebraHandle, n: int, states=None) -> list[Di
     A multiset's product only reaches keys of its own content, so only
     the contents of the given states are tried, in the order of
     `combinations_with_replacement` over `basis(1)`; a multiset whose
-    distribution still vanishes on the state list is skipped.
+    distribution still vanishes on the state list is skipped.  Eta is
+    computed only where the product's coefficient is non-zero.
     """
     if states is None:
         states = alg.basis(n)
@@ -291,7 +292,7 @@ def stationary_distributions(alg: AlgebraHandle, n: int, states=None) -> list[Di
     for content in sorted({alg.content(x) for x in states}, reverse=True):
         multiset = tuple(key for key, m in zip(singles, content) for _ in range(m))
         coeffs = symmetrized_product(alg, [{key: 1} for key in multiset])
-        nums = [coeffs.get(x, 0) * eta(alg, x) for x in states]
+        nums = [coeffs[x] * eta(alg, x) if x in coeffs else 0 for x in states]
         total = sum(nums)
         if total == 0:
             continue

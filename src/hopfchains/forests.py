@@ -16,6 +16,13 @@ which is also a tree (the root over them) and can equal a tensor key;
 no dict in this package mixes forests with trees or tensor keys.  Each
 tree is canonicalised, measured and encoded once, by the memos below.
 Both structure maps return plain `{key: int}` dicts.
+
+The rescaling constant eta(F), the coefficient sum of breaking F into
+single vertices, counts the orders that remove one current root at a
+time: the linear extensions of the forest poset.  By the hook-length
+formula for forests (Knuth, TAOCP vol. 3, section 5.1.4) that is
+n! / prod_v h(v), where h(v) is the size of the subtree under v, so
+`ForestAlgebra.eta` takes it from the tree shapes, with no coproduct.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product as cartesian
-from math import comb
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .hopf import AlgebraHandle
@@ -43,6 +50,12 @@ def _enc_tree(tree) -> str:
 @lru_cache(maxsize=None)
 def _tree_size(tree) -> int:
     return 1 + sum(map(_tree_size, tree))
+
+
+@lru_cache(maxsize=None)
+def _hook_product(tree) -> int:
+    """The product of the subtree sizes over the vertices of one tree."""
+    return _tree_size(tree) * prod(map(_hook_product, tree))
 
 
 def _frozen(tree) -> tuple:
@@ -224,6 +237,10 @@ class ForestAlgebra(AlgebraHandle):
                     folded[key] = folded.get(key, 0) + cs * ct
             result = folded
         return result
+
+    def eta(self, key: Forest) -> int:
+        """The hook-length count n! / prod of subtree sizes (module docstring)."""
+        return factorial(key.degree) // prod(map(_hook_product, key))
 
     def content(self, key: Forest) -> tuple[int]:
         """The one degree-1 key is the single vertex, so content is (degree,)."""

@@ -7,9 +7,9 @@ Everything else here is generic over the handle: the product, the
 iterated coproduct, the symmetrised product over all orderings,
 convolutions of graded projections (the "break into pieces of prescribed
 sizes, then recombine" operators), the normalisation constant of such an
-operator, the basis rescaling that makes its matrix row-stochastic, and
-the structural checks a basis must satisfy for those operators to define
-Markov chains.
+operator, the basis rescaling that makes its matrix row-stochastic (whose
+constants a handle may give in closed form), and the structural checks a
+basis must satisfy for those operators to define Markov chains.
 
 A linear combination is a plain `{key: coefficient}` dict with no zero
 coefficient stored, so equal combinations are equal dicts; a tensor's
@@ -79,9 +79,11 @@ class AlgebraHandle:
 
     Subclasses provide `basis`, `product_basis` and `coproduct_basis`, the
     `content` and `generator_counts` that the spectra and stationary laws
-    read, and set the `commutative` / `cocommutative` flags.  The structure
-    maps return `{key: int}` dicts, which callers only read.  Handles are
-    immutable after construction; the internal caches only memoise pure functions.
+    read, and set the `commutative` / `cocommutative` flags.  They may
+    supply `eta`, the basis rescaling constant, in closed form; the default
+    recurses through `coproduct_basis`.  The structure maps return
+    `{key: int}` dicts, which callers only read.  Handles are immutable
+    after construction; the internal caches only memoise pure functions.
     """
 
     name = "abstract"
@@ -125,6 +127,26 @@ class AlgebraHandle:
         `content`.  Only contents with a nonzero count are listed.
         """
         raise NotImplementedError
+
+    def eta(self, key) -> int:
+        """Rescaling constant of a basis key: the coefficient sum of
+        breaking it into degree-1 pieces, 1 at degree 0 (see `hopf.eta`).
+
+        This default is the definition, a recursion over the coproduct's
+        terms whose right leg has degree 1, memoised per handle.  Handles
+        with a closed form override it; the recursion is their test oracle.
+        """
+        if key.degree == 0:
+            return 1
+        cached = self._eta_cache.get(key)
+        if cached is not None:
+            return cached
+        total = 0
+        for (w, c), coeff in self.coproduct_basis(key).items():
+            if c.degree == 1:
+                total += coeff * AlgebraHandle.eta(self, w)  # not an override: an oracle
+        self._eta_cache[key] = total
+        return total
 
     def __repr__(self) -> str:
         return f"<algebra {self.name}>"
@@ -366,31 +388,20 @@ def eta(alg: AlgebraHandle, key) -> int:
     This is the coefficient sum after breaking the element all the way
     down into n degree-1 pieces; equivalently the number (with
     multiplicity) of ways to peel off one degree-1 piece at a time.  For a
-    valid state space basis it is strictly positive.
+    valid state space basis it is strictly positive.  The handle computes
+    it (`AlgebraHandle.eta`): 1 on shuffle words, n! on free-associative
+    words, the hook-length count on forests, and the coproduct recursion
+    on a handle with no closed form.
     """
     if key.degree < 1:
         raise ValueError("eta is defined for degree >= 1")
-    value = _eta(alg, key)
+    value = alg.eta(key)
     if value <= 0:
         raise ValueError(
             f"rescaling constant of {key!r} is {value}; "
             "basis cannot carry a Markov chain"
         )
     return value
-
-
-def _eta(alg: AlgebraHandle, key) -> int:
-    if key.degree == 0:
-        return 1
-    cached = alg._eta_cache.get(key)
-    if cached is not None:
-        return cached
-    total = 0
-    for (w, c), coeff in alg.coproduct_basis(key).items():
-        if c.degree == 1:
-            total += coeff * _eta(alg, w)
-    alg._eta_cache[key] = total
-    return total
 
 
 def check_state_space_basis(alg: AlgebraHandle, n_max: int) -> list[str]:

@@ -182,6 +182,10 @@ class ShuffleAlgebra(WordAlgebra):
     def coproduct_basis(self, x: Word) -> dict:
         return deconcat_coproduct(x)
 
+    def eta(self, key: Word) -> int:
+        """1: deconcatenation peels a word one letter at a time only from its end."""
+        return 1
+
 
 class FreeAssociativeAlgebra(WordAlgebra):
     """Words with concatenation product and subset-split coproduct.
@@ -200,6 +204,10 @@ class FreeAssociativeAlgebra(WordAlgebra):
 
     def coproduct_basis(self, x: Word) -> dict:
         return deshuffle_coproduct(x)
+
+    def eta(self, key: Word) -> int:
+        """n! ways to peel a word of n letters one position at a time."""
+        return factorial(len(key))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from hopfchains.acceptance import grid_presets, grid_spaces
 from hopfchains.chain import build_transition_matrix
-from hopfchains.forests import forest_algebra, parse_forest
+from hopfchains.forests import ForestAlgebra, forest_algebra, parse_forest
 from hopfchains.hopf import (
     AlgebraHandle,
     CppSpec,
@@ -421,6 +421,39 @@ def test_eta_forest_matches_removal_order_count():
             assert eta(falg, f) == removal_orders(f), f
 
 
+@pytest.mark.parametrize(
+    "make, n_max",
+    [
+        (lambda: ShuffleAlgebra("abc"), 5),
+        (lambda: FreeAssociativeAlgebra("abc"), 5),
+        (ForestAlgebra, 9),
+    ],
+    ids=["shuffle", "free-assoc", "forests"],
+)
+def test_closed_form_eta_matches_the_coproduct_recursion(make, n_max):
+    alg = make()  # a fresh handle, so the recursion's memo starts empty
+    assert type(alg).eta is not AlgebraHandle.eta
+    for n in range(n_max + 1):
+        for x in alg.basis(n):
+            assert alg.eta(x) == AlgebraHandle.eta(alg, x), x
+
+
+def test_forest_eta_reads_no_coproduct(monkeypatch):
+    falg = forest_algebra()
+    asked = []
+    coproduct_basis = ForestAlgebra.coproduct_basis
+
+    def counted(self, key):
+        asked.append(key)
+        return coproduct_basis(self, key)
+
+    monkeypatch.setattr(ForestAlgebra, "coproduct_basis", counted)
+    for n in range(1, 9):
+        for f in falg.basis(n):
+            eta(falg, f)
+    assert asked == []
+
+
 def test_state_space_checks_pass():
     assert check_state_space_basis(ALG2, 5) == []
     assert check_state_space_basis(forest_algebra(), 5) == []
@@ -529,6 +562,7 @@ def test_artificial_primitive_is_reported():
 
 def test_eta_zero_is_reported():
     bad = _PrimitiveDegreeTwo()
+    assert type(bad).eta is AlgebraHandle.eta  # the coproduct recursion
     with pytest.raises(ValueError):
         eta(bad, bad.y)
 
