@@ -10,8 +10,8 @@ One function forms these rows, `kernel_rows`: each state's row as
 (column, numerator) pairs over one den.  It checks that every row's
 numerators are positive and sum to den, failing loudly rather than
 normalising anything away, and it refuses a state list the operator
-leaves.  The matrix build (`build_transition_matrix`) and the spectrum
-certificate (`spectral.verify_spectrum`) both read their rows from it.
+leaves.  The matrix build (`build_transition_matrix`) stores them, columns
+ascending, and the spectrum certificate (`spectral.verify_spectrum`) runs on them.
 
 The rows come one of two ways.  Both word algebras cut and merge by
 position and never read a card label, so relabelling letters is a Hopf
@@ -34,14 +34,14 @@ one `apply_cpp` call per state, rescaled by the etas.  Tests check the
 rows entry by entry against the per-state formula on every grid space,
 and the two ways against each other on random specs.
 
-The kernel (`RatMatrix`) holds the rows as dense integers over one
-denominator (`linalg.dense_matrix`): the image is integers over den and
-eta a count, so only beta_n is rational.  A law (`Distribution`) has the
-same format, integer numerators over one den: `evolve` steps them
-through the kernel's rows, and `stationary_distributions`,
-`is_stationary` and `lumping_check` work on integers too.  `row_of`, the
-exporters and `distribution_to_dict` form `Fraction(c, den)` for output,
-and `expectations` one per time step.
+The rows are integers over one den (only beta_n is rational) and short:
+top-to-random on 720 decks has 4,320 non-zeros of 518,400 entries.  So
+every reader walks the pairs: `evolve` (with `expectations` and
+`is_stationary`), `lumping_check`, `row_of`, the exporters, which still
+write every zero, and `simulate.matrix_stepper`; the dense `kernel` is
+only a view.  A law (`Distribution`) is integer numerators over one den
+too.  `row_of`, the exporters and `distribution_to_dict` form
+`Fraction(c, den)` for output, and `expectations` one per time step.
 """
 
 from __future__ import annotations
@@ -67,31 +67,39 @@ RELABEL_RATIO = 5
 
 
 class TransitionMatrix:
-    """Exact row-stochastic kernel over an ordered list of states: the step
-    from state i to state j has probability kernel.entries[i][j] / kernel.den.
-    `index` maps each state to its position."""
+    """Exact row-stochastic kernel over an ordered list of states: rows[i] holds,
+    j ascending, the (j, c) of each step from state i to j with probability c / den,
+    all divided by their gcd.  `index` maps each state to its position."""
 
-    __slots__ = ("states", "kernel", "etas", "beta", "spec", "index")
+    __slots__ = ("states", "rows", "den", "etas", "beta", "spec", "index", "_kernel")
 
     def __init__(
         self,
         states: list,
-        kernel: RatMatrix,
+        rows: list,
+        den: int,
         etas: Optional[list] = None,
         beta: Optional[Fraction] = None,
         spec: Optional[CppSpec] = None,
     ):
-        self.states, self.kernel, self.etas, self.beta, self.spec = states, kernel, etas, beta, spec
-        self.index = {s: i for i, s in enumerate(states)}
+        g = gcd(den, *(c for row in rows for _, c in row))
+        self.rows = [sorted((j, c // g) for j, c in row) if g > 1 else sorted(row) for row in rows]
+        self.states, self.den, self.etas, self.beta, self.spec = states, den // g, etas, beta, spec
+        self.index, self._kernel = {s: i for i, s in enumerate(states)}, None
 
     @property
     def size(self) -> int:
         return len(self.states)
 
+    @property
+    def kernel(self) -> RatMatrix:
+        """The dense `RatMatrix` of the rows, formed on first read."""
+        if self._kernel is None:
+            self._kernel = dense_matrix(self.rows, self.den)
+        return self._kernel
+
     def row_of(self, x) -> dict:
-        den = self.kernel.den
-        row = self.kernel.entries[self.index[x]]
-        return {y: Fraction(c, den) for y, c in zip(self.states, row) if c}
+        return {self.states[j]: Fraction(c, self.den) for j, c in self.rows[self.index[x]]}
 
 
 def build_transition_matrix(alg: AlgebraHandle, spec: CppSpec, states=None) -> TransitionMatrix:
@@ -99,14 +107,11 @@ def build_transition_matrix(alg: AlgebraHandle, spec: CppSpec, states=None) -> T
 
     `states` defaults to the full degree-n basis; passing a sublist (for
     example one deck's rearrangement class) restricts to it, and the
-    builder raises if the operator ever leaves that set.  The kernel is
-    `kernel_rows`, made dense.
+    builder raises if the operator ever leaves that set.
     """
     states = list(alg.basis(spec.n) if states is None else states)
     rows, den, etas = kernel_rows(alg, spec, states)
-    return TransitionMatrix(
-        states=states, kernel=dense_matrix(rows, den), etas=etas, beta=beta_n(spec), spec=spec
-    )
+    return TransitionMatrix(states, rows, den, etas=etas, beta=beta_n(spec), spec=spec)
 
 
 def relabels(alg: AlgebraHandle, spec: CppSpec, size: int) -> bool:
@@ -142,7 +147,7 @@ def kernel_rows(alg: AlgebraHandle, spec: CppSpec, states: list) -> tuple[list, 
     if relabels(alg, spec, len(states)):
         law, den = position_law(alg, spec)
         etas = [eta(alg, states[0])] * len(states)  # eta reads no label
-        moves = list(zip(position_moves(law), (c for _, c in law)))
+        moves = position_moves(law)
         for x in states:
             row: dict = {}
             for move, c in moves:
@@ -213,7 +218,7 @@ def point_mass(matrix: TransitionMatrix, state) -> Distribution:
 
 def evolve(matrix: TransitionMatrix, start: Distribution, t: int) -> Distribution:
     """Distribution after t steps: start x K^t, the start's numerators
-    stepped through the kernel's integer rows, over start.den * den^t."""
+    stepped through the kernel's sparse rows, over start.den * den^t."""
     if t < 0:
         raise ValueError("negative time")
     if start.states != matrix.states:
@@ -221,13 +226,12 @@ def evolve(matrix: TransitionMatrix, start: Distribution, t: int) -> Distributio
     nums = start.nums
     for _ in range(t):
         new = [0] * matrix.size
-        for wi, row in zip(nums, matrix.kernel.entries):
+        for wi, row in zip(nums, matrix.rows):
             if wi:
-                for j, a in enumerate(row):
-                    if a:
-                        new[j] += wi * a
+                for j, a in row:
+                    new[j] += wi * a
         nums = new
-    return Distribution(matrix.states, nums, start.den * matrix.kernel.den**t)
+    return Distribution(matrix.states, nums, start.den * matrix.den**t)
 
 
 def expectations(
@@ -332,36 +336,32 @@ def lumping_check(matrix: TransitionMatrix, statistic: Callable) -> LumpingResul
     """
     labels = [statistic(s) for s in matrix.states]
     classes = sorted(set(labels), key=repr)
-    class_index = {c: i for i, c in enumerate(classes)}
+    targets = list(map({c: i for i, c in enumerate(classes)}.__getitem__, labels))
     lumped_rows: dict = {}
-    for x, row, label in zip(matrix.states, matrix.kernel.entries, labels):
+    for x, row, label in zip(matrix.states, matrix.rows, labels):
         sums = [0] * len(classes)
-        for a, target in zip(row, labels):
-            if a:
-                sums[class_index[target]] += a
-        if label in lumped_rows:
-            prev_state, prev_sums = lumped_rows[label]
-            if prev_sums != sums:
-                bad = next(
-                    classes[k] for k in range(len(classes)) if prev_sums[k] != sums[k]
-                )
-                return LumpingResult(ok=False, witness=(prev_state, x, bad))
-        else:
-            lumped_rows[label] = (x, sums)
-    kernel = RatMatrix([lumped_rows[c][1] for c in classes], matrix.kernel.den)
-    quotient = TransitionMatrix(states=classes, kernel=kernel)
-    return LumpingResult(ok=True, quotient=quotient)
+        for j, a in row:
+            sums[targets[j]] += a
+        prev_state, prev_sums = lumped_rows.setdefault(label, (x, sums))
+        if prev_sums != sums:
+            bad = next(c for c, a, b in zip(classes, prev_sums, sums) if a != b)
+            return LumpingResult(ok=False, witness=(prev_state, x, bad))
+    rows = [[(k, a) for k, a in enumerate(lumped_rows[c][1]) if a] for c in classes]
+    return LumpingResult(ok=True, quotient=TransitionMatrix(classes, rows, matrix.den))
 
 
 # ---------------------------------------------------------------------------
 # export
 
 
-def _text_rows(matrix: TransitionMatrix) -> Iterator[Iterator[str]]:
-    """Kernel rows as iterators of "p/q" strings, one Fraction per distinct numerator."""
-    entries = matrix.kernel.entries
-    text = {c: str(Fraction(c, matrix.kernel.den)) for c in set().union(*entries)}
-    return (map(text.__getitem__, row) for row in entries)
+def _text_rows(matrix: TransitionMatrix) -> Iterator[list[str]]:
+    """Kernel rows as lists of "p/q" strings, zeros too, one Fraction per distinct numerator."""
+    text = {c: str(Fraction(c, matrix.den)) for row in matrix.rows for _, c in row}
+    for row in matrix.rows:
+        line = ["0"] * matrix.size
+        for j, c in row:
+            line[j] = text[c]
+        yield line
 
 
 def matrix_to_csv(matrix: TransitionMatrix) -> Iterator[str]:
@@ -375,7 +375,7 @@ def matrix_to_csv(matrix: TransitionMatrix) -> Iterator[str]:
 def matrix_to_dict(matrix: TransitionMatrix) -> dict:
     data = {
         "states": [str(s) for s in matrix.states],
-        "rows": list(map(list, _text_rows(matrix))),
+        "rows": list(_text_rows(matrix)),
     }
     if matrix.beta is not None:
         data["beta"] = str(matrix.beta)

@@ -2,7 +2,7 @@
 eigenvectors, exact evolution, Monte Carlo simulation, and the acceptance
 verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or out of memory.
 All rational parameters accept "p/q" strings; JSON output carries a
 format_version field and serialises rationals as "p/q" strings.
 
@@ -575,8 +575,8 @@ def main(argv=None) -> int:
     try:
         _check_cap(args)
         return args.fn(args)
-    except (UsageError, SpecError, ValueError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+    except (UsageError, SpecError, ValueError, OSError, MemoryError) as exc:
+        sys.stderr.write(json.dumps({"error": str(exc) or type(exc).__name__}) + "\n")
         return 2
     except ArithmeticError as exc:
         sys.stderr.write(json.dumps({"error": "verification failure: " + str(exc)}) + "\n")

@@ -14,8 +14,8 @@ list of start rows, each trace summed over them: from every row
 relabelling letters of equal multiplicity, from one row per relabelling
 orbit with each trace times the orbit size (`spectral.verify_spectrum`):
 1 row of 120 on five distinct cards, 15 of 90 on aabbcc, 105 of 2,520 on
-aabbccdd.  `sparse_rows` and `dense_matrix` convert between the two row
-formats.
+aabbccdd.  A chain's kernel is stored sparse; `dense_matrix` forms its
+dense view and the rows `rank` takes, and `sparse_rows` is its inverse.
 """
 
 from __future__ import annotations

@@ -239,10 +239,10 @@ def position_law(alg: WordAlgebra, spec: CppSpec) -> tuple[tuple, int]:
 
 
 def position_moves(law: tuple) -> list:
-    """One callable per (sigma, numerator) of a position law, in order,
-    sending a word x to the plain tuple of x.sigma, (x.sigma)[i] = x[sigma[i]]."""
+    """(move, numerator) per (sigma, numerator) of a position law, in order:
+    the move sends a word x to the plain tuple of x.sigma, (x.sigma)[i] = x[sigma[i]]."""
     # itemgetter of one index returns the letter, not a tuple
-    return [itemgetter(*sigma) if len(sigma) > 1 else tuple for sigma, _ in law]
+    return [(itemgetter(*sigma) if len(sigma) > 1 else tuple, c) for sigma, c in law]
 
 
 def relabelling_orbits(alg: AlgebraHandle, states: list) -> tuple[list, int]:

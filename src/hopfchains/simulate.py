@@ -208,7 +208,7 @@ def outcome_law(law: CutLaw, deck: Word) -> dict:
 def matrix_stepper(matrix: TransitionMatrix) -> Callable:
     """Generic row sampler for any built transition matrix.
 
-    A row's weights are its nonzero integer numerators over their gcd:
+    A row's weights are its numerators, in column order, over their gcd:
     the row sums to the kernel's denominator, so these are the least
     integers in the row's proportions.  Each visited row is resolved once
     into its targets and cumulative weights, and a step draws from it
@@ -219,10 +219,9 @@ def matrix_stepper(matrix: TransitionMatrix) -> Callable:
     def step(state, rng: RngStream):
         cached = row_cache.get(state)
         if cached is None:
-            row = matrix.kernel.entries[matrix.index[state]]
-            targets = [y for y, c in zip(matrix.states, row) if c]
-            nums = [c for c in row if c]
+            cols, nums = zip(*matrix.rows[matrix.index[state]])
             g = gcd(*nums)
+            targets = [matrix.states[j] for j in cols]
             cached = row_cache[state] = targets, list(accumulate(c // g for c in nums))
         targets, cum = cached
         return targets[bisect_right(cum, rng.randbelow(cum[-1]))]

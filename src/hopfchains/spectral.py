@@ -24,8 +24,8 @@ Verification against the chain is a trace certificate: the product of
 cocommutative), and then the traces of its partial products give every
 eigenspace dimension exactly (`linalg.dimensions_from_traces`).  One
 routine forms that chain, `linalg.annihilation_traces`, on the kernel's
-rows from `chain.kernel_rows`, the rows the matrix build makes dense;
-the certificate forms no dense kernel, and where the rows are read off
+rows from `chain.kernel_rows`, the rows the matrix build stores; the
+certificate forms no dense kernel, and where the rows are read off
 the position law it applies the operator once.  The word chains never
 read a card label, so a permutation g of the letters of equal
 multiplicity has K(gx, gy) = K(x, y), and every polynomial P in K
@@ -488,7 +488,7 @@ def _eigen_equation(alg: AlgebraHandle, vector: dict, spec: CppSpec, value: Frac
         raise ValueError(f"degree mismatch: element degree {deg}, spec degree {spec.n}")
     value = rat(value)
     law, den = position_law(alg, spec)
-    moves = list(zip(position_moves(law), (c for _, c in law)))
+    moves = position_moves(law)
     vden = lcm(*(c.denominator for _, c in vector.items()))
     scaled = {x: c.numerator * (vden // c.denominator) for x, c in vector.items()}
     image: dict = {}

@@ -1,8 +1,9 @@
 import json
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
 from functools import partial
-from itertools import combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm
 
 import pytest
@@ -42,6 +43,7 @@ from hopfchains.shuffle import (
     position_law,
     rearrangement_class,
 )
+from hopfchains.simulate import RngStream, matrix_stepper
 
 
 def _class_chain(n, spec_fn):
@@ -422,6 +424,93 @@ def test_kernel_is_stored_over_its_least_common_denominator(space):
         entries, den = K.kernel.entries, K.kernel.den
         assert all(type(c) is int for row in entries for c in row), preset
         assert den == lcm(*(F(c, den).denominator for row in entries for c in row)), preset
+
+
+def _dense_evolve(K, start, t):
+    """Reference: the law after t steps, stepped through every dense entry."""
+    nums, den = list(start.nums), start.den
+    for _ in range(t):
+        new = [0] * K.size
+        for w, row in zip(nums, K.kernel.entries):
+            for j, a in enumerate(row):
+                new[j] += w * a
+        nums, den = new, den * K.kernel.den
+    return [F(c, den) for c in nums]
+
+
+def _dense_lumping(K, statistic):
+    """Reference: the dense-row lumping check, as ((x, x', class) or None,
+    {class: {class: probability}})."""
+    labels = [statistic(s) for s in K.states]
+    classes = sorted(set(labels), key=repr)
+    targets = [classes.index(label) for label in labels]
+    seen: dict = {}
+    for x, row, label in zip(K.states, K.kernel.entries, labels):
+        sums = [0] * len(classes)
+        for a, k in zip(row, targets):
+            sums[k] += a
+        prev, prev_sums = seen.setdefault(label, (x, sums))
+        if prev_sums != sums:
+            return (prev, x, next(c for c, a, b in zip(classes, prev_sums, sums) if a != b)), None
+    den = K.kernel.den
+    return None, {c: {d: F(a, den) for d, a in zip(classes, seen[c][1]) if a} for c in classes}
+
+
+def _dense_draws(K, start, steps):
+    """Reference: the row sampler's path read off the dense view, each row's
+    non-zero entries over their gcd, in state order."""
+    rng, state, path = RngStream(7, 0), start, []
+    for _ in range(steps):
+        row = K.kernel.entries[K.index[state]]
+        nums = [c for c in row if c]
+        cum = list(accumulate(c // gcd(*nums) for c in nums))
+        state = [y for y, c in zip(K.states, row) if c][bisect_right(cum, rng.randbelow(cum[-1]))]
+        path.append(state)
+    return path
+
+
+@pytest.mark.parametrize("space", GRID_SPACES)
+def test_no_chain_path_forms_a_dense_kernel(space, monkeypatch):
+    # every reader walks the sparse rows; only then is the dense view
+    # formed, and each value is checked against a reading of it
+    def refuse(*args):
+        raise AssertionError("a chain path formed a dense kernel")
+
+    for _, preset, alg, n, states, spec in [c for c in acceptance._grid_cells() if c[0] == space]:
+        total = len(states) * (len(states) + 1) // 2
+        start = Distribution(states, list(range(1, len(states) + 1)), total)
+        values = {x: F(i % 3, 2) for i, x in enumerate(states)}
+        statistics = [lambda s: "all", lambda s: s[0], lambda s: states.index(s) % 3]
+        with monkeypatch.context() as m:
+            m.setattr("hopfchains.chain.dense_matrix", refuse)
+            K = build_transition_matrix(alg, spec, states=states)
+            laws = [_weights(evolve(K, start, t)) for t in range(3)]
+            series = expectations(K, start, 2, values.__getitem__)
+            pis = stationary_distributions(alg, n, states)
+            fixed = [is_stationary(K, pi) for pi in pis]
+            lumped = [lumping_check(K, statistic) for statistic in statistics]
+            rows = [K.row_of(x) for x in states]
+            data, csv_text = matrix_to_dict(K), "".join(matrix_to_csv(K))
+            stepper, rng, path = matrix_stepper(K), RngStream(7, 0), [states[-1]]
+            for _ in range(8):
+                path.append(stepper(path[-1], rng))
+        assert all(a < b for row in K.rows for (a, _), (b, _) in zip(row, row[1:])), preset
+        assert K.den == K.kernel.den, preset
+        reference = [_dense_evolve(K, start, t) for t in range(3)]
+        assert laws == reference, preset
+        assert series == [sum(w * values[x] for x, w in zip(states, ws)) for ws in reference], preset
+        assert fixed == [_dense_evolve(K, pi, 1) == _weights(pi) for pi in pis], preset
+        for statistic, result in zip(statistics, lumped):
+            witness, quotient = _dense_lumping(K, statistic)
+            assert result.witness == witness, preset
+            assert (result.quotient and {c: result.quotient.row_of(c) for c in quotient}) == quotient
+        den, entries = K.kernel.den, K.kernel.entries
+        assert rows == [{y: F(c, den) for y, c in zip(states, row) if c} for row in entries], preset
+        text = {c: str(F(c, den)) for row in entries for c in row}
+        lines = [[text[c] for c in row] for row in entries]
+        assert data["rows"] == lines, preset
+        assert csv_text.splitlines()[1:] == [f"{x}," + ",".join(row) for x, row in zip(states, lines)]
+        assert path[1:] == _dense_draws(K, states[-1], 8), preset
 
 
 def test_integer_rows_reduce_to_their_least_common_denominator():

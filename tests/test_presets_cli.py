@@ -732,6 +732,16 @@ def test_cli_statistic_is_checked_before_the_kernel_is_built(capsys, monkeypatch
     assert message in _usage_error(capsys, [command, *flags])
 
 
+def test_cli_out_of_memory_is_a_one_line_usage_error(capsys, monkeypatch):
+    # not exit 1, which reports a verification failure, and no traceback
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("hopfchains.cli.build_transition_matrix", exhaust)
+    err = _usage_error(capsys, ["matrix", "--distinct", "3", "--preset", "riffle"])
+    assert err.count("\n") == 1 and json.loads(err) == {"error": "MemoryError"}
+
+
 def test_cli_verify_matrix_certifies_a_distinct_deck_without_a_kernel(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a kernel for a distinct deck's certificate")
