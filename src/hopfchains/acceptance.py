@@ -274,7 +274,7 @@ def criterion_3(seed: int, r: CriterionResult) -> None:
             _fail(r, f"{space_label} / {preset_label}: " + "; ".join(report.lines()))
         elif relabelling_orbits(alg, states)[1] > 1:
             support = [value for value, claimed, _ in report.entries if claimed]
-            dims = eigenspace_dimensions(_grid_matrix(cell).kernel, support)
+            dims = eigenspace_dimensions(_grid_matrix(cell), support)
             if dims is None or any(dims.get(v, 0) != d for v, _, d in report.entries):
                 _fail(r, f"{space_label} / {preset_label}: every-row certificate gives {dims}")
             both += 1
@@ -449,7 +449,7 @@ def criterion_9(seed: int, r: CriterionResult) -> None:
             )
             # diagonalisability certificate, so expectations decompose as
             # sum of c_v * v^t over the eigenvalues v
-            if not annihilation_check(K.kernel, values):
+            if not annihilation_check(K, values):
                 _fail(r, f"annihilation failed for forests n={n}")
                 continue
             horizon = 2 * len(values)

@@ -40,8 +40,10 @@ every reader walks the pairs: `evolve` (with `expectations` and
 `is_stationary`), `lumping_check`, `row_of`, the exporters, which still
 write every zero, and `simulate.matrix_stepper`; the dense `kernel` is
 only a view.  A law (`Distribution`) is integer numerators over one den
-too.  `row_of`, the exporters and `distribution_to_dict` form
-`Fraction(c, den)` for output, and `expectations` one per time step.
+too.  `row_of` and `distribution_to_dict` form `Fraction(c, den)` for
+each entry they output, the exporters one per distinct numerator of the
+kernel (2 in riffle(2)'s 41,760 non-zeros on 720 decks), and
+`expectations` one per time step.
 """
 
 from __future__ import annotations
@@ -356,7 +358,8 @@ def lumping_check(matrix: TransitionMatrix, statistic: Callable) -> LumpingResul
 
 def _text_rows(matrix: TransitionMatrix) -> Iterator[list[str]]:
     """Kernel rows as lists of "p/q" strings, zeros too, one Fraction per distinct numerator."""
-    text = {c: str(Fraction(c, matrix.den)) for row in matrix.rows for _, c in row}
+    numerators = {c for row in matrix.rows for _, c in row}
+    text = {c: str(Fraction(c, matrix.den)) for c in numerators}
     for row in matrix.rows:
         line = ["0"] * matrix.size
         for j, c in row:

@@ -7,9 +7,14 @@ All rational parameters accept "p/q" strings; JSON output carries a
 format_version field and serialises rationals as "p/q" strings.
 
 Output is written as it is encoded, with no change to the bytes: JSON one
-container at a time, each container of scalars in one C-encoder call, and
-the text is exactly that of `json.dumps(payload, indent=2)`; CSV one line
-at a time.  A JSON payload is built whole before anything is written.
+container at a time, and the text is exactly that of
+`json.dumps(payload, indent=2)`; CSV one line at a time.  A list or tuple
+of plain strings (printable ASCII with no '"' or '\\', such as a kernel
+row of "p/q" entries or a state list) skips the C encoder: the encoder
+escapes nothing in such a string, so quoting each one as it stands and
+joining them with the indented separators gives its bytes.  Every other
+container of scalars is one C-encoder call.  A JSON payload is built
+whole before anything is written.
 
 `acceptance`, `spectral` and `simulate` are imported inside the commands
 that run them, so each command loads only the modules it uses.
@@ -180,11 +185,20 @@ def _states(args, alg, n, start) -> list:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
+def _plain(text: str) -> bool:
+    """True iff `json.dumps` escapes nothing in `text`: it is printable
+    ASCII with no '"' or '\\'."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
 def _json_chunks(obj, indent: str = ""):
     """The text of `json.dumps(obj, indent=2)`, yielded one container at a
-    time.  A container whose items are all scalars (a kernel row, a state
-    list) is one C-encoder call framed with the same newlines and indents,
-    so no string is made per entry."""
+    time.  A list or tuple of plain strings (`_plain`: a kernel row, a
+    state list) is one `join` of the strings, each quoted as it stands,
+    since the encoder would escape none of them; `"".join` raising
+    `TypeError` on a non-string item is the only type test.  Any other
+    container whose items are all scalars is one C-encoder call framed with
+    the same newlines and indents, so no string is made per entry."""
     if isinstance(obj, dict):
         items, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
@@ -196,6 +210,14 @@ def _json_chunks(obj, indent: str = ""):
         yield brackets
         return
     inner = indent + "  "
+    if brackets == "[]":
+        try:
+            plain = _plain("".join(obj))
+        except TypeError:
+            plain = False
+        if plain:
+            yield f'[\n{inner}"' + f'",\n{inner}"'.join(obj) + f'"\n{indent}]'
+            return
     if _SCALARS.issuperset(map(type, items)):
         text = json.dumps(obj, separators=(",\n" + inner, ": "))
         yield f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"

@@ -15,7 +15,8 @@ relabelling letters of equal multiplicity, from one row per relabelling
 orbit with each trace times the orbit size (`spectral.verify_spectrum`):
 1 row of 120 on five distinct cards, 15 of 90 on aabbcc, 105 of 2,520 on
 aabbccdd.  A chain's kernel is stored sparse; `dense_matrix` forms its
-dense view and the rows `rank` takes, and `sparse_rows` is its inverse.
+dense view and the rows `rank` takes, and `sparse_rows` is its inverse;
+the certificate reads a chain's stored rows directly.
 """
 
 from __future__ import annotations
@@ -251,25 +252,31 @@ def dense_matrix(rows: Sequence, den: int) -> RatMatrix:
     return RatMatrix(dense, den)
 
 
-def eigenspace_dimensions(m: RatMatrix, eigenvalues: Iterable) -> dict | None:
+def eigenspace_dimensions(m, eigenvalues: Iterable) -> dict | None:
     """Eigenspace dimension of each given eigenvalue, or None if m is not
     diagonalisable with its spectrum among them.
 
+    m is a square `RatMatrix`, or a chain kernel (`chain.TransitionMatrix`),
+    whose sparse rows `m.rows` over `m.den` are read as they are stored.
     If the chain prod (m - lam I) over the distinct values vanishes, m is
     diagonalisable with eigenvalues among them, and the traces of the
     partial products (`annihilation_traces` from every row) give every
     dimension (`dimensions_from_traces`).  No rank is taken.
     """
-    if m.rows != m.cols:
-        raise ValueError("eigenspace_dimensions needs a square matrix")
+    if isinstance(m, RatMatrix):
+        if m.rows != m.cols:
+            raise ValueError("eigenspace_dimensions needs a square matrix")
+        rows = sparse_rows(m)
+    else:
+        rows = m.rows
     lams = sorted(set(rat(v) for v in eigenvalues))
     if not lams:
         raise ValueError("need at least one eigenvalue")
-    traces = annihilation_traces(sparse_rows(m), m.den, lams, range(m.rows))
+    traces = annihilation_traces(rows, m.den, lams, range(len(rows)))
     return None if traces is None else dimensions_from_traces(lams, traces)
 
 
-def annihilation_check(m: RatMatrix, eigenvalues: Iterable[Fraction]) -> bool:
+def annihilation_check(m, eigenvalues: Iterable[Fraction]) -> bool:
     """True iff the product of (m - lam*I) over the given set is zero.
 
     With the full eigenvalue set this certifies diagonalisability; it is

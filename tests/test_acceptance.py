@@ -38,7 +38,18 @@ def test_criterion_02_row_stochasticity():
     assert r.passed
 
 
-def test_criterion_03_spectra_vs_matrices():
+def _refuse_dense_kernels(monkeypatch):
+    """Make reading any chain's dense view (`TransitionMatrix.kernel`) raise."""
+
+    def refuse(self):
+        raise AssertionError("the certificate formed a dense kernel")
+
+    monkeypatch.setattr(acceptance.TransitionMatrix, "kernel", property(refuse))
+
+
+def test_criterion_03_spectra_vs_matrices(monkeypatch):
+    # both certificates read the stored sparse rows, never the dense view
+    _refuse_dense_kernels(monkeypatch)
     r = _report(acceptance.criterion_3())
     assert r.passed
     # the 3 distinct decks and aabb, x 7 presets of the grid, by both certificates
@@ -91,7 +102,8 @@ def test_criterion_08_descent_set_lumping():
     assert r.passed
 
 
-def test_criterion_09_forest_bound_with_documented_defect():
+def test_criterion_09_forest_bound_with_documented_defect(monkeypatch):
+    _refuse_dense_kernels(monkeypatch)
     r = _report(acceptance.criterion_9())
     assert not any(line.startswith("FAIL") for line in r.lines)
     assert not r.passed

@@ -355,6 +355,26 @@ def test_exports():
     assert distribution_to_dict(dist)["123"] == "1/6"
 
 
+def test_exports_form_one_fraction_per_distinct_numerator(monkeypatch):
+    # riffle(2) on five distinct cards: 120 states, 3,240 non-zeros, 2 distinct numerators
+    _, _, K = _class_chain(5, riffle_spec)
+    numerators = {c for row in K.rows for _, c in row}
+    assert len(numerators) < sum(map(len, K.rows))
+    expected = matrix_to_dict(K)["rows"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return F(*args)
+
+    monkeypatch.setattr("hopfchains.chain.Fraction", counted)
+    assert matrix_to_dict(K)["rows"] == expected
+    assert sorted(calls) == sorted((c, K.den) for c in numerators)
+    calls.clear()
+    assert "".join(matrix_to_csv(K)).count("\n") == K.size + 1
+    assert len(calls) == len(numerators)
+
+
 # ---------------------------------------------------------------------------
 # oracles for the integer kernel
 

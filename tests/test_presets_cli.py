@@ -782,6 +782,18 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 @example({"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": [{"f": []}]}})
 @example([-0.0, 1e300, float("nan"), 2**100, True, False, None, "q\"\\\x01é"])
+# lists and tuples of strings only: the plain ones are joined as they stand,
+# and one string the encoder would escape sends the whole container to it
+@example(["1/3", "0", "1/3", "1/3", "0", "0"])  # top-to-random's row of 123 on three cards
+@example({"rows": [["1/2", "0"], ("0", "1")], "states": ("12", "21")})
+@example(["", " ", "a b", "~"])
+@example(("",))
+@example(["1/2", 'say "hi"'])
+@example(("1/2", "a\\b"))
+@example(["1/2", "\x1f"])
+@example(("1/2", "\x7f"))
+@example(["1/2", "é"])
+@example(("1/2", "€", "😀"))
 def test_streamed_json_equals_the_indented_dump(obj):
     assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
 
