@@ -57,12 +57,10 @@ from .presets import (
 from .shuffle import (
     FreeAssociativeAlgebra,
     ShuffleAlgebra,
-    deck_from_string,
     deck_statistic,
     descent_peak_sets,
     distinct_alphabet,
     distinct_deck,
-    rearrangement_class,
     relabelling_orbits,
 )
 from .simulate import cut_law, gsr_stepper, outcome_law, run_trajectories
@@ -143,7 +141,7 @@ def _fail(r: CriterionResult, message: str) -> None:
 def _distinct_chain(n: int, spec):
     """(algebra, deck, kernel): spec's chain on the distinct n-card deck's class."""
     alg, deck = distinct_deck(n)
-    return alg, deck, build_transition_matrix(alg, spec, states=rearrangement_class(alg, deck))
+    return alg, deck, build_transition_matrix(alg, spec, states=alg.content_class(alg.content(deck)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +161,11 @@ def grid_presets(n: int) -> list:
 
 
 def grid_spaces() -> list:
-    """(label, algebra, n, states) for every grid state space."""
-    spaces = []
-    for n in (3, 4, 5):
-        alg, deck = distinct_deck(n)
-        spaces.append((f"distinct n={n}", alg, n, rearrangement_class(alg, deck)))
-    alg, deck = deck_from_string("aabb")
-    spaces.append(("deck aabb", alg, 4, rearrangement_class(alg, deck)))
-    falg = forest_algebra()
-    for n in (3, 4):
-        spaces.append((f"forests n={n}", falg, n, list(falg.basis(n))))
-    return spaces
+    """(label, algebra, n, states) for every grid state space, one content class each."""
+    classes = [(f"distinct n={n}", ShuffleAlgebra(distinct_alphabet(n)), (1,) * n) for n in (3, 4, 5)]
+    classes.append(("deck aabb", ShuffleAlgebra("ab"), (2, 2)))
+    classes += [(f"forests n={n}", forest_algebra(), (n,)) for n in (3, 4)]
+    return [(label, alg, sum(c), alg.content_class(c)) for label, alg, c in classes]
 
 
 TRINOMIAL_PARAMS = [
@@ -286,11 +278,10 @@ def criterion_3(seed: int, r: CriterionResult) -> None:
 
     for label, n, make_spec, expected, note in _LITERAL_SPECTRA:
         spec = make_spec(n)
-        alg, deck = distinct_deck(n)
-        spectrum = class_spectrum(spec, alg, alg.content(deck))
+        alg, content = ShuffleAlgebra(distinct_alphabet(n)), (1,) * n
+        spectrum = class_spectrum(spec, alg, content)
         got = {v: m for v, m in spectrum.by_eigenvalue().items() if m}
-        states = rearrangement_class(alg, deck)
-        if got != expected or not verify_spectrum(alg, spec, states, spectrum).ok:
+        if got != expected or not verify_spectrum(alg, spec, alg.content_class(content), spectrum).ok:
             _fail(r, f"{label} spectrum is {got}")
         else:
             shown = ", ".join(f"{v}:{m}" for v, m in expected.items())

@@ -16,6 +16,10 @@ joining them with the indented separators gives its bytes.  Every other
 container of scalars is one C-encoder call.  A JSON payload is built
 whole before anything is written.
 
+Each --algebra choice is one entry of `_STARTS`, its start flags and their
+parser; a class's size (checked against --max-states before enumeration),
+states, statistics and kernel-free sampler come from the algebra handle.
+
 `acceptance`, `spectral` and `simulate` are imported inside the commands
 that run them, so each command loads only the modules it uses.
 """
@@ -36,17 +40,11 @@ from .chain import (
     point_mass,
     stationary_distributions,
 )
-from .forests import f_j_statistic, forest_algebra, parse_forest, tree_count
-from .hopf import SpecError, multinomial, spec_from_dict, spec_to_dict
+from .forests import f_j_statistic, forest_algebra, parse_forest
+from .hopf import SpecError, spec_from_dict, spec_to_dict
 from .linalg import rat
 from .presets import expand_preset, preset_names
-from .shuffle import (
-    FreeAssociativeAlgebra,
-    deck_from_string,
-    deck_statistic,
-    distinct_deck,
-    rearrangement_class,
-)
+from .shuffle import FreeAssociativeAlgebra, deck_from_string, deck_statistic, distinct_deck
 
 FORMAT_VERSION = 1
 
@@ -92,11 +90,13 @@ def _rat_flag(args, name: str) -> Fraction:
         raise UsageError(f"zero denominator in --{name} {value!r}") from None
 
 
-def _check_cap(args) -> None:
-    """Refuse a --max-states below 1, which no state space fits under."""
-    cap = getattr(args, "max_states", None)  # verify has no cap
-    if cap is not None and cap < 1:
-        raise UsageError(f"--max-states must be >= 1, got {cap}")
+def _check_minima(args) -> None:
+    """Refuse a numeric flag below its least value before any work (no state
+    space fits under a --max-states below 1); a command without it skips it."""
+    for flag, least in (("max_states", 1), ("t", 0), ("trials", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
 
 
 def check_state_count(count: int, max_states: int) -> None:
@@ -108,78 +108,60 @@ def check_state_count(count: int, max_states: int) -> None:
         )
 
 
-def _check_horizon(args) -> None:
-    if args.t < 0:
-        raise UsageError(f"--t must be >= 0, got {args.t}")
+def _deck_start(args):
+    """A deck from --distinct N or --deck WORD."""
+    if args.deck == "":
+        raise UsageError("--deck needs at least one card")
+    alg, deck = distinct_deck(args.distinct) if args.deck is None else deck_from_string(args.deck)
+    return alg, deck.degree, alg.content(deck), deck
 
 
-def _one_start(args, size: str, other: str) -> None:
-    """Reject a run given both start flags `--size` and `--other`, or a size below 1."""
+def _forest_start(args):
+    """A forest from --forest ENCODING, or every forest on --n N vertices."""
+    alg = forest_algebra()
+    if args.forest is None:
+        return alg, args.n, (args.n,), None  # the forests on n vertices form one class
+    if not args.forest:
+        raise UsageError("--forest needs at least one tree")
+    start = parse_forest(args.forest)
+    return alg, start.degree, alg.content(start), start
+
+
+# --algebra NAME: (flag sizing a start, flag naming one state, the parser of
+# them into (algebra, degree, content, start or None), the error without them)
+_STARTS = {
+    "shuffle": ("distinct", "deck", _deck_start, "shuffle runs need --distinct N or --deck WORD"),
+    "forests": ("n", "forest", _forest_start, "forest runs need --forest ENCODING or --n N"),
+}
+
+
+def _setup_space(args, missing: str | None = None):
+    """(algebra, degree, content, start) from the start flags of --algebra;
+    start is None for a whole class.  Refused: a start flag of another
+    algebra, both flags, a size below 1, or neither (`missing`, if given)."""
+    size, state, parse, default = _STARTS[args.algebra]
+    for name, (*flags, _, _) in _STARTS.items():
+        for flag in flags:
+            if flag not in (size, state) and getattr(args, flag) is not None:
+                raise UsageError(
+                    f"--{flag} starts a {name} run and would be ignored under --algebra {args.algebra}"
+                )
     n = getattr(args, size)
-    if n is None:
-        return
-    if getattr(args, other) is not None:
-        raise UsageError(f"give --{size} or --{other}, not both")
-    if n < 1:
-        raise UsageError(f"--{size} must be >= 1, got {n}")
+    if n is not None:
+        if getattr(args, state) is not None:
+            raise UsageError(f"give --{size} or --{state}, not both")
+        if n < 1:
+            raise UsageError(f"--{size} must be >= 1, got {n}")
+    elif getattr(args, state) is None:
+        raise UsageError(missing or default)
+    return parse(args)
 
 
-def _no_start_of(args, algebra: str, *flags: str) -> None:
-    """Reject a start flag of the other algebra, which the run would ignore."""
-    for flag in flags:
-        if getattr(args, flag) is not None:
-            raise UsageError(
-                f"--{flag} starts a {algebra} run and would be ignored under --algebra {args.algebra}"
-            )
-
-
-def _shuffle_deck(args, missing: str):
-    """(shuffle algebra, deck) from --distinct or --deck; `missing` is the usage error."""
-    _no_start_of(args, "forests", "n", "forest")
-    _one_start(args, "distinct", "deck")
-    if args.distinct is not None:
-        return distinct_deck(args.distinct)
-    if args.deck is not None:
-        if not args.deck:
-            raise UsageError("--deck needs at least one card")
-        return deck_from_string(args.deck)
-    raise UsageError(missing)
-
-
-def _setup_space(args):
-    """Resolve (algebra, degree, start) from the flags; a full forest basis has no start."""
-    if args.algebra == "shuffle":
-        alg, deck = _shuffle_deck(args, "shuffle runs need --distinct N or --deck WORD")
-        return alg, deck.degree, deck
-    if args.algebra == "forests":
-        _no_start_of(args, "shuffle", "distinct", "deck")
-        _one_start(args, "n", "forest")
-        alg = forest_algebra()
-        if args.forest is not None:
-            if not args.forest:
-                raise UsageError("--forest needs at least one tree")
-            start = parse_forest(args.forest)
-            return alg, start.degree, start
-        if args.n is not None:
-            return alg, args.n, None
-        raise UsageError("forest runs need --forest ENCODING or --n N")
-    raise UsageError(f"unknown algebra {args.algebra!r}")
-
-
-def _class_size(alg, deck) -> int:
-    """Size of a deck's rearrangement class: the multinomial of its letter counts."""
-    return multinomial(deck.degree, alg.content(deck))
-
-
-def _states(args, alg, n, start) -> list:
-    """The chain's states, checked against --max-states by their count
-    before they are enumerated: a deck's class by its multinomial size,
-    the forests on n vertices by the rooted trees on n + 1."""
-    if args.algebra == "shuffle":
-        check_state_count(_class_size(alg, start), args.max_states)
-        return rearrangement_class(alg, start)
-    check_state_count(tree_count(n + 1), args.max_states)
-    return alg.basis(n)
+def _states(args, alg, content) -> list:
+    """The content class, checked against --max-states by the handle's
+    count of it before it is enumerated."""
+    check_state_count(alg.class_size(content), args.max_states)
+    return alg.content_class(content)
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -268,10 +250,9 @@ def _emit(args, payload: dict, csv_text=None) -> None:
 
 
 def cmd_matrix(args) -> int:
-    alg, n, start = _setup_space(args)
+    alg, n, content, _ = _setup_space(args)
     spec = _load_spec(args, n)
-    states = _states(args, alg, n, start)
-    K = build_transition_matrix(alg, spec, states=states)
+    K = build_transition_matrix(alg, spec, states=_states(args, alg, content))
     if args.format == "csv":  # the CSV carries the kernel alone
         _emit(args, {}, csv_text=matrix_to_csv(K))
         return 0
@@ -289,9 +270,8 @@ def cmd_matrix(args) -> int:
 def cmd_spectrum(args) -> int:
     from .spectral import class_spectrum, verify_spectrum
 
-    alg, n, start = _setup_space(args)
+    alg, n, content, _ = _setup_space(args)
     spec = _load_spec(args, n)
-    content = (n,) if start is None else alg.content(start)  # all forests form one class
     spectrum = class_spectrum(spec, alg, content)
     payload = {
         "command": "spectrum",
@@ -305,8 +285,7 @@ def cmd_spectrum(args) -> int:
     }
     ok = True
     if args.verify_matrix:
-        states = _states(args, alg, n, start)
-        report = verify_spectrum(alg, spec, states, spectrum)
+        report = verify_spectrum(alg, spec, _states(args, alg, content), spectrum)
         payload["matrix_verification"] = {"ok": report.ok, "detail": report.lines()}
         ok = report.ok
     _emit(args, payload)
@@ -314,9 +293,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    alg, n, start = _setup_space(args)
-    states = _states(args, alg, n, start)
-    pis = stationary_distributions(alg, n, states=states)
+    alg, n, content, _ = _setup_space(args)
+    pis = stationary_distributions(alg, n, states=_states(args, alg, content))
     payload = {
         "command": "stationary",
         "algebra": alg.name,
@@ -336,10 +314,9 @@ def cmd_stationary(args) -> int:
 def cmd_eigvecs(args) -> int:
     from .spectral import build_E_j
 
-    if args.algebra != "shuffle":
+    if "deck" not in _STARTS[args.algebra]:  # the word dual needs a deck; no start is read
         raise UsageError("eigenvector construction runs on the word dual; use --algebra shuffle")
-    words, deck = _shuffle_deck(args, "need --distinct N or --deck WORD")
-    n = deck.degree
+    words, n, _, _ = _setup_space(args, "need --distinct N or --deck WORD")
     if n < 2:
         raise UsageError(f"eigvecs needs a deck of at least 2 cards, got {n}")
     count = len(words.alphabet) ** n
@@ -350,9 +327,7 @@ def cmd_eigvecs(args) -> int:
         )
     alg = FreeAssociativeAlgebra(words.alphabet)
     q = _rat_flag(args, "q")
-    vectors = []
-    for j in list(range(n - 1)) + [n]:
-        vectors.extend(build_E_j(alg, n, j, q))
+    vectors = [v for j in [*range(n - 1), n] for v in build_E_j(alg, n, j, q)]
     payload = {
         "command": "eigvecs",
         "algebra": alg.name,
@@ -379,7 +354,7 @@ def _resolve_statistic(args, alg, n: int):
     if args.q is None:
         args.q = "1/2"
     q = _rat_flag(args, "q")
-    if (name == "f_j") != (args.algebra == "forests"):
+    if name not in alg.statistics:
         raise UsageError(f"statistic {name!r} does not apply to the {args.algebra} algebra")
     for flag in given:
         if flag not in _STAT_FLAGS.get(name, ()):
@@ -395,18 +370,15 @@ def _resolve_statistic(args, alg, n: int):
 
 
 def cmd_evolve(args) -> int:
-    _check_horizon(args)
-    alg, n, start = _setup_space(args)
+    alg, n, content, start = _setup_space(args)
     if start is None:
         raise UsageError("evolve needs a start state (--deck/--distinct/--forest)")
     spec = _load_spec(args, n)
     stat = _resolve_statistic(args, alg, n)
-    states = _states(args, alg, n, start)
-    K = build_transition_matrix(alg, spec, states=states)
-    dist = point_mass(K, start)
+    K = build_transition_matrix(alg, spec, states=_states(args, alg, content))
     rows = [
         {"t": t, "expectation": str(value), "float": float(value)}
-        for t, value in enumerate(expectations(K, dist, args.t, stat))
+        for t, value in enumerate(expectations(K, point_mass(K, start), args.t, stat))
     ]
     payload = {
         "command": "evolve",
@@ -423,27 +395,22 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import gsr_stepper, matrix_stepper, run_trajectories
+    from .simulate import matrix_stepper, run_trajectories
 
-    _check_horizon(args)
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    alg, n, start = _setup_space(args)
+    alg, n, content, start = _setup_space(args)
     if start is None:
         raise UsageError("simulate needs a start state (--deck/--distinct/--forest)")
     spec = _load_spec(args, n)
     stat = _resolve_statistic(args, alg, n)
-    stats = {args.stat: stat}
+    stepper = alg.stepper(spec)
     exact_targets = None
-    if args.algebra == "shuffle" and _class_size(alg, start) > args.max_states:
-        stepper = gsr_stepper(spec)  # above the cap: cut-and-drop needs no kernel
-    else:
-        states = _states(args, alg, n, start)
-        K = build_transition_matrix(alg, spec, states=states)
-        stepper = gsr_stepper(spec) if args.algebra == "shuffle" else matrix_stepper(K)
-        dist = point_mass(K, start)
-        exact_targets = {args.stat: expectations(K, dist, args.t, stat)}
-    report = run_trajectories(start, args.t, args.trials, stepper, args.seed, stats)
+    # a class above the cap runs on a kernel-free sampler, with no exact targets
+    if stepper is None or alg.class_size(content) <= args.max_states:
+        K = build_transition_matrix(alg, spec, states=_states(args, alg, content))
+        if stepper is None:
+            stepper = matrix_stepper(K)
+        exact_targets = {args.stat: expectations(K, point_mass(K, start), args.t, stat)}
+    report = run_trajectories(start, args.t, args.trials, stepper, args.seed, {args.stat: stat})
     payload = {
         "command": "simulate",
         "algebra": alg.name,
@@ -509,7 +476,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algebra", choices=["shuffle", "forests"], default="shuffle")
+    p.add_argument("--algebra", choices=list(_STARTS), default="shuffle")
     p.add_argument("--distinct", type=int, help="distinct deck 1<2<...<N")
     p.add_argument("--deck", help="explicit deck word, e.g. aabb")
     p.add_argument("--forest", help="forest encoding, e.g. (()())")
@@ -595,7 +562,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_cap(args)
+        _check_minima(args)
         return args.fn(args)
     except (UsageError, SpecError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc) or type(exc).__name__}) + "\n")

@@ -220,6 +220,7 @@ class ForestAlgebra(AlgebraHandle):
     name = "forests"
     commutative = True
     cocommutative = False
+    statistics = frozenset({"f_j"})
 
     def basis(self, n: int) -> list:
         return list(enumerate_forests(n))
@@ -245,6 +246,14 @@ class ForestAlgebra(AlgebraHandle):
     def content(self, key: Forest) -> tuple[int]:
         """The one degree-1 key is the single vertex, so content is (degree,)."""
         return (key.degree,)
+
+    def class_size(self, content) -> int:
+        """The forests on n vertices number the rooted trees on n + 1."""
+        return tree_count(content[0] + 1)
+
+    def content_class(self, content) -> list:
+        """Every forest on n vertices: the content (n,) is the degree alone."""
+        return self.basis(content[0])
 
     def generator_counts(self, content) -> dict:
         """Rooted trees of each size up to the vertex count."""

@@ -79,16 +79,21 @@ class AlgebraHandle:
 
     Subclasses provide `basis`, `product_basis` and `coproduct_basis`, the
     `content` and `generator_counts` that the spectra and stationary laws
-    read, and set the `commutative` / `cocommutative` flags.  They may
-    supply `eta`, the basis rescaling constant, in closed form; the default
-    recurses through `coproduct_basis`.  The structure maps return
-    `{key: int}` dicts, which callers only read.  Handles are immutable
-    after construction; the internal caches only memoise pure functions.
+    read, and set the `commutative` / `cocommutative` flags.  A content
+    class is a chain's state space, and the handle gives its size without
+    enumeration (`class_size`), its states (`content_class`), the `--stat`
+    names its states take (`statistics`) and a sampler that needs no
+    kernel, if any (`stepper`).  Subclasses may supply `eta`, the basis
+    rescaling constant, in closed form; the default recurses through
+    `coproduct_basis`.  The structure maps return `{key: int}` dicts, which
+    callers only read.  Handles are immutable after construction; the
+    internal caches only memoise pure functions.
     """
 
     name = "abstract"
     commutative = False
     cocommutative = False
+    statistics: frozenset = frozenset()
 
     def __init__(self):
         self._eta_cache: dict = {}
@@ -116,6 +121,18 @@ class AlgebraHandle:
         content class is an invariant state space of the chains.
         """
         raise NotImplementedError
+
+    def class_size(self, content) -> int:
+        """The number of basis keys of this content, counted, not enumerated."""
+        raise NotImplementedError
+
+    def content_class(self, content) -> list:
+        """The basis keys of this content, in a fixed canonical order."""
+        raise NotImplementedError
+
+    def stepper(self, spec):
+        """A (state, rng) -> state sampler of the spec's chain with no kernel, or None."""
+        return None
 
     def generator_counts(self, content) -> dict:
         """Free generators that fit inside `content`: {size: {content: count}}.

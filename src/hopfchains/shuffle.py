@@ -115,6 +115,7 @@ class WordAlgebra(AlgebraHandle):
     """
 
     kind = "words"
+    statistics = frozenset({"descents", "peaks", "weighted-descents", "weighted-peaks"})
 
     def __init__(self, alphabet):
         super().__init__()
@@ -141,6 +142,14 @@ class WordAlgebra(AlgebraHandle):
         for letter in key:
             counts[self.rank[letter]] += 1
         return tuple(counts)
+
+    def class_size(self, content) -> int:
+        """The multinomial of the letter counts."""
+        return multinomial(sum(content), content)
+
+    def content_class(self, content) -> list:
+        """The rearrangement class of the words with these letter counts."""
+        return rearrangement_class(self, [a for a, c in zip(self.alphabet, content) for _ in range(c)])
 
     def generator_counts(self, content) -> dict:
         """Lyndon words of each content v <= `content`, by length.
@@ -185,6 +194,12 @@ class ShuffleAlgebra(WordAlgebra):
     def eta(self, key: Word) -> int:
         """1: deconcatenation peels a word one letter at a time only from its end."""
         return 1
+
+    def stepper(self, spec: CppSpec):
+        """Cut-and-drop, from `simulate` imported here so that only a simulation loads it."""
+        from .simulate import gsr_stepper
+
+        return gsr_stepper(spec)
 
 
 class FreeAssociativeAlgebra(WordAlgebra):
@@ -264,7 +279,7 @@ def relabelling_orbits(alg: AlgebraHandle, states: list) -> tuple[list, int]:
     if not isinstance(alg, WordAlgebra) or not states:
         return every
     content = alg.content(states[0])
-    if len(states) != multinomial(sum(content), content) or len(set(states)) != len(states):
+    if not len(states) == len(set(states)) == alg.class_size(content):
         return every
     if any(alg.content(x) != content for x in states):
         return every

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from functools import reduce
-from itertools import permutations
+from itertools import permutations, product as cartesian
 from math import lcm
 
 import pytest
@@ -38,7 +38,7 @@ from hopfchains.presets import (
     top_to_random_spec,
     trinomial_spec,
 )
-from hopfchains.shuffle import FreeAssociativeAlgebra, ShuffleAlgebra, Word
+from hopfchains.shuffle import FreeAssociativeAlgebra, ShuffleAlgebra, Word, rearrangement_class
 
 
 def w(s):
@@ -452,6 +452,33 @@ def test_forest_eta_reads_no_coproduct(monkeypatch):
         for f in falg.basis(n):
             eta(falg, f)
     assert asked == []
+
+
+@pytest.mark.parametrize("alphabet", ["ab", "abc"])
+def test_word_content_classes_are_the_rearrangement_classes(alphabet):
+    # every content up to degree 7: the class is the rearrangement class
+    # of its sorted deck, its size is counted without enumeration, and the
+    # classes of one degree partition the basis
+    for alg in (ShuffleAlgebra(alphabet), FreeAssociativeAlgebra(alphabet)):
+        for n in range(8):
+            covered = []
+            counts = cartesian(range(n + 1), repeat=len(alphabet))
+            for content in (c for c in counts if sum(c) == n):
+                deck = Word(a for a, c in zip(alphabet, content) for _ in range(c))
+                states = alg.content_class(content)
+                assert states == rearrangement_class(alg, deck), content
+                assert alg.class_size(content) == len(states), content
+                assert all(alg.content(x) == content for x in states)
+                covered += states
+            assert sorted(covered) == sorted(alg.basis(n))
+
+
+def test_forest_content_class_is_the_basis():
+    falg = forest_algebra()
+    for n in range(9):
+        states = falg.content_class((n,))
+        assert states == falg.basis(n)
+        assert falg.class_size((n,)) == len(states)
 
 
 def test_state_space_checks_pass():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hopfchains.chain import build_transition_matrix
-from hopfchains.cli import _json_chunks, main
+from hopfchains.cli import _STARTS, _json_chunks, build_parser, main
+from hopfchains.forests import forest_algebra
 from hopfchains.hopf import SpecError, beta_n, spec_from_dict, spec_to_dict
 from hopfchains.presets import (
     biased_spec,
@@ -24,7 +25,14 @@ from hopfchains.presets import (
     trinomial_spec,
 )
 from hopfchains.hopf import normalize_spec
-from hopfchains.shuffle import Word, deck_from_string, distinct_deck, rearrangement_class
+from hopfchains.shuffle import (
+    FreeAssociativeAlgebra,
+    ShuffleAlgebra,
+    Word,
+    deck_from_string,
+    distinct_deck,
+    rearrangement_class,
+)
 
 
 def weak_compositions(n: int, parts: int):
@@ -480,7 +488,8 @@ def test_cli_max_states_below_one_is_usage_error(capsys, monkeypatch, argv, cap)
         raise AssertionError("set up a state space under a cap below 1")
 
     monkeypatch.setattr("hopfchains.cli._setup_space", refuse)
-    monkeypatch.setattr("hopfchains.cli._shuffle_deck", refuse)
+    for algebra, starts in _STARTS.items():  # each algebra's start parser
+        monkeypatch.setitem(_STARTS, algebra, (*starts[:2], refuse, starts[3]))
     err = _usage_error(capsys, argv + ["--max-states", cap])
     assert f"--max-states must be >= 1, got {cap}" in err
 
@@ -591,7 +600,7 @@ def test_cli_state_cap_is_checked_before_enumeration(capsys, monkeypatch):
     def refuse(alg, word):
         raise AssertionError(f"enumerated the class of {word}")
 
-    monkeypatch.setattr("hopfchains.cli.rearrangement_class", refuse)
+    monkeypatch.setattr("hopfchains.shuffle.rearrangement_class", refuse)
     err = _usage_error(capsys, ["matrix", "--distinct", "9", "--preset", "riffle"])
     assert "state space has 362880 elements, above the cap 1000" in err
     for argv in (
@@ -719,6 +728,23 @@ STATISTIC_MISMATCHES = {
         "--q would be ignored by --stat f_j",
     ),
 }
+
+
+def test_cli_takes_exactly_the_statistics_of_the_handle(capsys):
+    # every --stat choice runs on the handles that list it and is refused
+    # on the others: f_j on forests only, every other choice on words only
+    evolve = next(a for a in build_parser()._actions if a.dest == "command").choices["evolve"]
+    choices = next(a for a in evolve._actions if a.dest == "stat").choices
+    starts = [(["--deck", "abc"], ShuffleAlgebra("abc")),
+              (["--algebra", "forests", "--forest", "(())"], forest_algebra())]
+    assert forest_algebra().statistics == {"f_j"}
+    assert ShuffleAlgebra("abc").statistics == FreeAssociativeAlgebra("ab").statistics
+    assert ShuffleAlgebra("abc").statistics == set(choices) - {"f_j"}
+    for stat in choices:
+        for flags, alg in starts:
+            argv = ["evolve", *flags, "--preset", "riffle", "--t", "1", "--stat", stat]
+            assert main(argv) == (0 if stat in alg.statistics else 2), argv
+            capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["evolve", "simulate"])
