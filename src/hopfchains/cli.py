@@ -16,9 +16,10 @@ joining them with the indented separators gives its bytes.  Every other
 container of scalars is one C-encoder call.  A JSON payload is built
 whole before anything is written.
 
-Each --algebra choice is one entry of `_STARTS`, its start flags and their
-parser; a class's size (checked against --max-states before enumeration),
-states, statistics and kernel-free sampler come from the algebra handle.
+Each --algebra choice is one entry of `_STARTS`: its start flags, their
+parser and its handle class.  A class's size (checked against --max-states
+before enumeration), states, kernel-free sampler and statistics (each --stat
+name, the flags it reads and their defaults, its callable) come from the handle.
 
 `acceptance`, `spectral` and `simulate` are imported inside the commands
 that run them, so each command loads only the modules it uses.
@@ -40,11 +41,11 @@ from .chain import (
     point_mass,
     stationary_distributions,
 )
-from .forests import f_j_statistic, forest_algebra, parse_forest
+from .forests import ForestAlgebra, forest_algebra, parse_forest
 from .hopf import SpecError, spec_from_dict, spec_to_dict
 from .linalg import rat
 from .presets import expand_preset, preset_names
-from .shuffle import FreeAssociativeAlgebra, deck_from_string, deck_statistic, distinct_deck
+from .shuffle import FreeAssociativeAlgebra, ShuffleAlgebra, deck_from_string, distinct_deck
 
 FORMAT_VERSION = 1
 
@@ -127,11 +128,13 @@ def _forest_start(args):
     return alg, start.degree, alg.content(start), start
 
 
-# --algebra NAME: (flag sizing a start, flag naming one state, the parser of
-# them into (algebra, degree, content, start or None), the error without them)
+# --algebra NAME: (flag sizing a start, flag naming one state, their parser into
+# (algebra, degree, content, start or None), the error without them, the handle class)
 _STARTS = {
-    "shuffle": ("distinct", "deck", _deck_start, "shuffle runs need --distinct N or --deck WORD"),
-    "forests": ("n", "forest", _forest_start, "forest runs need --forest ENCODING or --n N"),
+    "shuffle": ("distinct", "deck", _deck_start, "shuffle runs need --distinct N or --deck WORD",
+                ShuffleAlgebra),
+    "forests": ("n", "forest", _forest_start, "forest runs need --forest ENCODING or --n N",
+                ForestAlgebra),
 }
 
 
@@ -139,8 +142,8 @@ def _setup_space(args, missing: str | None = None):
     """(algebra, degree, content, start) from the start flags of --algebra;
     start is None for a whole class.  Refused: a start flag of another
     algebra, both flags, a size below 1, or neither (`missing`, if given)."""
-    size, state, parse, default = _STARTS[args.algebra]
-    for name, (*flags, _, _) in _STARTS.items():
+    size, state, parse, default, _ = _STARTS[args.algebra]
+    for name, (*flags, _, _, _) in _STARTS.items():
         for flag in flags:
             if flag not in (size, state) and getattr(args, flag) is not None:
                 raise UsageError(
@@ -341,40 +344,35 @@ def cmd_eigvecs(args) -> int:
     return 0
 
 
-# the statistic flags each statistic reads; any other one given is refused
-_STAT_FLAGS = {"weighted-descents": ("q",), "weighted-peaks": ("q",), "f_j": ("j", "q1", "q3")}
-
-
 def _resolve_statistic(args, alg, n: int):
-    """The statistic of size-n states as a callable, checked against the algebra
-    and the statistic flags before any kernel is built; an absent --q is 1/2 and
-    an absent --j 2.  A deck statistic resolves its weights once (`deck_statistic`)."""
-    name = args.stat
-    given = [flag for flag in ("q", "j", "q1", "q3") if getattr(args, flag) is not None]
-    if args.q is None:
-        args.q = "1/2"
-    q = _rat_flag(args, "q")
-    if name not in alg.statistics:
-        raise UsageError(f"statistic {name!r} does not apply to the {args.algebra} algebra")
-    for flag in given:
-        if flag not in _STAT_FLAGS.get(name, ()):
-            raise UsageError(f"--{flag} would be ignored by --stat {name}")
-    if name != "f_j":
-        return deck_statistic(name, alg.alphabet, n, q)
-    j = 2 if args.j is None else args.j
-    if j < 2:
-        raise UsageError(f"--j must be >= 2 for f_j, got {j}")
-    q1 = Fraction(1, 4) if args.q1 is None else _rat_flag(args, "q1")
-    q3 = Fraction(1, 4) if args.q3 is None else _rat_flag(args, "q3")
-    return lambda f: f_j_statistic(f, j, q1, q3)
+    """The --stat statistic of size-n states as a callable from the handle
+    (`alg.statistic`), resolved once before any kernel is built.  A name not
+    in the handle's table, or a statistic flag given that it does not read, is
+    refused; each flag it reads is set on `args` as given (parsed) or as its default."""
+    table = alg.statistics.get(args.stat)
+    if table is None:
+        raise UsageError(f"statistic {args.stat!r} does not apply to the {args.algebra} algebra")
+    params = dict(table)
+    for flag in [flag for flag in ("q", "j", "q1", "q3") if getattr(args, flag) is not None]:
+        if flag not in table:
+            raise UsageError(f"--{flag} would be ignored by --stat {args.stat}")
+        value = getattr(args, flag)
+        params[flag] = _rat_flag(args, flag) if isinstance(value, str) else value  # --j: an int
+    vars(args).update(params)
+    return alg.statistic(args.stat, n, **params)
+
+
+def _setup_run(args):
+    """(algebra, degree, content, start, spec, statistic) of a run from one start state."""
+    alg, n, content, start = _setup_space(args)
+    if start is None:
+        raise UsageError(f"{args.command} needs a start state (--deck/--distinct/--forest)")
+    spec = _load_spec(args, n)
+    return alg, n, content, start, spec, _resolve_statistic(args, alg, n)
 
 
 def cmd_evolve(args) -> int:
-    alg, n, content, start = _setup_space(args)
-    if start is None:
-        raise UsageError("evolve needs a start state (--deck/--distinct/--forest)")
-    spec = _load_spec(args, n)
-    stat = _resolve_statistic(args, alg, n)
+    alg, n, content, start, spec, stat = _setup_run(args)
     K = build_transition_matrix(alg, spec, states=_states(args, alg, content))
     rows = [
         {"t": t, "expectation": str(value), "float": float(value)}
@@ -387,7 +385,7 @@ def cmd_evolve(args) -> int:
         "spec": spec_to_dict(spec),
         "start": str(start),
         "statistic": args.stat,
-        "q": str(_rat_flag(args, "q")),
+        "q": str(Fraction(1, 2) if args.q is None else args.q),  # --q's documented default
         "values": rows,
     }
     _emit(args, payload)
@@ -397,11 +395,7 @@ def cmd_evolve(args) -> int:
 def cmd_simulate(args) -> int:
     from .simulate import matrix_stepper, run_trajectories
 
-    alg, n, content, start = _setup_space(args)
-    if start is None:
-        raise UsageError("simulate needs a start state (--deck/--distinct/--forest)")
-    spec = _load_spec(args, n)
-    stat = _resolve_statistic(args, alg, n)
+    alg, n, content, start, spec, stat = _setup_run(args)
     stepper = alg.stepper(spec)
     exact_targets = None
     # a class above the cap runs on a kernel-free sampler, with no exact targets
@@ -498,7 +492,7 @@ def _add_statistic_flags(p: argparse.ArgumentParser, t_default: int) -> None:
     p.add_argument(
         "--stat",
         default="weighted-descents",
-        choices=["weighted-descents", "weighted-peaks", "descents", "peaks", "f_j"],
+        choices=list(dict.fromkeys(s for *_, alg in _STARTS.values() for s in alg.statistics)),
     )
     p.add_argument("--q", help="weight parameter for weighted statistics (default 1/2)")
     p.add_argument("--j", type=int, help="threshold for the forest statistic (default 2)")

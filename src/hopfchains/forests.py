@@ -220,7 +220,7 @@ class ForestAlgebra(AlgebraHandle):
     name = "forests"
     commutative = True
     cocommutative = False
-    statistics = frozenset({"f_j"})
+    statistics = {"f_j": {"j": 2, "q1": Fraction(1, 4), "q3": Fraction(1, 4)}}
 
     def basis(self, n: int) -> list:
         return list(enumerate_forests(n))
@@ -254,6 +254,12 @@ class ForestAlgebra(AlgebraHandle):
     def content_class(self, content) -> list:
         """Every forest on n vertices: the content (n,) is the degree alone."""
         return self.basis(content[0])
+
+    def statistic(self, name: str, n: int, j: int, q1, q3):
+        """f_j, the table's one entry, with j, q1 and q3 fixed (`f_j_statistic`)."""
+        if j < 2:
+            raise ValueError(f"--j must be >= 2 for f_j, got {j}")
+        return lambda f: f_j_statistic(f, j, q1, q3)
 
     def generator_counts(self, content) -> dict:
         """Rooted trees of each size up to the vertex count."""

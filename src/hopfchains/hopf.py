@@ -81,9 +81,10 @@ class AlgebraHandle:
     `content` and `generator_counts` that the spectra and stationary laws
     read, and set the `commutative` / `cocommutative` flags.  A content
     class is a chain's state space, and the handle gives its size without
-    enumeration (`class_size`), its states (`content_class`), the `--stat`
-    names its states take (`statistics`) and a sampler that needs no
-    kernel, if any (`stepper`).  Subclasses may supply `eta`, the basis
+    enumeration (`class_size`), its states (`content_class`), a sampler
+    that needs no kernel, if any (`stepper`), and the statistics its states
+    take: one table `statistics`, {--stat name: {flag it reads: default}},
+    and their callables (`statistic`).  Subclasses may supply `eta`, the basis
     rescaling constant, in closed form; the default recurses through
     `coproduct_basis`.  The structure maps return `{key: int}` dicts, which
     callers only read.  Handles are immutable after construction; the
@@ -93,7 +94,7 @@ class AlgebraHandle:
     name = "abstract"
     commutative = False
     cocommutative = False
-    statistics: frozenset = frozenset()
+    statistics: dict = {}
 
     def __init__(self):
         self._eta_cache: dict = {}
@@ -128,6 +129,10 @@ class AlgebraHandle:
 
     def content_class(self, content) -> list:
         """The basis keys of this content, in a fixed canonical order."""
+        raise NotImplementedError
+
+    def statistic(self, name: str, n: int, **params):
+        """Statistic `name` of degree-n states as a callable, its flags fixed by `params`."""
         raise NotImplementedError
 
     def stepper(self, spec):

@@ -115,7 +115,8 @@ class WordAlgebra(AlgebraHandle):
     """
 
     kind = "words"
-    statistics = frozenset({"descents", "peaks", "weighted-descents", "weighted-peaks"})
+    statistics = {"weighted-descents": {"q": Fraction(1, 2)},
+                  "weighted-peaks": {"q": Fraction(1, 2)}, "descents": {}, "peaks": {}}
 
     def __init__(self, alphabet):
         super().__init__()
@@ -150,6 +151,10 @@ class WordAlgebra(AlgebraHandle):
     def content_class(self, content) -> list:
         """The rearrangement class of the words with these letter counts."""
         return rearrangement_class(self, [a for a, c in zip(self.alphabet, content) for _ in range(c)])
+
+    def statistic(self, name: str, n: int, **params) -> Callable:
+        """The deck statistic `name` of n-card decks over this alphabet."""
+        return deck_statistic(name, self.alphabet, n, **params)
 
     def generator_counts(self, content) -> dict:
         """Lyndon words of each content v <= `content`, by length.
@@ -412,9 +417,9 @@ def _binomial_numerators(m: int, q: Fraction) -> tuple:
     return tuple(comb(m, k) * a**k * (b - a) ** (m - k) for k in range(m + 1)), b**m
 
 
-def deck_statistic(name: str, alphabet, n: int, q=Fraction(1, 2)) -> Callable:
-    """The named statistic of n-card decks as a per-deck callable, with q,
-    its binomial weights and the alphabet's ranks resolved once.
+def deck_statistic(name: str, alphabet, n: int, q=None) -> Callable:
+    """A statistic of n-card decks named in `WordAlgebra.statistics`, as a per-deck
+    callable with q, its binomial weights and the alphabet's ranks resolved once.
 
     "descents" and "peaks" count positions; "weighted-descents" weighs
     descent i by C(n-2, i-1) q^(i-1) (1-q)^(n-1-i) and "weighted-peaks"
@@ -422,7 +427,7 @@ def deck_statistic(name: str, alphabet, n: int, q=Fraction(1, 2)) -> Callable:
     the weight of index i-1, so each form is one pass over adjacent card
     ranks, summing the weights of the positions it matches.
     """
-    if name not in ("descents", "peaks", "weighted-descents", "weighted-peaks"):
+    if name not in WordAlgebra.statistics:
         raise ValueError(f"unknown deck statistic {name!r}")
     peaks = name.endswith("peaks")
     if name.startswith("weighted-"):

@@ -489,7 +489,7 @@ def test_cli_max_states_below_one_is_usage_error(capsys, monkeypatch, argv, cap)
 
     monkeypatch.setattr("hopfchains.cli._setup_space", refuse)
     for algebra, starts in _STARTS.items():  # each algebra's start parser
-        monkeypatch.setitem(_STARTS, algebra, (*starts[:2], refuse, starts[3]))
+        monkeypatch.setitem(_STARTS, algebra, (*starts[:2], refuse, *starts[3:]))
     err = _usage_error(capsys, argv + ["--max-states", cap])
     assert f"--max-states must be >= 1, got {cap}" in err
 
@@ -737,14 +737,41 @@ def test_cli_takes_exactly_the_statistics_of_the_handle(capsys):
     choices = next(a for a in evolve._actions if a.dest == "stat").choices
     starts = [(["--deck", "abc"], ShuffleAlgebra("abc")),
               (["--algebra", "forests", "--forest", "(())"], forest_algebra())]
-    assert forest_algebra().statistics == {"f_j"}
+    assert set(forest_algebra().statistics) == {"f_j"}
     assert ShuffleAlgebra("abc").statistics == FreeAssociativeAlgebra("ab").statistics
-    assert ShuffleAlgebra("abc").statistics == set(choices) - {"f_j"}
+    assert set(ShuffleAlgebra("abc").statistics) == set(choices) - {"f_j"}
     for stat in choices:
         for flags, alg in starts:
             argv = ["evolve", *flags, "--preset", "riffle", "--t", "1", "--stat", stat]
             assert main(argv) == (0 if stat in alg.statistics else 2), argv
             capsys.readouterr()
+
+
+def test_cli_takes_the_statistics_of_a_registered_handle(capsys, monkeypatch):
+    # a handle registered in _STARTS brings its statistics table (the --stat
+    # name, the flag it reads and its default) and the callable, with no
+    # other edit of the CLI
+    class RankAt(ShuffleAlgebra):
+        statistics = {"rank-at": {"j": 1}}
+
+        def statistic(self, name, n, j):
+            return lambda word: F(self.rank[word[j - 1]])
+
+    def start(args):
+        alg, deck = deck_from_string(args.deck)
+        alg = RankAt(alg.alphabet)
+        return alg, deck.degree, alg.content(deck), deck
+
+    monkeypatch.setitem(_STARTS, "ranks", ("distinct", "deck", start, "need --deck", RankAt))
+    evolve = next(a for a in build_parser()._actions if a.dest == "command").choices["evolve"]
+    assert "rank-at" in next(a for a in evolve._actions if a.dest == "stat").choices
+    run = ["evolve", "--algebra", "ranks", "--deck", "cab", "--preset", "riffle", "--t", "1",
+           "--stat", "rank-at"]
+    for flags, rank in (([], "2"), (["--j", "3"], "1")):  # c at card 1 (the default), b at 3
+        assert main(run + flags) == 0
+        assert json.loads(capsys.readouterr().out)["values"][0]["expectation"] == rank
+    assert "--q would be ignored by --stat rank-at" in _usage_error(capsys, run + ["--q", "1/3"])
+    assert "does not apply to the shuffle algebra" in _usage_error(capsys, run[:1] + run[3:])
 
 
 @pytest.mark.parametrize("command", ["evolve", "simulate"])
