@@ -38,8 +38,8 @@ The rows are integers over one den (only beta_n is rational) and short:
 top-to-random on 720 decks has 4,320 non-zeros of 518,400 entries.  So
 every reader walks the pairs: `evolve` (with `expectations` and
 `is_stationary`), `lumping_check`, `row_of`, the exporters, which still
-write every zero, and `simulate.matrix_stepper`; the dense `kernel` is
-only a view.  A law (`Distribution`) is integer numerators over one den
+write every zero, `simulate.matrix_stepper` and the spectrum
+certificate.  A law (`Distribution`) is integer numerators over one den
 too.  `row_of` and `distribution_to_dict` form `Fraction(c, den)` for
 each entry they output, the exporters one per distinct numerator of the
 kernel (2 in riffle(2)'s 41,760 non-zeros on 720 decks), and
@@ -53,7 +53,7 @@ from math import factorial, gcd, lcm
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .hopf import AlgebraHandle, CppSpec, apply_cpp, beta_n, eta, multinomial, symmetrized_product
-from .linalg import RatMatrix, dense_matrix, rat
+from .linalg import rat
 from .shuffle import Word, WordAlgebra, position_law, position_moves
 
 # The ratio of the word-build rule in the module docstring.  Timed in one
@@ -68,12 +68,19 @@ from .shuffle import Word, WordAlgebra, position_law, position_moves
 RELABEL_RATIO = 5
 
 
+class DenseKernel(NamedTuple):
+    """The `TransitionMatrix.kernel` view: dense integer rows `entries` over `den`."""
+
+    entries: list
+    den: int
+
+
 class TransitionMatrix:
     """Exact row-stochastic kernel over an ordered list of states: rows[i] holds,
     j ascending, the (j, c) of each step from state i to j with probability c / den,
     all divided by their gcd.  `index` maps each state to its position."""
 
-    __slots__ = ("states", "rows", "den", "etas", "beta", "spec", "index", "_kernel")
+    __slots__ = ("states", "rows", "den", "etas", "beta", "spec", "index")
 
     def __init__(
         self,
@@ -87,18 +94,25 @@ class TransitionMatrix:
         g = gcd(den, *(c for row in rows for _, c in row))
         self.rows = [sorted((j, c // g) for j, c in row) if g > 1 else sorted(row) for row in rows]
         self.states, self.den, self.etas, self.beta, self.spec = states, den // g, etas, beta, spec
-        self.index, self._kernel = {s: i for i, s in enumerate(states)}, None
+        self.index = {s: i for i, s in enumerate(states)}
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     @property
-    def kernel(self) -> RatMatrix:
-        """The dense `RatMatrix` of the rows, formed on first read."""
-        if self._kernel is None:
-            self._kernel = dense_matrix(self.rows, self.den)
-        return self._kernel
+    def kernel(self) -> DenseKernel:
+        """The rows written out dense, zeros too, formed on each read.
+
+        Nothing in the package reads it.  It stays because
+        `perfbench/layertrace.py::_build` reads `result.kernel.entries`;
+        once that hook reads `rows` (ROADMAP item 1), the view can go.
+        """
+        entries = [[0] * self.size for _ in self.rows]
+        for line, row in zip(entries, self.rows):
+            for j, c in row:
+                line[j] = c
+        return DenseKernel(entries, self.den)
 
     def row_of(self, x) -> dict:
         return {self.states[j]: Fraction(c, self.den) for j, c in self.rows[self.index[x]]}
@@ -185,7 +199,8 @@ def kernel_rows(alg: AlgebraHandle, spec: CppSpec, states: list) -> tuple[list, 
 
 class Distribution:
     """Exact probability law aligned with a state list: state i has
-    probability nums[i] / den, both divided by their gcd as in `RatMatrix`."""
+    probability nums[i] / den, both divided by their gcd as in
+    `TransitionMatrix`."""
 
     __slots__ = ("states", "nums", "den", "provenance")
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -98,6 +99,18 @@ def _check_minima(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
+
+
+def _check_out(args) -> None:
+    """Refuse an --out whose directory cannot be reached before any work,
+    with the error that opening the file would raise once the output is
+    ready; a command without the flag, or one writing to stdout, skips it."""
+    path = getattr(args, "out", None)
+    if path:
+        try:
+            os.stat(os.path.dirname(path) or ".")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def check_state_count(count: int, max_states: int) -> None:
@@ -231,8 +244,6 @@ def _write(path: str | None, chunks, end: str = "") -> None:
         sys.stdout.write(end)
         sys.stdout.flush()
     except BrokenPipeError:
-        import os
-
         # what is still buffered goes nowhere, so the flush at exit cannot fail
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -557,6 +568,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_minima(args)
+        _check_out(args)
         return args.fn(args)
     except (UsageError, SpecError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc) or type(exc).__name__}) + "\n")

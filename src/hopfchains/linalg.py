@@ -1,22 +1,22 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on integer rows.
 
-A `RatMatrix` is integer rows over one denominator, both divided by
-their gcd, so results are exact and equality needs no tolerance.  Row
-scaling changes neither rank nor null space, so the elimination routines
-take integer rows, picking the first nonzero pivot for determinism.
-`rank` and `nullspace` share one fraction-free (Bareiss) elimination,
-whose intermediate entries are minor determinants, so no `Fraction` is
-formed until the kernel vectors are read off.  Eigenspace dimensions
-take no rank: the traces of one annihilation chain (`annihilation_traces`)
-give them.  It runs on sparse rows, (column, numerator) pairs, from any
-list of start rows, each trace summed over them: from every row
-(`eigenspace_dimensions`), or, on a word class whose chain commutes with
-relabelling letters of equal multiplicity, from one row per relabelling
-orbit with each trace times the orbit size (`spectral.verify_spectrum`):
-1 row of 120 on five distinct cards, 15 of 90 on aabbcc, 105 of 2,520 on
-aabbccdd.  A chain's kernel is stored sparse; `dense_matrix` forms its
-dense view and the rows `rank` takes, and `sparse_rows` is its inverse;
-the certificate reads a chain's stored rows directly.
+A chain kernel is sparse integer rows over one denominator: row i holds
+(column, numerator) pairs, so K = A / den.  Row scaling changes neither
+rank nor null space, so the elimination routines take dense integer
+rows, picking the first nonzero pivot for determinism.  `rank` and
+`nullspace` share one fraction-free (Bareiss) elimination, whose
+intermediate entries are minor determinants, so no `Fraction` is formed
+until the kernel vectors are read off.  Eigenspace dimensions take no
+rank: the traces of one annihilation chain (`annihilation_traces`) give
+them.  It runs on the sparse rows from any list of start rows, each trace
+summed over them: from every row (`eigenspace_dimensions`), or, on a word
+class whose chain commutes with relabelling letters of equal
+multiplicity, from one row per relabelling orbit with each trace times
+the orbit size (`spectral.verify_spectrum`): 1 row of 120 on five
+distinct cards, 15 of 90 on aabbcc, 105 of 2,520 on aabbccdd.  Only
+where the product does not vanish does the certificate take a rank, of
+the dense integer rows that `shifted` forms from the sparse ones for
+each eigenvalue.
 """
 
 from __future__ import annotations
@@ -44,42 +44,19 @@ def rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class RatMatrix:
-    """A rational matrix: integer numerator rows `entries` over their least
-    common denominator `den`, so entry (i, j) is entries[i][j] / den.
-    Treated as immutable after construction."""
-
-    __slots__ = ("rows", "cols", "entries", "den")
-
-    def __init__(self, rows: Sequence[Sequence[int]], den: int):
-        """Integer rows over a positive den, both divided by the gcd of den
-        and every entry, so that den is the least common denominator."""
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged rows: matrix must be rectangular")
-        g = den
-        for row in rows:
-            g = gcd(g, *row)
-            if g == 1:
-                break
-        self.entries = tuple(tuple(e // g for e in row) if g > 1 else tuple(row) for row in rows)
-        self.den, self.rows, self.cols = den // g, len(rows), width
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and (self.den, self.entries) == (other.den, other.entries)
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({self.rows}x{self.cols})"
-
-
-def shifted(m: RatMatrix, lam: Fraction) -> list[list[int]]:
-    """Integer rows of m - lam*I scaled by q*den: q*A - p*den*I for lam = p/q."""
-    pd, q = lam.numerator * m.den, lam.denominator
-    return [
-        [q * e - pd if i == j else q * e for j, e in enumerate(row)] for i, row in enumerate(m.entries)
-    ]
+def shifted(rows: Sequence, den: int, lam: Fraction) -> list[list[int]]:
+    """Dense integer rows of q*A - p*den*I for lam = p/q, where rows[i] is
+    row i of the square A as (column, numerator) pairs (a column may
+    repeat; its numerators add), so K = A / den: q*den times K - lam*I."""
+    pd, q = lam.numerator * den, lam.denominator
+    out = []
+    for i, row in enumerate(rows):
+        line = [0] * len(rows)
+        for j, c in row:
+            line[j] += q * c
+        line[i] -= pd
+        out.append(line)
+    return out
 
 
 def _eliminate(rows: Sequence[Sequence[int]], reduced: bool) -> tuple[list[list[int]], list[int]]:
@@ -235,44 +212,22 @@ def annihilation_traces(
     return None
 
 
-def sparse_rows(m: RatMatrix) -> list[list[tuple[int, int]]]:
-    """Each row of m as its (column, numerator) pairs with a nonzero numerator."""
-    return [[(j, e) for j, e in enumerate(row) if e] for row in m.entries]
-
-
-def dense_matrix(rows: Sequence, den: int) -> RatMatrix:
-    """The square `RatMatrix` of (column, numerator) rows with distinct
-    columns over den: the inverse of `sparse_rows`."""
-    dense = []
-    for row in rows:
-        entries = [0] * len(rows)
-        for j, e in row:
-            entries[j] = e
-        dense.append(entries)
-    return RatMatrix(dense, den)
-
-
 def eigenspace_dimensions(m, eigenvalues: Iterable) -> dict | None:
     """Eigenspace dimension of each given eigenvalue, or None if m is not
     diagonalisable with its spectrum among them.
 
-    m is a square `RatMatrix`, or a chain kernel (`chain.TransitionMatrix`),
-    whose sparse rows `m.rows` over `m.den` are read as they are stored.
-    If the chain prod (m - lam I) over the distinct values vanishes, m is
-    diagonalisable with eigenvalues among them, and the traces of the
-    partial products (`annihilation_traces` from every row) give every
-    dimension (`dimensions_from_traces`).  No rank is taken.
+    m is a chain kernel (`chain.TransitionMatrix`), or any square matrix
+    with the same two fields: its sparse rows `m.rows`, (column,
+    numerator) pairs, over `m.den`.  If the chain prod (m - lam I) over the
+    distinct values vanishes, m is diagonalisable with eigenvalues among
+    them, and the traces of the partial products (`annihilation_traces`
+    from every row) give every dimension (`dimensions_from_traces`).  No
+    rank is taken.
     """
-    if isinstance(m, RatMatrix):
-        if m.rows != m.cols:
-            raise ValueError("eigenspace_dimensions needs a square matrix")
-        rows = sparse_rows(m)
-    else:
-        rows = m.rows
     lams = sorted(set(rat(v) for v in eigenvalues))
     if not lams:
         raise ValueError("need at least one eigenvalue")
-    traces = annihilation_traces(rows, m.den, lams, range(len(rows)))
+    traces = annihilation_traces(m.rows, m.den, lams, range(len(m.rows)))
     return None if traces is None else dimensions_from_traces(lams, traces)
 
 

@@ -24,20 +24,20 @@ Verification against the chain is a trace certificate: the product of
 cocommutative), and then the traces of its partial products give every
 eigenspace dimension exactly (`linalg.dimensions_from_traces`).  One
 routine forms that chain, `linalg.annihilation_traces`, on the kernel's
-rows from `chain.kernel_rows`, the rows the matrix build stores; the
-certificate forms no dense kernel, and where the rows are read off
-the position law it applies the operator once.  The word chains never
-read a card label, so a permutation g of the letters of equal
-multiplicity has K(gx, gy) = K(x, y), and every polynomial P in K
-commutes with it: P[gx][gx] = P[x][x], and row gx of P is row x with its
-columns permuted (Diaconis, Group Representations in Probability and
-Statistics, ch. 3).  On one whole rearrangement class the chain
-therefore runs from one row per orbit of these relabellings
+sparse rows from `chain.kernel_rows`, the rows the matrix build stores;
+where the rows are read off the position law it applies the operator
+once.  The word chains never read a card label, so a permutation g of
+the letters of equal multiplicity has K(gx, gy) = K(x, y), and every
+polynomial P in K commutes with it: P[gx][gx] = P[x][x], and row gx of
+P is row x with its columns permuted (Diaconis, Group Representations
+in Probability and Statistics, ch. 3).  On one whole rearrangement class
+the chain therefore runs from one row per orbit of these relabellings
 (`shuffle.relabelling_orbits`), each trace times the orbit size, and P
 vanishes iff those rows do: one row of weight n! on distinct cards, 15
 of weight 6 on aabbcc.  Forests and other state lists run it from every
 row.  Only a product that does not vanish falls back to
-states - rank(K - lam-hat I), on the same rows made dense.
+states - rank(K - lam-hat I), on the dense integer rows that
+`linalg.shifted` forms from the same sparse rows.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .hopf import (
 )
 from .linalg import (
     annihilation_traces,
-    dense_matrix,
     dimensions_from_traces,
     nullspace,
     rank,
@@ -248,10 +247,10 @@ def verify_spectrum(
     weight n! on a distinct deck, 15 of weight 6 on aabbcc, every row of
     weight 1 on forests or where no two letters share a multiplicity), and
     each trace is multiplied by the weight.  Only when the product does
-    not vanish are the dimensions read off `rank` of those rows made
-    dense, so a failing report still shows the true ones.  On aabbccd
-    under riffle this takes 2.3 s where the chain from every row of the
-    built kernel took 16.9 s.
+    not vanish are the dimensions read off `rank` of the dense rows that
+    `shifted` forms from those rows for each value, so a failing report
+    still shows the true ones.  On aabbccd under riffle this takes 2.3 s
+    where the chain from every row of the built kernel took 16.9 s.
     """
     states = list(states)
     size = len(states)
@@ -265,8 +264,7 @@ def verify_spectrum(
     dims = None if traces is None else dimensions_from_traces(support, [weight * t for t in traces])
     diag = dims is not None
     if not diag:
-        kernel = dense_matrix(rows, den)
-        dims = {value: size - rank(shifted(kernel, value)) for value in agg}
+        dims = {value: size - rank(shifted(rows, den, value)) for value in agg}
     entries = [(value, agg[value], dims.get(value, 0)) for value in sorted(agg)]
     total = spectrum.total_multiplicity()
     ok = diag and total == size and all(claimed == actual for _, claimed, actual in entries)

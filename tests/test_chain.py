@@ -12,6 +12,7 @@ from hopfchains import acceptance
 from hopfchains.chain import (
     RELABEL_RATIO,
     Distribution,
+    TransitionMatrix,
     build_transition_matrix,
     distribution_to_dict,
     evolve,
@@ -26,7 +27,6 @@ from hopfchains.chain import (
 from hopfchains.cli import UsageError, check_state_count, main
 from hopfchains.forests import forest_algebra, parse_forest
 from hopfchains.hopf import apply_cpp, beta_n, eta, multinomial, product
-from hopfchains.linalg import RatMatrix
 from hopfchains.presets import (
     riffle_spec,
     top_or_bottom_spec,
@@ -57,6 +57,15 @@ def _weights(dist):
     return [F(c, dist.den) for c in dist.nums]
 
 
+def _dense(K):
+    """Reference: the kernel's integer rows over K.den written out dense, zeros too."""
+    entries = [[0] * K.size for _ in K.rows]
+    for line, row in zip(entries, K.rows):
+        for j, c in row:
+            line[j] += c
+    return entries
+
+
 def test_top_to_random_row():
     _, deck, K = _class_chain(3, top_to_random_spec)
     row = {str(s): p for s, p in K.row_of(deck).items()}
@@ -74,9 +83,9 @@ def test_repeated_deck_row():
 def test_rows_sum_to_one_across_presets():
     for spec_fn in (top_to_random_spec, riffle_spec, lambda n: top_or_bottom_spec(n, F(1, 3))):
         _, _, K = _class_chain(4, spec_fn)
-        for x, row in zip(K.states, K.kernel.entries):
-            assert sum(row) == K.kernel.den
-            assert all(p >= 0 for p in row)
+        for x, row in zip(K.states, K.rows):
+            assert sum(c for _, c in row) == K.den
+            assert all(c > 0 for _, c in row)
             assert sum(K.row_of(x).values()) == 1
 
 
@@ -297,8 +306,7 @@ def test_lumping_identity_and_constant():
     assert res.ok and res.quotient.size == K.size
     res = lumping_check(K, lambda s: "all")
     assert res.ok and res.quotient.size == 1
-    assert res.quotient.kernel.entries == ((1,),)
-    assert res.quotient.kernel.den == 1
+    assert (res.quotient.rows, res.quotient.den) == ([[(0, 1)]], 1)
 
 
 def test_lumping_descents_under_riffle():
@@ -308,8 +316,8 @@ def test_lumping_descents_under_riffle():
     res = lumping_check(K, lambda s: tuple(sorted(descent_peak_sets(s, alg.alphabet).descents)))
     assert res.ok
     assert res.quotient.size == 8
-    for row in res.quotient.kernel.entries:
-        assert sum(row) == res.quotient.kernel.den
+    for row in res.quotient.rows:
+        assert sum(c for _, c in row) == res.quotient.den
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -326,9 +334,9 @@ def test_lumping_quotient_is_stored_over_its_least_common_denominator(n):
     for spec in (riffle_spec(n), top_to_random_spec(n), top_or_bottom_spec(n, F(1, 3))):
         K = build_transition_matrix(alg, spec, states=states)
         for statistic in statistics:
-            q = lumping_check(K, statistic).quotient.kernel
-            assert q.den == lcm(*(F(c, q.den).denominator for row in q.entries for c in row))
-        assert (q.entries, q.den) == (((1,),), 1) and K.kernel.den > 1
+            q = lumping_check(K, statistic).quotient
+            assert q.den == lcm(*(F(c, q.den).denominator for row in q.rows for _, c in row))
+        assert (q.rows, q.den) == ([[(0, 1)]], 1) and K.den > 1
 
 
 def test_lumping_failure_produces_witness():
@@ -441,20 +449,20 @@ def test_integer_kernel_matches_fraction_reference(space):
 @pytest.mark.parametrize("space", GRID_SPACES)
 def test_kernel_is_stored_over_its_least_common_denominator(space):
     for _, preset, *_, K in _grid(space):
-        entries, den = K.kernel.entries, K.kernel.den
-        assert all(type(c) is int for row in entries for c in row), preset
-        assert den == lcm(*(F(c, den).denominator for row in entries for c in row)), preset
+        numerators = [c for row in K.rows for _, c in row]
+        assert all(type(c) is int for c in numerators), preset
+        assert K.den == lcm(*(F(c, K.den).denominator for c in numerators)), preset
 
 
 def _dense_evolve(K, start, t):
     """Reference: the law after t steps, stepped through every dense entry."""
-    nums, den = list(start.nums), start.den
+    nums, den, entries = list(start.nums), start.den, _dense(K)
     for _ in range(t):
         new = [0] * K.size
-        for w, row in zip(nums, K.kernel.entries):
+        for w, row in zip(nums, entries):
             for j, a in enumerate(row):
                 new[j] += w * a
-        nums, den = new, den * K.kernel.den
+        nums, den = new, den * K.den
     return [F(c, den) for c in nums]
 
 
@@ -465,23 +473,22 @@ def _dense_lumping(K, statistic):
     classes = sorted(set(labels), key=repr)
     targets = [classes.index(label) for label in labels]
     seen: dict = {}
-    for x, row, label in zip(K.states, K.kernel.entries, labels):
+    for x, row, label in zip(K.states, _dense(K), labels):
         sums = [0] * len(classes)
         for a, k in zip(row, targets):
             sums[k] += a
         prev, prev_sums = seen.setdefault(label, (x, sums))
         if prev_sums != sums:
             return (prev, x, next(c for c, a, b in zip(classes, prev_sums, sums) if a != b)), None
-    den = K.kernel.den
-    return None, {c: {d: F(a, den) for d, a in zip(classes, seen[c][1]) if a} for c in classes}
+    return None, {c: {d: F(a, K.den) for d, a in zip(classes, seen[c][1]) if a} for c in classes}
 
 
 def _dense_draws(K, start, steps):
     """Reference: the row sampler's path read off the dense view, each row's
     non-zero entries over their gcd, in state order."""
-    rng, state, path = RngStream(7, 0), start, []
+    rng, state, path, entries = RngStream(7, 0), start, [], _dense(K)
     for _ in range(steps):
-        row = K.kernel.entries[K.index[state]]
+        row = entries[K.index[state]]
         nums = [c for c in row if c]
         cum = list(accumulate(c // gcd(*nums) for c in nums))
         state = [y for y, c in zip(K.states, row) if c][bisect_right(cum, rng.randbelow(cum[-1]))]
@@ -491,9 +498,9 @@ def _dense_draws(K, start, steps):
 
 @pytest.mark.parametrize("space", GRID_SPACES)
 def test_no_chain_path_forms_a_dense_kernel(space, monkeypatch):
-    # every reader walks the sparse rows; only then is the dense view
-    # formed, and each value is checked against a reading of it
-    def refuse(*args):
+    # every reader walks the sparse rows and never reads the dense view;
+    # each value is checked against a dense reading of the rows
+    def refuse(self):
         raise AssertionError("a chain path formed a dense kernel")
 
     for _, preset, alg, n, states, spec in [c for c in acceptance._grid_cells() if c[0] == space]:
@@ -502,7 +509,7 @@ def test_no_chain_path_forms_a_dense_kernel(space, monkeypatch):
         values = {x: F(i % 3, 2) for i, x in enumerate(states)}
         statistics = [lambda s: "all", lambda s: s[0], lambda s: states.index(s) % 3]
         with monkeypatch.context() as m:
-            m.setattr("hopfchains.chain.dense_matrix", refuse)
+            m.setattr(TransitionMatrix, "kernel", property(refuse))
             K = build_transition_matrix(alg, spec, states=states)
             laws = [_weights(evolve(K, start, t)) for t in range(3)]
             series = expectations(K, start, 2, values.__getitem__)
@@ -515,7 +522,6 @@ def test_no_chain_path_forms_a_dense_kernel(space, monkeypatch):
             for _ in range(8):
                 path.append(stepper(path[-1], rng))
         assert all(a < b for row in K.rows for (a, _), (b, _) in zip(row, row[1:])), preset
-        assert K.den == K.kernel.den, preset
         reference = [_dense_evolve(K, start, t) for t in range(3)]
         assert laws == reference, preset
         assert series == [sum(w * values[x] for x, w in zip(states, ws)) for ws in reference], preset
@@ -524,7 +530,7 @@ def test_no_chain_path_forms_a_dense_kernel(space, monkeypatch):
             witness, quotient = _dense_lumping(K, statistic)
             assert result.witness == witness, preset
             assert (result.quotient and {c: result.quotient.row_of(c) for c in quotient}) == quotient
-        den, entries = K.kernel.den, K.kernel.entries
+        den, entries = K.den, _dense(K)
         assert rows == [{y: F(c, den) for y, c in zip(states, row) if c} for row in entries], preset
         text = {c: str(F(c, den)) for row in entries for c in row}
         lines = [[text[c] for c in row] for row in entries]
@@ -534,25 +540,24 @@ def test_no_chain_path_forms_a_dense_kernel(space, monkeypatch):
 
 
 def test_integer_rows_reduce_to_their_least_common_denominator():
-    m = RatMatrix([[3, 6], [0, 9]], 12)
-    assert (m.entries, m.den) == (((1, 2), (0, 3)), 4)
-    assert RatMatrix([[3, 2]], 6).entries == ((3, 2),)
-    assert RatMatrix([[2, -4]], 2) == RatMatrix([[1, -2]], 1)
-    # equal matrices compare equal however far their rows were scaled
-    assert RatMatrix([[6, 4], [0, -6]], 12) == RatMatrix([[3, 2], [0, -3]], 6)
-    assert RatMatrix([[1, 1]], 2).den == 2
-    # the zero matrix is stored over 1
-    zero = RatMatrix([[0, 0]], 7)
-    assert (zero.entries, zero.den) == (((0, 0),), 1)
-    with pytest.raises(ValueError):
-        RatMatrix([], 1)
+    def reduced(rows, den):
+        m = TransitionMatrix(list(range(len(rows))), rows, den)
+        return m.rows, m.den
+
+    assert reduced([[(1, 6), (0, 3)], [(1, 9)]], 12) == ([[(0, 1), (1, 2)], [(1, 3)]], 4)
+    assert reduced([[(0, 3), (1, 2)]], 6) == ([[(0, 3), (1, 2)]], 6)
+    assert reduced([[(0, 2), (1, -4)]], 2) == ([[(0, 1), (1, -2)]], 1)
+    assert reduced([[(0, 1), (1, 1)]], 2)[1] == 2
+    # rows without a non-zero are stored over 1
+    assert reduced([[]], 7) == ([[]], 1)
 
 
 def _per_row(monkeypatch, alg, spec, states):
     # the kernel from one apply_cpp call per state, the position law turned off
     with monkeypatch.context() as m:
         m.setattr("hopfchains.chain.relabels", lambda *a: False)
-        return build_transition_matrix(alg, spec, states=states).kernel
+        K = build_transition_matrix(alg, spec, states=states)
+    return K.rows, K.den
 
 
 def test_relabelled_build_on_a_deck_in_non_identity_order(monkeypatch):
@@ -560,13 +565,13 @@ def test_relabelled_build_on_a_deck_in_non_identity_order(monkeypatch):
     states = rearrangement_class(alg, deck)
     for spec in (top_or_bottom_spec(6, F(1, 3)), top_to_random_spec(6)):
         K = build_transition_matrix(alg, spec, states=states)
-        assert K.kernel == _per_row(monkeypatch, alg, spec, states), spec
+        assert (K.rows, K.den) == _per_row(monkeypatch, alg, spec, states), spec
     # the dual word algebra cuts and merges by position too
     dual = FreeAssociativeAlgebra("abc")
     states = rearrangement_class(dual, Word("cab"))
     for spec in (riffle_spec(3), top_or_bottom_spec(3, F(1, 3))):
         K = build_transition_matrix(dual, spec, states=states)
-        assert K.kernel == _per_row(monkeypatch, dual, spec, states), spec
+        assert (K.rows, K.den) == _per_row(monkeypatch, dual, spec, states), spec
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["shuffle", "free-assoc"])

@@ -618,6 +618,6 @@ def test_built_matrix_stays_rational():
         K = build_transition_matrix(alg, spec)
         assert type(K.beta) is F
         assert all(type(e) is int for e in K.etas)
-        assert type(K.kernel.den) is int and K.kernel.den > 0
-        assert all(type(e) is int for row in K.kernel.entries for e in row)
+        assert type(K.den) is int and K.den > 0
+        assert all(type(c) is int for row in K.rows for _, c in row)
         assert all(type(p) is F for x in K.states for p in K.row_of(x).values())

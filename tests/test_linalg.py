@@ -1,12 +1,12 @@
 from fractions import Fraction as F
 from math import lcm
+from typing import NamedTuple
 
 import pytest
 
 from hopfchains.chain import build_transition_matrix, evolve, point_mass
 from hopfchains.forests import forest_algebra
 from hopfchains.linalg import (
-    RatMatrix,
     annihilation_check,
     annihilation_traces,
     eigenspace_dimensions,
@@ -14,19 +14,33 @@ from hopfchains.linalg import (
     rank,
     rat,
     shifted,
-    sparse_rows,
 )
 from hopfchains.presets import riffle_spec, top_to_random_spec, trinomial_spec
 from hopfchains.shuffle import FreeAssociativeAlgebra, deck_from_string, distinct_deck, rearrangement_class
 from hopfchains.spectral import class_spectrum, primitive_basis
 
+from test_chain import _dense, _grid
+
 
 def rational_matrix(rows):
-    """Rational rows (ints, Fractions or "p/q" strings) as a RatMatrix over
-    the lcm of their denominators."""
+    """Rational rows (ints, Fractions or "p/q" strings) as (integer rows,
+    den) over the lcm of their denominators."""
     rows = [[F(e) for e in row] for row in rows]
     den = lcm(*(e.denominator for row in rows for e in row))
-    return RatMatrix([[e.numerator * (den // e.denominator) for e in row] for row in rows], den)
+    return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
+
+
+class Square(NamedTuple):
+    """A square matrix as `eigenspace_dimensions` reads a chain kernel:
+    (column, numerator) rows over den."""
+
+    rows: list
+    den: int
+
+
+def square(entries, den):
+    """The `Square` of dense integer rows over den."""
+    return Square([[(j, e) for j, e in enumerate(row) if e] for row in entries], den)
 
 
 def rref(m):
@@ -73,11 +87,6 @@ def test_rat_parsing():
         rat(True)
 
 
-def test_ragged_rows_rejected():
-    with pytest.raises(ValueError):
-        RatMatrix([[1, 2], [3]], 1)
-
-
 def _top_to_random_3():
     alg, deck = distinct_deck(3)
     states = rearrangement_class(alg, deck)
@@ -87,16 +96,11 @@ def _top_to_random_3():
 def test_square_matches_two_step_path_enumeration():
     # independent oracle: accumulate probability over all length-2 paths
     K = _top_to_random_3()
-    for i, x in enumerate(K.states):
+    for x in K.states:
         two_step = [F(0)] * K.size
-        for mid in range(K.size):
-            p1 = F(K.kernel.entries[i][mid], K.kernel.den)
-            if not p1:
-                continue
-            for j in range(K.size):
-                p2 = F(K.kernel.entries[mid][j], K.kernel.den)
-                if p2:
-                    two_step[j] += p1 * p2
+        for mid, p1 in K.row_of(x).items():
+            for y, p2 in K.row_of(mid).items():
+                two_step[K.index[y]] += p1 * p2
         law = evolve(K, point_mass(K, x), 2)
         assert [F(c, law.den) for c in law.nums] == two_step
 
@@ -159,44 +163,48 @@ def test_rank_basics():
 def test_rank_of_shifted_kernel():
     # the fixed-point space of the 6-state insertion chain is 1-dimensional
     K = _top_to_random_3()
-    den = K.kernel.den
     minus_identity = [
-        [e - (den if i == j else 0) for j, e in enumerate(row)]
-        for i, row in enumerate(K.kernel.entries)
+        [e - (K.den if i == j else 0) for j, e in enumerate(row)]
+        for i, row in enumerate(_dense(K))
     ]
     assert rank(minus_identity) == 5
-    assert rank(shifted(K.kernel, 1)) == 5
+    assert rank(shifted(K.rows, K.den, 1)) == 5
 
 
 def test_shifted_is_a_positive_multiple_of_the_rational_shift():
-    m = rational_matrix([["1/2", "1/3"], ["1/4", 1]])
-    lam = F(2, 3)
-    rows = shifted(m, lam)
-    scale = lam.denominator * m.den
-    for i in range(2):
-        for j in range(2):
-            exact = F(m.entries[i][j], m.den) - (lam if i == j else 0)
-            assert F(rows[i][j], scale) == exact
+    # the rank fallback's rows, read straight off the sparse rows, are
+    # q * den * (K - lam I) for lam = p/q, entry by entry
+    cells = [c for space in ("distinct n=4", "deck aabb", "forests n=4") for c in _grid(space)]
+    for _, preset, *_, K in cells:
+        for lam in (F(0), F(1), F(2, 3), F(-5, 4)):
+            rows = shifted(K.rows, K.den, lam)
+            scale = lam.denominator * K.den
+            for i, x in enumerate(K.states):
+                probs = K.row_of(x)
+                exact = [probs.get(y, 0) - (lam if i == j else 0) for j, y in enumerate(K.states)]
+                assert [F(e, scale) for e in rows[i]] == exact, (preset, lam)
+    # a column may repeat in a row, as in the annihilation chain's rows: its numerators add
+    assert shifted([[(0, 1), (1, 2), (0, 3)], [(1, 4)]], 5, F(1, 2)) == [[3, 4], [0, 3]]
 
 
 def test_rank_plus_nullity():
     mats = [
-        RatMatrix([[1, 2, 3], [4, 5, 6]], 1),
-        rational_matrix([["1/2", "1/3"], ["1/4", "1/6"], [1, 1]]),
-        _top_to_random_3().kernel,
-        RatMatrix([[0, 0, 1], [0, 0, 2]], 1),
+        [[1, 2, 3], [4, 5, 6]],
+        rational_matrix([["1/2", "1/3"], ["1/4", "1/6"], [1, 1]])[0],
+        _dense(_top_to_random_3()),
+        [[0, 0, 1], [0, 0, 2]],
     ]
     for m in mats:
-        assert rank(m.entries) + len(nullspace(m.entries)) == m.cols
+        assert rank(m) + len(nullspace(m)) == len(m[0])
 
 
 def test_rank_agrees_with_rref_pivots():
     mats = [
-        RatMatrix([[2, 4, 1], [1, 2, 0], [0, 0, 1]], 1),
-        rational_matrix([["1/7", 3], ["2/7", 6]]),
+        [[2, 4, 1], [1, 2, 0], [0, 0, 1]],
+        rational_matrix([["1/7", 3], ["2/7", 6]])[0],
     ]
     for m in mats:
-        assert rank(m.entries) == len(rref(m.entries)[1])
+        assert rank(m) == len(rref(m)[1])
 
 
 def test_rank_matches_rref_on_random_degenerate_matrices():
@@ -217,33 +225,31 @@ def test_rank_matches_rref_on_random_degenerate_matrices():
         for row in base:
             row[kill] = F(0)
         base.insert(rng.randrange(rows + 1), [F(0)] * cols)
-        m = rational_matrix(base)
+        m, _ = rational_matrix(base)
         # integer rows have the rational rows' kernel, in the same basis
-        assert rank(m.entries) == len(rref(base)[1]) == len(rref(m.entries)[1])
-        assert nullspace(m.entries) == oracle_kernel(base)
-        assert rank(m.entries) + len(nullspace(m.entries)) == m.cols
+        assert rank(m) == len(rref(base)[1]) == len(rref(m)[1])
+        assert nullspace(m) == oracle_kernel(base)
+        assert rank(m) + len(nullspace(m)) == cols
 
 
 def test_annihilation_identity_and_jordan_block():
-    assert annihilation_check(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1), [F(1)])
-    assert not annihilation_check(RatMatrix([[0, 1], [0, 0]], 1), [F(0)])
+    assert annihilation_check(square([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1), [F(1)])
+    assert not annihilation_check(square([[0, 1], [0, 0]], 1), [F(0)])
 
 
 def test_annihilation_riffle_eigenvalues():
     alg, deck = distinct_deck(3)
     states = rearrangement_class(alg, deck)
     K = build_transition_matrix(alg, riffle_spec(3), states=states)
-    # a chain kernel is certified from its stored rows or from its dense view alike
-    for m in (K, K.kernel):
-        assert annihilation_check(m, [F(1, 4), F(1, 2), F(1)])
-        assert not annihilation_check(m, [F(1, 2), F(1)])
+    assert annihilation_check(K, [F(1, 4), F(1, 2), F(1)])
+    assert not annihilation_check(K, [F(1, 2), F(1)])
 
 
-def _fraction_traces(m: RatMatrix, lams):
+def _fraction_traces(K, lams):
     """Oracle: traces of I, (K - l_1 I), (K - l_1 I)(K - l_2 I), ... over
     Fraction entries, up to the first product that vanishes, else None."""
-    size = m.rows
-    k = [[F(e, m.den) for e in row] for row in m.entries]
+    size = K.size
+    k = [[F(e, K.den) for e in row] for row in _dense(K)]
     p = [[F(int(i == j)) for j in range(size)] for i in range(size)]
     traces = [F(size)]
     for lam in lams:
@@ -266,16 +272,15 @@ def test_annihilation_traces_match_the_fraction_product(space):
     else:
         alg = forest_algebra()
         states, content = alg.basis(4), (4,)
-    kernel = build_transition_matrix(alg, spec, states=states).kernel
+    K = build_transition_matrix(alg, spec, states=states)
     support = sorted(v for v, m in class_spectrum(spec, alg, content).by_eigenvalue().items() if m)
-    rows = sparse_rows(kernel)
 
     def traces(lams):
-        return annihilation_traces(rows, kernel.den, lams, range(kernel.rows))
+        return annihilation_traces(K.rows, K.den, lams, range(K.size))
 
-    assert traces(support) == _fraction_traces(kernel, support) is not None
+    assert traces(support) == _fraction_traces(K, support) is not None
     # without the smallest eigenvalue the product does not vanish
-    assert traces(support[1:]) is None is _fraction_traces(kernel, support[1:])
+    assert traces(support[1:]) is None is _fraction_traces(K, support[1:])
 
 
 def _similar_diagonal(rng, diagonal):
@@ -308,30 +313,25 @@ def test_eigenspace_dimensions_match_rank_on_random_diagonalisable_matrices():
     for _ in range(60):
         size = rng.randrange(2, 7)
         diagonal = [rng.choice(pool[:4]) for _ in range(size)]
-        m = rational_matrix(_similar_diagonal(rng, diagonal))
+        m = square(*rational_matrix(_similar_diagonal(rng, diagonal)))
         # every true eigenvalue plus candidates of dimension 0
         candidates = sorted(set(diagonal) | set(rng.sample(pool, 2)))
         dims = eigenspace_dimensions(m, candidates)
-        assert dims == {lam: size - rank(shifted(m, lam)) for lam in candidates}
+        assert dims == {lam: size - rank(shifted(m.rows, m.den, lam)) for lam in candidates}
         assert dims == {lam: diagonal.count(lam) for lam in candidates}
 
 
 def test_eigenspace_dimensions_none_without_a_certificate():
-    jordan = RatMatrix([[1, 2, 0], [0, 1, 0], [0, 0, 2]], 2)
+    jordan = square([[1, 2, 0], [0, 1, 0], [0, 0, 2]], 2)
     assert eigenspace_dimensions(jordan, [F(1, 2), F(1)]) is None
-    diagonal = RatMatrix([[1, 0], [0, 6]], 3)
+    diagonal = square([[1, 0], [0, 6]], 3)
     assert eigenspace_dimensions(diagonal, [F(1, 3), 2]) == {F(1, 3): 1, 2: 1}
     # a true eigenvalue left out of the list
     alg, deck = distinct_deck(3)
     states = rearrangement_class(alg, deck)
     K = build_transition_matrix(alg, riffle_spec(3), states=states)
-    for m in (K, K.kernel):
-        assert eigenspace_dimensions(m, [F(1, 4), F(1, 2), F(1)]) == {
-            F(1, 4): 2,
-            F(1, 2): 3,
-            F(1): 1,
-        }
-        assert eigenspace_dimensions(m, [F(1, 4), F(1)]) is None
+    assert eigenspace_dimensions(K, [F(1, 4), F(1, 2), F(1)]) == {F(1, 4): 2, F(1, 2): 3, F(1): 1}
+    assert eigenspace_dimensions(K, [F(1, 4), F(1)]) is None
 
 
 def _whole_basis_primitives(alg, n):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hopfchains.chain import build_transition_matrix
+from hopfchains.chain import TransitionMatrix, build_transition_matrix
 from hopfchains.cli import _STARTS, _json_chunks, build_parser, main
 from hopfchains.forests import forest_algebra
 from hopfchains.hopf import SpecError, beta_n, spec_from_dict, spec_to_dict
@@ -93,12 +93,9 @@ def test_bottom_to_random_is_top_to_random_on_reversed_decks():
         top = build_transition_matrix(alg, top_to_random_spec(len(deck)), states=states)
         at = {x: i for i, x in enumerate(states)}
         rev = [at[Word(x[::-1])] for x in states]
-        assert bottom.kernel.den == top.kernel.den
-        assert all(
-            bottom.kernel.entries[i][j] == top.kernel.entries[rev[i]][rev[j]]
-            for i in range(len(states))
-            for j in range(len(states))
-        )
+        assert bottom.den == top.den
+        steps = {(i, j, c) for i, row in enumerate(top.rows) for j, c in row}
+        assert {(rev[i], rev[j], c) for i, row in enumerate(bottom.rows) for j, c in row} == steps
 
 
 def test_cli_spectrum_bottom_to_random_certifies(capsys):
@@ -116,7 +113,7 @@ def test_biased_at_half_matches_riffle_up_to_scale():
     states = rearrangement_class(alg, deck)
     K_riffle = build_transition_matrix(alg, riffle_spec(n), states=states)
     K_biased = build_transition_matrix(alg, biased_spec(n, (F(1, 2), F(1, 2))), states=states)
-    assert K_riffle.kernel == K_biased.kernel
+    assert (K_riffle.rows, K_riffle.den) == (K_biased.rows, K_biased.den)
     assert beta_n(riffle_spec(n)) == 2**n * beta_n(biased_spec(n, (F(1, 2), F(1, 2))))
 
 
@@ -795,12 +792,72 @@ def test_cli_out_of_memory_is_a_one_line_usage_error(capsys, monkeypatch):
     assert err.count("\n") == 1 and json.loads(err) == {"error": "MemoryError"}
 
 
+def test_cli_out_in_a_missing_directory_is_refused_before_any_work(capsys, monkeypatch, tmp_path):
+    # the error is the one opening the file would raise, byte for byte
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a kernel for an output that cannot be written")
+
+    monkeypatch.setattr("hopfchains.cli.build_transition_matrix", refuse)
+    out = str(tmp_path / "missing" / "x.json")
+    with pytest.raises(FileNotFoundError) as exc:
+        open(out, "w")
+    expected = json.dumps({"error": str(exc.value)}) + "\n"
+    argv = ["matrix", "--distinct", "3", "--preset", "riffle", "--out", out]
+    assert _usage_error(capsys, argv) == expected
+    # verify prints no table for a report it could not write
+    assert main(["verify", "--criteria", "2", "--out", out]) == 2
+    assert capsys.readouterr() == ("", expected)
+
+
+# each command that reads a built kernel, on words and on forests; words
+# simulate by cut-and-drop, forests by the row sampler
+KERNEL_READERS = [
+    ["matrix", "--distinct", "4", "--preset", "riffle"],
+    ["matrix", "--deck", "aabc", "--preset", "top-to-random", "--format", "csv"],
+    ["matrix", "--algebra", "forests", "--n", "4", "--preset", "trinomial",
+     "--params", "q1=1/4,q2=1/2,q3=1/4"],
+    ["matrix", "--algebra", "forests", "--n", "4", "--preset", "riffle", "--format", "csv"],
+    ["stationary", "--deck", "aabc"],
+    ["stationary", "--algebra", "forests", "--n", "5"],
+    ["evolve", "--distinct", "4", "--preset", "riffle", "--t", "3", "--stat", "descents"],
+    ["evolve", "--algebra", "forests", "--forest", "(())()", "--preset", "riffle", "--t", "3",
+     "--stat", "f_j"],
+    ["simulate", "--deck", "aabc", "--preset", "riffle", "--trials", "200", "--t", "2",
+     "--stat", "peaks"],
+    ["simulate", "--algebra", "forests", "--forest", "(())()", "--preset", "top-to-random",
+     "--trials", "200", "--t", "2", "--stat", "f_j"],
+    ["spectrum", "--distinct", "4", "--preset", "riffle", "--verify-matrix"],
+    ["spectrum", "--algebra", "forests", "--n", "4", "--preset", "riffle", "--verify-matrix"],
+    ["verify", "--criteria", "2,3,4,8"],
+]
+
+
+def test_cli_kernel_readers_never_read_the_dense_view(capsys, monkeypatch):
+    # the dense `TransitionMatrix.kernel` view is for the benchmark's build
+    # hook alone: with it refused, every command prints what it printed before
+    def run():
+        outputs = []
+        for argv in KERNEL_READERS:
+            assert main(argv) == 0, argv
+            # verify's table carries each criterion's seconds
+            outputs.append(re.sub(r"\(\d+\.\ds\)", "", capsys.readouterr().out))
+        return outputs
+
+    expected = run()
+
+    def refuse(self):
+        raise AssertionError("a command read the dense kernel view")
+
+    monkeypatch.setattr(TransitionMatrix, "kernel", property(refuse))
+    assert run() == expected
+
+
 def test_cli_verify_matrix_certifies_a_distinct_deck_without_a_kernel(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("built a kernel for a distinct deck's certificate")
+        raise AssertionError("formed dense rows for a distinct deck's certificate")
 
-    for module in ("chain", "spectral"):  # the one sparse-to-dense step, wherever bound
-        monkeypatch.setattr(f"hopfchains.{module}.dense_matrix", refuse)
+    monkeypatch.setattr(TransitionMatrix, "kernel", property(refuse))
+    monkeypatch.setattr("hopfchains.spectral.shifted", refuse)  # the rank fallback's dense rows
     argv = ["spectrum", "--distinct", "5", "--preset", "trinomial",
             "--params", "q1=1/4,q2=1/2,q3=1/4", "--verify-matrix"]
     assert main(argv) == 0

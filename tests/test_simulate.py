@@ -281,7 +281,7 @@ def test_matrix_stepper_draws_as_the_reduced_fraction_row():
     falg = forest_algebra()
     # thirds: a row scaled by a power of two would draw alike anyway
     K = build_transition_matrix(falg, trinomial_spec(5, F(1, 3), F(1, 3), F(1, 3)))
-    assert any(gcd(*filter(None, row)) > 1 for row in K.kernel.entries)
+    assert any(gcd(*(c for _, c in row)) > 1 for row in K.rows)
 
     def reference(state, rng):
         row = K.row_of(state)
@@ -352,9 +352,9 @@ def _reference_matrix_stepper(matrix):
     def step(state, rng):
         cached = row_cache.get(state)
         if cached is None:
-            row = matrix.kernel.entries[matrix.index[state]]
-            targets = [y for y, c in zip(matrix.states, row) if c]
-            nums = [c for c in row if c]
+            row = matrix.row_of(state)
+            den = lcm(*(p.denominator for p in row.values()))
+            targets, nums = list(row), [int(p * den) for p in row.values()]
             g = gcd(*nums)
             cached = row_cache[state] = targets, [c // g for c in nums]
         targets, weights = cached

@@ -7,18 +7,16 @@ from math import comb, factorial, prod
 import pytest
 
 from hopfchains import acceptance
-from hopfchains.chain import build_transition_matrix
+from hopfchains.chain import TransitionMatrix, build_transition_matrix
 from hopfchains.cli import main
 from hopfchains.forests import enumerate_trees, forest_algebra, tree_count
 from hopfchains.hopf import SpecError, apply_cpp, beta_n, iterated_coproduct
 from hopfchains.linalg import (
-    RatMatrix,
     annihilation_traces,
     dimensions_from_traces,
     eigenspace_dimensions,
     rank,
     shifted,
-    sparse_rows,
 )
 from hopfchains.presets import (
     biased_spec,
@@ -364,6 +362,17 @@ PRESET_PARAMS = {
 }
 
 
+def _refuse_dense_rows(m):
+    """Make the dense view (`TransitionMatrix.kernel`) and the rank
+    fallback's dense rows (`spectral.shifted`) raise under the patch m."""
+
+    def refuse(*args):
+        raise AssertionError("a passing certificate formed dense rows")
+
+    m.setattr(TransitionMatrix, "kernel", property(refuse))
+    m.setattr("hopfchains.spectral.shifted", refuse)
+
+
 def test_no_preset_has_a_chain_on_one_card():
     # the group certificate has nothing to certify at n=1: no operator breaks one card
     for name in preset_names():
@@ -382,9 +391,8 @@ def test_group_certificate_matches_class_spectrum_and_the_matrix_chain(n, monkey
         spec = expand_preset(name, n, params)
         spectrum = class_spectrum(spec, alg, alg.content(deck))
         with monkeypatch.context() as m:
-            # a distinct deck's class is certified without a dense kernel
-            for module in ("chain", "spectral"):
-                m.setattr(f"hopfchains.{module}.dense_matrix", None)
+            # a distinct deck's class is certified without dense rows
+            _refuse_dense_rows(m)
             report = verify_spectrum(alg, spec, states, spectrum)
         assert report.ok and report.diagonalizable, (name, report.lines())
         dims = {value: actual for value, _, actual in report.entries}
@@ -392,13 +400,13 @@ def test_group_certificate_matches_class_spectrum_and_the_matrix_chain(n, monkey
         if n <= 5:  # the matrix chain on 720 states takes seconds per preset
             K = build_transition_matrix(alg, spec, states=states)
             support = [value for value, mult in dims.items() if mult]
-            assert eigenspace_dimensions(K.kernel, support) == {v: dims[v] for v in support}, name
+            assert eigenspace_dimensions(K, support) == {v: dims[v] for v in support}, name
 
 
-def _one_row_dimensions(kernel, lams):
+def _one_row_dimensions(K, lams):
     """Dimensions read from one row's chain, each trace times the state count."""
-    traces = annihilation_traces(sparse_rows(kernel), kernel.den, lams, [0])
-    return dimensions_from_traces(lams, [kernel.rows * t for t in traces])
+    traces = annihilation_traces(K.rows, K.den, lams, [0])
+    return dimensions_from_traces(lams, [K.size * t for t in traces])
 
 
 def test_one_row_is_wrong_on_aabb_and_one_row_per_orbit_is_right():
@@ -414,12 +422,12 @@ def test_one_row_is_wrong_on_aabb_and_one_row_per_orbit_is_right():
         assert (len(starts), weight) == (3, 2)
         claimed = class_spectrum(K.spec, alg, alg.content(states[0])).by_eigenvalue()
         support = sorted(v for v, m in claimed.items() if m)
-        dims = eigenspace_dimensions(K.kernel, support)
+        dims = eigenspace_dimensions(K, support)
         assert dims == {v: claimed[v] for v in support}, preset
-        traces = annihilation_traces(sparse_rows(K.kernel), K.kernel.den, support, starts)
+        traces = annihilation_traces(K.rows, K.den, support, starts)
         assert dimensions_from_traces(support, [weight * t for t in traces]) == dims, preset
         try:
-            one_row = _one_row_dimensions(K.kernel, support)
+            one_row = _one_row_dimensions(K, support)
         except ArithmeticError:  # the triangular solve finds no count
             unsolved += 1
             continue
@@ -449,11 +457,10 @@ def test_relabelling_letters_of_equal_multiplicity_keeps_the_kernel(deck):
     ]
     assert len(moves) == relabelling_orbits(alg, states)[1] > 1
     for preset, spec in acceptance.grid_presets(len(deck)):
-        rows = build_transition_matrix(alg, spec, states=states).kernel.entries
+        rows = build_transition_matrix(alg, spec, states=states).rows
+        steps = {(i, j, c) for i, row in enumerate(rows) for j, c in row}
         for image in moves:
-            assert all(
-                rows[image[i]][image[j]] == e for i, row in enumerate(rows) for j, e in enumerate(row)
-            ), (deck, preset)
+            assert {(image[i], image[j], c) for i, j, c in steps} == steps, (deck, preset)
 
 
 def test_orbit_certificate_builds_no_kernel_on_aabbcc(monkeypatch):
@@ -461,8 +468,7 @@ def test_orbit_certificate_builds_no_kernel_on_aabbcc(monkeypatch):
     # certificate runs from 15 rows read off it and never makes them dense
     alg, word = deck_from_string("aabbcc")
     states = rearrangement_class(alg, word)
-    for module in ("chain", "spectral"):
-        monkeypatch.setattr(f"hopfchains.{module}.dense_matrix", None)
+    _refuse_dense_rows(monkeypatch)
     for preset, spec in acceptance.grid_presets(6):
         report = verify_spectrum(alg, spec, states, class_spectrum(spec, alg, alg.content(word)))
         assert report.ok and report.diagonalizable, (preset, report.lines())
@@ -551,9 +557,10 @@ def test_group_fallback_forms_the_position_law_once(monkeypatch):
     dropped = Spectrum(
         table=tuple((lam, v, 0 if v == F(1, 2) else mult) for lam, v, mult in right.table)
     )
-    K = build_transition_matrix(alg, spec, states=states).kernel
+    K = build_transition_matrix(alg, spec, states=states)
     expected = [
-        (v, c, len(states) - rank(shifted(K, v))) for v, c in sorted(dropped.by_eigenvalue().items())
+        (v, c, K.size - rank(shifted(K.rows, K.den, v)))
+        for v, c in sorted(dropped.by_eigenvalue().items())
     ]
     calls = []
 
@@ -577,12 +584,12 @@ def test_group_fallback_forms_the_position_law_once(monkeypatch):
 
 def test_verify_spectrum_rejects_a_non_diagonalisable_kernel(monkeypatch):
     h = F(1, 2)
-    kernel = RatMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]], 2)  # h on and above the diagonal
+    rows = [[(0, 1), (1, 1)], [(1, 1), (2, 1)], [(2, 2)]]  # h on and above the diagonal, over 2
     # a three-state word class (every row its own orbit) reads hand-made
     # rows of a non-diagonalisable kernel
     alg, deck = deck_from_string("aab")
     states = rearrangement_class(alg, deck)
-    monkeypatch.setattr("hopfchains.spectral.kernel_rows", lambda *a: (sparse_rows(kernel), kernel.den, None))
+    monkeypatch.setattr("hopfchains.spectral.kernel_rows", lambda *a: (rows, 2, None))
     # the right eigenvalues and algebraic multiplicities, but 1/2 has one eigenvector
     claimed = Spectrum(table=(((1,), F(1), 1), ((2,), h, 2)))
     report = verify_spectrum(alg, top_to_random_spec(3), states, claimed)
@@ -702,10 +709,7 @@ def test_eigenvectors_give_right_eigenfunctions_of_the_chain():
     for j in (0, 1, 3):
         for vec in build_E_j(dual, n, j, q, content=(1, 1, 1)):
             f = [vec.vector.get(s, 0) for s in states]
-            Kf = [
-                sum(F(K.kernel.entries[i][k], K.kernel.den) * f[k] for k in range(len(states)))
-                for i in range(len(states))
-            ]
+            Kf = [sum(p * f[K.index[y]] for y, p in K.row_of(x).items()) for x in states]
             assert Kf == [F(j, n) * v for v in f]
 
 
